@@ -146,10 +146,10 @@ def extract_constants(
     lam_max = np.empty((S,) + grid.shape)
     t_lam_outer = np.empty((S,) + grid.shape)
     for i, s in enumerate(traj.snapshots):
-        lam_ric = geometry.eig_general(geometry.ricci(grid, s.g), s.g)
+        lam_ric = geometry.eig_general(geometry.ricci(grid, s.metric), s.metric)
         lam_min[i] = lam_ric[..., 0]
         lam_max[i] = lam_ric[..., -1]
-        lam_out = geometry.eig_general(geometry.grad_phi_outer(grid, s.phi), s.g)
+        lam_out = geometry.eig_general(geometry.grad_phi_outer(grid, s.phi), s.metric)
         t_lam_outer[i] = s.t * lam_out[..., -1]
     if region is None:
         mask = np.ones((S,) + grid.shape, dtype=bool)
@@ -212,7 +212,7 @@ def liyau_quantity(
         if dt2 <= 0:
             raise ValueError("snapshots must be in increasing time order")
         f_t = (f_next - np.log(snap_prev.u)) / dt2
-    return geometry.gradient_norm_sq(grid, snap.g, f) - beta * f_t
+    return geometry.gradient_norm_sq(grid, snap.metric, f) - beta * f_t
 
 
 def global_bound(k: float, n: int, c_phi: float, alpha0: float, t) -> np.ndarray:
@@ -400,7 +400,7 @@ def check_global(
     keep = _report_indices(times)
     lhs = np.stack(
         [
-            geometry.gradient_norm_sq(grid, traj.snapshots[i].g, fs[i]) - beta * fts[i]
+            geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i]) - beta * fts[i]
             for i in keep
         ]
     )
@@ -460,7 +460,7 @@ def check_local(
     keep = _report_indices(times)
     lhs = np.stack(
         [
-            geometry.gradient_norm_sq(grid, traj.snapshots[i].g, fs[i]) - beta * fts[i]
+            geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i]) - beta * fts[i]
             for i in keep
         ]
     )
@@ -552,7 +552,7 @@ def fit_cprime(
             if not np.any(gate):
                 continue
             lhs = (
-                geometry.gradient_norm_sq(grid, traj.snapshots[i].g, fs[i])
+                geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i])
                 - beta * fts[i]
             )
             t = times[i]
@@ -620,10 +620,10 @@ def identity_residuals(
     fts = _time_derivative(fs, times)
 
     def grad_sq(i):
-        return geometry.gradient_norm_sq(grid, traj.snapshots[i].g, fs[i])
+        return geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i])
 
     def lap_f(i):
-        return geometry.laplace_beltrami(grid, traj.snapshots[i].g, fs[i])
+        return geometry.laplace_beltrami(grid, traj.snapshots[i].metric, fs[i])
 
     out = {name: [] for name in IDENTITY_NAMES}
     scales = {name: 0.0 for name in IDENTITY_NAMES}
@@ -634,7 +634,7 @@ def identity_residuals(
 
     for i in indices:
         snap = traj.snapshots[i]
-        g, phi, f = snap.g, snap.phi, fs[i]
+        g, phi, f = snap.metric, snap.phi, fs[i]
         dt_c = times[i + 1] - times[i - 1]
         ginv = geometry.metric_inverse(g)
         df = grid.partial(f)
@@ -642,7 +642,7 @@ def identity_residuals(
         coup = traj.variant.coupling(traj.schedule, snap.t)
         ric = geometry.ricci(grid, g)
         if traj.variant.kind == "static":
-            s_tensor = np.zeros_like(g)
+            s_tensor = np.zeros_like(snap.g)
         else:
             s_tensor = ric - coup * geometry.grad_phi_outer(grid, phi)
         hess = geometry.hessian(grid, g, f)
@@ -789,7 +789,7 @@ def check_evolution_inequality(
     times = traj.times
     fts = _time_derivative(fs, times)
     grad_sqs = [
-        geometry.gradient_norm_sq(grid, s.g, f) for s, f in zip(traj.snapshots, fs)
+        geometry.gradient_norm_sq(grid, s.metric, f) for s, f in zip(traj.snapshots, fs)
     ]
     F = [t * (gs - beta * ft) for t, gs, ft in zip(times, grad_sqs, fts)]
     keep = [i for i in range(2, S - 2) if times[i] > 0]
@@ -798,7 +798,7 @@ def check_evolution_inequality(
     lhs_list, rhs_list = [], []
     for i in keep:
         snap = traj.snapshots[i]
-        g, f, t = snap.g, fs[i], times[i]
+        g, f, t = snap.metric, fs[i], times[i]
         dt_c = times[i + 1] - times[i - 1]
         ginv = geometry.metric_inverse(g)
         df = grid.partial(f)

@@ -17,12 +17,13 @@ Stability is enforced, not assumed: every step requires
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import geometry
-from .geometry import MetricDegenerateError, check_metric, min_metric_eigenvalue
+from .geometry import MetricDegenerateError, MetricFields, metric_fields
 from .grid import Grid
 
 C_STAB_DEFAULT = 0.2
@@ -54,6 +55,9 @@ class AlphaSchedule:
     rate: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha0", "alpha_bar", "rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.form not in ALPHA_FORMS:
             raise ValueError(f"unknown schedule form {self.form!r}; use one of {ALPHA_FORMS}")
         if self.alpha_bar < 0:
@@ -90,6 +94,8 @@ class FlowVariant:
             raise ValueError(f"unknown flow variant {self.kind!r}; use one of {VARIANT_KINDS}")
         if self.kind == "warped_product" and self.m < 1:
             raise ValueError("warped_product fiber dimension m must be >= 1")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"mu must be finite, got {self.mu!r}")
 
     def coupling(self, schedule: AlphaSchedule, t: float) -> float:
         """Coefficient of dphi (x) dphi in the metric equation at time t."""
@@ -102,15 +108,24 @@ class FlowVariant:
 
 @dataclass(frozen=True)
 class Snapshot:
-    """State at one instant: metric g, map phi, heat solution u."""
+    """State at one instant: metric g, map phi, heat solution u.
+
+    ``metric`` holds the validated MetricFields of g.  It is built from g
+    unless one for the same array is passed in, so snapshots sharing a
+    metric array (all of a static run's) validate it only once.
+    """
 
     t: float
     g: np.ndarray
     phi: np.ndarray
     u: np.ndarray
+    metric: MetricFields | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        check_metric(self.g)
+        if self.metric is None:
+            object.__setattr__(self, "metric", MetricFields(self.g))
+        elif self.metric.g is not self.g:
+            raise ValueError("metric fields were built from a different array than g")
         if not np.all(np.isfinite(self.phi)):
             raise BlowUpError("map field has non-finite values", self.t)
         if not np.all(self.u > 0):
@@ -155,29 +170,38 @@ class Trajectory:
         return i
 
 
-def stability_limit(grid: Grid, g: np.ndarray, c_stab: float = C_STAB_DEFAULT) -> float:
-    """Largest admissible explicit timestep for the current metric."""
-    return c_stab * grid.h_min**2 * float(np.min(min_metric_eigenvalue(g)))
+def stability_limit(grid: Grid, g, c_stab: float = C_STAB_DEFAULT) -> float:
+    """Largest admissible explicit timestep for the current metric (an
+    array or its MetricFields)."""
+    return c_stab * grid.h_min**2 * metric_fields(g).min_eigenvalue
 
 
-def _require_stable(grid: Grid, g: np.ndarray, dt: float, c_stab: float) -> None:
-    limit = stability_limit(grid, g, c_stab)
+def _require_stable(grid: Grid, mf: MetricFields, dt: float, c_stab: float) -> None:
+    limit = stability_limit(grid, mf, c_stab)
     if dt > limit:
         raise StabilityError(
             f"dt={dt:g} exceeds stability bound c_stab*h_min^2*min_eig(g)={limit:g}"
         )
 
 
-def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, g, phi):
+def _new_metric(g: np.ndarray, t: float) -> MetricFields:
+    """Validate a stepped metric; a degenerate one is a blow-up at time t."""
+    try:
+        return MetricFields(g)
+    except MetricDegenerateError as exc:
+        raise BlowUpError(f"metric degenerate after step: {exc}", t) from exc
+
+
+def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi):
     """Right-hand sides (dg/dt, dphi/dt) for the metric/map system."""
     coup = variant.coupling(schedule, t)
-    ric = geometry.ricci(grid, g)
+    ric = geometry.ricci(grid, mf)
     outer = geometry.grad_phi_outer(grid, phi)
     dg = -2.0 * ric + (2.0 * coup) * outer
     if variant.kind == "warped_product":
-        dphi = geometry.tension_field(grid, g, phi) - variant.mu * np.exp(-2.0 * phi)
+        dphi = geometry.tension_field(grid, mf, phi) - variant.mu * np.exp(-2.0 * phi)
     else:
-        dphi = geometry.tension_field(grid, g, phi)
+        dphi = geometry.tension_field(grid, mf, phi)
     return dg, dphi
 
 
@@ -194,35 +218,35 @@ def step_flow(
 
     Raises StabilityError if dt violates the explicit bound and BlowUpError
     (with the failure time) if the stepped state leaves the admissible set.
+    Each new metric is validated once: one per Euler step, two per RK2 step
+    (midpoint and end), none on the static variant.
     """
+    t_new = snap.t + dt
     if variant.kind == "static":
-        return Snapshot(snap.t + dt, snap.g, snap.phi, snap.u)
+        return Snapshot(t_new, snap.g, snap.phi, snap.u, snap.metric)
     if variant.kind == "warped_product" and snap.phi.shape[-1] != 1:
         raise ValueError("warped_product flow requires a single-component map")
-    _require_stable(grid, snap.g, dt, c_stab)
+    _require_stable(grid, snap.metric, dt, c_stab)
     if method == "euler":
-        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.g, snap.phi)
+        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi)
         g_new = snap.g + dt * dg
         phi_new = snap.phi + dt * dphi
     elif method == "rk2":
-        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.g, snap.phi)
+        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi)
         g_mid = snap.g + 0.5 * dt * dg1
         g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
         phi_mid = snap.phi + 0.5 * dt * dphi1
-        dg2, dphi2 = _flow_rhs(grid, variant, schedule, snap.t + 0.5 * dt, g_mid, phi_mid)
+        mid = _new_metric(g_mid, snap.t + 0.5 * dt)
+        dg2, dphi2 = _flow_rhs(grid, variant, schedule, snap.t + 0.5 * dt, mid, phi_mid)
         g_new = snap.g + dt * dg2
         phi_new = snap.phi + dt * dphi2
     else:
         raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
     # keep the stored metric exactly symmetric
     g_new = 0.5 * (g_new + np.swapaxes(g_new, -1, -2))
-    t_new = snap.t + dt
     if not np.all(np.isfinite(phi_new)):
         raise BlowUpError("map field became non-finite", t_new)
-    try:
-        return Snapshot(t_new, g_new, phi_new, snap.u)
-    except MetricDegenerateError as exc:
-        raise BlowUpError(f"metric degenerate after step: {exc}", t_new) from exc
+    return Snapshot(t_new, g_new, phi_new, snap.u, _new_metric(g_new, t_new))
 
 
 def step_heat(
@@ -236,12 +260,13 @@ def step_heat(
 
     Positivity is asserted, never clamped: a non-positive result raises.
     """
-    _require_stable(grid, snap.g, dt, c_stab)
+    mf = snap.metric
+    _require_stable(grid, mf, dt, c_stab)
     if method == "euler":
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, snap.g, snap.u)
+        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, snap.u)
     elif method == "rk2":
-        u_mid = snap.u + 0.5 * dt * geometry.laplace_beltrami(grid, snap.g, snap.u)
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, snap.g, u_mid)
+        u_mid = snap.u + 0.5 * dt * geometry.laplace_beltrami(grid, mf, snap.u)
+        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, u_mid)
     else:
         raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
     if not np.all(u_new > 0):
@@ -256,8 +281,9 @@ def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
     (k1 clipped at 0 from below as a lower-bound constant), and tc_phi is
     t times the largest eigenvalue of dphi (x) dphi relative to g.
     """
-    lam_ric = geometry.eig_general(geometry.ricci(grid, snap.g), snap.g)
-    lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), snap.g)
+    mf = snap.metric
+    lam_ric = geometry.eig_general(geometry.ricci(grid, mf), mf)
+    lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), mf)
     return {
         "t": float(snap.t),
         "ric_min": float(np.min(lam_ric)),
@@ -282,6 +308,11 @@ def run(
 ) -> Trajectory:
     """Integrate from the initial snapshot to time T, recording every
     ``substride`` substeps.
+
+    Each substep validates the new metric once (twice with RK2, whose
+    midpoint metric is validated too), so an N-substep run calls
+    check_metric N + 1 times with Euler and 2N + 1 times with RK2; the
+    static variant shares the initial metric throughout and calls it once.
 
     On blow-up the partial trajectory is returned with ``halt_reason`` set
     and the failure time appended; callers decide whether that is an error.
@@ -308,15 +339,16 @@ def run(
     try:
         for _ in range(n_snaps):
             for _ in range(substride):
-                # exact time bookkeeping: t derived from the step counter
+                # the flow update reads only g and phi, so it steps the
+                # pre-heat snapshot and the heated u is attached after
                 u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab)
-                current = Snapshot(current.t, current.g, current.phi, u_new)
-                current = step_flow(
+                nxt = step_flow(
                     grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab
                 )
                 step_index += 1
+                # exact time bookkeeping: t derived from the step counter
                 t_exact = initial.t + step_index * dt_sub
-                current = Snapshot(t_exact, current.g, current.phi, current.u)
+                current = Snapshot(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
             snaps.append(current)
             constants.append(snapshot_constants(grid, current))
             alphas.append(float(schedule(current.t)))

@@ -1,9 +1,10 @@
 """Discrete Riemannian operators on periodic grids.
 
-Metrics are node fields ``g`` of shape ``grid.shape + (d, d)`` stored exactly
-symmetric.  All derivatives are centered second-order periodic stencils, so
-each operator below is a second-order-consistent discretization of its
-continuum counterpart and commutes exactly with grid translations.
+Metrics are node fields ``g`` of shape ``grid.shape + (d, d)``, d in {1, 2},
+stored exactly symmetric.  All derivatives are centered second-order
+periodic stencils, so each operator below is a second-order-consistent
+discretization of its continuum counterpart and commutes exactly with grid
+translations.
 
 Conventions
 -----------
@@ -14,9 +15,28 @@ Laplace-Beltrami      Lap s = (det g)^{-1/2} d_i( (det g)^{1/2} g^{ij} d_j s )
 The Laplacian is discretized in divergence form with face-averaged
 coefficients, which makes it exactly self-adjoint in the inner product
 weighted by sqrt(det g) and exactly mass conserving (both to roundoff).
+
+Validate once: MetricFields
+---------------------------
+``MetricFields(g)`` runs ``check_metric`` on the array exactly once and
+holds what every operator needs: the components g_ij, the closed-form
+inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
+the nodes (which the stability bound reads).  Every operator taking a
+metric accepts either a MetricFields or a raw array; a raw array is wrapped
+(and so validated) once on entry.  Code that applies several operators to
+one metric, like a flow substep, builds one MetricFields and passes it to
+all of them.  The wrapped array must not be modified afterwards.
+
+Tensors are computed component by component with explicit arithmetic over
+the d <= 2 index range (nested lists of node fields, with [i][j] and [j][i]
+one shared array for symmetric tensors) and stacked into ``(..., d, d)``
+arrays only at the public boundary.
 """
 
 from __future__ import annotations
+
+import functools
+import operator
 
 import numpy as np
 
@@ -36,88 +56,213 @@ class MetricDegenerateError(ValueError):
         self.eigenvalue = eigenvalue
 
 
+def _metric_dim(g: np.ndarray) -> int:
+    d = g.shape[-1] if g.ndim >= 2 else 0
+    if d not in (1, 2) or g.shape[-2] != d:
+        raise ValueError(f"metric must end in a 1x1 or 2x2 block, got shape {g.shape}")
+    return d
+
+
+def _first_node(bad: np.ndarray) -> tuple:
+    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+
+
 def min_metric_eigenvalue(g: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of the metric at every node.
+    """Smallest eigenvalue of the metric at every node, in closed form.
 
-    Uses closed forms for 1x1 and 2x2 symmetric matrices (hot path in the
-    flow loop); anything larger falls back to batched eigvalsh.
+    For a 2x2 block the eigenvalues are mean -/+ hypot(half difference,
+    off-diagonal), which stays accurate near isotropy where the
+    trace/determinant discriminant cancels.
     """
-    d = g.shape[-1]
-    if d == 1:
+    if _metric_dim(g) == 1:
         return g[..., 0, 0]
-    if d == 2:
-        tr = g[..., 0, 0] + g[..., 1, 1]
-        det = g[..., 0, 0] * g[..., 1, 1] - g[..., 0, 1] * g[..., 1, 0]
-        disc = np.sqrt(np.maximum(tr * tr - 4.0 * det, 0.0))
-        return 0.5 * (tr - disc)
-    return np.linalg.eigvalsh(g)[..., 0]
+    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
+    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
 
 
-def check_metric(g: np.ndarray) -> None:
-    """Validate symmetry and positive definiteness; raise if degenerate."""
-    if not np.array_equal(g, np.swapaxes(g, -1, -2)):
+def check_metric(g: np.ndarray) -> np.ndarray:
+    """Validate finiteness, symmetry and positive definiteness; raise if
+    degenerate.  Returns the smallest eigenvalue at every node."""
+    d = _metric_dim(g)
+    finite = np.isfinite(g)
+    if not finite.all():
+        node = _first_node(~np.all(finite, axis=(-2, -1)))
+        raise MetricDegenerateError(
+            f"metric has non-finite entries at node {node}: {g[node].tolist()}", node=node
+        )
+    if d == 2 and not np.array_equal(g[..., 0, 1], g[..., 1, 0]):
         raise ValueError("metric is not stored symmetric")
     lam = min_metric_eigenvalue(g)
-    tr = np.trace(g, axis1=-2, axis2=-1)
+    tr = g[..., 0, 0] if d == 1 else g[..., 0, 0] + g[..., 1, 1]
     bad = lam <= PD_RTOL * tr
-    if np.any(bad):
-        node = np.unravel_index(int(np.argmax(bad)), bad.shape)
+    if bad.any():
+        node = _first_node(bad)
         raise MetricDegenerateError(
             f"metric degenerate at node {node}: min eigenvalue "
             f"{lam[node]:g} <= {PD_RTOL:g} * trace {tr[node]:g}",
             node=node,
             eigenvalue=float(lam[node]),
         )
+    return lam
 
 
-def metric_inverse(g: np.ndarray) -> np.ndarray:
-    check_metric(g)
-    return np.linalg.inv(g)
+class MetricFields:
+    """One metric array, validated once, with its pointwise derived fields.
+
+    ``comp[i][j]`` and ``inv[i][j]`` are the node fields g_ij and g^{ij},
+    ``sqrt_det`` is sqrt(det g) per node and ``min_eigenvalue`` the smallest
+    eigenvalue over all nodes.  A trajectory keeps one MetricFields per
+    stored snapshot, so only what the operators read is kept.
+    """
+
+    def __init__(self, g: np.ndarray):
+        self.min_eigenvalue = float(np.min(check_metric(g)))
+        self.g = g
+        d = self.dim = g.shape[-1]
+        self.comp = [[g[..., i, j] for j in range(d)] for i in range(d)]
+        c = self.comp
+        det = c[0][0] if d == 1 else c[0][0] * c[1][1] - c[0][1] * c[0][1]
+        if d == 1:
+            self.inv = [[1.0 / det]]
+        else:
+            off = -c[0][1] / det
+            self.inv = [[c[1][1] / det, off], [off, c[0][0] / det]]
+        self.sqrt_det = np.sqrt(det)
 
 
-def sqrt_det(g: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.linalg.det(g))
+def metric_fields(g) -> MetricFields:
+    """``g`` itself if it is a MetricFields, else a new one built from the array."""
+    return g if isinstance(g, MetricFields) else MetricFields(g)
 
 
-def christoffel(grid: Grid, g: np.ndarray) -> np.ndarray:
+# ---------------------------------------------------------------------------
+# component helpers
+
+
+def _sym(d: int, fn) -> list:
+    """Symmetric d x d nested list with [i][j] = [j][i] = fn(i, j), i <= j."""
+    out = [[None] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i, d):
+            out[i][j] = out[j][i] = fn(i, j)
+    return out
+
+
+def _sum(terms) -> np.ndarray:
+    """Sum of node fields, added left to right."""
+    return functools.reduce(operator.add, terms)
+
+
+def _dot(xs, ys) -> np.ndarray:
+    """sum_k xs[k] * ys[k] over node fields."""
+    return _sum(x * y for x, y in zip(xs, ys))
+
+
+def _trace_with(inv, t) -> np.ndarray:
+    """g^{ij} t_ij over component lists."""
+    return _sum(_dot(gi, ti) for gi, ti in zip(inv, t))
+
+
+def _stack2(t) -> np.ndarray:
+    """Nested list [i][j] of node fields -> array (..., d, d)."""
+    return np.stack([np.stack(row, axis=-1) for row in t], axis=-2)
+
+
+def _christoffel(grid: Grid, mf: MetricFields) -> list:
+    """G[k][i][j] as node fields; G[k][i][j] and G[k][j][i] are one array."""
+    d = mf.dim
+    dg = [grid.d1(mf.g, ax) for ax in range(d)]  # dg[a][..., b, c] = d_a g_bc
+    # first kind: G_lij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
+    first = [
+        _sym(d, lambda i, j, l=l: 0.5 * (dg[i][..., j, l] + dg[j][..., i, l] - dg[l][..., i, j]))
+        for l in range(d)
+    ]
+    return [
+        _sym(d, lambda i, j, k=k: _dot(mf.inv[k], [first[l][i][j] for l in range(d)]))
+        for k in range(d)
+    ]
+
+
+def _ricci(grid: Grid, mf: MetricFields) -> list:
+    """Symmetric Ricci components R[i][j]."""
+    d = mf.dim
+    gam = _christoffel(grid, mf)
+    tr = [_sum(gam[k][k][j] for k in range(d)) for j in range(d)]
+    dtr = [[grid.d1(tr[j], i) for j in range(d)] for i in range(d)]  # dtr[i][j] = d_i G^k_kj
+
+    def comp(i, j):
+        t1 = _sum(grid.d1(gam[k][i][j], k) for k in range(d))
+        # the raw contraction is symmetrized: only d_i G^k_kj is not
+        # symmetric in (i, j) on the grid
+        t2 = dtr[i][j] if i == j else 0.5 * (dtr[i][j] + dtr[j][i])
+        t3 = _dot(tr, [gam[l][i][j] for l in range(d)])
+        t4 = _dot([gam[k][i][l] for k in range(d) for l in range(d)],
+                  [gam[l][k][j] for k in range(d) for l in range(d)])
+        return t1 - t2 + t3 - t4
+
+    return _sym(d, comp)
+
+
+def _partials(grid: Grid, s: np.ndarray) -> list:
+    return [grid.d1(s, ax) for ax in range(grid.dim)]
+
+
+def _laplace(grid: Grid, mf: MetricFields, s: np.ndarray) -> np.ndarray:
+    w = mf.sqrt_det
+
+    def term(i, j):
+        a = w * mf.inv[i][j]
+        if i != j:
+            return grid.d1(a * grid.d1(s, j), i)
+        # face k sits between nodes k and k+1: mean coefficient, flux through it
+        face = 0.5 * (a + np.roll(a, -1, axis=i))
+        flux = face * (np.roll(s, -1, axis=i) - s)
+        return (flux - np.roll(flux, 1, axis=i)) / (grid.h[i] * grid.h[i])
+
+    return _sum(term(i, j) for i in range(grid.dim) for j in range(grid.dim)) / w
+
+
+def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:
+    dphi = _partials(grid, phi)  # dphi[i][..., m] = d_i phi^m
+    return _sym(grid.dim, lambda i, j: np.sum(dphi[i] * dphi[j], axis=-1))
+
+
+# ---------------------------------------------------------------------------
+# public operators
+
+
+def metric_inverse(g) -> np.ndarray:
+    return _stack2(metric_fields(g).inv)
+
+
+def sqrt_det(g) -> np.ndarray:
+    return metric_fields(g).sqrt_det
+
+
+def christoffel(grid: Grid, g) -> np.ndarray:
     """Christoffel symbols, shape ``grid.shape + (d, d, d)`` indexed [k, i, j].
 
     Symmetric in (i, j) exactly because g is stored symmetric.
     """
-    ginv = metric_inverse(g)
-    # dg[..., a, b, c] = d_a g_bc
-    dg = np.stack([grid.d1(g, ax) for ax in range(grid.dim)], axis=-3)
-    term = (
-        np.einsum("...kl,...ijl->...kij", ginv, dg)
-        + np.einsum("...kl,...jil->...kij", ginv, dg)
-        - np.einsum("...kl,...lij->...kij", ginv, dg)
-    )
-    return 0.5 * term
+    gam = _christoffel(grid, metric_fields(g))
+    return np.stack([_stack2(gk) for gk in gam], axis=-3)
 
 
-def ricci(grid: Grid, g: np.ndarray) -> np.ndarray:
+def ricci(grid: Grid, g) -> np.ndarray:
     """Ricci tensor from the contracted curvature of the Christoffel field.
 
     The raw contraction is symmetrized; centered stencils leave an
     antisymmetric O(h^2) remainder that the continuum tensor does not have.
     """
-    gam = christoffel(grid, g)
-    # dgam[..., a, k, i, j] = d_a G^k_ij
-    dgam = np.stack([grid.d1(gam, ax) for ax in range(grid.dim)], axis=-4)
-    term1 = np.einsum("...kkij->...ij", dgam)
-    term2 = np.einsum("...ikkj->...ij", dgam)
-    tr_gam = np.einsum("...kkl->...l", gam)
-    term3 = np.einsum("...l,...lij->...ij", tr_gam, gam)
-    term4 = np.einsum("...kil,...lkj->...ij", gam, gam)
-    ric = term1 - term2 + term3 - term4
-    return 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    return _stack2(_ricci(grid, metric_fields(g)))
 
 
-def scalar_curvature(grid: Grid, g: np.ndarray) -> np.ndarray:
-    return np.einsum("...ij,...ij->...", metric_inverse(g), ricci(grid, g))
+def scalar_curvature(grid: Grid, g) -> np.ndarray:
+    mf = metric_fields(g)
+    return _trace_with(mf.inv, _ricci(grid, mf))
 
 
-def laplace_beltrami(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+def laplace_beltrami(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami operator applied to a scalar field.
 
     Diagonal terms use face-averaged coefficients with forward/backward
@@ -126,42 +271,29 @@ def laplace_beltrami(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
     sqrt(det g)-weighted inner product, and the nodewise integral
     sum(Lap s * sqrt(det g) * h^n) telescopes to zero.
     """
-    w = sqrt_det(g)
-    ginv = metric_inverse(g)
-    acc = np.zeros_like(s)
-    for i in range(grid.dim):
-        h_i = grid.h[i]
-        for j in range(grid.dim):
-            a = w * ginv[..., i, j]
-            if i == j:
-                face = 0.5 * (a + np.roll(a, -1, axis=i))
-                flux = face * (np.roll(s, -1, axis=i) - s)
-                acc = acc + (flux - np.roll(flux, 1, axis=i)) / (h_i * h_i)
-            else:
-                acc = acc + grid.d1(a * grid.d1(s, j), i)
-    return acc / w
+    return _laplace(grid, metric_fields(g), s)
 
 
-def gradient_norm_sq(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     """|grad s|^2 = g^{ij} d_i s d_j s with centered first differences."""
-    ds = grid.partial(s)
-    return np.einsum("...ij,...i,...j->...", metric_inverse(g), ds, ds)
+    ds = _partials(grid, s)
+    return _trace_with(metric_fields(g).inv, _sym(grid.dim, lambda i, j: ds[i] * ds[j]))
 
 
-def hessian(grid: Grid, g: np.ndarray, s: np.ndarray) -> np.ndarray:
+def hessian(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     """Covariant Hessian d_i d_j s - G^k_ij d_k s, symmetrized."""
-    gam = christoffel(grid, g)
-    ds = grid.partial(s)
-    hess = np.empty(s.shape + (grid.dim, grid.dim))
-    for i in range(grid.dim):
-        for j in range(i, grid.dim):
-            if i == j:
-                hess[..., i, i] = grid.d2(s, i)
-            else:
-                mixed = 0.5 * (grid.d1(grid.d1(s, i), j) + grid.d1(grid.d1(s, j), i))
-                hess[..., i, j] = mixed
-                hess[..., j, i] = mixed
-    return hess - np.einsum("...kij,...k->...ij", gam, ds)
+    d = grid.dim
+    gam = _christoffel(grid, metric_fields(g))
+    ds = _partials(grid, s)
+
+    def comp(i, j):
+        if i == j:
+            plain = grid.d2(s, i)
+        else:
+            plain = 0.5 * (grid.d1(ds[i], j) + grid.d1(ds[j], i))
+        return plain - _dot([gam[k][i][j] for k in range(d)], ds)
+
+    return _stack2(_sym(d, comp))
 
 
 def grad_phi_outer(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -170,64 +302,77 @@ def grad_phi_outer(grid: Grid, phi: np.ndarray) -> np.ndarray:
     phi has shape ``grid.shape + (components,)``.  The result is symmetric
     and positive semidefinite by construction.
     """
-    # dphi[..., i, m] = d_i phi^m
-    dphi = np.stack([grid.d1(phi, ax) for ax in range(grid.dim)], axis=-2)
-    return np.einsum("...im,...jm->...ij", dphi, dphi)
+    return _stack2(_grad_phi_outer(grid, phi))
 
 
-def energy_density(grid: Grid, g: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def energy_density(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
     """|grad phi|^2 = g^{ij} (dphi (x) dphi)_ij."""
-    return np.einsum("...ij,...ij->...", metric_inverse(g), grad_phi_outer(grid, phi))
+    return _trace_with(metric_fields(g).inv, _grad_phi_outer(grid, phi))
 
 
-def s_tensor(grid: Grid, g: np.ndarray, phi: np.ndarray, alpha: float) -> np.ndarray:
+def s_tensor(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
     """Coupled curvature tensor Ric - alpha * (dphi (x) dphi)."""
     return ricci(grid, g) - alpha * grad_phi_outer(grid, phi)
 
 
-def s_scalar(grid: Grid, g: np.ndarray, phi: np.ndarray, alpha: float) -> np.ndarray:
+def s_scalar(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
     """Trace of the coupled curvature tensor: R - alpha |grad phi|^2."""
-    return scalar_curvature(grid, g) - alpha * energy_density(grid, g, phi)
+    mf = metric_fields(g)
+    return scalar_curvature(grid, mf) - alpha * energy_density(grid, mf, phi)
 
 
-def tension_field(grid: Grid, g: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def tension_field(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
     """Tension field of a map into flat R^m: componentwise Laplace-Beltrami."""
-    return np.stack(
-        [laplace_beltrami(grid, g, phi[..., m]) for m in range(phi.shape[-1])], axis=-1
-    )
+    mf = metric_fields(g)
+    return np.stack([_laplace(grid, mf, phi[..., m]) for m in range(phi.shape[-1])], axis=-1)
 
 
-def rough_laplacian_covector(grid: Grid, g: np.ndarray, omega: np.ndarray) -> np.ndarray:
+def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
     """Connection Laplacian g^{ab} (nabla^2 omega)_{ab i} of a covector field.
 
     omega has shape ``grid.shape + (d,)``.  Needed for the commutation
     identity between the Laplacian and the gradient.
     """
-    gam = christoffel(grid, g)
+    d = grid.dim
+    mf = metric_fields(g)
+    gam = _christoffel(grid, mf)
+    om = [omega[..., i] for i in range(d)]
     # first covariant derivative: T_{b i} = d_b omega_i - G^k_{bi} omega_k
-    dom = np.stack([grid.d1(omega, ax) for ax in range(grid.dim)], axis=-2)
-    T = dom - np.einsum("...kbi,...k->...bi", gam, omega)
-    # second: (nabla T)_{a b i} = d_a T_{bi} - G^k_{ab} T_{ki} - G^k_{ai} T_{bk}
-    dT = np.stack([grid.d1(T, ax) for ax in range(grid.dim)], axis=-3)
-    nablaT = (
-        dT
-        - np.einsum("...kab,...ki->...abi", gam, T)
-        - np.einsum("...kai,...bk->...abi", gam, T)
-    )
-    return np.einsum("...ab,...abi->...i", metric_inverse(g), nablaT)
+    T = [[grid.d1(om[i], b) - _dot([gam[k][b][i] for k in range(d)], om) for i in range(d)]
+         for b in range(d)]
+    out = []
+    for i in range(d):
+        # (nabla T)_{a b i} = d_a T_{bi} - G^k_{ab} T_{ki} - G^k_{ai} T_{bk},
+        # contracted with g^{ab}
+        def nabla_t(a, b, i=i):
+            return (grid.d1(T[b][i], a)
+                    - _dot([gam[k][a][b] for k in range(d)], [T[k][i] for k in range(d)])
+                    - _dot([gam[k][a][i] for k in range(d)], T[b]))
+
+        out.append(_sum(mf.inv[a][b] * nabla_t(a, b) for a in range(d) for b in range(d)))
+    return np.stack(out, axis=-1)
 
 
-def eig_general(A: np.ndarray, g: np.ndarray) -> np.ndarray:
+def eig_general(A: np.ndarray, g) -> np.ndarray:
     """Eigenvalues of a symmetric tensor A relative to the metric g, per node.
 
-    Solves A v = lam g v via the congruence B = g^{-1/2} A g^{-1/2}; returns
-    eigenvalues sorted ascending with trailing shape (d,).
+    Solves A v = lam g v, sorted ascending with trailing shape (d,).  In 2-D
+    the pencil is reduced by the Cholesky congruence B = L^{-1} A L^{-T}
+    (g = L L^T) and B's eigenvalues are taken as mean -/+ hypot(half
+    difference, off-diagonal), which keeps full relative accuracy when A is
+    close to a multiple of g (where trace^2 - 4 det would cancel).
     """
-    d = g.shape[-1]
-    if d == 1:
-        return A[..., 0, 0:1] / g[..., 0, 0:1]
-    w, V = np.linalg.eigh(g)
-    ghalf_inv = np.einsum("...ij,...j,...kj->...ik", V, 1.0 / np.sqrt(w), V)
-    B = np.einsum("...ij,...jk,...kl->...il", ghalf_inv, A, ghalf_inv)
-    B = 0.5 * (B + np.swapaxes(B, -1, -2))
-    return np.linalg.eigvalsh(B)
+    mf = metric_fields(g)
+    if mf.dim == 1:
+        return A[..., 0, 0:1] / mf.g[..., 0, 0:1]
+    g00, g01 = mf.comp[0][0], mf.comp[0][1]
+    a00, a11 = A[..., 0, 0], A[..., 1, 1]
+    a01 = 0.5 * (A[..., 0, 1] + A[..., 1, 0])
+    # L = [[l00, 0], [l10, l11]]: l00^2 = g00, l10 = c l00, l00 l11 = sqrt(det g)
+    c = g01 / g00
+    b00 = a00 / g00
+    b01 = (a01 - c * a00) / mf.sqrt_det
+    b11 = (a11 - c * (2.0 * a01 - c * a00)) * mf.inv[1][1]  # g00 / det g
+    mean = 0.5 * (b00 + b11)
+    rad = np.hypot(0.5 * (b00 - b11), b01)
+    return np.stack([mean - rad, mean + rad], axis=-1)

@@ -29,6 +29,7 @@ lists them and `load_scenario` accepts a name, a path, or a dict.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -44,6 +45,7 @@ from .flow import (
     run,
     stability_limit,
 )
+from .geometry import MetricDegenerateError
 from .grid import Grid
 
 _FN = {"cos": np.cos, "sin": np.sin}
@@ -57,6 +59,30 @@ def _check_keys(d: dict, allowed: dict, path: str) -> None:
     for key, required in allowed.items():
         if required and key not in d:
             raise ValueError(f"missing required field '{path + '.' if path else ''}{key}'")
+
+
+def _finite(spec: dict, key: str, path: str, default=None) -> float:
+    """spec[key] (or the default) as a finite float, else a ValueError
+    naming the field's dotted path."""
+    raw = spec.get(key, default)
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}.{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"{path}.{key} must be finite, got {raw!r}")
+    return value
+
+
+def _per_axis(spec: dict, key: str, path: str, kind) -> tuple:
+    """spec[key] as a tuple with one entry per axis, each converted by kind."""
+    raw = spec[key]
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{path}.{key} must be a list with one entry per axis, got {raw!r}")
+    try:
+        return tuple(kind(v) for v in raw)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}.{key} entries must be numbers, got {raw!r}") from None
 
 
 def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
@@ -207,7 +233,19 @@ class Scenario:
         ]
         phi = np.stack(comps, axis=-1)
         u = _eval_scalar(self.grid, init["u"], "initial.u", rng)
-        return Snapshot(self.t_start, g, phi, u)
+        if not np.all(np.isfinite(phi)):
+            raise ValueError("initial.phi has non-finite values")
+        ok = np.isfinite(u) & (u > 0)
+        if not np.all(ok):
+            node = np.unravel_index(int(np.argmin(ok)), ok.shape)
+            raise ValueError(
+                f"initial.u must be finite and positive at every node; "
+                f"got {u[node]!r} at node {tuple(int(i) for i in node)}"
+            )
+        try:
+            return Snapshot(self.t_start, g, phi, u)
+        except MetricDegenerateError as exc:
+            raise ValueError(f"initial.metric: {exc}") from exc
 
 
 def parse_scenario(cfg: dict) -> Scenario:
@@ -217,14 +255,14 @@ def parse_scenario(cfg: dict) -> Scenario:
     _check_keys(gspec, {"dim": True, "n_points": True, "lengths": True}, "grid")
     grid = Grid(
         dim=int(gspec["dim"]),
-        n_points=tuple(int(n) for n in gspec["n_points"]),
-        lengths=tuple(float(L) for L in gspec["lengths"]),
+        n_points=_per_axis(gspec, "n_points", "grid", int),
+        lengths=_per_axis(gspec, "lengths", "grid", float),
     )
 
     vspec = dict(cfg.get("variant", {"kind": "rh_alpha"}))
     _check_keys(vspec, {"kind": True, "m": False, "mu": False}, "variant")
     variant = FlowVariant(
-        kind=vspec["kind"], m=int(vspec.get("m", 1)), mu=float(vspec.get("mu", 0.0))
+        kind=vspec["kind"], m=int(vspec.get("m", 1)), mu=_finite(vspec, "mu", "variant", 0.0)
     )
 
     aspec = dict(cfg.get("alpha", {"alpha0": 0.0}))
@@ -232,10 +270,10 @@ def parse_scenario(cfg: dict) -> Scenario:
         aspec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, "alpha"
     )
     schedule = AlphaSchedule(
-        alpha0=float(aspec["alpha0"]),
-        alpha_bar=float(aspec.get("alpha_bar", 0.0)),
+        alpha0=_finite(aspec, "alpha0", "alpha"),
+        alpha_bar=_finite(aspec, "alpha_bar", "alpha", 0.0),
         form=aspec.get("form", "constant"),
-        rate=float(aspec.get("rate", 0.0)),
+        rate=_finite(aspec, "rate", "alpha", 0.0),
     )
 
     tspec = cfg["time"]
@@ -244,9 +282,9 @@ def parse_scenario(cfg: dict) -> Scenario:
         {"t_start": False, "t_end": True, "dt_sub": True, "snapshot_stride": False},
         "time",
     )
-    t_start = float(tspec.get("t_start", 0.0))
-    t_end = float(tspec["t_end"])
-    dt_sub = float(tspec["dt_sub"])
+    t_start = _finite(tspec, "t_start", "time", 0.0)
+    t_end = _finite(tspec, "t_end", "time")
+    dt_sub = _finite(tspec, "dt_sub", "time")
     stride = int(tspec.get("snapshot_stride", 1))
     if t_start < 0:
         raise ValueError("time.t_start must be >= 0")
@@ -292,7 +330,7 @@ def parse_scenario(cfg: dict) -> Scenario:
 
     # reject unstable configs at load time, citing the bound
     snap0 = sc.initial_snapshot()
-    limit = stability_limit(grid, snap0.g)
+    limit = stability_limit(grid, snap0.metric)
     if dt_sub > limit:
         raise ValueError(
             f"time.dt_sub={dt_sub:g} exceeds the stability bound "

@@ -4,8 +4,6 @@ The refined coupled run costs ~15 s; everything else is a second or two.
 Fixtures hand out Trajectory objects that tests must treat as read-only.
 """
 
-import copy
-
 import pytest
 
 from rhflow import scenarios
@@ -35,34 +33,3 @@ def coupled_refined_run():
 @pytest.fixture(scope="session")
 def warped_run():
     return scenarios.run_scenario(scenarios.load_scenario("warped_mu0"))
-
-
-def tiny_static_cfg():
-    """Small 1d static scenario dict for cheap persistence/CLI tests.
-
-    32 nodes, 40 substeps, 5 snapshots; completes in a few milliseconds.
-    """
-    return {
-        "name": "tiny",
-        "grid": {"dim": 1, "n_points": [32], "lengths": [1.0]},
-        "variant": {"kind": "static"},
-        "alpha": {"alpha0": 0.0},
-        "initial": {
-            "metric": {"type": "flat"},
-            "u": {
-                "type": "sine_sum",
-                "offset": 2.0,
-                "amplitude": 1.0,
-                "terms": [{"coeff": 1.0, "factors": [{"axis": 0, "fn": "sin", "k": 1}]}],
-            },
-        },
-        "time": {"t_start": 0.0, "t_end": 0.004, "dt_sub": 0.0001, "snapshot_stride": 10},
-        "method": "euler",
-    }
-
-
-def tiny_cfg_with(**edits):
-    """tiny_static_cfg with top-level keys replaced (deep-copied first)."""
-    cfg = copy.deepcopy(tiny_static_cfg())
-    cfg.update(edits)
-    return cfg

@@ -312,3 +312,72 @@ def test_map_blowup_halts_gracefully():
     assert not traj.completed
     assert "non-finite" in traj.halt_reason
     assert 1 <= len(traj.snapshots) < 11
+
+
+# ---------------------------------------------------------------------------
+# validate once per metric
+
+
+def count_metric_checks(monkeypatch) -> list:
+    calls = []
+    real = geometry.check_metric
+
+    def counting(g):
+        calls.append(g.shape)
+        return real(g)
+
+    monkeypatch.setattr(geometry, "check_metric", counting)
+    return calls
+
+
+def test_coupled_run_validates_each_new_metric_once(monkeypatch):
+    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
+    t = cfg["time"]
+    n_substeps = 2 * t.get("snapshot_stride", 1)
+    t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
+    sc = load_scenario(cfg)
+    calls = count_metric_checks(monkeypatch)
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) == 3
+    assert len(calls) <= n_substeps + 1
+
+
+def test_coupled_rk2_run_validates_midpoint_and_end_metrics(monkeypatch):
+    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
+    cfg["method"] = "rk2"
+    t = cfg["time"]
+    n_substeps = 2 * t.get("snapshot_stride", 1)
+    t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
+    sc = load_scenario(cfg)
+    calls = count_metric_checks(monkeypatch)
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) == 3
+    assert len(calls) == 2 * n_substeps + 1
+
+
+def test_run_halts_on_degenerate_rk2_midpoint():
+    # a conformal metric with positive curvature somewhere, and a dt (let
+    # through by an enlarged c_stab) that takes the RK2 midpoint metric
+    # g - dt Ric past degeneracy; the heat step keeps a constant u constant
+    grid = Grid(2, (16, 16), (1.0, 1.0))
+    x, y = grid.coords()
+    f = 0.3 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    g = np.exp(2.0 * f)[..., None, None] * np.eye(2)
+    snap = Snapshot(0.0, g, np.zeros(grid.shape + (1,)), np.ones(grid.shape))
+    dt = 2.0 / float(geometry.eig_general(geometry.ricci(grid, g), g).max())
+    c_stab = 2.0 * dt / stability_limit(grid, g, 1.0)
+    traj = run(grid, FlowVariant("rh_alpha"), AlphaSchedule(0.0), snap, 2 * dt, dt, 1,
+               method="rk2", c_stab=c_stab)
+    assert not traj.completed
+    assert "metric degenerate" in traj.halt_reason
+    assert f"(halted at t={0.5 * dt:g})" in traj.halt_reason
+    assert len(traj.snapshots) == 1
+
+
+def test_static_run_validates_its_metric_once(monkeypatch):
+    sc = load_scenario("static_eigenmode")
+    calls = count_metric_checks(monkeypatch)
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) > 2
+    assert len(calls) == 1
+    assert all(s.metric is traj.snapshots[0].metric for s in traj.snapshots)

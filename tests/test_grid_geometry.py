@@ -114,6 +114,33 @@ def test_metric_degeneracy_detected_with_location():
     assert exc.value.eigenvalue <= 0.0
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_metric_non_finite_entries_diagnosed_first(value):
+    # stored symmetric, so only the finiteness check can catch it
+    grid = Grid(2, (8, 8), (1.0, 1.0))
+    g = flat_metric(grid)
+    g[2, 6, 1, 1] = value
+    with pytest.raises(MetricDegenerateError, match="non-finite") as exc:
+        geometry.check_metric(g)
+    assert exc.value.node == (2, 6)
+    with pytest.raises(MetricDegenerateError, match="non-finite"):
+        geometry.MetricFields(g)
+
+
+def test_metric_fields_validate_once_and_accept_either_form():
+    grid = Grid(2, (16, 16), (2.0 * np.pi, 2.0 * np.pi))
+    g = generic_metric_2d(grid)
+    mf = geometry.MetricFields(g)
+    assert geometry.metric_fields(mf) is mf
+    assert mf.min_eigenvalue == float(np.min(geometry.min_metric_eigenvalue(g)))
+    s = 1.0 + 0.3 * np.sin(grid.coords()[0])
+    assert np.array_equal(geometry.ricci(grid, mf), geometry.ricci(grid, g))
+    assert np.array_equal(geometry.laplace_beltrami(grid, mf, s),
+                          geometry.laplace_beltrami(grid, g, s))
+    with pytest.raises(ValueError, match="2x2"):
+        geometry.check_metric(np.ones((4, 3, 3)))
+
+
 def test_min_eigenvalue_closed_form_matches_eigvalsh():
     rng = np.random.default_rng(3)
     a = rng.standard_normal((50, 2, 2))
@@ -364,3 +391,61 @@ def test_tension_field_componentwise_in_flat_target():
     for m in range(2):
         assert np.array_equal(tau[..., m],
                               geometry.laplace_beltrami(grid, g, phi[..., m]))
+
+
+# ---------------------------------------------------------------------------
+# closed-form 2x2 kernels against np.linalg references
+
+
+def random_spd(rng, shape, floor=0.5):
+    a = rng.standard_normal(shape + (2, 2))
+    g = np.einsum("...ij,...kj->...ik", a, a) + floor * np.eye(2)
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
+
+
+def reference_eig_general(A, g):
+    """Eigenvalues of A relative to g by the symmetric square-root congruence."""
+    w, V = np.linalg.eigh(g)
+    ghalf_inv = np.einsum("...ij,...j,...kj->...ik", V, 1.0 / np.sqrt(w), V)
+    B = np.einsum("...ij,...jk,...kl->...il", ghalf_inv, A, ghalf_inv)
+    return np.linalg.eigvalsh(0.5 * (B + np.swapaxes(B, -1, -2)))
+
+
+def assert_close_per_node(got, ref, rtol):
+    """|got - ref| <= rtol * (largest |ref| entry) at every node."""
+    scale = np.max(np.abs(ref).reshape(ref.shape[:2] + (-1,)), axis=-1)
+    err = np.max(np.abs(got - ref).reshape(ref.shape[:2] + (-1,)), axis=-1)
+    assert np.all(err <= rtol * scale), float(np.max(err / scale))
+
+
+def test_metric_inverse_and_sqrt_det_match_linalg():
+    g = random_spd(np.random.default_rng(21), (24, 24))
+    assert_close_per_node(geometry.metric_inverse(g), np.linalg.inv(g), 1e-12)
+    np.testing.assert_allclose(geometry.sqrt_det(g), np.sqrt(np.linalg.det(g)),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_eig_general_matches_linalg_on_random_pairs():
+    rng = np.random.default_rng(22)
+    g = random_spd(rng, (24, 24))
+    a = rng.standard_normal((24, 24, 2, 2))
+    A = a + np.swapaxes(a, -1, -2)
+    lam = geometry.eig_general(A, g)
+    assert_close_per_node(lam, reference_eig_general(A, g), 1e-12)
+    assert np.all(lam[..., 0] <= lam[..., 1])
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-9, 1e-12])
+def test_eig_general_accurate_near_a_multiple_of_the_metric(eps):
+    # A = c g + eps E: both eigenvalues sit within eps of c, where the
+    # trace/determinant discriminant would lose about half the digits
+    rng = np.random.default_rng(23)
+    g = random_spd(rng, (24, 24))
+    e = rng.standard_normal((24, 24, 2, 2))
+    E = e + np.swapaxes(e, -1, -2)
+    c = rng.uniform(-3.0, 3.0, (24, 24))[..., None, None]
+    A = c * g + eps * E
+    lam = geometry.eig_general(A, g)
+    assert_close_per_node(lam, reference_eig_general(A, g), 1e-12)
+    shifted = c[..., 0] + eps * reference_eig_general(E, g)
+    assert_close_per_node(lam, shifted, 1e-12)

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import tiny_cfg_with, tiny_static_cfg
+from tiny_configs import tiny_cfg_with, tiny_static_cfg
 from rhflow import persistence
 from rhflow.cli import main
 from rhflow.persistence import HashMismatchError, dumps, load_run, save_run
@@ -474,3 +474,48 @@ def test_cli_seed_override(tmp_path, capsys):
     uc = json.loads((c / "snap_00000.json").read_text())["u"]
     assert ua == ub
     assert ua != uc
+
+
+def _run_exit_2(tmp_path, capsys, cfg) -> str:
+    """Run a bad scenario through the CLI; it must exit 2 with a JSON error."""
+    src = write_cfg(tmp_path, cfg, "bad.json")
+    assert main(["run", src, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["ok"] is False
+    return err["error"]
+
+
+def test_cli_non_finite_alpha_is_a_config_error(tmp_path, capsys):
+    error = _run_exit_2(tmp_path, capsys, tiny_cfg_with(alpha={"alpha0": "nan"}))
+    assert "alpha.alpha0" in error and "finite" in error
+    error = _run_exit_2(tmp_path, capsys, tiny_cfg_with(alpha={"alpha0": 1.0, "rate": "inf"}))
+    assert "alpha.rate" in error
+
+
+def test_cli_scalar_n_points_is_a_config_error(tmp_path, capsys):
+    cfg = tiny_cfg_with(grid={"dim": 1, "n_points": 64, "lengths": [1.0]})
+    assert "grid.n_points" in _run_exit_2(tmp_path, capsys, cfg)
+
+
+def test_cli_non_positive_initial_u_is_a_config_error(tmp_path, capsys):
+    cfg = tiny_static_cfg()
+    cfg["initial"]["u"]["offset"] = -2.0
+    error = _run_exit_2(tmp_path, capsys, cfg)
+    assert "initial.u" in error and "positive" in error
+
+
+def test_cli_non_finite_initial_map_is_a_config_error(tmp_path, capsys):
+    cfg = tiny_static_cfg()
+    cfg["initial"]["phi"] = {"components": [{"type": "constant", "value": "nan"}]}
+    assert "initial.phi" in _run_exit_2(tmp_path, capsys, cfg)
+
+
+def test_schedule_and_variant_reject_non_finite_values():
+    from rhflow.flow import AlphaSchedule, FlowVariant
+
+    for kwargs in ({"alpha0": float("nan")}, {"alpha0": 1.0, "alpha_bar": float("nan")},
+                   {"alpha0": 1.0, "rate": float("inf")}):
+        with pytest.raises(ValueError, match="finite"):
+            AlphaSchedule(**kwargs)
+    with pytest.raises(ValueError, match="mu must be finite"):
+        FlowVariant("warped_product", mu=float("nan"))
