@@ -200,10 +200,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--method", choices=("euler", "rk2"), default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
     p_run.add_argument(
-        "--full-fields", action="store_true", default=False,
-        help="save metric and map at every snapshot (the default; kept for symmetry)",
-    )
-    p_run.add_argument(
         "--u-only", action="store_true",
         help="save only the heat field per snapshot (smaller, not reloadable)",
     )

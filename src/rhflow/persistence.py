@@ -1,35 +1,45 @@
 """Deterministic on-disk format for runs and reports.
 
-Floats are serialized with 17 significant digits ("%.17g"), which
-round-trips IEEE doubles exactly, and dict keys are emitted sorted, so the
-same trajectory always produces byte-identical files.  A run directory
-holds
+A run directory (format version 2) holds
 
     meta.json        grid/variant/schedule echo, times, per-snapshot
                      constants, halt reason, scenario echo
-    snap_00000.json  one file per snapshot: t, u, and (unless the run was
-                     saved u-only) the flattened row-major metric and map
+    u.npy            the heat field of every snapshot, shape (S, *grid.shape)
+    g.npy            the metric, shape (S, *grid.shape, d, d)
+    phi.npy          the map, shape (S, *grid.shape, m)
     manifest.json    sha256 of every other file plus wall time; written
                      last, so its presence marks a complete directory
 
-`load_run` verifies every hash before reconstructing the trajectory.
-Reports (margin checks, Harnack pair tables) are saved as a JSON summary
-plus a CSV of per-snapshot or per-pair rows with the same float format.
+The arrays are C-order float64 written by ``np.save`` without pickling, so
+they round-trip every double exactly; a run saved u-only has no g.npy or
+phi.npy and cannot be reloaded.  An ``.npy`` header holds only the dtype,
+the order and the shape, so the same trajectory always produces
+byte-identical files.  Version 1 directories, one ``snap_NNNNN.json`` per
+snapshot, are still read.
+
+JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
+with 17 significant digits ("%.17g"), which round-trips IEEE doubles
+exactly, and dict keys emitted sorted.  ``load_run`` checks every file it
+parses against the manifest digest.  Reports (margin checks, Harnack pair
+tables) are saved as a JSON summary plus a CSV of per-snapshot or per-pair
+rows with the same float format.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory
+from .flow import AlphaSchedule, BlowUpError, FlowVariant, Snapshot, Trajectory
 from .grid import Grid
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+FIELDS = ("u", "g", "phi")
 
 
 class HashMismatchError(ValueError):
@@ -69,12 +79,23 @@ def dumps(obj) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _snap_name(i: int) -> str:
     return f"snap_{i:05d}.json"
+
+
+def _field_bytes(traj: Trajectory, name: str) -> bytes:
+    """One field stacked over the snapshots, as the bytes of a .npy file."""
+    stacked = np.stack([getattr(s, name) for s in traj.snapshots])
+    stacked = stacked.astype(np.float64, copy=False)
+    finite = np.isfinite(stacked).reshape(len(stacked), -1).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValueError(
+            f"cannot save non-finite {name} at snapshot {i} (t={traj.snapshots[i].t!r})"
+        )
+    buf = io.BytesIO()
+    np.save(buf, stacked, allow_pickle=False)
+    return buf.getvalue()
 
 
 def save_run(
@@ -83,17 +104,19 @@ def save_run(
     full_fields: bool = True,
     overwrite: bool = False,
 ) -> Path:
-    """Write a trajectory to a run directory and return its path."""
+    """Write a trajectory to a run directory and return its path.
+
+    Every file is serialised (and checked finite) before the directory is
+    touched.  On overwrite the old manifest goes first, so a save that is
+    cut short leaves a directory that reads as incomplete.
+    """
     t0 = time.perf_counter()
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     if (out / "manifest.json").exists() and not overwrite:
         raise FileExistsError(f"{out} already holds a run (pass overwrite=True)")
-    for stale in out.glob("snap_*.json"):
-        stale.unlink()
 
     grid = traj.grid
-    fields_saved = ["u", "g", "phi"] if full_fields else ["u"]
+    fields_saved = list(FIELDS) if full_fields else ["u"]
     meta = {
         "format_version": FORMAT_VERSION,
         "grid": {
@@ -124,22 +147,18 @@ def save_run(
         "phi_components": int(traj.snapshots[0].phi.shape[-1]),
         "scenario": traj.scenario,
     }
-    (out / "meta.json").write_text(dumps(meta))
+    blobs = {"meta.json": dumps(meta).encode()}
+    for name in fields_saved:
+        blobs[f"{name}.npy"] = _field_bytes(traj, name)
 
-    for i, s in enumerate(traj.snapshots):
-        payload = {
-            "index": i,
-            "t": s.t,
-            "u": s.u.ravel(order="C").tolist(),
-        }
-        if full_fields:
-            payload["g"] = s.g.ravel(order="C").tolist()
-            payload["phi"] = s.phi.ravel(order="C").tolist()
-        (out / _snap_name(i)).write_text(dumps(payload))
-
-    files = {"meta.json": _sha256(out / "meta.json")}
-    for i in range(len(traj.snapshots)):
-        files[_snap_name(i)] = _sha256(out / _snap_name(i))
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
+    for stale in [*out.glob("snap_*.json"), *(out / f"{f}.npy" for f in FIELDS)]:
+        stale.unlink(missing_ok=True)
+    files = {}
+    for name, data in blobs.items():
+        (out / name).write_bytes(data)
+        files[name] = hashlib.sha256(data).hexdigest()
     manifest = {
         "format_version": FORMAT_VERSION,
         "files": files,
@@ -149,21 +168,60 @@ def save_run(
     return out
 
 
+def _read(out: Path, name: str, digests: dict | None) -> bytes:
+    """The bytes of one file, checked against its manifest digest unless
+    ``digests`` is None (verification waived)."""
+    if digests is not None and name not in digests:
+        raise HashMismatchError(f"{name}: not listed in the manifest")
+    data = (out / name).read_bytes()
+    if digests is not None:
+        actual = hashlib.sha256(data).hexdigest()
+        if actual != digests[name]:
+            raise HashMismatchError(
+                f"{name}: manifest says {digests[name][:12]}..., file is {actual[:12]}..."
+            )
+    return data
+
+
+def _load_npy(out: Path, name: str, digests: dict | None, shape: tuple) -> np.ndarray:
+    data = _read(out, name, digests)
+    try:
+        arr = np.load(io.BytesIO(data), allow_pickle=False)
+    except ValueError as exc:
+        raise ValueError(f"{name}: not a readable .npy file ({exc})") from exc
+    if arr.dtype != np.float64 or arr.shape != shape:
+        raise ValueError(
+            f"{name}: holds {arr.dtype} {arr.shape}, meta.json implies float64 {shape}"
+        )
+    return arr
+
+
+def _snapshot(t, g, phi, u, names: dict, i: int) -> Snapshot:
+    """A stored snapshot; a field it rejects is a ValueError naming the
+    file that holds it (``names`` maps field to file) and the index."""
+    try:
+        return Snapshot(t, g, phi, u)
+    except (BlowUpError, ValueError) as exc:
+        # Snapshot checks the metric, then the map, then u
+        if not isinstance(exc, BlowUpError):
+            field = "g"
+        else:
+            field = "phi" if not np.isfinite(phi).all() else "u"
+        raise ValueError(f"{names[field]}: snapshot {i}: {exc}") from exc
+
+
 def load_run(run_dir, verify: bool = True) -> Trajectory:
-    """Rebuild a trajectory from a run directory, verifying manifest hashes."""
+    """Rebuild a trajectory from a run directory.
+
+    With ``verify`` every file read must be listed in the manifest and match
+    its digest.  Only the file names of the directory's format are read.
+    """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{out} has no manifest.json (incomplete run?)")
-    manifest = json.loads(manifest_path.read_text())
-    if verify:
-        for name, digest in manifest["files"].items():
-            actual = _sha256(out / name)
-            if actual != digest:
-                raise HashMismatchError(
-                    f"{name}: manifest says {digest[:12]}..., file is {actual[:12]}..."
-                )
-    meta = json.loads((out / "meta.json").read_text())
+    digests = json.loads(manifest_path.read_text())["files"] if verify else None
+    meta = json.loads(_read(out, "meta.json", digests))
     if "g" not in meta["fields_saved"]:
         raise ValueError(
             f"{out} was saved u-only; re-run with full fields to reload it"
@@ -176,13 +234,32 @@ def load_run(run_dir, verify: bool = True) -> Trajectory:
     variant = FlowVariant(**meta["variant"])
     schedule = AlphaSchedule(**meta["schedule"])
     d = meta["phi_components"]
+    n = meta["n_snapshots"]
+    version = meta.get("format_version")
     snaps = []
-    for i in range(meta["n_snapshots"]):
-        payload = json.loads((out / _snap_name(i)).read_text())
-        g = np.array(payload["g"]).reshape(grid.shape + (grid.dim, grid.dim))
-        phi = np.array(payload["phi"]).reshape(grid.shape + (d,))
-        u = np.array(payload["u"]).reshape(grid.shape)
-        snaps.append(Snapshot(payload["t"], g, phi, u))
+    if version == 2:
+        times = meta["times"]
+        if len(times) != n:
+            raise ValueError(f"meta.json: {len(times)} times for {n} snapshots")
+        shapes = {
+            "u": (n,) + grid.shape,
+            "g": (n,) + grid.shape + (grid.dim, grid.dim),
+            "phi": (n,) + grid.shape + (d,),
+        }
+        names = {f: f"{f}.npy" for f in FIELDS}
+        u, g, phi = (_load_npy(out, names[f], digests, shapes[f]) for f in FIELDS)
+        for i in range(n):
+            snaps.append(_snapshot(times[i], g[i], phi[i], u[i], names, i))
+    elif version == 1:
+        for i in range(n):
+            name = _snap_name(i)
+            payload = json.loads(_read(out, name, digests))
+            g = np.array(payload["g"]).reshape(grid.shape + (grid.dim, grid.dim))
+            phi = np.array(payload["phi"]).reshape(grid.shape + (d,))
+            u = np.array(payload["u"]).reshape(grid.shape)
+            snaps.append(_snapshot(payload["t"], g, phi, u, dict.fromkeys(FIELDS, name), i))
+    else:
+        raise ValueError(f"meta.json: unsupported format_version {version!r}")
     return Trajectory(
         grid=grid,
         variant=variant,

@@ -7,7 +7,10 @@ bitwise-reproducible output files (%.17g floats, sorted keys, no wall-clock
 content outside the run manifest).
 """
 
+import hashlib
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ import pytest
 from tiny_configs import tiny_cfg_with, tiny_static_cfg
 from rhflow import persistence
 from rhflow.cli import main
+from rhflow.flow import Snapshot
 from rhflow.persistence import HashMismatchError, dumps, load_run, save_run
 from rhflow.scenarios import (
     bundled_names,
@@ -23,6 +27,10 @@ from rhflow.scenarios import (
     refine_scenario,
     run_scenario,
 )
+
+# a format-1 run directory of tiny_static_cfg, written before the v1 writer
+# was removed; it pins that old directories still load
+V1_RUN = Path(__file__).parent / "data" / "run_v1_tiny"
 
 BUNDLED = {
     "heat_kernel_largetorus",
@@ -262,9 +270,7 @@ def test_save_load_round_trip(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format_version"] == persistence.FORMAT_VERSION
     assert "wall_time_s" in manifest
-    assert set(manifest["files"]) == {"meta.json"} | {
-        f"snap_{i:05d}.json" for i in range(len(traj.snapshots))
-    }
+    assert set(manifest["files"]) == {"meta.json", "u.npy", "g.npy", "phi.npy"}
 
 
 def test_save_run_overwrite_guard(tmp_path):
@@ -280,8 +286,10 @@ def test_tampered_run_detected(tmp_path):
     traj = run_scenario(load_scenario(tiny_static_cfg()))
     out = tmp_path / "run"
     save_run(traj, out)
-    target = out / "snap_00002.json"
-    target.write_text(target.read_text().replace("2", "3", 1))
+    target = out / "u.npy"
+    data = bytearray(target.read_bytes())
+    data[-8] ^= 1  # lowest mantissa bit of the last stored double
+    target.write_bytes(bytes(data))
     with pytest.raises(HashMismatchError, match="manifest says"):
         load_run(out)
     # verification can be waived explicitly
@@ -296,14 +304,132 @@ def test_u_only_runs_do_not_reload(tmp_path):
     save_run(traj, lean, full_fields=False)
     with pytest.raises(ValueError, match="u-only"):
         load_run(lean)
-    size_full = (full / "snap_00001.json").stat().st_size
-    size_lean = (lean / "snap_00001.json").stat().st_size
+    size_full = sum(f.stat().st_size for f in full.iterdir())
+    size_lean = sum(f.stat().st_size for f in lean.iterdir())
     assert size_lean < size_full
 
 
 def test_missing_manifest(tmp_path):
     with pytest.raises(FileNotFoundError, match="manifest"):
         load_run(tmp_path)
+
+
+def rehash(run_dir):
+    """Regenerate a run's manifest digests to match its files as they are."""
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["files"] = {
+        name: hashlib.sha256((run_dir / name).read_bytes()).hexdigest()
+        for name in manifest["files"]
+    }
+    path.write_text(dumps(manifest))
+
+
+def edit_manifest_files(run_dir, edit):
+    path = run_dir / "manifest.json"
+    manifest = json.loads(path.read_text())
+    edit(manifest["files"])
+    path.write_text(dumps(manifest))
+
+
+def assert_same_snapshots(a, b):
+    assert len(a.snapshots) == len(b.snapshots)
+    for sa, sb in zip(a.snapshots, b.snapshots):
+        assert sa.t == sb.t
+        for name in ("g", "phi", "u"):
+            assert np.array_equal(getattr(sa, name), getattr(sb, name)), name
+
+
+def test_saves_of_one_trajectory_have_identical_digests(tmp_path):
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    save_run(traj, tmp_path / "a")
+    save_run(traj, tmp_path / "b")
+    digests = [json.loads((tmp_path / d / "manifest.json").read_text())["files"]
+               for d in ("a", "b")]
+    assert digests[0] == digests[1]
+
+
+def test_v1_run_directory_still_loads(tmp_path):
+    v1 = load_run(V1_RUN)
+    assert json.loads((V1_RUN / "meta.json").read_text())["format_version"] == 1
+    save_run(v1, tmp_path / "v2")
+    v2 = load_run(tmp_path / "v2")
+    assert_same_snapshots(v1, v2)
+    assert (v2.constants, v2.alphas, v2.scenario) == (v1.constants, v1.alphas, v1.scenario)
+    # meta.json differs from the v1 one in its format version only
+    old = (V1_RUN / "meta.json").read_text()
+    new = (tmp_path / "v2" / "meta.json").read_text()
+    assert new == old.replace('"format_version":1', '"format_version":2')
+
+
+def test_manifest_must_list_every_file_read(tmp_path):
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    out = tmp_path / "run"
+    save_run(traj, out)
+    edit_manifest_files(out, lambda files: files.clear())
+    with pytest.raises(HashMismatchError, match="meta.json: not listed"):
+        load_run(out)
+    load_run(out, verify=False)
+
+    save_run(traj, out, overwrite=True)
+    edit_manifest_files(out, lambda files: files.pop("g.npy"))
+    with pytest.raises(HashMismatchError, match="g.npy: not listed"):
+        load_run(out)
+
+    v1 = tmp_path / "v1"
+    shutil.copytree(V1_RUN, v1)
+    target = v1 / "snap_00002.json"
+    target.write_text(target.read_text().replace("2", "3", 1))
+    edit_manifest_files(v1, lambda files: files.pop("snap_00002.json"))
+    with pytest.raises(HashMismatchError, match="snap_00002.json: not listed"):
+        load_run(v1)
+
+    # names in the manifest are never opened: only the format's own files are
+    save_run(traj, out, overwrite=True)
+    edit_manifest_files(out, lambda files: files.update({"../elsewhere.json": "0" * 64}))
+    load_run(out)
+
+
+def test_save_rejects_non_finite_fields(tmp_path):
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    out = tmp_path / "run"
+    save_run(traj, out)
+    s = traj.snapshots[3]
+    bad = Snapshot(s.t, s.g, s.phi.copy(), s.u, s.metric)
+    bad.phi[0, 0] = np.nan
+    traj.snapshots[3] = bad
+    with pytest.raises(ValueError, match="non-finite phi at snapshot 3"):
+        save_run(traj, out, overwrite=True)
+    load_run(out)  # the failed save left the old run in place
+
+
+def test_interrupted_overwrite_reads_as_incomplete(tmp_path, monkeypatch):
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    out = tmp_path / "run"
+    save_run(traj, out)
+    write_bytes = Path.write_bytes
+
+    def disk_full_at_g(path, data):
+        if path.name == "g.npy":
+            raise OSError("no space left on device")
+        return write_bytes(path, data)
+
+    monkeypatch.setattr(Path, "write_bytes", disk_full_at_g)
+    with pytest.raises(OSError, match="no space"):
+        save_run(traj, out, overwrite=True)
+    with pytest.raises(FileNotFoundError, match="incomplete"):
+        load_run(out)
+
+
+def test_save_over_other_layouts_sweeps_their_files(tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(V1_RUN, out)
+    traj = load_run(out)
+    save_run(traj, out, overwrite=True)
+    assert sorted(f.name for f in out.iterdir()) == [
+        "g.npy", "manifest.json", "meta.json", "phi.npy", "u.npy"]
+    save_run(traj, out, full_fields=False, overwrite=True)
+    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "meta.json", "u.npy"]
 
 
 def test_save_report_and_plotdata(tmp_path, eigenmode_run):
@@ -469,11 +595,91 @@ def test_cli_seed_override(tmp_path, capsys):
     assert main(["run", src, "--out", str(b), "--seed", "3"]) == 0
     assert main(["run", src, "--out", str(c), "--seed", "4"]) == 0
     capsys.readouterr()
-    ua = json.loads((a / "snap_00000.json").read_text())["u"]
-    ub = json.loads((b / "snap_00000.json").read_text())["u"]
-    uc = json.loads((c / "snap_00000.json").read_text())["u"]
-    assert ua == ub
-    assert ua != uc
+    ua = np.load(a / "u.npy")[0]
+    ub = np.load(b / "u.npy")[0]
+    uc = np.load(c / "u.npy")[0]
+    assert np.array_equal(ua, ub)
+    assert not np.array_equal(ua, uc)
+
+
+def test_cli_check_reports_identical_on_v1_and_v2_runs(tmp_path, capsys):
+    v2 = tmp_path / "v2"
+    save_run(load_run(V1_RUN), v2)
+    for d, run in (("a", V1_RUN), ("b", v2)):
+        assert main(["check", str(run), "--which", "global",
+                     "--out", str(tmp_path / d)]) == 0
+    capsys.readouterr()
+    for fname in ("global.json", "global.csv"):
+        a = (tmp_path / "a" / "reports" / fname).read_bytes()
+        b = (tmp_path / "b" / "reports" / fname).read_bytes()
+        assert a == b, fname
+
+
+def _check_exit_2(tmp_path, capsys, run_dir) -> str:
+    """Check a broken run directory; it must exit 2 with a JSON error."""
+    assert main(["check", str(run_dir), "--which", "global",
+                 "--out", str(tmp_path / "chk")]) == 2
+    err = json.loads(capsys.readouterr().out)
+    assert err["ok"] is False
+    return err["error"]
+
+
+def _saved_tiny_run(tmp_path):
+    out = tmp_path / "run"
+    save_run(run_scenario(load_scenario(tiny_static_cfg())), out)
+    return out
+
+
+def _rewrite_npy(run_dir, name, edit):
+    arr = np.load(run_dir / name)
+    np.save(run_dir / name, edit(arr), allow_pickle=False)
+    rehash(run_dir)
+
+
+def test_cli_check_stored_non_positive_u_exits_2(tmp_path, capsys):
+    out = _saved_tiny_run(tmp_path)
+
+    def negate(u):
+        u[2, 5] = -1.0
+        return u
+
+    _rewrite_npy(out, "u.npy", negate)
+    error = _check_exit_2(tmp_path, capsys, out)
+    assert "u.npy" in error and "snapshot 2" in error and "positive" in error
+
+    v1 = tmp_path / "v1"
+    shutil.copytree(V1_RUN, v1)
+    path = v1 / "snap_00003.json"
+    payload = json.loads(path.read_text())
+    payload["u"][7] = -1.0
+    path.write_text(dumps(payload))
+    rehash(v1)
+    error = _check_exit_2(tmp_path, capsys, v1)
+    assert "snap_00003.json" in error and "snapshot 3" in error
+
+
+def test_cli_check_stored_degenerate_metric_exits_2(tmp_path, capsys):
+    out = _saved_tiny_run(tmp_path)
+
+    def flatten(g):
+        g[1, 4] = 0.0
+        return g
+
+    _rewrite_npy(out, "g.npy", flatten)
+    error = _check_exit_2(tmp_path, capsys, out)
+    assert "g.npy" in error and "snapshot 1" in error and "degenerate" in error
+
+
+def test_cli_check_npy_not_matching_meta_exits_2(tmp_path, capsys):
+    out = _saved_tiny_run(tmp_path)
+    _rewrite_npy(out, "u.npy", lambda u: u[:-1])
+    error = _check_exit_2(tmp_path, capsys, out)
+    assert "u.npy" in error and "(4, 32)" in error and "(5, 32)" in error
+
+    out = _saved_tiny_run(tmp_path / "f32")
+    _rewrite_npy(out, "phi.npy", lambda phi: phi.astype(np.float32))
+    error = _check_exit_2(tmp_path, capsys, out)
+    assert "phi.npy" in error and "float32" in error
 
 
 def _run_exit_2(tmp_path, capsys, cfg) -> str:
