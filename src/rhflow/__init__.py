@@ -56,6 +56,7 @@ from .grid import Grid
 from .harnack import (
     HarnackReport,
     check_harnack,
+    gamma_field,
     gamma_inf,
     harnack_floor,
     path_energy,
@@ -103,6 +104,7 @@ __all__ = [
     "extract_constants",
     "fit_cprime",
     "flat_torus_distance",
+    "gamma_field",
     "gamma_inf",
     "geodesic_distance",
     "global_bound",

@@ -120,11 +120,8 @@ def _run_check(args, traj: Trajectory):
         )
     if args.which == "harnack":
         if args.pairs:
-            raw = json.loads(Path(args.pairs).read_text())
-            pairs = [
-                (tuple(np.atleast_1d(x1).tolist()), t1, tuple(np.atleast_1d(x2).tolist()), t2)
-                for x1, t1, x2, t2 in raw
-            ]
+            # check_harnack validates every pair and names a malformed one
+            pairs = json.loads(Path(args.pairs).read_text())
         else:
             pairs = _auto_pairs(traj)
         beta = args.beta or 2.0

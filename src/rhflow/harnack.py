@@ -7,10 +7,20 @@ space-time path from (x1, t1) to (x2, t2) yields the lower bound
                            * exp(-A1 Gamma / 4 - (A2/A1)(t2 - t1))
 
 where Gamma = inf over paths of the integrated squared speed
-int |dgamma/dt|^2_{g(t)} dt.  `gamma_inf` computes Gamma on the lattice by
-dynamic programming over time layers; the discrete infimum is taken over a
+int |dgamma/dt|^2_{g(t)} dt.  `gamma_field` computes Gamma on the lattice
+from one source to every node by dynamic programming over time layers, and
+`gamma_inf` reads one target from it; the discrete infimum is taken over a
 restricted move set, so it can only overestimate the continuum value, which
 lowers the floor: the verified inequality is conservative, never optimistic.
+
+The dynamic program builds its edge costs once per floor snapshot, not once
+per layer: the snapshot index never decreases across layers, and only one
+snapshot's costs are alive at a time.  `check_harnack` runs one dynamic
+program per distinct (x1, t1, t2, layer count) and reads each pair's target
+from it.  Both keep the arithmetic of the one-pair, per-layer solver (the
+same roll, average, einsum and division for every edge cost, the same sums
+and minima per layer), so Gamma, the floors and the margins are bit-identical
+to it.
 
 Two floor recipes are wired in:
   compact   A1 = 1, A2 = sqrt(2) k n, A3 = n/2 + sqrt(2) n C alpha0, valid
@@ -34,10 +44,41 @@ SUBSTEPS_FLOOR = 32
 
 
 def _node_tuple(grid, x) -> tuple:
-    x = tuple(int(v) for v in np.atleast_1d(x))
-    if len(x) != grid.dim:
-        raise ValueError(f"node {x} does not match grid dimension {grid.dim}")
-    return tuple(v % n for v, n in zip(x, grid.n_points))
+    """x as a tuple of node indices, wrapped onto the torus.  A node is an
+    integer (1-D grids) or a sequence of grid.dim integers; bools and
+    non-integral numbers are refused, not truncated."""
+    if isinstance(x, np.ndarray):
+        coords = tuple(np.atleast_1d(x))
+    elif isinstance(x, (list, tuple)):
+        coords = tuple(x)
+    else:
+        coords = (x,)
+    if len(coords) != grid.dim:
+        raise ValueError(f"node {x!r} does not match grid dimension {grid.dim}")
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               for v in coords):
+        raise ValueError(f"node {x!r} needs integer coordinates")
+    return tuple(int(v) % n for v, n in zip(coords, grid.n_points))
+
+
+def _pair_time(t) -> float:
+    if isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool):
+        try:
+            value = float(t)
+        except OverflowError:
+            value = np.inf
+        if np.isfinite(value):
+            return value
+    raise ValueError(f"time {t!r} is not a finite real number")
+
+
+def _parse_pair(grid, pair) -> tuple:
+    """(x1, t1, x2, t2) of one Harnack pair, with wrapped nodes and float
+    times, or a ValueError saying what is wrong with it."""
+    if not isinstance(pair, (list, tuple)) or len(pair) != 4:
+        raise ValueError(f"expected [x1, t1, x2, t2], got {pair!r}")
+    x1, t1, x2, t2 = pair
+    return _node_tuple(grid, x1), _pair_time(t1), _node_tuple(grid, x2), _pair_time(t2)
 
 
 def _floor_snapshot_index(times: np.ndarray, s: float) -> int:
@@ -85,28 +126,9 @@ def path_energy(traj: Trajectory, nodes, t1: float, t2: float) -> float:
     return total
 
 
-def gamma_inf(
-    traj: Trajectory,
-    x1,
-    x2,
-    t1: float,
-    t2: float,
-    substeps: int | None = None,
-    r_max: int = R_MAX_DEFAULT,
-) -> float:
-    """Infimal space-time path energy from (x1, t1) to (x2, t2).
-
-    Dynamic programming over `substeps` uniform time layers; each layer
-    allows moves of up to r_max cells per axis, costed with the
-    endpoint-averaged metric of the floor snapshot at the layer's start
-    time.  On a flat 1d torus the optimum distributes the d-cell offset as
-    evenly as possible, giving energy (d^2 + r (K - r)) h^2 / (t2 - t1)
-    with r = d mod K: exactly d^2 h^2 / dt whenever K divides d.  The value
-    never falls below the continuum infimum.
-    """
-    grid = traj.grid
-    x1 = _node_tuple(grid, x1)
-    x2 = _node_tuple(grid, x2)
+def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
+    """Validate one path-energy request between node tuples and return the
+    number of layers K its dynamic program runs."""
     if not t1 < t2:
         raise ValueError("need t1 < t2")
     times = traj.times
@@ -118,37 +140,132 @@ def gamma_inf(
     if r_max < 1:
         raise ValueError("r_max must be at least 1")
     if substeps is None:
-        substeps = default_substeps(grid, x1, x2, r_max)
+        substeps = default_substeps(traj.grid, x1, x2, r_max)
     K = int(substeps)
     if K < 1:
         raise ValueError("substeps must be at least 1")
-    if _cell_distance(grid, x1, x2) > K * r_max:
+    if _cell_distance(traj.grid, x1, x2) > K * r_max:
         raise ValueError("target unreachable: cell distance exceeds K * r_max")
-    ds = (t2 - t1) / K
-    axes = tuple(range(grid.dim))
-    offsets = [
-        off
-        for off in product(range(-r_max, r_max + 1), repeat=grid.dim)
-    ]
-    hvec = np.asarray(grid.h)
+    return K
 
-    cost = np.full(grid.shape, np.inf)
+
+def _wrap_pad(a, wrap, bufs=None):
+    """a padded periodically on its leading grid axes; wrap[ax] holds the
+    source index of every padded position on axis ax.  bufs, one per axis,
+    take the result in place of new arrays."""
+    for ax, index in enumerate(wrap):
+        a = np.take(a, index, axis=ax, out=None if bufs is None else bufs[ax])
+    return a
+
+
+def _move_costs(grid, g, r_max: int, ds: float, wrap, views) -> list:
+    """(view, cost) for every nonzero move `off` of at most r_max cells per
+    axis: cost[y] is the energy of the move y - off -> y over one layer of
+    length ds, costed with the endpoint-averaged metric g, and views[off]
+    selects entry y - off of an array padded by `_wrap_pad`.
+
+    A move and its reverse cross the same edge: the cost of x -> x + off,
+    stored at x, is the cost of x + off -> x, so one average of g and one
+    einsum serve both.  The reversed delta only flips the sign of both
+    factors of each product, which leaves every rounded product unchanged."""
+    axes = tuple(range(grid.dim))
+    hvec = np.asarray(grid.h)
+    g_pad = _wrap_pad(g, wrap)
+    gbar = np.empty_like(g)
+    out = []
+    for off, view in views.items():
+        back = tuple(-o for o in off)
+        if off <= back:
+            continue
+        delta = hvec * np.asarray(off, dtype=float)
+        np.add(g, g_pad[views[back]], out=gbar)  # g at x + off
+        np.multiply(0.5, gbar, out=gbar)
+        edge = np.einsum("...ij,i,j->...", gbar, delta, delta)
+        np.divide(edge, ds, out=edge)
+        out.append((view, np.roll(edge, shift=off, axis=axes)))
+        out.append((views[back], edge))
+    return out
+
+
+def gamma_field(
+    traj: Trajectory,
+    x1,
+    t1: float,
+    t2: float,
+    substeps: int,
+    r_max: int = R_MAX_DEFAULT,
+) -> np.ndarray:
+    """Infimal space-time path energy from (x1, t1) to every node at t2.
+
+    Dynamic programming over `substeps` uniform time layers; each layer
+    allows moves of up to r_max cells per axis, costed with the
+    endpoint-averaged metric of the floor snapshot at the layer's start
+    time.  Nodes farther than substeps * r_max cells from x1 are inf.  The
+    arguments are trusted: `gamma_inf` and `check_harnack` validate a
+    request before they run it.
+
+    Edge costs are built only when the floor snapshot changes and hold
+    (2 r_max + 1)^dim - 1 node fields.  Each layer pads the cost array
+    periodically once and adds each move's costs to a view of it.
+    """
+    grid = traj.grid
+    x1 = _node_tuple(grid, x1)
+    K = int(substeps)
+    ds = (t2 - t1) / K
+    times = traj.times
+    shape = grid.shape
+    wrap = [np.arange(-r_max, n + r_max) % n for n in shape]
+    views = {
+        off: tuple(slice(r_max - o, r_max - o + n) for o, n in zip(off, shape))
+        for off in product(range(-r_max, r_max + 1), repeat=grid.dim)
+    }
+    bufs, pad_shape = [], list(shape)
+    for ax in range(grid.dim):
+        pad_shape[ax] += 2 * r_max
+        bufs.append(np.empty(pad_shape))
+    cost = np.full(shape, np.inf)
     cost[x1] = 0.0
+    best = np.empty(shape)
+    cand = np.empty(shape)
+    snap, moves = None, None
     for k in range(K):
-        g = traj.snapshots[_floor_snapshot_index(times, t1 + k * ds)].g
-        best = np.full(grid.shape, np.inf)
-        for off in offsets:
-            delta = hvec * np.asarray(off, dtype=float)
-            if not any(off):
-                edge = 0.0
-            else:
-                g_to = np.roll(g, shift=tuple(-o for o in off), axis=axes)
-                gbar = 0.5 * (g + g_to)
-                edge = np.einsum("...ij,i,j->...", gbar, delta, delta) / ds
-            cand = np.roll(cost + edge, shift=off, axis=axes)
+        idx = _floor_snapshot_index(times, t1 + k * ds)
+        if idx != snap:
+            moves = None  # free the previous snapshot's costs first
+            moves = _move_costs(grid, traj.snapshots[idx].g, r_max, ds, wrap, views)
+            snap = idx
+        padded = _wrap_pad(cost, wrap, bufs)
+        np.copyto(best, cost)
+        for view, move in moves:
+            np.add(padded[view], move, out=cand)
             np.minimum(best, cand, out=best)
-        cost = best
-    return float(cost[x2])
+        cost, best = best, cost
+    return cost
+
+
+def gamma_inf(
+    traj: Trajectory,
+    x1,
+    x2,
+    t1: float,
+    t2: float,
+    substeps: int | None = None,
+    r_max: int = R_MAX_DEFAULT,
+) -> float:
+    """Infimal space-time path energy from (x1, t1) to (x2, t2).
+
+    The entry x2 of `gamma_field`, with `substeps` layers (default
+    `default_substeps`).  On a flat 1d torus the optimum distributes the
+    d-cell offset as evenly as possible, giving energy
+    (d^2 + r (K - r)) h^2 / (t2 - t1) with r = d mod K: exactly
+    d^2 h^2 / dt whenever K divides d.  The value never falls below the
+    continuum infimum.
+    """
+    grid = traj.grid
+    x1 = _node_tuple(grid, x1)
+    x2 = _node_tuple(grid, x2)
+    K = _layer_count(traj, x1, x2, t1, t2, substeps, r_max)
+    return float(gamma_field(traj, x1, t1, t2, K, r_max)[x2])
 
 
 def harnack_floor(
@@ -231,8 +348,11 @@ def check_harnack(
     compact mode gates on nonnegative Ricci curvature over the whole run
     and uses the global-estimate constants; complete mode needs beta > 1
     and a C' (fit one with `estimates.fit_cprime(..., shape="harnack")`).
-    Margins are compared in log domain.  Each pair's time must coincide
-    with a stored snapshot.
+    Margins are compared in log domain.  Each pair is [x1, t1, x2, t2] with
+    integer nodes of the grid's dimension and finite times that coincide
+    with stored snapshots; a malformed pair is a ValueError naming its
+    index.  Pairs that share (x1, t1, t2) and the layer count share one
+    `gamma_field`; each row records the layer count it used as `substeps`.
     """
     if mode not in ("compact", "complete"):
         raise ValueError("mode must be 'compact' or 'complete'")
@@ -261,17 +381,40 @@ def check_harnack(
         a2 = cprime * b2 * kbar + n * b2 * constants.k1 / (4.0 * (beta - 1.0))
         a3 = cprime * b2
 
+    if not isinstance(pairs, (list, tuple)):
+        raise ValueError(f"pairs must be a list of [x1, t1, x2, t2], got {pairs!r}")
+    requests = []
+    for i, pair in enumerate(pairs):
+        try:
+            x1, t1, x2, t2 = _parse_pair(grid, pair)
+            i1, i2 = traj.snapshot_at(t1), traj.snapshot_at(t2)
+            t1, t2 = traj.snapshots[i1].t, traj.snapshots[i2].t
+            K = _layer_count(traj, x1, x2, t1, t2, substeps, r_max)
+            if not t1 > 0:
+                raise ValueError("need 0 < t1 < t2")
+        except ValueError as exc:
+            raise ValueError(f"pair {i}: {exc}") from None
+        requests.append((x1, i1, x2, i2, K))
+    if not requests:
+        raise ValueError("no pairs supplied")
+
+    # one dynamic program per source, read at every target that shares it
+    sources = {}
+    for j, (x1, i1, _, i2, K) in enumerate(requests):
+        sources.setdefault((x1, i1, i2, K), []).append(j)
+    gammas = [0.0] * len(requests)
+    for (x1, i1, i2, K), members in sources.items():
+        field = gamma_field(traj, x1, traj.snapshots[i1].t, traj.snapshots[i2].t,
+                            K, r_max)
+        for j in members:
+            gammas[j] = float(field[requests[j][2]])
+
     results = []
     lhs_abs, rhs_abs = [0.0], [0.0]
-    for pair in pairs:
-        x1, t1, x2, t2 = pair
-        x1 = _node_tuple(grid, x1)
-        x2 = _node_tuple(grid, x2)
-        s1 = traj.snapshots[traj.snapshot_at(t1)]
-        s2 = traj.snapshots[traj.snapshot_at(t2)]
+    for (x1, i1, x2, i2, K), gamma in zip(requests, gammas):
+        s1, s2 = traj.snapshots[i1], traj.snapshots[i2]
         u1 = float(s1.u[x1])
         u2 = float(s2.u[x2])
-        gamma = gamma_inf(traj, x1, x2, s1.t, s2.t, substeps=substeps, r_max=r_max)
         floor = harnack_floor(u1, s1.t, s2.t, gamma, a1, a2, a3)
         lhs = np.log(u2) - np.log(u1)
         rhs = np.log(floor) - np.log(u1)
@@ -286,12 +429,11 @@ def check_harnack(
                 "u1": u1,
                 "u2": u2,
                 "gamma": gamma,
+                "substeps": K,
                 "floor": floor,
                 "margin_log": float(lhs - rhs),
             }
         )
-    if not results:
-        raise ValueError("no pairs supplied")
     scale = float(max(max(lhs_abs), max(rhs_abs)))
     tol = float(c_tol * (max(grid.h) ** 2 + traj.dt) * scale)
     for p in results:

@@ -7,9 +7,18 @@ when K divides d.  That formula is the oracle for the solver; metric scaling
 and floor monotonicity pin the rest.
 """
 
+import json
+import os
+import subprocess
+import sys
+from itertools import product
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from rhflow import harnack
+from rhflow.cli import _auto_pairs, main
 from rhflow.estimates import GateEmptyError, extract_constants, fit_cprime
 from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory
 from rhflow.grid import Grid
@@ -17,10 +26,14 @@ from rhflow.harnack import (
     R_MAX_DEFAULT,
     check_harnack,
     default_substeps,
+    gamma_field,
     gamma_inf,
     harnack_floor,
     path_energy,
 )
+from rhflow.persistence import save_run
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def flat_metric(grid):
@@ -47,6 +60,64 @@ def static_traj(grid, g=None, t0=0.5, t1=1.5, u_value=1.0):
 def dp_formula(d, K, h, dt):
     r = d % K
     return (d * d + r * (K - r)) * h * h / dt
+
+
+def reference_gamma_inf(traj, x1, x2, t1, t2, substeps=None, r_max=R_MAX_DEFAULT):
+    """The one-pair solver the field DP replaced: every layer rebuilds every
+    edge cost and rolls cost + edge per move.  The field DP must match it
+    bit for bit."""
+    grid = traj.grid
+    times = traj.times
+    if substeps is None:
+        substeps = default_substeps(grid, x1, x2, r_max)
+    K = int(substeps)
+    ds = (t2 - t1) / K
+    axes = tuple(range(grid.dim))
+    offsets = list(product(range(-r_max, r_max + 1), repeat=grid.dim))
+    hvec = np.asarray(grid.h)
+
+    def floor_index(s):
+        idx = int(np.searchsorted(times, s + 1e-12 * (1.0 + abs(s)), side="right")) - 1
+        return max(idx, 0)
+
+    cost = np.full(grid.shape, np.inf)
+    cost[tuple(x1)] = 0.0
+    for k in range(K):
+        g = traj.snapshots[floor_index(t1 + k * ds)].g
+        best = np.full(grid.shape, np.inf)
+        for off in offsets:
+            delta = hvec * np.asarray(off, dtype=float)
+            if not any(off):
+                edge = 0.0
+            else:
+                g_to = np.roll(g, shift=tuple(-o for o in off), axis=axes)
+                gbar = 0.5 * (g + g_to)
+                edge = np.einsum("...ij,i,j->...", gbar, delta, delta) / ds
+            cand = np.roll(cost + edge, shift=off, axis=axes)
+            np.minimum(best, cand, out=best)
+        cost = best
+    return float(cost[tuple(x2)])
+
+
+def random_metric_traj(shape=(14, 11), n_snaps=4, seed=5):
+    """A 2-D trajectory whose SPD metric differs at every snapshot, so the
+    floor snapshot changes several times inside one dynamic program."""
+    rng = np.random.default_rng(seed)
+    grid = Grid(2, shape, (1.3, 0.9))
+    snaps = []
+    for i in range(n_snaps):
+        a = rng.normal(size=shape + (2, 2))
+        g = np.einsum("...ik,...jk->...ij", a, a) + 0.3 * np.eye(2)
+        snaps.append(Snapshot(0.2 + 0.1 * i, g, np.zeros(shape + (1,)),
+                              np.ones(shape)))
+    return Trajectory(
+        grid=grid,
+        variant=FlowVariant("static"),
+        schedule=AlphaSchedule(0.0),
+        snapshots=snaps,
+        dt=0.1,
+        dt_sub=0.1,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +205,59 @@ def test_explicit_path_energy_upper_bounds_infimum():
     assert path_energy(traj, lazy, 0.5, 1.5) > e
     with pytest.raises(ValueError, match="two nodes"):
         path_energy(traj, [(0,)], 0.5, 1.5)
+
+
+def test_field_matches_closed_form_at_every_node():
+    grid = Grid(1, (64,), (2.0,))
+    traj = static_traj(grid, t0=0.5, t1=1.5)
+    h = grid.h[0]
+    for source, K, r_max in [(0, 32, 2), (17, 40, 2), (63, 9, 3), (5, 5, 2)]:
+        field = gamma_field(traj, (source,), 0.5, 1.5, K, r_max)
+        for x in range(64):
+            d = abs(grid.wrap_delta(source, x, 0))
+            if d > K * r_max:
+                assert field[x] == np.inf
+                continue
+            want = dp_formula(d, K, h, 1.0)
+            assert abs(field[x] - want) <= 1e-12 * max(want, 1.0), (source, K, x)
+
+
+def test_field_dp_is_bit_identical_to_the_one_pair_solver():
+    traj = random_metric_traj()
+    times = traj.times
+    rng = np.random.default_rng(11)
+    for r_max in (1, 2, 3):
+        for _ in range(6):
+            x1 = (int(rng.integers(14)), int(rng.integers(11)))
+            # targets across the wrap, both ways, up to the reachable range
+            x2 = tuple(int(a + rng.integers(-7, 8)) % n
+                       for a, n in zip(x1, traj.grid.shape))
+            i1 = int(rng.integers(0, 2))
+            i2 = int(rng.integers(i1 + 2, 4))
+            K = int(rng.integers(max(4, 7 // r_max + 1), 13))
+            got = gamma_inf(traj, x1, x2, times[i1], times[i2], substeps=K, r_max=r_max)
+            want = reference_gamma_inf(traj, x1, x2, times[i1], times[i2], K, r_max)
+            assert got == want, (r_max, x1, x2, K)
+            # a time window between snapshots as well
+            t1, t2 = times[0] + 0.013, times[-1] - 0.021
+            got = gamma_inf(traj, x1, x2, t1, t2, substeps=K, r_max=r_max)
+            assert got == reference_gamma_inf(traj, x1, x2, t1, t2, K, r_max)
+
+
+def test_field_dp_is_bit_identical_on_bundled_runs(coupled_run, eigenmode_run):
+    times = coupled_run.times
+    pairs = _auto_pairs(coupled_run) + [
+        ((16, 16), times[2], (48, 48), times[-3]),
+        ((0, 0), times[4], (63, 1), times[-5]),
+    ]
+    rep = check_harnack(coupled_run, pairs, mode="complete", beta=2.0, cprime=0.01)
+    for row in rep.pairs:
+        assert row["gamma"] == reference_gamma_inf(coupled_run, row["x1"], row["x2"],
+                                                   row["t1"], row["t2"])
+    rep = check_harnack(eigenmode_run, eigenmode_pairs()[::7], mode="compact")
+    for row in rep.pairs:
+        assert row["gamma"] == reference_gamma_inf(eigenmode_run, row["x1"], row["x2"],
+                                                   row["t1"], row["t2"])
 
 
 # ---------------------------------------------------------------------------
@@ -245,3 +369,85 @@ def test_report_summary_shape(eigenmode_run):
     assert s["ok"] is True
     assert s["min_margin"] == rep.min_margin
     assert len(rep.rows()) == 5
+
+
+def test_rows_record_the_layer_count_each_pair_used(eigenmode_run):
+    pairs = eigenmode_pairs()[:10]
+    rep = check_harnack(eigenmode_run, pairs, mode="compact")
+    grid = eigenmode_run.grid
+    assert rep.notes["substeps"] is None
+    for (x1, _, x2, _), row in zip(pairs, rep.pairs):
+        assert row["substeps"] == default_substeps(grid, x1, x2)
+    rep = check_harnack(eigenmode_run, pairs, mode="compact", substeps=70)
+    assert rep.notes["substeps"] == 70
+    assert {row["substeps"] for row in rep.pairs} == {70}
+
+
+def test_one_dynamic_program_per_source(eigenmode_run, monkeypatch):
+    calls = []
+    field_dp = harnack.gamma_field
+
+    def counting(traj, x1, t1, t2, substeps, r_max=R_MAX_DEFAULT):
+        calls.append((x1, t1, t2, substeps))
+        return field_dp(traj, x1, t1, t2, substeps, r_max)
+
+    monkeypatch.setattr(harnack, "gamma_field", counting)
+    pairs = eigenmode_pairs()
+    rep = check_harnack(eigenmode_run, pairs, mode="compact")
+    grid = eigenmode_run.grid
+    keys = {(x1, t1, t2, default_substeps(grid, x1, x2)) for x1, t1, x2, t2 in pairs}
+    assert len(calls) == len(set(calls)) == len(keys) < len(pairs)
+    assert {(x1, t1, t2, K) for x1, t1, t2, K in calls} == {
+        (row["x1"], row["t1"], row["t2"], row["substeps"]) for row in rep.pairs}
+
+
+@pytest.fixture(scope="module")
+def eigenmode_dir(eigenmode_run, tmp_path_factory):
+    run_dir = tmp_path_factory.mktemp("harnack") / "static_eigenmode"
+    save_run(eigenmode_run, run_dir)
+    return run_dir
+
+
+def check_pairs_file(run_dir, tmp_path, pairs):
+    path = tmp_path / "pairs.json"
+    path.write_text(json.dumps(pairs))
+    return main(["check", str(run_dir), "--which", "harnack", "--pairs", str(path),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("pairs, index, what", [
+    (5, None, "pairs must be a list"),
+    ([[[0], 0.01, [3], 0.08], [[0], 0.01, [3]]], 1, "expected"),
+    ([[[0], 0.01, [3], 0.08], [[0], "x", [3], 0.08]], 1, "not a finite real"),
+    ([[[0], None, [3], 0.08]], 0, "not a finite real"),
+    ([[[0], 0.01, [3], 0.08], [[0.7], 0.01, [3], 0.08]], 1, "integer coordinates"),
+    ([[[0], 0.01, [True], 0.08]], 0, "integer coordinates"),
+    ([[[0, 1], 0.01, [3], 0.08]], 0, "dimension"),
+    ([[[0], 0.01, [3], 0.08], [[0], 0.0, [3], 0.08]], 1, "0 < t1"),
+])
+def test_cli_malformed_pairs_exit_2(eigenmode_dir, tmp_path, capsys, pairs, index, what):
+    assert check_pairs_file(eigenmode_dir, tmp_path, pairs) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert what in err
+    if index is not None:
+        assert err.startswith(f"pair {index}: ")
+
+
+def test_cli_pairs_wrap_out_of_range_nodes(eigenmode_dir, tmp_path, capsys):
+    assert check_pairs_file(eigenmode_dir, tmp_path, [[[300], 0.01, [-5], 0.08]]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "out" / "reports" / "harnack_compact.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    row = dict(zip(header, rows[1].split(",")))
+    assert (row["x1"], row["x2"]) == (str(300 % 128), str(-5 % 128))
+    assert row["substeps"] == str(default_substeps(Grid(1, (128,), (1.0,)), (44,), (123,)))
+
+
+def test_harnack_demo_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / "04_harnack_paths.py")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "complete-manifold floors" in proc.stdout
