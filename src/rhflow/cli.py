@@ -170,6 +170,11 @@ def cmd_check(args, emit_plotdata: bool = False) -> int:
         return 0 if report["ok"] else 1
     if not args.source:
         raise ValueError(f"--which {args.which} needs a scenario or run directory")
+    if args.which == "harnack":
+        try:
+            harnack.check_r_max(args.r_max)
+        except ValueError as exc:
+            raise ValueError(f"--r-max: {exc}") from None
     traj = _get_trajectory(args.source)
     name = _source_name(args.source)
     report = _run_check(args, traj)
@@ -225,7 +230,8 @@ def main(argv=None) -> int:
         p.add_argument("--mode", choices=("compact", "complete"), default="compact")
         p.add_argument("--pairs", default=None, help="JSON file of [x1, t1, x2, t2] pairs")
         p.add_argument("--substeps", type=int, default=None, help="path-energy layers")
-        p.add_argument("--r-max", type=int, default=harnack.R_MAX_DEFAULT)
+        p.add_argument("--r-max", type=int, default=harnack.R_MAX_DEFAULT,
+                       help=f"path-energy moves per layer, 1 to {harnack.R_MAX_LIMIT} cells")
         p.add_argument("--tau", type=float, default=None, help="cutoff ramp time")
         p.add_argument("--lattice", type=int, default=512, help="cutoff verification lattice")
 

@@ -113,6 +113,12 @@ class Snapshot:
     ``metric`` holds the validated MetricFields of g.  It is built from g
     unless one for the same array is passed in, so snapshots sharing a
     metric array (all of a static run's) validate it only once.
+
+    Constructing a Snapshot checks it: the metric (unless passed in), phi
+    finite and u positive everywhere.  The stepping code does not construct
+    snapshots this way per substep; it checks each field where it changes
+    (u in ``step_heat``, phi and the metric in ``step_flow``) and assembles
+    the result with ``_unchecked``.
     """
 
     t: float
@@ -130,6 +136,14 @@ class Snapshot:
             raise BlowUpError("map field has non-finite values", self.t)
         if not np.all(self.u > 0):
             raise BlowUpError("heat solution is not positive everywhere", self.t)
+
+    @classmethod
+    def _unchecked(cls, t, g, phi, u, metric: MetricFields) -> "Snapshot":
+        """A snapshot of fields that have just been checked: ``metric`` built
+        from ``g``, ``phi`` finite and ``u`` positive.  Runs no check."""
+        snap = object.__new__(cls)
+        snap.__dict__.update(t=t, g=g, phi=phi, u=u, metric=metric)
+        return snap
 
 
 @dataclass
@@ -192,10 +206,13 @@ def _new_metric(g: np.ndarray, t: float) -> MetricFields:
         raise BlowUpError(f"metric degenerate after step: {exc}", t) from exc
 
 
-def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi):
-    """Right-hand sides (dg/dt, dphi/dt) for the metric/map system."""
+def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi,
+              ric=None):
+    """Right-hand sides (dg/dt, dphi/dt) for the metric/map system; ``ric``
+    is the Ricci tensor of ``mf`` if the caller already has it."""
     coup = variant.coupling(schedule, t)
-    ric = geometry.ricci(grid, mf)
+    if ric is None:
+        ric = geometry.ricci(grid, mf)
     outer = geometry.grad_phi_outer(grid, phi)
     dg = -2.0 * ric + (2.0 * coup) * outer
     if variant.kind == "warped_product":
@@ -213,26 +230,30 @@ def step_flow(
     schedule: AlphaSchedule,
     method: str = "euler",
     c_stab: float = C_STAB_DEFAULT,
+    ric: np.ndarray | None = None,
 ) -> Snapshot:
     """Advance metric and map by one step; u is carried along unchanged.
 
     Raises StabilityError if dt violates the explicit bound and BlowUpError
     (with the failure time) if the stepped state leaves the admissible set.
     Each new metric is validated once: one per Euler step, two per RK2 step
-    (midpoint and end), none on the static variant.
+    (midpoint and end), none on the static variant.  The new map is checked
+    for finiteness once, and not at all on the static variant, whose fields
+    are those of ``snap``.  ``ric``, the Ricci tensor of ``snap.metric``
+    when the caller already has it, spares its recomputation.
     """
     t_new = snap.t + dt
     if variant.kind == "static":
-        return Snapshot(t_new, snap.g, snap.phi, snap.u, snap.metric)
+        return Snapshot._unchecked(t_new, snap.g, snap.phi, snap.u, snap.metric)
     if variant.kind == "warped_product" and snap.phi.shape[-1] != 1:
         raise ValueError("warped_product flow requires a single-component map")
     _require_stable(grid, snap.metric, dt, c_stab)
     if method == "euler":
-        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi)
+        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric)
         g_new = snap.g + dt * dg
         phi_new = snap.phi + dt * dphi
     elif method == "rk2":
-        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi)
+        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric)
         g_mid = snap.g + 0.5 * dt * dg1
         g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
         phi_mid = snap.phi + 0.5 * dt * dphi1
@@ -244,9 +265,9 @@ def step_flow(
         raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
     # keep the stored metric exactly symmetric
     g_new = 0.5 * (g_new + np.swapaxes(g_new, -1, -2))
-    if not np.all(np.isfinite(phi_new)):
+    if not np.isfinite(phi_new).all():
         raise BlowUpError("map field became non-finite", t_new)
-    return Snapshot(t_new, g_new, phi_new, snap.u, _new_metric(g_new, t_new))
+    return Snapshot._unchecked(t_new, g_new, phi_new, snap.u, _new_metric(g_new, t_new))
 
 
 def step_heat(
@@ -269,20 +290,23 @@ def step_heat(
         u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, u_mid)
     else:
         raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
-    if not np.all(u_new > 0):
+    if not (u_new > 0).all():
         raise BlowUpError("heat solution lost positivity", snap.t + dt)
     return u_new
 
 
-def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
+def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None) -> dict:
     """Empirical hypothesis bounds at one snapshot.
 
     k1/k2 are the extreme eigenvalues of Ric relative to g over nodes
     (k1 clipped at 0 from below as a lower-bound constant), and tc_phi is
-    t times the largest eigenvalue of dphi (x) dphi relative to g.
+    t times the largest eigenvalue of dphi (x) dphi relative to g.  ``ric``
+    is the Ricci tensor of the snapshot's metric if the caller has it.
     """
     mf = snap.metric
-    lam_ric = geometry.eig_general(geometry.ricci(grid, mf), mf)
+    if ric is None:
+        ric = geometry.ricci(grid, mf)
+    lam_ric = geometry.eig_general(ric, mf)
     lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), mf)
     return {
         "t": float(snap.t),
@@ -314,6 +338,14 @@ def run(
     check_metric N + 1 times with Euler and 2N + 1 times with RK2; the
     static variant shares the initial metric throughout and calls it once.
 
+    Per substep, u is checked for positivity once (in ``step_heat``) and a
+    map the flow moved for finiteness once (in ``step_flow``); the initial
+    snapshot was checked when it was constructed, and no snapshot is
+    checked again.  The Ricci tensor of each stored snapshot's metric is
+    computed once, for its constants, and reused by the next substep's flow,
+    so an Euler run evaluates it N + 1 times, an RK2 run 2N + 1 times and a
+    static run once.
+
     On blow-up the partial trajectory is returned with ``halt_reason`` set
     and the failure time appended; callers decide whether that is an error.
     A zero-length run (T == t_start) yields the initial snapshot only.
@@ -331,7 +363,8 @@ def run(
             f"dt*substride={dt_snap:g}"
         )
     snaps = [initial]
-    constants = [snapshot_constants(grid, initial)]
+    ric = geometry.ricci(grid, initial.metric)  # of current.metric, or None
+    constants = [snapshot_constants(grid, initial, ric)]
     alphas = [float(schedule(initial.t))]
     halt = None
     current = initial
@@ -343,14 +376,19 @@ def run(
                 # pre-heat snapshot and the heated u is attached after
                 u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab)
                 nxt = step_flow(
-                    grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab
+                    grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab,
+                    ric=ric,
                 )
+                if nxt.metric is not current.metric:
+                    ric = None
                 step_index += 1
                 # exact time bookkeeping: t derived from the step counter
                 t_exact = initial.t + step_index * dt_sub
-                current = Snapshot(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
+                current = Snapshot._unchecked(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
             snaps.append(current)
-            constants.append(snapshot_constants(grid, current))
+            if ric is None:
+                ric = geometry.ricci(grid, current.metric)
+            constants.append(snapshot_constants(grid, current, ric))
             alphas.append(float(schedule(current.t)))
     except (BlowUpError, StabilityError) as exc:
         t_fail = getattr(exc, "t", initial.t + (step_index + 1) * dt_sub)

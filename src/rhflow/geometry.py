@@ -21,11 +21,14 @@ Validate once: MetricFields
 ``MetricFields(g)`` runs ``check_metric`` on the array exactly once and
 holds what every operator needs: the components g_ij, the closed-form
 inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
-the nodes (which the stability bound reads).  Every operator taking a
-metric accepts either a MetricFields or a raw array; a raw array is wrapped
-(and so validated) once on entry.  Code that applies several operators to
-one metric, like a flow substep, builds one MetricFields and passes it to
-all of them.  The wrapped array must not be modified afterwards.
+the nodes (which the stability bound reads).  The Laplacian's face
+coefficients are built from these on first use and kept, so every
+Laplacian applied with one MetricFields (all the heat steps of a static
+run) shares one set.  Every operator taking a metric accepts either a
+MetricFields or a raw array; a raw array is wrapped (and so validated) once
+on entry.  Code that applies several operators to one metric, like a flow
+substep, builds one MetricFields and passes it to all of them.  The wrapped
+array must not be modified afterwards.
 
 Tensors are computed component by component with explicit arithmetic over
 the d <= 2 index range (nested lists of node fields, with [i][j] and [j][i]
@@ -40,7 +43,7 @@ import operator
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, shift
 
 # Relative threshold for the positive-definiteness check: smallest eigenvalue
 # must exceed PD_RTOL * trace(g) at every node.
@@ -111,8 +114,11 @@ class MetricFields:
 
     ``comp[i][j]`` and ``inv[i][j]`` are the node fields g_ij and g^{ij},
     ``sqrt_det`` is sqrt(det g) per node and ``min_eigenvalue`` the smallest
-    eigenvalue over all nodes.  A trajectory keeps one MetricFields per
-    stored snapshot, so only what the operators read is kept.
+    eigenvalue over all nodes.  ``faces`` (one node field per axis) is
+    built by the first Laplacian applied with this metric and then cached.
+    A trajectory keeps one MetricFields per stored snapshot, so only what
+    the operators read is kept: the mixed-term coefficient of the Laplacian
+    is recomputed per call rather than stored.
     """
 
     def __init__(self, g: np.ndarray):
@@ -128,6 +134,17 @@ class MetricFields:
             off = -c[0][1] / det
             self.inv = [[c[1][1] / det, off], [off, c[0][0] / det]]
         self.sqrt_det = np.sqrt(det)
+
+    @functools.cached_property
+    def faces(self) -> list:
+        """Laplacian face coefficients, one node field per axis i: the mean
+        1/2 (a_k + a_{k+1}) of a = sqrt(det g) g^{ii} over the face between
+        nodes k and k+1, stored at node k."""
+        out = []
+        for i in range(self.dim):
+            a = self.sqrt_det * self.inv[i][i]
+            out.append(0.5 * (a + shift(a, -1, i)))
+        return out
 
 
 def metric_fields(g) -> MetricFields:
@@ -211,13 +228,11 @@ def _laplace(grid: Grid, mf: MetricFields, s: np.ndarray) -> np.ndarray:
     w = mf.sqrt_det
 
     def term(i, j):
-        a = w * mf.inv[i][j]
         if i != j:
-            return grid.d1(a * grid.d1(s, j), i)
+            return grid.d1(w * mf.inv[i][j] * grid.d1(s, j), i)
         # face k sits between nodes k and k+1: mean coefficient, flux through it
-        face = 0.5 * (a + np.roll(a, -1, axis=i))
-        flux = face * (np.roll(s, -1, axis=i) - s)
-        return (flux - np.roll(flux, 1, axis=i)) / (grid.h[i] * grid.h[i])
+        flux = mf.faces[i] * (shift(s, -1, i) - s)
+        return (flux - shift(flux, 1, i)) / (grid.h[i] * grid.h[i])
 
     return _sum(term(i, j) for i in range(grid.dim) for j in range(grid.dim)) / w
 

@@ -3,15 +3,43 @@
 Every field in this package is a plain ndarray whose leading axes run over
 grid nodes (shape ``grid.shape``) and whose trailing axes, if any, carry
 tensor indices.  The grid is a flat chart on a torus: index arithmetic wraps,
-which keeps every stencil a composition of ``np.roll`` calls and makes all
-operators exactly translation equivariant.
+so every stencil is built from ``shift``, a one-node periodic shift made of
+two slice copies, and all operators are exactly translation equivariant.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+
+# Cap on the total node count, checked before anything is allocated: a
+# scalar node field of this size is 8 MB and a 2-D metric field 32 MB.
+MAX_NODES = 1 << 20
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def shift(a: np.ndarray, k: int, axis: int) -> np.ndarray:
+    """``np.roll(a, k, axis)`` for k = +1 or -1, built from two slice copies.
+
+    result[i] = a[i - k] along ``axis``, wrapping periodically.
+    """
+    out = np.empty_like(a)
+    lead = (slice(None),) * axis
+    if k == 1:
+        out[lead + (slice(1, None),)] = a[lead + (slice(None, -1),)]
+        out[lead + (0,)] = a[lead + (-1,)]
+    elif k == -1:
+        out[lead + (slice(None, -1),)] = a[lead + (slice(1, None),)]
+        out[lead + (-1,)] = a[lead + (0,)]
+    else:
+        raise ValueError(f"shift moves by one node, got k={k!r}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -21,7 +49,7 @@ class Grid:
     Parameters
     ----------
     dim : spatial dimension (1 or 2).
-    n_points : nodes per axis.
+    n_points : nodes per axis, at least 8 each and at most MAX_NODES in all.
     lengths : period per axis, so the spacing is lengths[i] / n_points[i].
     """
 
@@ -30,24 +58,33 @@ class Grid:
     lengths: tuple[float, ...]
 
     def __post_init__(self):
-        if self.dim not in (1, 2):
-            raise ValueError(f"dim must be 1 or 2, got {self.dim}")
+        if not _is_int(self.dim) or self.dim not in (1, 2):
+            raise ValueError(f"dim must be 1 or 2, got {self.dim!r}")
         if len(self.n_points) != self.dim or len(self.lengths) != self.dim:
             raise ValueError("n_points and lengths must have one entry per axis")
+        # messages start with the field name, so a caller can prefix a path
+        if not all(_is_int(n) for n in self.n_points):
+            raise ValueError(f"n_points must be integers, got {self.n_points}")
         if any(n < 8 for n in self.n_points):
-            raise ValueError(f"need at least 8 nodes per axis, got {self.n_points}")
-        if any(L <= 0 for L in self.lengths):
-            raise ValueError(f"axis lengths must be positive, got {self.lengths}")
+            raise ValueError(f"n_points needs at least 8 nodes per axis, got {self.n_points}")
+        nodes = math.prod(int(n) for n in self.n_points)
+        if nodes > MAX_NODES:
+            raise ValueError(
+                f"n_points {self.n_points} give {nodes} nodes, more than the limit "
+                f"of {MAX_NODES}"
+            )
+        if any(isinstance(L, bool) or not L > 0 or not math.isfinite(L) for L in self.lengths):
+            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
 
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(self.n_points)
 
-    @property
+    @cached_property
     def h(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.lengths, self.n_points))
 
-    @property
+    @cached_property
     def h_min(self) -> float:
         return min(self.h)
 
@@ -69,17 +106,17 @@ class Grid:
 
     # ---- stencils -------------------------------------------------------
     # Fields may carry trailing tensor axes; spatial axes are always the
-    # leading ones, so np.roll on axis < dim acts on nodes only.
+    # leading ones, so shifting along axis < dim acts on nodes only.
 
     def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Centered first difference along a spatial axis, O(h^2)."""
         h = self.h[axis]
-        return (np.roll(a, -1, axis=axis) - np.roll(a, 1, axis=axis)) / (2.0 * h)
+        return (shift(a, -1, axis) - shift(a, 1, axis)) / (2.0 * h)
 
     def d2(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Centered second difference along a spatial axis, O(h^2)."""
         h = self.h[axis]
-        return (np.roll(a, -1, axis=axis) - 2.0 * a + np.roll(a, 1, axis=axis)) / (h * h)
+        return (shift(a, -1, axis) - 2.0 * a + shift(a, 1, axis)) / (h * h)
 
     def partial(self, a: np.ndarray) -> np.ndarray:
         """Stack all first partials: result[..., i] = d1(a, i) for node-shaped a."""

@@ -40,7 +40,19 @@ from .estimates import GateEmptyError, HypothesisConstants, extract_constants
 from .flow import Trajectory
 
 R_MAX_DEFAULT = 2
+# Largest r_max accepted.  The edge costs of one floor snapshot hold
+# (2 r_max + 1)^dim - 1 node fields, 80 at this cap on a 2-D grid; nothing
+# in the package uses more than 3.
+R_MAX_LIMIT = 4
 SUBSTEPS_FLOOR = 32
+
+
+def check_r_max(r_max) -> None:
+    """Refuse an r_max that is not an integer in [1, R_MAX_LIMIT], before
+    anything is allocated for it."""
+    if (not isinstance(r_max, (int, np.integer)) or isinstance(r_max, bool)
+            or not 1 <= r_max <= R_MAX_LIMIT):
+        raise ValueError(f"r_max must be an integer from 1 to {R_MAX_LIMIT}, got {r_max!r}")
 
 
 def _node_tuple(grid, x) -> tuple:
@@ -137,8 +149,7 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
             f"path times [{t1:g}, {t2:g}] outside stored range "
             f"[{times[0]:g}, {times[-1]:g}]"
         )
-    if r_max < 1:
-        raise ValueError("r_max must be at least 1")
+    check_r_max(r_max)
     if substeps is None:
         substeps = default_substeps(traj.grid, x1, x2, r_max)
     K = int(substeps)
@@ -200,14 +211,15 @@ def gamma_field(
     Dynamic programming over `substeps` uniform time layers; each layer
     allows moves of up to r_max cells per axis, costed with the
     endpoint-averaged metric of the floor snapshot at the layer's start
-    time.  Nodes farther than substeps * r_max cells from x1 are inf.  The
-    arguments are trusted: `gamma_inf` and `check_harnack` validate a
-    request before they run it.
+    time.  Nodes farther than substeps * r_max cells from x1 are inf.  Only
+    r_max is checked here; the other arguments are trusted: `gamma_inf` and
+    `check_harnack` validate a request before they run it.
 
     Edge costs are built only when the floor snapshot changes and hold
     (2 r_max + 1)^dim - 1 node fields.  Each layer pads the cost array
     periodically once and adds each move's costs to a view of it.
     """
+    check_r_max(r_max)
     grid = traj.grid
     x1 = _node_tuple(grid, x1)
     K = int(substeps)
@@ -356,6 +368,7 @@ def check_harnack(
     """
     if mode not in ("compact", "complete"):
         raise ValueError("mode must be 'compact' or 'complete'")
+    check_r_max(r_max)
     grid = traj.grid
     if constants is None:
         constants = extract_constants(traj)

@@ -2,9 +2,13 @@
 
 A scenario pins everything a run needs: grid, flow variant, coupling
 schedule, initial data profiles, time window, substep, snapshot stride and
-integrator.  Loading is strict: unknown fields are rejected by dotted path,
-and the substep is checked against the explicit stability bound of the
-initial metric at load time, not step time.
+integrator.  Loading is strict: unknown fields are rejected by dotted
+path, numbers must be finite and never booleans, integer fields (dim,
+n_points, snapshot_stride, axis, k, images, n_modes, m, seed) must hold
+integral values, the grid may have at most ``grid.MAX_NODES`` nodes, and
+the substep is checked against the explicit stability bound of the initial
+metric at load time, not step time.  Each of these errors names the
+field's dotted path.
 
 Initial data comes from a small typed catalog.  Scalar fields (u, map
 components, conformal exponents) are built from:
@@ -61,28 +65,47 @@ def _check_keys(d: dict, allowed: dict, path: str) -> None:
             raise ValueError(f"missing required field '{path + '.' if path else ''}{key}'")
 
 
-def _finite(spec: dict, key: str, path: str, default=None) -> float:
-    """spec[key] (or the default) as a finite float, else a ValueError
-    naming the field's dotted path."""
-    raw = spec.get(key, default)
+def _number(raw, path: str) -> float:
+    """raw as a finite float, else a ValueError naming the dotted path.
+    Booleans are refused, not read as 0 and 1."""
     try:
+        if isinstance(raw, bool):
+            raise TypeError("a boolean is not a number")
         value = float(raw)
     except (TypeError, ValueError):
-        raise ValueError(f"{path}.{key} must be a number, got {raw!r}") from None
+        raise ValueError(f"{path} must be a number, got {raw!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"{path}.{key} must be finite, got {raw!r}")
+        raise ValueError(f"{path} must be finite, got {raw!r}")
     return value
 
 
+def _integer(raw, path: str) -> int:
+    """raw as an int, else a ValueError naming the dotted path.  Integral
+    floats (64.0) are accepted; booleans, strings and fractions are not
+    truncated but refused."""
+    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
+    if isinstance(raw, bool) or not integral:
+        raise ValueError(f"{path} must be an integer, got {raw!r}")
+    return int(raw)
+
+
+def _finite(spec: dict, key: str, path: str, default=None) -> float:
+    """spec[key] (or the default) as a finite float."""
+    return _number(spec.get(key, default), f"{path}.{key}")
+
+
+def _int_field(spec: dict, key: str, path: str, default=None) -> int:
+    """spec[key] (or the default) as an int."""
+    return _integer(spec.get(key, default), f"{path}.{key}")
+
+
 def _per_axis(spec: dict, key: str, path: str, kind) -> tuple:
-    """spec[key] as a tuple with one entry per axis, each converted by kind."""
+    """spec[key] as a tuple with one entry per axis, each converted by
+    kind(value, dotted path), i.e. _number or _integer."""
     raw = spec[key]
     if not isinstance(raw, (list, tuple)):
         raise ValueError(f"{path}.{key} must be a list with one entry per axis, got {raw!r}")
-    try:
-        return tuple(kind(v) for v in raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path}.{key} entries must be numbers, got {raw!r}") from None
+    return tuple(kind(v, f"{path}.{key}[{i}]") for i, v in enumerate(raw))
 
 
 def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
@@ -91,17 +114,17 @@ def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
     for i, term in enumerate(terms):
         tpath = f"{path}.terms[{i}]"
         _check_keys(term, {"coeff": False, "factors": True}, tpath)
-        prod = np.full(grid.shape, float(term.get("coeff", 1.0)))
+        prod = np.full(grid.shape, _finite(term, "coeff", tpath, 1.0))
         for j, fac in enumerate(term["factors"]):
             fpath = f"{tpath}.factors[{j}]"
             _check_keys(fac, {"axis": True, "fn": True, "k": True}, fpath)
-            axis = int(fac["axis"])
+            axis = _int_field(fac, "axis", fpath)
             if not 0 <= axis < grid.dim:
                 raise ValueError(f"{fpath}.axis out of range for dim {grid.dim}")
             fn = fac["fn"]
             if fn not in _FN:
                 raise ValueError(f"{fpath}.fn must be 'cos' or 'sin'")
-            k = int(fac["k"])
+            k = _int_field(fac, "k", fpath)
             if k < 1:
                 raise ValueError(f"{fpath}.k must be >= 1")
             theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
@@ -114,7 +137,7 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
     kind = spec.get("type")
     if kind == "constant":
         _check_keys(spec, {"type": True, "value": True}, path)
-        return np.full(grid.shape, float(spec["value"]))
+        return np.full(grid.shape, _finite(spec, "value", path))
     if kind == "sine_sum":
         _check_keys(
             spec,
@@ -122,20 +145,23 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
             path,
         )
         body = _eval_terms(grid, spec["terms"], path)
-        return float(spec.get("offset", 0.0)) + float(spec.get("amplitude", 1.0)) * body
+        return _finite(spec, "offset", path, 0.0) + _finite(spec, "amplitude", path, 1.0) * body
     if kind == "heat_kernel":
         _check_keys(
             spec,
             {"type": True, "t0": True, "center": False, "floor": False, "images": False},
             path,
         )
-        t0 = float(spec["t0"])
+        t0 = _finite(spec, "t0", path)
         if t0 <= 0:
             raise ValueError(f"{path}.t0 must be positive")
-        center = spec.get("center", [L / 2.0 for L in grid.lengths])
+        if "center" in spec:
+            center = _per_axis(spec, "center", path, _number)
+        else:
+            center = [L / 2.0 for L in grid.lengths]
         if len(center) != grid.dim:
             raise ValueError(f"{path}.center must have {grid.dim} coordinates")
-        images = int(spec.get("images", 4))
+        images = _int_field(spec, "images", path, 4)
         coords = grid.coords()
         kernel = np.zeros(grid.shape)
         # periodize by summing lattice translates; 4 images per side is
@@ -152,7 +178,7 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
                     dy2 = (coords[1] - center[1] - jy * grid.lengths[1]) ** 2
                     kernel += np.exp(-(dx2 + dy2) / (4.0 * t0))
         kernel *= (4.0 * np.pi * t0) ** (-grid.dim / 2.0)
-        return float(spec.get("floor", 0.0)) + kernel
+        return _finite(spec, "floor", path, 0.0) + kernel
     if kind == "random_fourier":
         _check_keys(
             spec,
@@ -161,14 +187,15 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
         )
         if rng is None:
             raise ValueError(f"{path}: random_fourier needs a scenario seed")
+        n_modes = _int_field(spec, "n_modes", path)
         coords = grid.coords()
         out = np.zeros(grid.shape)
         for axis in range(grid.dim):
-            for k in range(1, int(spec["n_modes"]) + 1):
+            for k in range(1, n_modes + 1):
                 theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
                 c, s = rng.standard_normal(2) / k**2
                 out += c * np.cos(theta) + s * np.sin(theta)
-        return float(spec.get("offset", 0.0)) + float(spec.get("amplitude", 1.0)) * out
+        return _finite(spec, "offset", path, 0.0) + _finite(spec, "amplitude", path, 1.0) * out
     raise ValueError(
         f"{path}.type must be one of 'constant', 'sine_sum', 'heat_kernel', "
         f"'random_fourier'; got {kind!r}"
@@ -253,16 +280,20 @@ def parse_scenario(cfg: dict) -> Scenario:
     _check_keys(cfg, _TOP_KEYS, "")
     gspec = cfg["grid"]
     _check_keys(gspec, {"dim": True, "n_points": True, "lengths": True}, "grid")
-    grid = Grid(
-        dim=int(gspec["dim"]),
-        n_points=_per_axis(gspec, "n_points", "grid", int),
-        lengths=_per_axis(gspec, "lengths", "grid", float),
-    )
+    dim = _int_field(gspec, "dim", "grid")
+    n_points = _per_axis(gspec, "n_points", "grid", _integer)
+    lengths = _per_axis(gspec, "lengths", "grid", _number)
+    try:
+        # the node-count cap is checked here, before any field is allocated
+        grid = Grid(dim=dim, n_points=n_points, lengths=lengths)
+    except ValueError as exc:
+        raise ValueError(f"grid.{exc}") from None
 
     vspec = dict(cfg.get("variant", {"kind": "rh_alpha"}))
     _check_keys(vspec, {"kind": True, "m": False, "mu": False}, "variant")
     variant = FlowVariant(
-        kind=vspec["kind"], m=int(vspec.get("m", 1)), mu=_finite(vspec, "mu", "variant", 0.0)
+        kind=vspec["kind"], m=_int_field(vspec, "m", "variant", 1),
+        mu=_finite(vspec, "mu", "variant", 0.0),
     )
 
     aspec = dict(cfg.get("alpha", {"alpha0": 0.0}))
@@ -285,7 +316,7 @@ def parse_scenario(cfg: dict) -> Scenario:
     t_start = _finite(tspec, "t_start", "time", 0.0)
     t_end = _finite(tspec, "t_end", "time")
     dt_sub = _finite(tspec, "dt_sub", "time")
-    stride = int(tspec.get("snapshot_stride", 1))
+    stride = _int_field(tspec, "snapshot_stride", "time", 1)
     if t_start < 0:
         raise ValueError("time.t_start must be >= 0")
     if t_end <= t_start:
@@ -325,7 +356,7 @@ def parse_scenario(cfg: dict) -> Scenario:
         dt_sub=dt_sub,
         snapshot_stride=stride,
         method=method,
-        seed=int(cfg["seed"]) if "seed" in cfg else None,
+        seed=_integer(cfg["seed"], "seed") if "seed" in cfg else None,
     )
 
     # reject unstable configs at load time, citing the bound

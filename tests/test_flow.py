@@ -7,11 +7,13 @@ metric an explicit Euler heat step multiplies a sampled sine mode by exactly
 a closed-form final state.
 """
 
+import functools
 import json
 
 import numpy as np
 import pytest
 
+from tiny_configs import tiny_static_cfg
 from rhflow import geometry
 from rhflow.flow import (
     AlphaSchedule,
@@ -20,6 +22,7 @@ from rhflow.flow import (
     Snapshot,
     StabilityError,
     run,
+    snapshot_constants,
     stability_limit,
     step_flow,
     step_heat,
@@ -318,38 +321,40 @@ def test_map_blowup_halts_gracefully():
 # validate once per metric
 
 
-def count_metric_checks(monkeypatch) -> list:
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
     calls = []
-    real = geometry.check_metric
+    real = getattr(owner, name)
 
-    def counting(g):
-        calls.append(g.shape)
-        return real(g)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(geometry, "check_metric", counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
-def test_coupled_run_validates_each_new_metric_once(monkeypatch):
+def short_coupled_scenario(method="euler"):
+    """rh_perturbed_2d cut to two strides; returns it with its substep count."""
     cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
+    cfg["method"] = method
     t = cfg["time"]
     n_substeps = 2 * t.get("snapshot_stride", 1)
     t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
-    sc = load_scenario(cfg)
-    calls = count_metric_checks(monkeypatch)
+    return load_scenario(cfg), n_substeps
+
+
+def test_coupled_run_validates_each_new_metric_once(monkeypatch):
+    sc, n_substeps = short_coupled_scenario()
+    calls = count_calls(monkeypatch, geometry, "check_metric")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 3
     assert len(calls) <= n_substeps + 1
 
 
 def test_coupled_rk2_run_validates_midpoint_and_end_metrics(monkeypatch):
-    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
-    cfg["method"] = "rk2"
-    t = cfg["time"]
-    n_substeps = 2 * t.get("snapshot_stride", 1)
-    t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
-    sc = load_scenario(cfg)
-    calls = count_metric_checks(monkeypatch)
+    sc, n_substeps = short_coupled_scenario("rk2")
+    calls = count_calls(monkeypatch, geometry, "check_metric")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 3
     assert len(calls) == 2 * n_substeps + 1
@@ -376,8 +381,63 @@ def test_run_halts_on_degenerate_rk2_midpoint():
 
 def test_static_run_validates_its_metric_once(monkeypatch):
     sc = load_scenario("static_eigenmode")
-    calls = count_metric_checks(monkeypatch)
+    calls = count_calls(monkeypatch, geometry, "check_metric")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) > 2
     assert len(calls) == 1
     assert all(s.metric is traj.snapshots[0].metric for s in traj.snapshots)
+
+
+# ---------------------------------------------------------------------------
+# work done once per run: face coefficients, snapshot checks, Ricci
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_static_run_builds_face_coefficients_once(monkeypatch, method):
+    builds = []
+    real = geometry.MetricFields.faces.func
+
+    def counting(mf):
+        builds.append(mf)
+        return real(mf)
+
+    faces = functools.cached_property(counting)
+    faces.__set_name__(geometry.MetricFields, "faces")
+    monkeypatch.setattr(geometry.MetricFields, "faces", faces)
+    traj = run_scenario(load_scenario(tiny_static_cfg()), method=method)
+    assert traj.completed and len(traj.snapshots) == 5
+    assert builds == [traj.snapshots[0].metric]
+
+
+@pytest.mark.parametrize("scenario", ["static", "coupled"])
+def test_snapshot_constructor_checks_only_the_initial_snapshot(monkeypatch, scenario):
+    sc = load_scenario(tiny_static_cfg()) if scenario == "static" else short_coupled_scenario()[0]
+    checks = count_calls(monkeypatch, Snapshot, "__post_init__")
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) > 2
+    assert len(checks) == 1 and checks[0][0] is traj.snapshots[0]
+    # the public constructor still checks what it is given
+    last = traj.snapshots[-1]
+    with pytest.raises(BlowUpError, match="positive"):
+        Snapshot(last.t, last.g, last.phi, -last.u, last.metric)
+
+
+@pytest.mark.parametrize("method, per_substep", [("euler", 1), ("rk2", 2)])
+def test_run_evaluates_ricci_once_per_flow_stage_plus_one(monkeypatch, method, per_substep):
+    # each stored snapshot's Ricci tensor serves its constants and the next
+    # substep's flow; only the final snapshot's is not reused
+    sc, n_substeps = short_coupled_scenario(method)
+    calls = count_calls(monkeypatch, geometry, "ricci")
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) == 3
+    assert len(calls) == per_substep * n_substeps + 1
+    monkeypatch.undo()
+    for snap, constants in zip(traj.snapshots, traj.constants):
+        assert snapshot_constants(sc.grid, snap) == constants
+
+
+def test_static_run_evaluates_ricci_once(monkeypatch):
+    calls = count_calls(monkeypatch, geometry, "ricci")
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    assert traj.completed and len(traj.snapshots) == 5
+    assert len(calls) == 1

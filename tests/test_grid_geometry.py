@@ -12,7 +12,7 @@ import pytest
 
 from rhflow import geometry
 from rhflow.geometry import MetricDegenerateError
-from rhflow.grid import Grid
+from rhflow.grid import MAX_NODES, Grid, shift
 
 
 def flat_metric(grid):
@@ -46,6 +46,19 @@ def test_grid_validation():
         Grid(1, (16,), (-1.0,))
     with pytest.raises(ValueError):
         Grid(2, (16,), (1.0, 1.0))
+    with pytest.raises(ValueError, match="dim"):
+        Grid(True, (16,), (1.0,))
+    with pytest.raises(ValueError, match="n_points"):
+        Grid(1, (16.5,), (1.0,))
+    with pytest.raises(ValueError, match="lengths"):
+        Grid(1, (16,), (True,))
+    with pytest.raises(ValueError, match="lengths"):
+        Grid(1, (16,), (np.inf,))
+    Grid(1, (MAX_NODES,), (1.0,))
+    with pytest.raises(ValueError, match="limit"):
+        Grid(1, (MAX_NODES + 1,), (1.0,))
+    with pytest.raises(ValueError, match="limit"):
+        Grid(2, (10**9, 10**9), (1.0, 1.0))
 
 
 def test_grid_spacing_and_volume():
@@ -57,6 +70,22 @@ def test_grid_spacing_and_volume():
     ax0, ax1 = grid.axes()
     assert ax0[0] == 0.0 and np.isclose(ax0[-1], 1.0 - 1.0 / 16)
     assert len(ax1) == 32
+
+
+@pytest.mark.parametrize("dim, shape", [
+    (1, (9,)), (1, (9, 2)), (1, (8, 2, 2)),
+    (2, (9, 10)), (2, (9, 10, 3)), (2, (8, 10, 2, 2)),
+])
+@pytest.mark.parametrize("k", [1, -1])
+def test_shift_is_np_roll_bit_for_bit(dim, shape, k):
+    # node axes lead and trailing tensor axes ride along
+    a = np.random.default_rng(len(shape)).standard_normal(shape)
+    for axis in range(dim):
+        got = shift(a, k, axis)
+        assert got.dtype == a.dtype and not np.shares_memory(got, a)
+        assert np.array_equal(got, np.roll(a, k, axis=axis))
+    with pytest.raises(ValueError, match="one node"):
+        shift(a, 2, 0)
 
 
 def test_first_and_second_differences_exact_on_modes():

@@ -11,19 +11,21 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rhflow import harnack
+from rhflow import cli, harnack
 from rhflow.cli import _auto_pairs, main
 from rhflow.estimates import GateEmptyError, extract_constants, fit_cprime
 from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory
 from rhflow.grid import Grid
 from rhflow.harnack import (
     R_MAX_DEFAULT,
+    R_MAX_LIMIT,
     check_harnack,
     default_substeps,
     gamma_field,
@@ -441,6 +443,37 @@ def test_cli_pairs_wrap_out_of_range_nodes(eigenmode_dir, tmp_path, capsys):
     row = dict(zip(header, rows[1].split(",")))
     assert (row["x1"], row["x2"]) == (str(300 % 128), str(-5 % 128))
     assert row["substeps"] == str(default_substeps(Grid(1, (128,), (1.0,)), (44,), (123,)))
+
+
+@pytest.mark.parametrize("r_max", [0, R_MAX_LIMIT + 1, 2.0, True])
+def test_r_max_outside_its_range_is_refused(eigenmode_run, r_max):
+    x1, t1 = (0,), float(eigenmode_run.times[1])
+    t2 = float(eigenmode_run.times[-1])
+    with pytest.raises(ValueError, match=f"r_max must be an integer from 1 to {R_MAX_LIMIT}"):
+        gamma_inf(eigenmode_run, x1, (3,), t1, t2, r_max=r_max)
+    with pytest.raises(ValueError, match="r_max"):
+        gamma_field(eigenmode_run, x1, t1, t2, 32, r_max=r_max)
+    with pytest.raises(ValueError, match="^r_max"):  # not blamed on a pair
+        check_harnack(eigenmode_run, [(x1, t1, (3,), t2)], r_max=r_max)
+    assert gamma_inf(eigenmode_run, x1, (3,), t1, t2, r_max=R_MAX_LIMIT) > 0
+
+
+def test_cli_huge_r_max_exits_2_before_loading(monkeypatch, tmp_path, capsys):
+    def no_load(source):
+        raise AssertionError("the run was loaded")
+
+    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    tracemalloc.start()
+    try:
+        code = main(["check", "static_eigenmode", "--which", "harnack",
+                     "--r-max", str(10**12), "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err.startswith("--r-max: ") and str(10**12) in err
+    assert peak < 2**20
 
 
 def test_harnack_demo_runs():

@@ -10,6 +10,7 @@ content outside the run manifest).
 import hashlib
 import json
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -701,6 +702,88 @@ def test_cli_non_finite_alpha_is_a_config_error(tmp_path, capsys):
 def test_cli_scalar_n_points_is_a_config_error(tmp_path, capsys):
     cfg = tiny_cfg_with(grid={"dim": 1, "n_points": 64, "lengths": [1.0]})
     assert "grid.n_points" in _run_exit_2(tmp_path, capsys, cfg)
+
+
+def _edit_factor(key, value):
+    def edit(cfg):
+        cfg["initial"]["u"]["terms"][0]["factors"][0][key] = value
+    return edit
+
+
+def _heat_kernel_u(cfg):
+    cfg["initial"]["u"] = {"type": "heat_kernel", "t0": 0.01, "floor": 0.1}
+
+
+def _edit(path, value, prepare=None):
+    """A tiny_static_cfg edit setting the field at a dotted path."""
+    def edit(cfg):
+        if prepare is not None:
+            prepare(cfg)
+        *parents, last = path.split(".")
+        node = cfg
+        for key in parents:
+            node = node[key]
+        node[last] = value
+    return edit
+
+
+def _random_fourier_u(cfg):
+    cfg["seed"] = 3
+    cfg["initial"]["u"] = {"type": "random_fourier", "offset": 3.0, "amplitude": 0.05,
+                           "n_modes": 3}
+
+
+# (dotted path, edit): booleans and fractions where integers or numbers are
+# meant.  Before they were refused, each of these ran (as 64 nodes, stride 1,
+# length 1.0, dim 1, axis 0, k 1, ...) or, for dt_sub, failed with a
+# stability-bound message.
+BAD_FIELDS = [
+    ("grid.n_points", _edit("grid.n_points", [64.5])),
+    ("grid.dim", _edit("grid.dim", True)),
+    ("grid.lengths", _edit("grid.lengths", [True])),
+    ("time.snapshot_stride", _edit("time.snapshot_stride", True)),
+    ("time.dt_sub", _edit("time.dt_sub", True)),
+    ("initial.u.terms[0].factors[0].axis", _edit_factor("axis", 0.5)),
+    ("initial.u.terms[0].factors[0].k", _edit_factor("k", 1.5)),
+    ("initial.u.images", _edit("initial.u.images", 2.5, _heat_kernel_u)),
+    ("initial.u.n_modes", _edit("initial.u.n_modes", 2.5, _random_fourier_u)),
+    ("initial.u.n_modes", _edit("initial.u.n_modes", True, _random_fourier_u)),
+    ("initial.u.offset", _edit("initial.u.offset", True)),
+    ("variant.m", _edit("variant", {"kind": "warped_product", "m": 1.5})),
+    ("seed", _edit("seed", 2.5)),
+]
+
+
+@pytest.mark.parametrize("path, edit", BAD_FIELDS,
+                         ids=[f"{p}-{i}" for i, (p, _) in enumerate(BAD_FIELDS)])
+def test_cli_bools_and_fractions_are_config_errors(tmp_path, capsys, path, edit):
+    cfg = tiny_static_cfg()
+    edit(cfg)
+    error = _run_exit_2(tmp_path, capsys, cfg)
+    assert path in error and "stability" not in error
+
+
+@pytest.mark.parametrize("n_points", [[2**20 + 1], [10**6, 10**6], [10**12]])
+def test_cli_node_count_cap_is_a_config_error(tmp_path, capsys, n_points):
+    cfg = tiny_static_cfg()
+    cfg["grid"] = {"dim": len(n_points), "n_points": n_points, "lengths": [1.0] * len(n_points)}
+    tracemalloc.start()
+    try:
+        error = _run_exit_2(tmp_path, capsys, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert "grid.n_points" in error and "limit" in error
+    assert peak < 2**20  # not even one field of the refused grid was allocated
+
+
+def test_integral_floats_are_read_as_integers():
+    cfg = tiny_static_cfg()
+    cfg["grid"]["n_points"] = [32.0]
+    cfg["time"]["snapshot_stride"] = 10.0
+    sc = parse_scenario(cfg)
+    assert sc.grid.n_points == (32,) and sc.snapshot_stride == 10
+    assert type(sc.grid.n_points[0]) is int and type(sc.snapshot_stride) is int
 
 
 def test_cli_non_positive_initial_u_is_a_config_error(tmp_path, capsys):
