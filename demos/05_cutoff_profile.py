@@ -10,7 +10,7 @@ scale-free: the same numbers come out for any (rho, tau).
 Run:  python3 demos/05_cutoff_profile.py
 """
 
-from rhflow.cutoff import cutoff_build, cutoff_verify
+from rhflow.cutoff import CutoffFunction, cutoff_verify
 
 rho, tau = 1.5, 0.1
 cert = cutoff_verify(rho, tau, n_r=512, n_t=512)
@@ -35,7 +35,7 @@ print(f"rho=7.0, tau=0.55:  cbar={cert2['cbar_time']:.6f}, "
 
 print()
 print("== profile samples ==")
-psi = cutoff_build(rho, tau)
+psi = CutoffFunction(rho, tau)
 print("   r/rho    eta(r)        t/tau    zeta(t)")
 for k in range(7):
     r = rho * (0.3 + 0.12 * k)

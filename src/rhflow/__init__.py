@@ -6,7 +6,7 @@ gradient estimates and Harnack inequalities that govern it, with explicit
 hypothesis gates, empirical constants, and honest numeric tolerances.
 """
 
-from .cutoff import CutoffFunction, cutoff_build, cutoff_verify
+from .cutoff import CutoffFunction, cutoff_verify
 from .distance import flat_torus_distance, geodesic_distance
 from .estimates import (
     EstimateReport,
@@ -97,7 +97,6 @@ __all__ = [
     "check_local",
     "christoffel",
     "cprime_fallback",
-    "cutoff_build",
     "cutoff_verify",
     "eig_general",
     "energy_density",

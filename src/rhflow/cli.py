@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates, harnack, persistence
-from .cutoff import cutoff_verify
+from .cutoff import LATTICE_LIMIT, check_lattice, cutoff_verify
 from .estimates import GateEmptyError
 from .flow import Trajectory
 from .scenarios import load_scenario, run_scenario
@@ -95,18 +95,15 @@ def _run_check(args, traj: Trajectory):
         if args.rho is None:
             raise ValueError("--which local needs --rho")
         x0 = _parse_node(args.x0) if args.x0 else tuple(n // 2 for n in traj.grid.n_points)
-        consts = estimates.extract_constants(
-            traj, region=(x0, args.rho), tol_eig_factor=args.tol_eig
-        )
         cprime = args.cprime or estimates.fit_cprime(
-            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=1, constants=consts
+            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=1
         )
         cprime_sq = args.cprime_sq or estimates.fit_cprime(
-            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2, constants=consts
+            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2
         )
         report = estimates.check_local(
             traj, beta, args.rho, x0, cprime, cprime_sq,
-            c_tol=args.c_tol, tol_eig_factor=args.tol_eig, constants=consts,
+            c_tol=args.c_tol, tol_eig_factor=args.tol_eig,
         )
         if args.cprime is None:
             report.notes["cprime_fitted_in_sample"] = True
@@ -161,8 +158,17 @@ def cmd_run(args) -> int:
     return 0 if traj.completed else 1
 
 
+def _check_flag(flag: str, check, value) -> None:
+    """check(value), with a refusal blamed on the flag."""
+    try:
+        check(value)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
+
+
 def cmd_check(args, emit_plotdata: bool = False) -> int:
     if args.which == "cutoff":
+        _check_flag("--lattice", check_lattice, args.lattice)
         report = cutoff_verify(args.rho or 1.0, args.tau or 0.1, n_r=args.lattice, n_t=args.lattice)
         out = Path(args.out) if args.out else _output_root() / "cutoff"
         paths = persistence.save_report(report, out / "reports", "cutoff")
@@ -171,10 +177,10 @@ def cmd_check(args, emit_plotdata: bool = False) -> int:
     if not args.source:
         raise ValueError(f"--which {args.which} needs a scenario or run directory")
     if args.which == "harnack":
-        try:
-            harnack.check_r_max(args.r_max)
-        except ValueError as exc:
-            raise ValueError(f"--r-max: {exc}") from None
+        # refused before the run is loaded
+        _check_flag("--r-max", harnack.check_r_max, args.r_max)
+        if args.substeps is not None:
+            _check_flag("--substeps", harnack.check_substeps, args.substeps)
     traj = _get_trajectory(args.source)
     name = _source_name(args.source)
     report = _run_check(args, traj)
@@ -229,11 +235,13 @@ def main(argv=None) -> int:
                        help="drop the map-transport term from the Laplacian-rate identity")
         p.add_argument("--mode", choices=("compact", "complete"), default="compact")
         p.add_argument("--pairs", default=None, help="JSON file of [x1, t1, x2, t2] pairs")
-        p.add_argument("--substeps", type=int, default=None, help="path-energy layers")
+        p.add_argument("--substeps", type=int, default=None,
+                       help=f"path-energy layers, 1 to {harnack.SUBSTEPS_LIMIT}")
         p.add_argument("--r-max", type=int, default=harnack.R_MAX_DEFAULT,
                        help=f"path-energy moves per layer, 1 to {harnack.R_MAX_LIMIT} cells")
         p.add_argument("--tau", type=float, default=None, help="cutoff ramp time")
-        p.add_argument("--lattice", type=int, default=512, help="cutoff verification lattice")
+        p.add_argument("--lattice", type=int, default=512,
+                       help=f"cutoff verification lattice side, 2 to {LATTICE_LIMIT}")
 
     args = parser.parse_args(argv)
     try:

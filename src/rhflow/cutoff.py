@@ -16,7 +16,9 @@ estimate's integration-by-parts argument needs:
     |d2/dr2 Psi| <= C / rho^2
 
 All derivatives are exact formulas, not differences; `cutoff_verify`
-confirms the bounds on a dense lattice and fits the constants.
+confirms the bounds on a dense lattice and fits the constants.  Since the
+profile is a product, the lattice values are outer products of the factors
+evaluated once per r and once per t.
 """
 
 from __future__ import annotations
@@ -24,6 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+# Largest lattice side `cutoff_verify` accepts: a few (n_r, n_t) fields of
+# doubles are alive at once, 32 MB each at this size.
+LATTICE_LIMIT = 2048
 
 
 @dataclass(frozen=True)
@@ -102,8 +108,11 @@ class CutoffFunction:
         return self.eta_drr(r) * self.zeta(t)
 
 
-def cutoff_build(rho: float, tau: float) -> CutoffFunction:
-    return CutoffFunction(rho=rho, tau=tau)
+def check_lattice(n) -> None:
+    """Refuse a lattice side that is not an integer in [2, LATTICE_LIMIT]."""
+    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
+            or not 2 <= n <= LATTICE_LIMIT):
+        raise ValueError(f"lattice must be an integer from 2 to {LATTICE_LIMIT}, got {n!r}")
 
 
 def cutoff_verify(
@@ -121,19 +130,27 @@ def cutoff_verify(
     C_a for each requested exponent a) plus booleans for the support,
     range, and plateau requirements.  Fits use only points where Psi > 0;
     the profile decays faster than any power, so every C_a is finite.
+    n_r and n_t must be integers from 2 to LATTICE_LIMIT.
+
+    The radial factors are evaluated on the n_r radii and the temporal ones
+    on the n_t times; each lattice field is their outer product, equal bit
+    for bit to evaluating the product at every (r, t).
     """
-    cf = cutoff_build(rho, tau)
+    check_lattice(n_r)
+    check_lattice(n_t)
+    cf = CutoffFunction(rho=rho, tau=tau)
     r = np.linspace(0.0, r_max_factor * rho, n_r)
     t = np.linspace(0.0, t_max_factor * tau, n_t)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    psi = cf.value(R, T)
-    dpsi_dt = cf.dt(R, T)
-    dpsi_dr = cf.dr(R, T)
-    dpsi_drr = cf.drr(R, T)
+    eta, zeta = cf.eta(r), cf.zeta(t)
+    psi = np.multiply.outer(eta, zeta)
+    dpsi_dt = np.multiply.outer(eta, cf.zeta_dt(t))
+    dpsi_dr = np.multiply.outer(cf.eta_dr(r), zeta)
+    dpsi_drr = np.multiply.outer(cf.eta_drr(r), zeta)
 
-    inner = R <= 0.5 * rho
-    late = T >= tau
-    outside = R >= rho
+    shape = (n_r, n_t)
+    inner = np.broadcast_to((r <= 0.5 * rho)[:, None], shape)
+    late = np.broadcast_to((t >= tau)[None, :], shape)
+    outside = np.broadcast_to((r >= rho)[:, None], shape)
     pos = psi > 0.0
 
     report = {

@@ -1,0 +1,118 @@
+"""Derived fields of one trajectory, built on first use and shared by every check.
+
+Every check reads the same fields of a run: the Ricci tensor and the
+curvature bounds taken from it, f = log u with its time derivative and
+gradient square, and geodesic distance fields.  ``TrajectoryFields`` computes
+each of them once, when a check first asks for it, and keeps it for the
+next check:
+
+    ricci(i)      Ricci tensor of stored snapshot i, kept as its d(d+1)/2
+                  distinct components at interior snapshots (the only ones
+                  the identities read; the curvature bounds read every
+                  snapshot's once)
+    curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
+                  shape: the extreme eigenvalues of Ric relative to g and t
+                  times the largest eigenvalue of dphi (x) dphi relative to g
+    f_t(i)        centered difference of f = log u at interior snapshot i
+    grad_sq(i)    |grad f|^2 at snapshot i
+    distance(x0)  geodesic distance from x0 per snapshot, shape (S,) + grid
+                  shape, with one Dijkstra per distinct metric array (one in
+                  total on a static run)
+
+``log_u(i)``, f itself, costs one logarithm per node and is not kept.
+
+A trajectory reaches its layer as ``traj.derived``.  The layer lives as long
+as the trajectory, is never saved and takes no part in equality; a copy of
+the trajectory starts with an empty one.  Once every check has run it holds
+at most 8 node fields per stored snapshot in 2-D (Ricci 3, curvature 3,
+|grad f|^2 and f_t one each; Ricci and f_t at interior snapshots only) plus
+one per distance centre; in 1-D, at most 6 plus one per centre.  The snapshots must not be
+modified once it holds any of them.
+"""
+
+from __future__ import annotations
+
+import functools
+import weakref
+
+import numpy as np
+
+from . import distance, geometry
+
+
+class TrajectoryFields:
+    """Lazily computed, shared derived fields of one trajectory.
+
+    It refers to its trajectory only weakly (``owner``), so the two form no
+    reference cycle and are freed together as soon as the trajectory is
+    unreachable."""
+
+    def __init__(self, traj):
+        self.owner = weakref.ref(traj)
+        self.grid = traj.grid
+        self.snapshots = traj.snapshots
+        self.times = traj.times
+        self._ricci = {}
+        self._f_t = {}
+        self._grad_sq = {}
+        self._distance = {}
+
+    def ricci(self, i: int) -> np.ndarray:
+        kept = self._ricci.get(i)
+        if kept is not None:
+            if len(kept) == 1:
+                return kept[0][..., None, None]
+            r00, r01, r11 = kept
+            return np.stack([np.stack([r00, r01], axis=-1), np.stack([r01, r11], axis=-1)],
+                            axis=-2)
+        ric = geometry.ricci(self.grid, self.snapshots[i].metric)
+        if 0 < i < len(self.snapshots) - 1:
+            # exactly symmetric, so its upper triangle holds all of it
+            d = ric.shape[-1]
+            self._ricci[i] = tuple(ric[..., a, b].copy() for a in range(d) for b in range(a, d))
+        return ric
+
+    @functools.cached_property
+    def curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        grid = self.grid
+        S = len(self.snapshots)
+        lam_min = np.empty((S,) + grid.shape)
+        lam_max = np.empty((S,) + grid.shape)
+        t_lam_outer = np.empty((S,) + grid.shape)
+        for i, s in enumerate(self.snapshots):
+            lam_ric = geometry.eig_general(self.ricci(i), s.metric)
+            lam_min[i] = lam_ric[..., 0]
+            lam_max[i] = lam_ric[..., -1]
+            lam_out = geometry.eig_general(geometry.grad_phi_outer(grid, s.phi), s.metric)
+            t_lam_outer[i] = s.t * lam_out[..., -1]
+        return lam_min, lam_max, t_lam_outer
+
+    def log_u(self, i: int) -> np.ndarray:
+        return np.log(self.snapshots[i].u)
+
+    def f_t(self, i: int) -> np.ndarray:
+        """d/dt of f at an interior snapshot, centered over its neighbours."""
+        if not 0 < i < len(self.snapshots) - 1:
+            raise ValueError(f"f_t needs an interior snapshot, got index {i}")
+        if i not in self._f_t:
+            times = self.times
+            self._f_t[i] = ((self.log_u(i + 1) - self.log_u(i - 1))
+                            / (times[i + 1] - times[i - 1]))
+        return self._f_t[i]
+
+    def grad_sq(self, i: int) -> np.ndarray:
+        if i not in self._grad_sq:
+            s = self.snapshots[i]
+            self._grad_sq[i] = geometry.gradient_norm_sq(self.grid, s.metric, self.log_u(i))
+        return self._grad_sq[i]
+
+    def distance(self, x0) -> np.ndarray:
+        key = tuple(np.atleast_1d(x0).tolist())
+        if key not in self._distance:
+            grid, out, last_g, last_d = self.grid, [], None, None
+            for s in self.snapshots:
+                if last_g is None or not (s.g is last_g or np.array_equal(s.g, last_g)):
+                    last_g, last_d = s.g, distance.geodesic_distance(grid, s.g, key)
+                out.append(last_d)
+            self._distance[key] = np.stack(out)
+        return self._distance[key]

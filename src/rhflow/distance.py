@@ -18,12 +18,15 @@ quadrature error of the edge weights, so downstream consumers treating it as
 
 from __future__ import annotations
 
+import functools
+import math
+
 import numpy as np
-from scipy.sparse import coo_matrix
+from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .geometry import check_metric
-from .grid import Grid
+from .grid import Grid, shift
 
 # Worst-case overestimation factor of the 8-neighbor stencil on flat space.
 METRICATION_8 = 1.0 / np.cos(np.pi / 8.0)
@@ -40,22 +43,42 @@ def _stencil_offsets(dim: int) -> list[tuple[int, ...]]:
     ]
 
 
-def _edge_graph(grid: Grid, g: np.ndarray) -> coo_matrix:
-    n = grid.n_nodes
-    idx = np.arange(n).reshape(grid.shape)
-    rows, cols, weights = [], [], []
-    for off in _stencil_offsets(grid.dim):
-        nbr = np.roll(idx, shift=[-o for o in off], axis=tuple(range(grid.dim)))
-        gbar = 0.5 * (g + np.roll(g, shift=[-o for o in off], axis=tuple(range(grid.dim))))
-        delta = np.array([o * h for o, h in zip(off, grid.h)])
-        w = np.sqrt(np.einsum("i,...ij,j->...", delta, gbar, delta))
-        rows.append(idx.ravel())
-        cols.append(nbr.ravel())
-        weights.append(w.ravel())
-    return coo_matrix(
-        (np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+@functools.lru_cache(maxsize=8)
+def _graph_structure(shape: tuple) -> tuple:
+    """Row pointers and column indices of the stencil graph on a grid of
+    this shape in canonical CSR form (each row's columns ascending), and the
+    per-row order that sorts a node's stencil neighbours into it."""
+    dim = len(shape)
+    idx = np.arange(math.prod(shape)).reshape(shape)
+    offsets = _stencil_offsets(dim)
+    cols = np.stack(
+        [np.roll(idx, shift=[-o for o in off], axis=tuple(range(dim))).ravel()
+         for off in offsets],
+        axis=1,
     )
+    order = np.argsort(cols, axis=1, kind="stable").astype(np.int8)
+    indices = np.take_along_axis(cols, order, axis=1).ravel().astype(np.int32)
+    indptr = np.arange(0, indices.size + 1, len(offsets), dtype=np.int32)
+    return indptr, indices, order
+
+
+def _edge_graph(grid: Grid, g: np.ndarray) -> csr_matrix:
+    """The weighted stencil graph, built directly in canonical CSR form (the
+    form a COO assembly of the same edges converts to; grids have at least 8
+    nodes per axis, so no two stencil neighbours of a node coincide)."""
+    indptr, indices, order = _graph_structure(grid.shape)
+    weights = []
+    for off in _stencil_offsets(grid.dim):
+        g_nbr = g
+        for ax, o in enumerate(off):
+            if o:
+                g_nbr = shift(g_nbr, -o, ax)  # g at the neighbour x + off
+        gbar = 0.5 * (g + g_nbr)
+        delta = np.array([o * h for o, h in zip(off, grid.h)])
+        weights.append(np.sqrt(np.einsum("i,...ij,j->...", delta, gbar, delta)).ravel())
+    data = np.take_along_axis(np.stack(weights, axis=1), order, axis=1).ravel()
+    n = grid.n_nodes
+    return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
 def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
@@ -69,7 +92,7 @@ def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
     else:
         x0 = tuple(int(c) % n for c, n in zip(np.atleast_1d(x0), grid.n_points))
         source = int(np.ravel_multi_index(x0, grid.shape))
-    graph = _edge_graph(grid, g).tocsr()
+    graph = _edge_graph(grid, g)
     dist = dijkstra(graph, directed=False, indices=source)
     return dist.reshape(grid.shape)
 

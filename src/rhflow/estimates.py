@@ -16,10 +16,15 @@ dphi (x) dphi <= (C/t) g) and are echoed into every report.  Points where the
 nonnegative-curvature gate of the global estimate fails are excluded from
 assertions and counted, never silently dropped.
 
-Everything time-like uses centered differences over stored snapshots
-(one-sided at the trajectory ends), so the numeric tolerance of a report is
-``tol_num = c_tol * (h_max^2 + dt_snapshot) * scale`` with
+Everything time-like uses centered differences over stored snapshots and
+is evaluated at interior snapshots only, so the numeric tolerance of a
+report is ``tol_num = c_tol * (h_max^2 + dt_snapshot) * scale`` with
 ``scale = max |LHS|`` over the report.
+
+Every field a check reads (Ricci curvature and its eigenvalue bounds,
+f = log u, f_t, |grad f|^2, distance fields) comes from the trajectory's
+shared layer ``traj.derived`` (see the derived module), so running several
+checks on one trajectory computes each field once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .distance import geodesic_distance
 from .flow import Trajectory
 from .grid import Grid
 
@@ -42,34 +46,14 @@ class GateEmptyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# field plumbing
-
-
-def _log_fields(traj: Trajectory) -> list[np.ndarray]:
-    return [np.log(s.u) for s in traj.snapshots]
-
-
-def _time_derivative(fields: list[np.ndarray], times: np.ndarray) -> list[np.ndarray]:
-    """d/dt of a per-snapshot field: centered inside, one-sided at the ends."""
-    S = len(fields)
-    if S < 2:
-        raise ValueError("need at least 2 snapshots for a time derivative")
-    out = []
-    for i in range(S):
-        if i == 0:
-            out.append((fields[1] - fields[0]) / (times[1] - times[0]))
-        elif i == S - 1:
-            out.append((fields[-1] - fields[-2]) / (times[-1] - times[-2]))
-        else:
-            out.append((fields[i + 1] - fields[i - 1]) / (times[i + 1] - times[i - 1]))
-    return out
+# report snapshots and the Li-Yau quantity
 
 
 def _report_indices(times) -> list[int]:
     """Snapshot indices where estimates are evaluated: interior (so f_t is a
     centered, second-order difference) and t > 0 (where the bounds exist).
-    The trajectory ends use one-sided differences, whose first-order error
-    swamps near-sharp margins, so they are never asserted on."""
+    A one-sided difference at the trajectory ends would carry first-order
+    error that swamps near-sharp margins, so the ends are never reported."""
     S = len(times)
     keep = [i for i in range(1, S - 1) if times[i] > 0]
     if not keep:
@@ -77,21 +61,10 @@ def _report_indices(times) -> list[int]:
     return keep
 
 
-def distance_fields(traj: Trajectory, x0) -> np.ndarray:
-    """Geodesic distance from x0 at every snapshot, shape (S,) + grid.shape.
-
-    Cached on the trajectory object; ball masks and local checks reuse it.
-    """
-    key = tuple(np.atleast_1d(x0).tolist())
-    cache = getattr(traj, "_distance_cache", None)
-    if cache is None:
-        cache = {}
-        traj._distance_cache = cache
-    if key not in cache:
-        cache[key] = np.stack(
-            [geodesic_distance(traj.grid, s.g, key) for s in traj.snapshots]
-        )
-    return cache[key]
+def _liyau_lhs(traj: Trajectory, beta: float, keep) -> np.ndarray:
+    """|grad f|^2 - beta f_t at the snapshots in keep, stacked."""
+    d = traj.derived
+    return np.stack([d.grad_sq(i) - beta * d.f_t(i) for i in keep])
 
 
 # ---------------------------------------------------------------------------
@@ -138,25 +111,16 @@ def extract_constants(
 
     region, if given, is (x0, rho): constants are taken over the points with
     geodesic distance to x0 below rho at each snapshot.  Raises if the
-    region mask is empty.
+    region mask is empty.  The curvature fields come from ``traj.derived``;
+    a call masks them and takes the extremes.
     """
-    grid = traj.grid
-    S = len(traj.snapshots)
-    lam_min = np.empty((S,) + grid.shape)
-    lam_max = np.empty((S,) + grid.shape)
-    t_lam_outer = np.empty((S,) + grid.shape)
-    for i, s in enumerate(traj.snapshots):
-        lam_ric = geometry.eig_general(geometry.ricci(grid, s.metric), s.metric)
-        lam_min[i] = lam_ric[..., 0]
-        lam_max[i] = lam_ric[..., -1]
-        lam_out = geometry.eig_general(geometry.grad_phi_outer(grid, s.phi), s.metric)
-        t_lam_outer[i] = s.t * lam_out[..., -1]
+    lam_min, lam_max, t_lam_outer = traj.derived.curvature
     if region is None:
-        mask = np.ones((S,) + grid.shape, dtype=bool)
+        mask = np.ones(lam_min.shape, dtype=bool)
         region_desc = "all"
     else:
         x0, rho = region
-        mask = distance_fields(traj, x0) < rho
+        mask = traj.derived.distance(x0) < rho
         region_desc = f"ball(x0={tuple(np.atleast_1d(x0).tolist())}, rho={rho:g})"
         if not np.any(mask):
             raise GateEmptyError(f"region mask is empty: {region_desc}")
@@ -394,16 +358,9 @@ def check_global(
     grid = traj.grid
     if constants is None:
         constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
-    fs = _log_fields(traj)
     times = traj.times
-    fts = _time_derivative(fs, times)
     keep = _report_indices(times)
-    lhs = np.stack(
-        [
-            geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i]) - beta * fts[i]
-            for i in keep
-        ]
-    )
+    lhs = _liyau_lhs(traj, beta, keep)
     alpha0 = traj.schedule.alpha0
     n = grid.dim
     rhs_t = global_bound(constants.k2, n, constants.c_phi, alpha0, times[keep])
@@ -454,17 +411,10 @@ def check_local(
         constants = extract_constants(
             traj, region=(x0, rho), tol_eig_factor=tol_eig_factor
         )
-    fs = _log_fields(traj)
     times = traj.times
-    fts = _time_derivative(fs, times)
     keep = _report_indices(times)
-    lhs = np.stack(
-        [
-            geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i]) - beta * fts[i]
-            for i in keep
-        ]
-    )
-    gate = distance_fields(traj, x0)[keep] < 0.5 * rho
+    lhs = _liyau_lhs(traj, beta, keep)
+    gate = traj.derived.distance(x0)[keep] < 0.5 * rho
     if not np.any(gate):
         raise GateEmptyError("local-estimate gate (half ball) is empty on this run")
     n = grid.dim
@@ -529,14 +479,13 @@ def fit_cprime(
             raise ValueError("local fit needs rho and x0")
         if constants is None:
             constants = extract_constants(traj, region=(x0, rho))
-        gate_all = distance_fields(traj, x0) < 0.5 * rho
+        gate_all = traj.derived.distance(x0) < 0.5 * rho
     else:
         if constants is None:
             constants = extract_constants(traj)
         gate_all = np.ones((len(traj.snapshots),) + grid.shape, dtype=bool)
-    fs = _log_fields(traj)
+    d = traj.derived
     times = traj.times
-    fts = _time_derivative(fs, times)
     keep = _report_indices(times)
     k1, k2 = constants.k1, constants.k2
     kbar = max(k1, k2)
@@ -551,10 +500,7 @@ def fit_cprime(
             gate = gate_all[i]
             if not np.any(gate):
                 continue
-            lhs = (
-                geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i])
-                - beta * fts[i]
-            )
+            lhs = d.grad_sq(i) - beta * d.f_t(i)
             t = times[i]
             if shape == "local":
                 numer = lhs - n * beta * k1 / (4.0 * (beta - 1.0))
@@ -615,15 +561,15 @@ def identity_residuals(
     indices = [int(i) for i in indices]
     if any(i < 1 or i > S - 2 for i in indices):
         raise ValueError("indices must be interior snapshots (centered stencil)")
-    fs = _log_fields(traj)
+    d = traj.derived
     times = traj.times
-    fts = _time_derivative(fs, times)
-
-    def grad_sq(i):
-        return geometry.gradient_norm_sq(grid, traj.snapshots[i].metric, fs[i])
+    grad_sq = d.grad_sq
+    laps = {}
 
     def lap_f(i):
-        return geometry.laplace_beltrami(grid, traj.snapshots[i].metric, fs[i])
+        if i not in laps:
+            laps[i] = geometry.laplace_beltrami(grid, traj.snapshots[i].metric, d.log_u(i))
+        return laps[i]
 
     out = {name: [] for name in IDENTITY_NAMES}
     scales = {name: 0.0 for name in IDENTITY_NAMES}
@@ -634,20 +580,20 @@ def identity_residuals(
 
     for i in indices:
         snap = traj.snapshots[i]
-        g, phi, f = snap.metric, snap.phi, fs[i]
+        g, phi, f = snap.metric, snap.phi, d.log_u(i)
         dt_c = times[i + 1] - times[i - 1]
         ginv = geometry.metric_inverse(g)
         df = grid.partial(f)
         df_up = np.einsum("...ij,...j->...i", ginv, df)
         coup = traj.variant.coupling(traj.schedule, snap.t)
-        ric = geometry.ricci(grid, g)
+        ric = d.ricci(i)
         if traj.variant.kind == "static":
             s_tensor = np.zeros_like(snap.g)
         else:
             s_tensor = ric - coup * geometry.grad_phi_outer(grid, phi)
         hess = geometry.hessian(grid, g, f)
         lap = lap_f(i)
-        ft = fts[i]
+        ft = d.f_t(i)
 
         # 1: time derivative of the gradient square
         lhs1 = (grad_sq(i + 1) - grad_sq(i - 1)) / dt_c
@@ -785,20 +731,17 @@ def check_evolution_inequality(
     k1, k2, c_phi = constants.k1, constants.k2, constants.c_phi
     alpha0 = traj.schedule.alpha0
     n = grid.dim
-    fs = _log_fields(traj)
+    d = traj.derived
     times = traj.times
-    fts = _time_derivative(fs, times)
-    grad_sqs = [
-        geometry.gradient_norm_sq(grid, s.metric, f) for s, f in zip(traj.snapshots, fs)
-    ]
-    F = [t * (gs - beta * ft) for t, gs, ft in zip(times, grad_sqs, fts)]
     keep = [i for i in range(2, S - 2) if times[i] > 0]
     if not keep:
         raise ValueError("no interior snapshots with t > 0")
+    F = {j: times[j] * (d.grad_sq(j) - beta * d.f_t(j))
+         for j in {j for i in keep for j in (i - 1, i, i + 1)}}
     lhs_list, rhs_list = [], []
     for i in keep:
         snap = traj.snapshots[i]
-        g, f, t = snap.metric, fs[i], times[i]
+        g, f, t = snap.metric, d.log_u(i), times[i]
         dt_c = times[i + 1] - times[i - 1]
         ginv = geometry.metric_inverse(g)
         df = grid.partial(f)
@@ -806,7 +749,7 @@ def check_evolution_inequality(
         F_t = (F[i + 1] - F[i - 1]) / dt_c
         lhs = geometry.laplace_beltrami(grid, g, F[i]) - F_t
         grad_f_grad_F = np.einsum("...i,...i->...", df_up, grid.partial(F[i]))
-        gs, ft = grad_sqs[i], fts[i]
+        gs, ft = d.grad_sq(i), d.f_t(i)
         rhs = (
             -2.0 * grad_f_grad_F
             + (2.0 * a * beta * t / n) * (gs - ft) ** 2

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .derived import TrajectoryFields
 from .geometry import MetricDegenerateError, MetricFields, metric_fields
 from .grid import Grid
 
@@ -153,6 +154,8 @@ class Trajectory:
     ``dt`` is the spacing between stored snapshots; the integrator substep is
     ``dt / substride`` and is recorded separately.  ``constants`` holds the
     empirical curvature/map bounds per snapshot (see estimates module).
+    ``derived`` is the trajectory's lazily built field layer, which every
+    check reads (see the derived module).
     """
 
     grid: Grid
@@ -169,6 +172,14 @@ class Trajectory:
     @property
     def times(self) -> np.ndarray:
         return np.array([s.t for s in self.snapshots])
+
+    @property
+    def derived(self) -> TrajectoryFields:
+        layer = self.__dict__.get("_derived")
+        # none yet, a copy's, or one of a replaced snapshot list
+        if layer is None or layer.owner() is not self or layer.snapshots is not self.snapshots:
+            layer = self._derived = TrajectoryFields(self)
+        return layer
 
     @property
     def completed(self) -> bool:
@@ -207,18 +218,19 @@ def _new_metric(g: np.ndarray, t: float) -> MetricFields:
 
 
 def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi,
-              ric=None):
+              ric=None, faces=None):
     """Right-hand sides (dg/dt, dphi/dt) for the metric/map system; ``ric``
-    is the Ricci tensor of ``mf`` if the caller already has it."""
+    and ``faces`` are the Ricci tensor and Laplacian face coefficients of
+    ``mf`` if the caller already has them."""
     coup = variant.coupling(schedule, t)
     if ric is None:
         ric = geometry.ricci(grid, mf)
     outer = geometry.grad_phi_outer(grid, phi)
     dg = -2.0 * ric + (2.0 * coup) * outer
     if variant.kind == "warped_product":
-        dphi = geometry.tension_field(grid, mf, phi) - variant.mu * np.exp(-2.0 * phi)
+        dphi = geometry.tension_field(grid, mf, phi, faces) - variant.mu * np.exp(-2.0 * phi)
     else:
-        dphi = geometry.tension_field(grid, mf, phi)
+        dphi = geometry.tension_field(grid, mf, phi, faces)
     return dg, dphi
 
 
@@ -231,6 +243,7 @@ def step_flow(
     method: str = "euler",
     c_stab: float = C_STAB_DEFAULT,
     ric: np.ndarray | None = None,
+    faces: list | None = None,
 ) -> Snapshot:
     """Advance metric and map by one step; u is carried along unchanged.
 
@@ -239,8 +252,9 @@ def step_flow(
     Each new metric is validated once: one per Euler step, two per RK2 step
     (midpoint and end), none on the static variant.  The new map is checked
     for finiteness once, and not at all on the static variant, whose fields
-    are those of ``snap``.  ``ric``, the Ricci tensor of ``snap.metric``
-    when the caller already has it, spares its recomputation.
+    are those of ``snap``.  ``ric`` and ``faces``, the Ricci tensor and
+    Laplacian face coefficients of ``snap.metric`` when the caller already
+    has them, spare their recomputation.
     """
     t_new = snap.t + dt
     if variant.kind == "static":
@@ -249,11 +263,13 @@ def step_flow(
         raise ValueError("warped_product flow requires a single-component map")
     _require_stable(grid, snap.metric, dt, c_stab)
     if method == "euler":
-        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric)
+        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric,
+                             faces)
         g_new = snap.g + dt * dg
         phi_new = snap.phi + dt * dphi
     elif method == "rk2":
-        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric)
+        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric,
+                               faces)
         g_mid = snap.g + 0.5 * dt * dg1
         g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
         phi_mid = snap.phi + 0.5 * dt * dphi1
@@ -276,18 +292,23 @@ def step_heat(
     dt: float,
     method: str = "euler",
     c_stab: float = C_STAB_DEFAULT,
+    faces: list | None = None,
 ) -> np.ndarray:
     """One explicit heat step du/dt = Lap_g u with the snapshot's metric.
 
     Positivity is asserted, never clamped: a non-positive result raises.
+    ``faces``, the Laplacian face coefficients of ``snap.metric`` when the
+    caller already has them, spare their recomputation.
     """
     mf = snap.metric
     _require_stable(grid, mf, dt, c_stab)
+    if faces is None:
+        faces = geometry.laplacian_faces(mf)
     if method == "euler":
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, snap.u)
+        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, snap.u, faces)
     elif method == "rk2":
-        u_mid = snap.u + 0.5 * dt * geometry.laplace_beltrami(grid, mf, snap.u)
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, u_mid)
+        u_mid = snap.u + 0.5 * dt * geometry.laplace_beltrami(grid, mf, snap.u, faces)
+        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, u_mid, faces)
     else:
         raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
     if not (u_new > 0).all():
@@ -344,7 +365,10 @@ def run(
     checked again.  The Ricci tensor of each stored snapshot's metric is
     computed once, for its constants, and reused by the next substep's flow,
     so an Euler run evaluates it N + 1 times, an RK2 run 2N + 1 times and a
-    static run once.
+    static run once.  Likewise the loop holds the Laplacian face
+    coefficients of the current metric for the heat step and the map's
+    tension: built once per metric (once per static run), and kept on no
+    stored snapshot.
 
     On blow-up the partial trajectory is returned with ``halt_reason`` set
     and the failure time appended; callers decide whether that is an error.
@@ -368,19 +392,23 @@ def run(
     alphas = [float(schedule(initial.t))]
     halt = None
     current = initial
+    faces = None  # of current.metric, built on first use
     step_index = 0
     try:
         for _ in range(n_snaps):
             for _ in range(substride):
+                if faces is None:
+                    faces = geometry.laplacian_faces(current.metric)
                 # the flow update reads only g and phi, so it steps the
                 # pre-heat snapshot and the heated u is attached after
-                u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab)
+                u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab,
+                                  faces=faces)
                 nxt = step_flow(
                     grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab,
-                    ric=ric,
+                    ric=ric, faces=faces,
                 )
                 if nxt.metric is not current.metric:
-                    ric = None
+                    ric = faces = None
                 step_index += 1
                 # exact time bookkeeping: t derived from the step counter
                 t_exact = initial.t + step_index * dt_sub

@@ -22,11 +22,11 @@ Validate once: MetricFields
 holds what every operator needs: the components g_ij, the closed-form
 inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
 the nodes (which the stability bound reads).  The Laplacian's face
-coefficients are built from these on first use and kept, so every
-Laplacian applied with one MetricFields (all the heat steps of a static
-run) shares one set.  Every operator taking a metric accepts either a
-MetricFields or a raw array; a raw array is wrapped (and so validated) once
-on entry.  Code that applies several operators to one metric, like a flow
+coefficients (``laplacian_faces``) are not kept on it: a caller applying
+many Laplacians with one metric, like the stepping loop of a run (all the
+heat steps of a static run share one metric), builds them once and passes
+them in.  Every operator taking a metric accepts either a MetricFields or
+a raw array; a raw array is wrapped (and so validated) once on entry.  Code that applies several operators to one metric, like a flow
 substep, builds one MetricFields and passes it to all of them.  The wrapped
 array must not be modified afterwards.
 
@@ -114,11 +114,9 @@ class MetricFields:
 
     ``comp[i][j]`` and ``inv[i][j]`` are the node fields g_ij and g^{ij},
     ``sqrt_det`` is sqrt(det g) per node and ``min_eigenvalue`` the smallest
-    eigenvalue over all nodes.  ``faces`` (one node field per axis) is
-    built by the first Laplacian applied with this metric and then cached.
-    A trajectory keeps one MetricFields per stored snapshot, so only what
-    the operators read is kept: the mixed-term coefficient of the Laplacian
-    is recomputed per call rather than stored.
+    eigenvalue over all nodes.  A trajectory keeps one MetricFields per
+    stored snapshot, so only these are kept: the Laplacian's coefficients
+    are recomputed per call, or passed in by a caller that holds them.
     """
 
     def __init__(self, g: np.ndarray):
@@ -135,21 +133,21 @@ class MetricFields:
             self.inv = [[c[1][1] / det, off], [off, c[0][0] / det]]
         self.sqrt_det = np.sqrt(det)
 
-    @functools.cached_property
-    def faces(self) -> list:
-        """Laplacian face coefficients, one node field per axis i: the mean
-        1/2 (a_k + a_{k+1}) of a = sqrt(det g) g^{ii} over the face between
-        nodes k and k+1, stored at node k."""
-        out = []
-        for i in range(self.dim):
-            a = self.sqrt_det * self.inv[i][i]
-            out.append(0.5 * (a + shift(a, -1, i)))
-        return out
-
-
 def metric_fields(g) -> MetricFields:
     """``g`` itself if it is a MetricFields, else a new one built from the array."""
     return g if isinstance(g, MetricFields) else MetricFields(g)
+
+
+def laplacian_faces(g) -> list:
+    """Laplacian face coefficients, one node field per axis i: the mean
+    1/2 (a_k + a_{k+1}) of a = sqrt(det g) g^{ii} over the face between
+    nodes k and k+1, stored at node k."""
+    mf = metric_fields(g)
+    out = []
+    for i in range(mf.dim):
+        a = mf.sqrt_det * mf.inv[i][i]
+        out.append(0.5 * (a + shift(a, -1, i)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,14 +222,14 @@ def _partials(grid: Grid, s: np.ndarray) -> list:
     return [grid.d1(s, ax) for ax in range(grid.dim)]
 
 
-def _laplace(grid: Grid, mf: MetricFields, s: np.ndarray) -> np.ndarray:
+def _laplace(grid: Grid, mf: MetricFields, s: np.ndarray, faces: list) -> np.ndarray:
     w = mf.sqrt_det
 
     def term(i, j):
         if i != j:
             return grid.d1(w * mf.inv[i][j] * grid.d1(s, j), i)
         # face k sits between nodes k and k+1: mean coefficient, flux through it
-        flux = mf.faces[i] * (shift(s, -1, i) - s)
+        flux = faces[i] * (shift(s, -1, i) - s)
         return (flux - shift(flux, 1, i)) / (grid.h[i] * grid.h[i])
 
     return _sum(term(i, j) for i in range(grid.dim) for j in range(grid.dim)) / w
@@ -277,16 +275,18 @@ def scalar_curvature(grid: Grid, g) -> np.ndarray:
     return _trace_with(mf.inv, _ricci(grid, mf))
 
 
-def laplace_beltrami(grid: Grid, g, s: np.ndarray) -> np.ndarray:
+def laplace_beltrami(grid: Grid, g, s: np.ndarray, faces: list | None = None) -> np.ndarray:
     """Divergence-form Laplace-Beltrami operator applied to a scalar field.
 
     Diagonal terms use face-averaged coefficients with forward/backward
     differences; mixed terms use nested centered differences.  Summation by
     parts then gives exact discrete self-adjointness with respect to the
     sqrt(det g)-weighted inner product, and the nodewise integral
-    sum(Lap s * sqrt(det g) * h^n) telescopes to zero.
+    sum(Lap s * sqrt(det g) * h^n) telescopes to zero.  ``faces`` are the
+    metric's `laplacian_faces`, if the caller holds them.
     """
-    return _laplace(grid, metric_fields(g), s)
+    mf = metric_fields(g)
+    return _laplace(grid, mf, s, faces if faces is not None else laplacian_faces(mf))
 
 
 def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
@@ -336,10 +336,14 @@ def s_scalar(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
     return scalar_curvature(grid, mf) - alpha * energy_density(grid, mf, phi)
 
 
-def tension_field(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
-    """Tension field of a map into flat R^m: componentwise Laplace-Beltrami."""
+def tension_field(grid: Grid, g, phi: np.ndarray, faces: list | None = None) -> np.ndarray:
+    """Tension field of a map into flat R^m: componentwise Laplace-Beltrami.
+    ``faces`` are the metric's `laplacian_faces`, if the caller holds them."""
     mf = metric_fields(g)
-    return np.stack([_laplace(grid, mf, phi[..., m]) for m in range(phi.shape[-1])], axis=-1)
+    if faces is None:
+        faces = laplacian_faces(mf)
+    return np.stack([_laplace(grid, mf, phi[..., m], faces) for m in range(phi.shape[-1])],
+                    axis=-1)
 
 
 def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:

@@ -13,14 +13,15 @@ from one source to every node by dynamic programming over time layers, and
 restricted move set, so it can only overestimate the continuum value, which
 lowers the floor: the verified inequality is conservative, never optimistic.
 
-The dynamic program builds its edge costs once per floor snapshot, not once
-per layer: the snapshot index never decreases across layers, and only one
-snapshot's costs are alive at a time.  `check_harnack` runs one dynamic
-program per distinct (x1, t1, t2, layer count) and reads each pair's target
-from it.  Both keep the arithmetic of the one-pair, per-layer solver (the
-same roll, average, einsum and division for every edge cost, the same sums
-and minima per layer), so Gamma, the floors and the margins are bit-identical
-to it.
+`check_harnack` runs one dynamic program per distinct (x1, t1, t2, layer
+count) and reads each pair's target from it.  `gamma_fields` advances all
+of a call's programs in lockstep over the floor snapshots (the snapshot
+index never decreases across layers), so each floor snapshot's edge costs
+are built once per call, then divided by each program's layer length, and
+only one snapshot's costs are alive at a time.  Every program keeps the
+arithmetic of the one-pair, per-layer solver (the same average, einsum,
+division and roll for every edge cost, the same sums and minima per
+layer), so Gamma, the floors and the margins are bit-identical to it.
 
 Two floor recipes are wired in:
   compact   A1 = 1, A2 = sqrt(2) k n, A3 = n/2 + sqrt(2) n C alpha0, valid
@@ -41,10 +42,13 @@ from .flow import Trajectory
 
 R_MAX_DEFAULT = 2
 # Largest r_max accepted.  The edge costs of one floor snapshot hold
-# (2 r_max + 1)^dim - 1 node fields, 80 at this cap on a 2-D grid; nothing
-# in the package uses more than 3.
+# 3/2 ((2 r_max + 1)^dim - 1) node fields, 120 at this cap on a 2-D grid;
+# nothing in the package uses more than 3.
 R_MAX_LIMIT = 4
 SUBSTEPS_FLOOR = 32
+# Largest layer count accepted.  A dynamic program's time is linear in its
+# layer count; the defaults stay below 300 on every bundled scenario.
+SUBSTEPS_LIMIT = 4096
 
 
 def check_r_max(r_max) -> None:
@@ -53,6 +57,14 @@ def check_r_max(r_max) -> None:
     if (not isinstance(r_max, (int, np.integer)) or isinstance(r_max, bool)
             or not 1 <= r_max <= R_MAX_LIMIT):
         raise ValueError(f"r_max must be an integer from 1 to {R_MAX_LIMIT}, got {r_max!r}")
+
+
+def check_substeps(substeps) -> None:
+    """Refuse a layer count that is not an integer in [1, SUBSTEPS_LIMIT]."""
+    if (not isinstance(substeps, (int, np.integer)) or isinstance(substeps, bool)
+            or not 1 <= substeps <= SUBSTEPS_LIMIT):
+        raise ValueError(
+            f"substeps must be an integer from 1 to {SUBSTEPS_LIMIT}, got {substeps!r}")
 
 
 def _node_tuple(grid, x) -> tuple:
@@ -152,9 +164,8 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
     check_r_max(r_max)
     if substeps is None:
         substeps = default_substeps(traj.grid, x1, x2, r_max)
+    check_substeps(substeps)
     K = int(substeps)
-    if K < 1:
-        raise ValueError("substeps must be at least 1")
     if _cell_distance(traj.grid, x1, x2) > K * r_max:
         raise ValueError("target unreachable: cell distance exceeds K * r_max")
     return K
@@ -169,33 +180,101 @@ def _wrap_pad(a, wrap, bufs=None):
     return a
 
 
-def _move_costs(grid, g, r_max: int, ds: float, wrap, views) -> list:
-    """(view, cost) for every nonzero move `off` of at most r_max cells per
-    axis: cost[y] is the energy of the move y - off -> y over one layer of
-    length ds, costed with the endpoint-averaged metric g, and views[off]
+def _edge_costs(grid, g, wrap, views) -> list:
+    """(off, edge) for one of every pair of opposite nonzero moves `off`,
+    -off of at most r_max cells per axis: edge[x] times the layer length is
+    the energy of the move x -> x + off, costed with the endpoint-averaged
+    metric g, and the energy of its reverse x + off -> x.  views[off]
     selects entry y - off of an array padded by `_wrap_pad`.
 
-    A move and its reverse cross the same edge: the cost of x -> x + off,
-    stored at x, is the cost of x + off -> x, so one average of g and one
+    A move and its reverse cross the same edge, so one average of g and one
     einsum serve both.  The reversed delta only flips the sign of both
     factors of each product, which leaves every rounded product unchanged."""
-    axes = tuple(range(grid.dim))
     hvec = np.asarray(grid.h)
     g_pad = _wrap_pad(g, wrap)
     gbar = np.empty_like(g)
     out = []
-    for off, view in views.items():
+    for off in views:
         back = tuple(-o for o in off)
         if off <= back:
             continue
         delta = hvec * np.asarray(off, dtype=float)
         np.add(g, g_pad[views[back]], out=gbar)  # g at x + off
         np.multiply(0.5, gbar, out=gbar)
-        edge = np.einsum("...ij,i,j->...", gbar, delta, delta)
-        np.divide(edge, ds, out=edge)
-        out.append((view, np.roll(edge, shift=off, axis=axes)))
-        out.append((views[back], edge))
+        out.append((off, np.einsum("...ij,i,j->...", gbar, delta, delta)))
     return out
+
+
+def _move_costs(grid, edges, ds: float, views) -> list:
+    """(view, cost) for every nonzero move: cost[y] is the energy of the
+    move y - off -> y over one layer of length ds, and view selects entry
+    y - off of the padded cost array.  The cost of x -> x + off, stored at
+    x, is the edge divided by ds; rolled by off it is stored at x + off,
+    and unrolled it is the cost of the reverse move into x."""
+    axes = tuple(range(grid.dim))
+    out = []
+    for off, edge in edges:
+        cost = edge / ds
+        out.append((views[off], np.roll(cost, shift=off, axis=axes)))
+        out.append((views[tuple(-o for o in off)], cost))
+    return out
+
+
+def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list:
+    """`gamma_field` of every program (x1, t1, t2, substeps), x1 a node
+    tuple, all advanced in lockstep over the floor snapshots.
+
+    Each floor snapshot's edge costs are built once, when the first program
+    reaches it, and freed before the next snapshot's; programs sharing a
+    layer length share one division of them.  Alive at a time: one node
+    field per program, the padded cost, and one snapshot's costs: half the
+    moves' worth of unscaled edges and the scaled costs of every move for
+    one layer length.  Only r_max is checked here.
+    """
+    check_r_max(r_max)
+    grid = traj.grid
+    times = traj.times
+    shape = grid.shape
+    wrap = [np.arange(-r_max, n + r_max) % n for n in shape]
+    views = {
+        off: tuple(slice(r_max - o, r_max - o + n) for o, n in zip(off, shape))
+        for off in product(range(-r_max, r_max + 1), repeat=grid.dim)
+    }
+    bufs, pad_shape = [], list(shape)
+    for ax in range(grid.dim):
+        pad_shape[ax] += 2 * r_max
+        bufs.append(np.empty(pad_shape))
+    costs, steps, layers = [], [], {}  # layers[snapshot][program] = count
+    for p, (x1, t1, t2, K) in enumerate(programs):
+        cost = np.full(shape, np.inf)
+        cost[x1] = 0.0
+        costs.append(cost)
+        ds = (t2 - t1) / K
+        steps.append(ds)
+        for k in range(K):
+            at = layers.setdefault(_floor_snapshot_index(times, t1 + k * ds), {})
+            at[p] = at.get(p, 0) + 1
+    spare = np.empty(shape)
+    cand = np.empty(shape)
+    for idx in sorted(layers):
+        edges = moves = None  # free the previous snapshot's costs first
+        edges = _edge_costs(grid, traj.snapshots[idx].g, wrap, views)
+        step = None
+        for p in sorted(layers[idx], key=steps.__getitem__):
+            if steps[p] != step:
+                moves = None
+                step = steps[p]
+                moves = _move_costs(grid, edges, step, views)
+            cost = costs[p]
+            for _ in range(layers[idx][p]):
+                padded = _wrap_pad(cost, wrap, bufs)
+                np.copyto(spare, cost)
+                for view, move in moves:
+                    np.add(padded[view], move, out=cand)
+                    np.minimum(spare, cand, out=spare)
+                cost, spare = spare, cost
+            costs[p] = cost
+    return costs
 
 
 def gamma_field(
@@ -215,44 +294,12 @@ def gamma_field(
     r_max is checked here; the other arguments are trusted: `gamma_inf` and
     `check_harnack` validate a request before they run it.
 
-    Edge costs are built only when the floor snapshot changes and hold
-    (2 r_max + 1)^dim - 1 node fields.  Each layer pads the cost array
-    periodically once and adds each move's costs to a view of it.
+    Edge costs are built only when the floor snapshot changes (see
+    `gamma_fields`).  Each layer pads the cost array periodically once and
+    adds each move's costs to a view of it.
     """
-    check_r_max(r_max)
-    grid = traj.grid
-    x1 = _node_tuple(grid, x1)
-    K = int(substeps)
-    ds = (t2 - t1) / K
-    times = traj.times
-    shape = grid.shape
-    wrap = [np.arange(-r_max, n + r_max) % n for n in shape]
-    views = {
-        off: tuple(slice(r_max - o, r_max - o + n) for o, n in zip(off, shape))
-        for off in product(range(-r_max, r_max + 1), repeat=grid.dim)
-    }
-    bufs, pad_shape = [], list(shape)
-    for ax in range(grid.dim):
-        pad_shape[ax] += 2 * r_max
-        bufs.append(np.empty(pad_shape))
-    cost = np.full(shape, np.inf)
-    cost[x1] = 0.0
-    best = np.empty(shape)
-    cand = np.empty(shape)
-    snap, moves = None, None
-    for k in range(K):
-        idx = _floor_snapshot_index(times, t1 + k * ds)
-        if idx != snap:
-            moves = None  # free the previous snapshot's costs first
-            moves = _move_costs(grid, traj.snapshots[idx].g, r_max, ds, wrap, views)
-            snap = idx
-        padded = _wrap_pad(cost, wrap, bufs)
-        np.copyto(best, cost)
-        for view, move in moves:
-            np.add(padded[view], move, out=cand)
-            np.minimum(best, cand, out=best)
-        cost, best = best, cost
-    return cost
+    x1 = _node_tuple(traj.grid, x1)
+    return gamma_fields(traj, [(x1, t1, t2, int(substeps))], r_max)[0]
 
 
 def gamma_inf(
@@ -362,9 +409,11 @@ def check_harnack(
     and a C' (fit one with `estimates.fit_cprime(..., shape="harnack")`).
     Margins are compared in log domain.  Each pair is [x1, t1, x2, t2] with
     integer nodes of the grid's dimension and finite times that coincide
-    with stored snapshots; a malformed pair is a ValueError naming its
-    index.  Pairs that share (x1, t1, t2) and the layer count share one
-    `gamma_field`; each row records the layer count it used as `substeps`.
+    with stored snapshots; a malformed pair, or one whose floor underflows
+    to 0 (or overflows), is a ValueError naming its index.  Pairs that
+    share (x1, t1, t2) and the layer count share one dynamic program (see
+    `gamma_fields`); each row records the layer count it used as
+    `substeps`.
     """
     if mode not in ("compact", "complete"):
         raise ValueError("mode must be 'compact' or 'complete'")
@@ -415,20 +464,25 @@ def check_harnack(
     sources = {}
     for j, (x1, i1, _, i2, K) in enumerate(requests):
         sources.setdefault((x1, i1, i2, K), []).append(j)
+    programs = [(x1, traj.snapshots[i1].t, traj.snapshots[i2].t, K)
+                for x1, i1, i2, K in sources]
     gammas = [0.0] * len(requests)
-    for (x1, i1, i2, K), members in sources.items():
-        field = gamma_field(traj, x1, traj.snapshots[i1].t, traj.snapshots[i2].t,
-                            K, r_max)
+    for field, members in zip(gamma_fields(traj, programs, r_max), sources.values()):
         for j in members:
             gammas[j] = float(field[requests[j][2]])
 
     results = []
     lhs_abs, rhs_abs = [0.0], [0.0]
-    for (x1, i1, x2, i2, K), gamma in zip(requests, gammas):
+    for i, ((x1, i1, x2, i2, K), gamma) in enumerate(zip(requests, gammas)):
         s1, s2 = traj.snapshots[i1], traj.snapshots[i2]
         u1 = float(s1.u[x1])
         u2 = float(s2.u[x2])
         floor = harnack_floor(u1, s1.t, s2.t, gamma, a1, a2, a3)
+        if not 0.0 < floor < np.inf:  # its log margin would not be finite
+            raise ValueError(
+                f"pair {i}: Harnack floor {float(floor)!r} is not a positive finite "
+                f"number (gamma = {gamma:g} over {K} layers)"
+            )
         lhs = np.log(u2) - np.log(u1)
         rhs = np.log(floor) - np.log(u1)
         lhs_abs.append(abs(lhs))

@@ -3,12 +3,13 @@
 A scenario pins everything a run needs: grid, flow variant, coupling
 schedule, initial data profiles, time window, substep, snapshot stride and
 integrator.  Loading is strict: unknown fields are rejected by dotted
-path, numbers must be finite and never booleans, integer fields (dim,
-n_points, snapshot_stride, axis, k, images, n_modes, m, seed) must hold
-integral values, the grid may have at most ``grid.MAX_NODES`` nodes, and
-the substep is checked against the explicit stability bound of the initial
-metric at load time, not step time.  Each of these errors names the
-field's dotted path.
+path, specs, terms and factors must be objects and ``terms``, ``factors``
+and ``components`` lists, numbers must be finite and never booleans,
+integer fields (dim, n_points, snapshot_stride, axis, k, images, n_modes,
+m, seed) must hold integral values, the grid may have at most
+``grid.MAX_NODES`` nodes, and the substep is checked against the explicit
+stability bound of the initial metric at load time, not step time.  Each
+of these errors names the field's dotted path.
 
 Initial data comes from a small typed catalog.  Scalar fields (u, map
 components, conformal exponents) are built from:
@@ -55,8 +56,25 @@ from .grid import Grid
 _FN = {"cos": np.cos, "sin": np.sin}
 
 
+def _object(d, path: str) -> dict:
+    """d itself if it is a JSON object, else a ValueError naming the path."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{path or 'scenario'} must be an object, got {d!r}")
+    return d
+
+
+def _list(raw, path: str) -> list:
+    """raw itself if it is a list (or tuple), else a ValueError naming the
+    path."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{path} must be a list, got {raw!r}")
+    return raw
+
+
 def _check_keys(d: dict, allowed: dict, path: str) -> None:
-    """allowed maps key -> required(bool); rejects unknown keys by path."""
+    """allowed maps key -> required(bool); rejects a non-object and unknown
+    keys by path."""
+    _object(d, path)
     for key in d:
         if key not in allowed:
             raise ValueError(f"unknown field '{path}.{key}'" if path else f"unknown field '{key}'")
@@ -111,11 +129,11 @@ def _per_axis(spec: dict, key: str, path: str, kind) -> tuple:
 def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
     coords = grid.coords()
     total = np.zeros(grid.shape)
-    for i, term in enumerate(terms):
+    for i, term in enumerate(_list(terms, f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
         _check_keys(term, {"coeff": False, "factors": True}, tpath)
         prod = np.full(grid.shape, _finite(term, "coeff", tpath, 1.0))
-        for j, fac in enumerate(term["factors"]):
+        for j, fac in enumerate(_list(term["factors"], f"{tpath}.factors")):
             fpath = f"{tpath}.factors[{j}]"
             _check_keys(fac, {"axis": True, "fn": True, "k": True}, fpath)
             axis = _int_field(fac, "axis", fpath)
@@ -134,7 +152,7 @@ def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
 
 
 def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
-    kind = spec.get("type")
+    kind = _object(spec, path).get("type")
     if kind == "constant":
         _check_keys(spec, {"type": True, "value": True}, path)
         return np.full(grid.shape, _finite(spec, "value", path))
@@ -203,7 +221,7 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
 
 
 def _eval_metric(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
-    kind = spec.get("type")
+    kind = _object(spec, path).get("type")
     eye = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim, grid.dim)).copy()
     if kind == "flat":
         _check_keys(spec, {"type": True}, path)
@@ -289,14 +307,14 @@ def parse_scenario(cfg: dict) -> Scenario:
     except ValueError as exc:
         raise ValueError(f"grid.{exc}") from None
 
-    vspec = dict(cfg.get("variant", {"kind": "rh_alpha"}))
+    vspec = dict(_object(cfg.get("variant", {"kind": "rh_alpha"}), "variant"))
     _check_keys(vspec, {"kind": True, "m": False, "mu": False}, "variant")
     variant = FlowVariant(
         kind=vspec["kind"], m=_int_field(vspec, "m", "variant", 1),
         mu=_finite(vspec, "mu", "variant", 0.0),
     )
 
-    aspec = dict(cfg.get("alpha", {"alpha0": 0.0}))
+    aspec = dict(_object(cfg.get("alpha", {"alpha0": 0.0}), "alpha"))
     _check_keys(
         aspec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, "alpha"
     )
@@ -342,7 +360,7 @@ def parse_scenario(cfg: dict) -> Scenario:
     _check_keys(init, {"metric": True, "phi": False, "u": True}, "initial")
     if "phi" in init:
         _check_keys(init["phi"], {"components": True}, "initial.phi")
-        if not init["phi"]["components"]:
+        if not _list(init["phi"]["components"], "initial.phi.components"):
             raise ValueError("initial.phi.components must not be empty")
 
     sc = Scenario(

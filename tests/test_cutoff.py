@@ -9,7 +9,7 @@ constant is exactly 2 and any excess is a bug, not discretization.
 import numpy as np
 import pytest
 
-from rhflow.cutoff import CutoffFunction, cutoff_build, cutoff_verify
+from rhflow.cutoff import LATTICE_LIMIT, CutoffFunction, cutoff_verify
 
 
 def test_validation():
@@ -17,11 +17,10 @@ def test_validation():
         CutoffFunction(0.0, 0.1)
     with pytest.raises(ValueError):
         CutoffFunction(1.0, -0.1)
-    assert isinstance(cutoff_build(1.0, 0.1), CutoffFunction)
 
 
 def test_time_ramp_values_and_left_derivative():
-    c = cutoff_build(1.0, 0.2)
+    c = CutoffFunction(1.0, 0.2)
     assert c.zeta(0.0) == 0.0
     assert np.isclose(c.zeta(0.1), 0.25)
     assert c.zeta(0.2) == 1.0
@@ -36,7 +35,7 @@ def test_time_ramp_values_and_left_derivative():
 
 
 def test_radial_plateau_support_and_range():
-    c = cutoff_build(2.0, 0.1)
+    c = CutoffFunction(2.0, 0.1)
     rs_inner = np.linspace(0.0, 1.0, 12)     # r <= rho/2
     np.testing.assert_array_equal(c.eta(rs_inner), np.ones(12))
     rs_outer = np.linspace(2.0, 3.0, 7)      # r >= rho
@@ -48,7 +47,7 @@ def test_radial_plateau_support_and_range():
 
 
 def test_radial_derivatives_match_finite_differences():
-    c = cutoff_build(1.5, 0.1)
+    c = CutoffFunction(1.5, 0.1)
     # probe strictly inside the transition band, away from its endpoints
     rs = np.linspace(0.80, 1.40, 41)
     eps = 1e-6
@@ -62,7 +61,7 @@ def test_radial_derivatives_match_finite_differences():
 
 
 def test_product_structure():
-    c = cutoff_build(1.0, 0.2)
+    c = CutoffFunction(1.0, 0.2)
     r, t = 0.6, 0.1
     assert np.isclose(c.value(r, t), c.eta(r) * c.zeta(t))
     assert np.isclose(c.dt(r, t), c.eta(r) * c.zeta_dt(t))
@@ -93,3 +92,53 @@ def test_verify_constants_scale_free():
     assert np.isclose(a["c_r1"], b["c_r1"], rtol=1e-12)
     assert np.isclose(a["c_r2"], b["c_r2"], rtol=1e-12)
     assert np.isclose(a["cbar_time"], b["cbar_time"], rtol=1e-12)
+
+
+def verify_on_2d_lattice(rho, tau, n_r, n_t, exponents=(0.25, 0.5, 0.75)):
+    """The certificate with every factor evaluated on the full (r, t)
+    lattice, as the product form reads; the oracle for the separable
+    evaluation in cutoff_verify."""
+    cf = CutoffFunction(rho, tau)
+    r = np.linspace(0.0, 1.25 * rho, n_r)
+    t = np.linspace(0.0, 2.0 * tau, n_t)
+    R, T = np.meshgrid(r, t, indexing="ij")
+    psi, dpsi_dt, dpsi_dr, dpsi_drr = cf.value(R, T), cf.dt(R, T), cf.dr(R, T), cf.drr(R, T)
+    inner, late, outside, pos = R <= 0.5 * rho, T >= tau, R >= rho, psi > 0.0
+    report = {
+        "rho": rho, "tau": tau, "n_r": n_r, "n_t": n_t,
+        "range_ok": bool(np.all((psi >= 0.0) & (psi <= 1.0))),
+        "plateau_ok": bool(np.all(psi[inner & late] == 1.0)),
+        "support_ok": bool(np.all(psi[outside] == 0.0)) and bool(np.all(cf.value(r, 0.0) == 0.0)),
+        "dr_zero_inner_ok": bool(np.all(dpsi_dr[inner] == 0.0)),
+        "monotone_r_ok": bool(np.all(dpsi_dr <= 0.0)),
+    }
+    cbar = np.max(np.abs(dpsi_dt[pos]) * tau / np.sqrt(psi[pos]))
+    report["cbar_time"] = float(cbar)
+    report["cbar_time_ok"] = bool(cbar <= 2.0 + 1e-9)
+    report["c_r1"] = float(np.max(np.abs(dpsi_dr)) * rho)
+    report["c_r2"] = float(np.max(np.abs(dpsi_drr)) * rho**2)
+    report["c_a"] = {float(a): float(np.max(np.abs(dpsi_dr[pos]) * rho / psi[pos] ** a))
+                     for a in exponents}
+    return report
+
+
+@pytest.mark.parametrize("rho, tau, n_r, n_t", [
+    (1.0, 0.1, 512, 512),
+    (0.3, 0.05, 97, 64),
+    (2.5, 0.7, 2, 2),
+    (0.7, 0.2, 200, 9),
+    (7.0, 0.55, 33, 300),
+])
+def test_separable_verify_equals_the_2d_lattice_bit_for_bit(rho, tau, n_r, n_t):
+    got = cutoff_verify(rho, tau, n_r=n_r, n_t=n_t)
+    want = verify_on_2d_lattice(rho, tau, n_r, n_t)
+    assert {k: got[k] for k in want} == want
+    assert got["c_a"] == want["c_a"]  # dict equality on floats is bitwise here
+
+
+@pytest.mark.parametrize("n", [0, 1, LATTICE_LIMIT + 1, 10**9, 2.0, True])
+def test_lattice_outside_its_range_is_refused(n):
+    with pytest.raises(ValueError, match=f"lattice must be an integer from 2 to {LATTICE_LIMIT}"):
+        cutoff_verify(1.0, 0.1, n_r=n, n_t=64)
+    with pytest.raises(ValueError, match="lattice"):
+        cutoff_verify(1.0, 0.1, n_r=64, n_t=n)

@@ -8,8 +8,16 @@ directions are exact.
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import dijkstra
 
-from rhflow.distance import METRICATION_8, flat_torus_distance, geodesic_distance
+from rhflow.distance import (
+    METRICATION_8,
+    _edge_graph,
+    _stencil_offsets,
+    flat_torus_distance,
+    geodesic_distance,
+)
 from rhflow.grid import Grid
 
 
@@ -103,3 +111,36 @@ def test_source_index_wraps():
     d0 = geodesic_distance(grid, g, (0,))
     d16 = geodesic_distance(grid, g, (16,))
     assert np.array_equal(d0, d16)
+
+
+def coo_edge_graph(grid, g):
+    """The stencil graph assembled edge list first, as a COO matrix converted
+    to CSR: the reference for the direct CSR assembly."""
+    n = grid.n_nodes
+    idx = np.arange(n).reshape(grid.shape)
+    axes = tuple(range(grid.dim))
+    rows, cols, weights = [], [], []
+    for off in _stencil_offsets(grid.dim):
+        back = [-o for o in off]
+        gbar = 0.5 * (g + np.roll(g, shift=back, axis=axes))
+        delta = np.array([o * h for o, h in zip(off, grid.h)])
+        rows.append(idx.ravel())
+        cols.append(np.roll(idx, shift=back, axis=axes).ravel())
+        weights.append(np.sqrt(np.einsum("i,...ij,j->...", delta, gbar, delta)).ravel())
+    return coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
+                      shape=(n, n)).tocsr()
+
+
+@pytest.mark.parametrize("shape", [(8,), (37,), (8, 8), (9, 13), (16, 10)])
+def test_csr_graph_equals_the_coo_assembly_bit_for_bit(shape):
+    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+    grid = Grid(len(shape), shape, tuple(1.0 + 0.5 * i for i in range(len(shape))))
+    d = grid.dim
+    a = 0.3 * rng.standard_normal(shape + (d, d))
+    g = np.eye(d) + a @ np.swapaxes(a, -1, -2)
+    got, want = _edge_graph(grid, g), coo_edge_graph(grid, g)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    for source in (0, grid.n_nodes // 2):
+        np.testing.assert_array_equal(dijkstra(got, directed=False, indices=source),
+                                      dijkstra(want, directed=False, indices=source))

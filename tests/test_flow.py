@@ -7,7 +7,6 @@ metric an explicit Euler heat step multiplies a sampled sine mode by exactly
 a closed-form final state.
 """
 
-import functools
 import json
 
 import numpy as np
@@ -15,6 +14,7 @@ import pytest
 
 from tiny_configs import tiny_static_cfg
 from rhflow import geometry
+from rhflow.estimates import check_identities
 from rhflow.flow import (
     AlphaSchedule,
     BlowUpError,
@@ -394,19 +394,30 @@ def test_static_run_validates_its_metric_once(monkeypatch):
 
 @pytest.mark.parametrize("method", ["euler", "rk2"])
 def test_static_run_builds_face_coefficients_once(monkeypatch, method):
-    builds = []
-    real = geometry.MetricFields.faces.func
-
-    def counting(mf):
-        builds.append(mf)
-        return real(mf)
-
-    faces = functools.cached_property(counting)
-    faces.__set_name__(geometry.MetricFields, "faces")
-    monkeypatch.setattr(geometry.MetricFields, "faces", faces)
+    builds = count_calls(monkeypatch, geometry, "laplacian_faces")
     traj = run_scenario(load_scenario(tiny_static_cfg()), method=method)
     assert traj.completed and len(traj.snapshots) == 5
-    assert builds == [traj.snapshots[0].metric]
+    assert [args[0] for args in builds] == [traj.snapshots[0].metric]
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_coupled_run_builds_face_coefficients_once_per_flow_stage(monkeypatch, method):
+    # the loop's faces serve the heat step and the tension of one metric;
+    # an RK2 step also builds the midpoint metric's
+    sc, n_substeps = short_coupled_scenario(method)
+    builds = count_calls(monkeypatch, geometry, "laplacian_faces")
+    traj = run_scenario(sc)
+    assert traj.completed
+    assert len(builds) == (1 if method == "euler" else 2) * n_substeps
+
+
+@pytest.mark.parametrize("scenario", ["static", "coupled"])
+def test_stored_snapshots_keep_no_laplacian_faces(scenario):
+    sc = load_scenario(tiny_static_cfg()) if scenario == "static" else short_coupled_scenario()[0]
+    traj = run_scenario(sc)
+    check_identities(traj)  # applies Laplacians with every stored metric
+    kept = {"min_eigenvalue", "g", "dim", "comp", "inv", "sqrt_det"}
+    assert all(set(vars(s.metric)) == kept for s in traj.snapshots)
 
 
 @pytest.mark.parametrize("scenario", ["static", "coupled"])

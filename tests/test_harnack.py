@@ -26,6 +26,7 @@ from rhflow.grid import Grid
 from rhflow.harnack import (
     R_MAX_DEFAULT,
     R_MAX_LIMIT,
+    SUBSTEPS_LIMIT,
     check_harnack,
     default_substeps,
     gamma_field,
@@ -386,14 +387,15 @@ def test_rows_record_the_layer_count_each_pair_used(eigenmode_run):
 
 
 def test_one_dynamic_program_per_source(eigenmode_run, monkeypatch):
+    # check_harnack hands all of its programs to one lockstep gamma_fields
     calls = []
-    field_dp = harnack.gamma_field
+    fields_dp = harnack.gamma_fields
 
-    def counting(traj, x1, t1, t2, substeps, r_max=R_MAX_DEFAULT):
-        calls.append((x1, t1, t2, substeps))
-        return field_dp(traj, x1, t1, t2, substeps, r_max)
+    def counting(traj, programs, r_max=R_MAX_DEFAULT):
+        calls.extend(programs)
+        return fields_dp(traj, programs, r_max)
 
-    monkeypatch.setattr(harnack, "gamma_field", counting)
+    monkeypatch.setattr(harnack, "gamma_fields", counting)
     pairs = eigenmode_pairs()
     rep = check_harnack(eigenmode_run, pairs, mode="compact")
     grid = eigenmode_run.grid
@@ -474,6 +476,52 @@ def test_cli_huge_r_max_exits_2_before_loading(monkeypatch, tmp_path, capsys):
     err = json.loads(capsys.readouterr().out)["error"]
     assert err.startswith("--r-max: ") and str(10**12) in err
     assert peak < 2**20
+
+
+@pytest.mark.parametrize("substeps", [0, -1, SUBSTEPS_LIMIT + 1, 2.5, True])
+def test_substeps_outside_their_range_are_refused(eigenmode_run, substeps):
+    x1, t1 = (0,), float(eigenmode_run.times[1])
+    t2 = float(eigenmode_run.times[-1])
+    match = f"substeps must be an integer from 1 to {SUBSTEPS_LIMIT}"
+    with pytest.raises(ValueError, match=match):
+        gamma_inf(eigenmode_run, x1, (3,), t1, t2, substeps=substeps)
+    with pytest.raises(ValueError, match=f"^pair 0: {match}"):
+        check_harnack(eigenmode_run, [(x1, t1, (3,), t2)], substeps=substeps)
+
+
+@pytest.mark.parametrize("substeps", ["0", str(SUBSTEPS_LIMIT + 1), str(10**12)])
+def test_cli_substeps_outside_their_range_exit_2_before_loading(monkeypatch, tmp_path,
+                                                                capsys, substeps):
+    def no_load(source):
+        raise AssertionError("the run was loaded")
+
+    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    code = main(["check", "static_eigenmode", "--which", "harnack",
+                 "--substeps", substeps, "--out", str(tmp_path)])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err.startswith("--substeps: ") and substeps in err
+
+
+def test_underflowing_floor_names_its_pair(coupled_run, tmp_path, capsys):
+    # many layers make a long pair's path energy so large that exp(-Gamma/4)
+    # underflows; its log margin would be +inf and unserializable
+    pairs = _auto_pairs(coupled_run)[:1]
+    cprime = fit_cprime(coupled_run, [2.0], shape="harnack")
+    rep = check_harnack(coupled_run, pairs, mode="complete", cprime=cprime, substeps=64)
+    assert 0.0 < rep.pairs[0]["floor"] < 1e-30
+    with pytest.raises(ValueError, match=r"^pair 0: Harnack floor 0\.0 is not a positive"):
+        check_harnack(coupled_run, pairs, mode="complete", cprime=cprime, substeps=700)
+    run_dir = tmp_path / "run"
+    save_run(coupled_run, run_dir)
+    pairs_file = tmp_path / "pairs.json"
+    pairs_file.write_text(json.dumps([[[int(v) for v in x1], t1, [int(v) for v in x2], t2]
+                                      for x1, t1, x2, t2 in pairs]))
+    code = main(["check", str(run_dir), "--which", "harnack", "--mode", "complete",
+                 "--pairs", str(pairs_file), "--substeps", "700",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"].startswith("pair 0: Harnack floor")
 
 
 def test_harnack_demo_runs():

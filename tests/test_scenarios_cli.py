@@ -576,6 +576,22 @@ def test_cli_cutoff_needs_no_source(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "cutoff" / "reports" / "cutoff.json").exists()
 
 
+@pytest.mark.parametrize("lattice", ["0", "1", "-3", str(10**9)])
+def test_cli_lattice_outside_its_range_exits_2(tmp_path, capsys, lattice):
+    tracemalloc.start()
+    try:
+        code = main(["check", "--which", "cutoff", "--lattice", lattice,
+                     "--out", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err.startswith("--lattice: ") and lattice in err
+    assert peak < 2**20  # refused before any lattice field was allocated
+    assert not (tmp_path / "reports").exists()
+
+
 def test_cli_output_root_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RHFLOW_OUTPUT_ROOT", str(tmp_path / "root"))
     src = write_cfg(tmp_path, tiny_static_cfg())
@@ -797,6 +813,64 @@ def test_cli_non_finite_initial_map_is_a_config_error(tmp_path, capsys):
     cfg = tiny_static_cfg()
     cfg["initial"]["phi"] = {"components": [{"type": "constant", "value": "nan"}]}
     assert "initial.phi" in _run_exit_2(tmp_path, capsys, cfg)
+
+
+# (terms value, dotted path of the offending part relative to the spec)
+MALFORMED_TERMS = [
+    (5, "terms"),
+    ({"coeff": 1.0}, "terms"),
+    ([3], "terms[0]"),
+    ([{"coeff": 1.0, "factors": 2}], "terms[0].factors"),
+    ([{"coeff": 1.0, "factors": ["cos"]}], "terms[0].factors[0]"),
+    ([{"coeff": 1.0, "factors": [[0, "cos", 1]]}], "terms[0].factors[0]"),
+]
+
+
+def _malformed_terms_error(tmp_path, capsys, spec_path, terms):
+    """The exit-2 error of tiny_static_cfg with the sine-sum spec at
+    spec_path given these terms."""
+    cfg = tiny_static_cfg()
+    sine = {"type": "sine_sum", "offset": 0.0, "amplitude": 0.1, "terms": terms}
+    if spec_path == "initial.u":
+        cfg["initial"]["u"]["terms"] = terms
+    elif spec_path == "initial.metric":
+        cfg["initial"]["metric"] = {**sine, "type": "conformal"}
+    else:
+        cfg["initial"]["phi"] = {"components": [sine]}
+    return _run_exit_2(tmp_path, capsys, cfg)
+
+
+@pytest.mark.parametrize("terms, path", MALFORMED_TERMS)
+def test_cli_malformed_u_terms_are_config_errors(tmp_path, capsys, terms, path):
+    error = _malformed_terms_error(tmp_path, capsys, "initial.u", terms)
+    assert error.startswith(f"initial.u.{path} must be ")
+
+
+@pytest.mark.parametrize("terms, path", MALFORMED_TERMS)
+def test_cli_malformed_metric_terms_are_config_errors(tmp_path, capsys, terms, path):
+    error = _malformed_terms_error(tmp_path, capsys, "initial.metric", terms)
+    assert error.startswith(f"initial.metric.{path} must be ")
+
+
+@pytest.mark.parametrize("terms, path", MALFORMED_TERMS)
+def test_cli_malformed_phi_terms_are_config_errors(tmp_path, capsys, terms, path):
+    error = _malformed_terms_error(tmp_path, capsys, "initial.phi.components[0]", terms)
+    assert error.startswith(f"initial.phi.components[0].{path} must be ")
+
+
+@pytest.mark.parametrize("edit, path", [
+    (_edit("initial.u", 5), "initial.u"),
+    (_edit("initial.metric", "flat"), "initial.metric"),
+    (_edit("initial.phi", {"components": {"type": "constant", "value": 0.0}}),
+     "initial.phi.components"),
+    (_edit("initial.phi", {"components": [1.0]}), "initial.phi.components[0]"),
+    (_edit("variant", ["static"]), "variant"),
+    (_edit("alpha", 0.5), "alpha"),
+])
+def test_cli_non_object_specs_are_config_errors(tmp_path, capsys, edit, path):
+    cfg = tiny_static_cfg()
+    edit(cfg)
+    assert _run_exit_2(tmp_path, capsys, cfg).startswith(f"{path} must be ")
 
 
 def test_schedule_and_variant_reject_non_finite_values():
