@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import estimates, harnack, persistence
+from . import distance, estimates, harnack, persistence
 from .cutoff import LATTICE_LIMIT, check_lattice, cutoff_verify
 from .estimates import GateEmptyError
 from .flow import Trajectory
@@ -38,8 +38,11 @@ def _output_root() -> Path:
     return Path(os.environ.get("RHFLOW_OUTPUT_ROOT", "runs"))
 
 
-def _parse_node(text: str):
-    return tuple(int(v) for v in text.split(","))
+def _parse_node(text: str) -> tuple:
+    try:
+        return tuple(int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
 def _get_trajectory(source: str) -> Trajectory:
@@ -79,6 +82,10 @@ def _auto_pairs(traj: Trajectory) -> list:
     ]
 
 
+def _default(value, default):
+    return default if value is None else value
+
+
 def _run_check(args, traj: Trajectory):
     if args.which == "identities":
         return estimates.check_identities(
@@ -88,19 +95,25 @@ def _run_check(args, traj: Trajectory):
         )
     if args.which == "global":
         return estimates.check_global(
-            traj, beta=args.beta or 1.0, c_tol=args.c_tol, tol_eig_factor=args.tol_eig
+            traj, beta=_default(args.beta, 1.0), c_tol=args.c_tol, tol_eig_factor=args.tol_eig
         )
     if args.which == "local":
-        beta = args.beta or 2.0
+        beta = _default(args.beta, 2.0)
         if args.rho is None:
             raise ValueError("--which local needs --rho")
-        x0 = _parse_node(args.x0) if args.x0 else tuple(n // 2 for n in traj.grid.n_points)
-        cprime = args.cprime or estimates.fit_cprime(
-            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=1
-        )
-        cprime_sq = args.cprime_sq or estimates.fit_cprime(
-            traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2
-        )
+        if args.x0 is None:
+            x0 = tuple(n // 2 for n in traj.grid.n_points)
+        else:
+            x0 = _parse_node(args.x0)
+            _check_flag("--x0", lambda x: distance.node_index(traj.grid, x), x0)
+        cprime = args.cprime
+        if cprime is None:
+            cprime = estimates.fit_cprime(
+                traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=1)
+        cprime_sq = args.cprime_sq
+        if cprime_sq is None:
+            cprime_sq = estimates.fit_cprime(
+                traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2)
         report = estimates.check_local(
             traj, beta, args.rho, x0, cprime, cprime_sq,
             c_tol=args.c_tol, tol_eig_factor=args.tol_eig,
@@ -109,9 +122,9 @@ def _run_check(args, traj: Trajectory):
             report.notes["cprime_fitted_in_sample"] = True
         return report
     if args.which == "evolution":
-        beta = args.beta or 1.5
-        a = args.a if args.a is not None else 1.0 / (3.0 * beta)
-        b = args.b if args.b is not None else 1.0 / (3.0 * beta)
+        beta = _default(args.beta, 1.5)
+        a = _default(args.a, 1.0 / (3.0 * beta))
+        b = _default(args.b, 1.0 / (3.0 * beta))
         return estimates.check_evolution_inequality(
             traj, beta, a, b, c_tol=args.c_tol, tol_eig_factor=args.tol_eig
         )
@@ -121,7 +134,7 @@ def _run_check(args, traj: Trajectory):
             pairs = json.loads(Path(args.pairs).read_text())
         else:
             pairs = _auto_pairs(traj)
-        beta = args.beta or 2.0
+        beta = _default(args.beta, 2.0)
         cprime = args.cprime
         if args.mode == "complete" and cprime is None:
             cprime = estimates.fit_cprime(traj, [beta], shape="harnack")
@@ -166,21 +179,57 @@ def _check_flag(flag: str, check, value) -> None:
         raise ValueError(f"{flag}: {exc}") from None
 
 
-def cmd_check(args, emit_plotdata: bool = False) -> int:
+def _finite(value) -> None:
+    if not np.isfinite(value):
+        raise ValueError(f"must be a finite number, got {value!r}")
+
+
+def _non_negative(value) -> None:
+    if not 0 <= value < np.inf:
+        raise ValueError(f"must be a finite number >= 0, got {value!r}")
+
+
+def _check_flags(args) -> None:
+    """Refuse every numeric flag outside its range, before anything is
+    loaded or allocated.  --beta is checked against the domain of the
+    check that reads it (see `estimates.check_beta`)."""
+    positive = ("--rho", "--tau", "--cprime", "--cprime-sq", "--a", "--b")
+    for flag in positive + ("--c-tol", "--tol-eig", "--beta"):
+        name = flag[2:].replace("-", "_")
+        value = getattr(args, name)
+        if value is None:
+            continue
+        if flag in positive:
+            _check_flag(flag, lambda v: estimates.check_positive(name, v), value)
+        elif flag != "--beta":
+            _check_flag(flag, _non_negative, value)
+        elif args.which in ("global", "evolution"):
+            _check_flag(flag, estimates.check_beta, value)
+        elif args.which == "local" or (args.which == "harnack" and args.mode == "complete"):
+            _check_flag(flag, lambda v: estimates.check_beta(v, strict=True), value)
+        else:
+            _check_flag(flag, _finite, value)  # read by no check
+    if args.x0 is not None:
+        _check_flag("--x0", _parse_node, args.x0)
     if args.which == "cutoff":
         _check_flag("--lattice", check_lattice, args.lattice)
-        report = cutoff_verify(args.rho or 1.0, args.tau or 0.1, n_r=args.lattice, n_t=args.lattice)
+    if args.which == "harnack":
+        _check_flag("--r-max", harnack.check_r_max, args.r_max)
+        if args.substeps is not None:
+            _check_flag("--substeps", harnack.check_substeps, args.substeps)
+
+
+def cmd_check(args, emit_plotdata: bool = False) -> int:
+    _check_flags(args)
+    if args.which == "cutoff":
+        report = cutoff_verify(_default(args.rho, 1.0), _default(args.tau, 0.1),
+                               n_r=args.lattice, n_t=args.lattice)
         out = Path(args.out) if args.out else _output_root() / "cutoff"
         paths = persistence.save_report(report, out / "reports", "cutoff")
         _emit({**report, "report_files": sorted(p.name for p in paths.values())})
         return 0 if report["ok"] else 1
     if not args.source:
         raise ValueError(f"--which {args.which} needs a scenario or run directory")
-    if args.which == "harnack":
-        # refused before the run is loaded
-        _check_flag("--r-max", harnack.check_r_max, args.r_max)
-        if args.substeps is not None:
-            _check_flag("--substeps", harnack.check_substeps, args.substeps)
     traj = _get_trajectory(args.source)
     name = _source_name(args.source)
     report = _run_check(args, traj)

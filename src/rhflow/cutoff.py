@@ -40,8 +40,8 @@ class CutoffFunction:
     tau: float
 
     def __post_init__(self):
-        if self.rho <= 0 or self.tau <= 0:
-            raise ValueError("cutoff needs rho > 0 and tau > 0")
+        if not (0 < self.rho < np.inf and 0 < self.tau < np.inf):
+            raise ValueError("cutoff needs finite rho > 0 and tau > 0")
 
     # -- temporal factor -------------------------------------------------
 

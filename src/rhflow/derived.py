@@ -20,6 +20,10 @@ next check:
                   total on a static run)
 
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
+Neither is what only one check reads: `estimates.identity_residuals`
+builds each snapshot's Christoffel field and Laplacian faces once per call
+and shares them among its own terms, and `harnack.gamma_fields` each floor
+snapshot's edge costs.
 
 A trajectory reaches its layer as ``traj.derived``.  The layer lives as long
 as the trajectory, is never saved and takes no part in equality; a copy of

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
-from .geometry import check_metric
+from .geometry import _sum, check_metric
 from .grid import Grid, shift
 
 # Worst-case overestimation factor of the 8-neighbor stencil on flat space.
@@ -74,15 +74,29 @@ def _edge_graph(grid: Grid, g: np.ndarray) -> csr_matrix:
             if o:
                 g_nbr = shift(g_nbr, -o, ax)  # g at the neighbour x + off
         gbar = 0.5 * (g + g_nbr)
-        delta = np.array([o * h for o, h in zip(off, grid.h)])
-        weights.append(np.sqrt(np.einsum("i,...ij,j->...", delta, gbar, delta)).ravel())
+        delta = [o * h for o, h in zip(off, grid.h)]
+        # delta_i gbar_ij delta_j, i outer, products and sums left to right
+        form = _sum((delta[i] * gbar[..., i, j]) * delta[j]
+                    for i in range(grid.dim) for j in range(grid.dim))
+        weights.append(np.sqrt(form).ravel())
     data = np.take_along_axis(np.stack(weights, axis=1), order, axis=1).ravel()
     n = grid.n_nodes
     return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
+def node_index(grid: Grid, x0) -> tuple:
+    """x0, a sequence of one integer per grid axis, wrapped onto the torus;
+    a ValueError if it has another length or a non-integer entry."""
+    coords = np.atleast_1d(x0)
+    if coords.shape != (grid.dim,) or not np.issubdtype(coords.dtype, np.integer):
+        raise ValueError(f"node {tuple(coords.tolist())} needs {grid.dim} integer "
+                         f"coordinate{'s' if grid.dim > 1 else ''}, one per grid axis")
+    return tuple(int(c) % n for c, n in zip(coords, grid.n_points))
+
+
 def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
-    """Distance field from node x0 (multi-index tuple or linear index).
+    """Distance field from node x0: a linear index, or a multi-index (see
+    `node_index`).
 
     Returns an array of shape ``grid.shape``.
     """
@@ -90,8 +104,7 @@ def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
     if np.isscalar(x0):
         source = int(x0)
     else:
-        x0 = tuple(int(c) % n for c, n in zip(np.atleast_1d(x0), grid.n_points))
-        source = int(np.ravel_multi_index(x0, grid.shape))
+        source = int(np.ravel_multi_index(node_index(grid, x0), grid.shape))
     graph = _edge_graph(grid, g)
     dist = dijkstra(graph, directed=False, indices=source)
     return dist.reshape(grid.shape)

@@ -45,6 +45,22 @@ class GateEmptyError(ValueError):
     """No point satisfies the hypothesis gate of a check."""
 
 
+def check_beta(beta, strict: bool = False) -> None:
+    """Refuse a beta that is not a finite number >= 1, or > 1 when strict.
+
+    Every estimate here weighs f_t by a beta >= 1: the global bound and the
+    evolution inequality hold from beta = 1, while the local bound, its C'
+    fit and the complete Harnack floor divide by beta - 1."""
+    if not (np.isfinite(beta) and (beta > 1 if strict else beta >= 1)):
+        raise ValueError(f"needs a finite beta {'>' if strict else '>='} 1, got {beta!r}")
+
+
+def check_positive(name: str, value) -> None:
+    """Refuse a value that is not a positive finite number."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # report snapshots and the Li-Yau quantity
 
@@ -213,10 +229,8 @@ def local_bound(
     that the chain of cutoff inequalities actually produces (2); both are
     reported side by side downstream.
     """
-    if beta <= 1:
-        raise ValueError("the local bound needs beta > 1")
-    if rho <= 0:
-        raise ValueError("rho must be positive")
+    check_beta(beta, strict=True)
+    check_positive("rho", rho)
     if rho_power not in (1, 2):
         raise ValueError("rho_power must be 1 or 2")
     t = np.asarray(t, dtype=float)
@@ -355,6 +369,7 @@ def check_global(
     t > 0 are reported: the bound degenerates at t = 0 and the end snapshots
     carry first-order differencing error.
     """
+    check_beta(beta)
     grid = traj.grid
     if constants is None:
         constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
@@ -406,6 +421,8 @@ def check_local(
     the tolerance for the report to pass.  Reporting is restricted to
     interior snapshots with t > 0, as in the global check.
     """
+    check_beta(beta, strict=True)
+    check_positive("rho", rho)
     grid = traj.grid
     if constants is None:
         constants = extract_constants(
@@ -477,6 +494,7 @@ def fit_cprime(
     if shape == "local":
         if rho is None or x0 is None:
             raise ValueError("local fit needs rho and x0")
+        check_positive("rho", rho)
         if constants is None:
             constants = extract_constants(traj, region=(x0, rho))
         gate_all = traj.derived.distance(x0) < 0.5 * rho
@@ -493,8 +511,7 @@ def fit_cprime(
     best = floor
     for beta in np.atleast_1d(betas):
         beta = float(beta)
-        if beta <= 1:
-            raise ValueError("C' fitting needs beta > 1")
+        check_beta(beta, strict=True)
         b2 = beta * beta
         for i in keep:
             gate = gate_all[i]
@@ -514,6 +531,29 @@ def fit_cprime(
 
 # ---------------------------------------------------------------------------
 # differential identities behind the estimates
+
+# The contractions below add products left to right in the order numpy's
+# einsum does (numpy 2), so the residuals equal the einsum forms they
+# replaced value for value: a sum over one index is a plain sum, and the
+# four products of a double sum over 2x2 components are added in sequence
+# for a quadratic form and pairwise for a full contraction.
+
+
+def _form(t, x, y) -> np.ndarray:
+    """t_ab x_a y_b over component lists: the products (t_ab x_a) y_b, a
+    outer, added in sequence."""
+    n = len(x)
+    return geometry._sum((t[a][b] * x[a]) * y[b] for a in range(n) for b in range(n))
+
+
+def _pairwise(terms: list) -> np.ndarray:
+    """(t0 + t1) + (t2 + t3) of the four products of a 2x2 contraction, or
+    the one product of a 1x1 one."""
+    if len(terms) == 1:
+        return terms[0]
+    t0, t1, t2, t3 = terms
+    return (t0 + t1) + (t2 + t3)
+
 
 IDENTITY_NAMES = (
     "grad_sq_time",
@@ -551,6 +591,14 @@ def identity_residuals(
     are the largest magnitude either side of each identity reaches, the
     right yardstick for a relative tolerance.  Time derivatives are
     centered, so indices must be interior snapshots.
+
+    Everything is computed over component lists of node fields, as in the
+    geometry module: g^{ij} comes from the snapshot's MetricFields, each
+    snapshot's Christoffel field is computed once and shared by Hess f and
+    the rough Laplacian of df, and each metric's Laplacian faces once and
+    shared by all of its Laplacians.  The contractions keep the summation
+    order of the einsum forms they replaced (see `_form`), so every
+    residual and scale is unchanged to the last bit.
     """
     grid = traj.grid
     S = len(traj.snapshots)
@@ -564,11 +612,20 @@ def identity_residuals(
     d = traj.derived
     times = traj.times
     grad_sq = d.grad_sq
-    laps = {}
+    laps, faces = {}, {}
+
+    def faces_of(mf):
+        # one set of Laplacian faces per metric (a static run has one metric)
+        if id(mf) not in faces:
+            faces[id(mf)] = geometry.laplacian_faces(mf)
+        return faces[id(mf)]
+
+    def laplacian(mf, s):
+        return geometry.laplace_beltrami(grid, mf, s, faces=faces_of(mf))
 
     def lap_f(i):
         if i not in laps:
-            laps[i] = geometry.laplace_beltrami(grid, traj.snapshots[i].metric, d.log_u(i))
+            laps[i] = laplacian(traj.snapshots[i].metric, d.log_u(i))
         return laps[i]
 
     out = {name: [] for name in IDENTITY_NAMES}
@@ -578,67 +635,81 @@ def identity_residuals(
         for s in sides:
             scales[name] = max(scales[name], float(np.max(np.abs(s))))
 
+    n = grid.dim
+    ab = [(a, b) for a in range(n) for b in range(n)]
+    # "...ab,...ab->..." pairs its products as (t00 + t10) + (t01 + t11)
+    ba = [(a, b) for b in range(n) for a in range(n)]
     for i in indices:
+        # faces and Laplacians of snapshots before i - 1 are not read again
+        near = {id(traj.snapshots[j].metric) for j in (i - 1, i, i + 1)}
+        for key in faces.keys() - near:
+            del faces[key]
+        for j in laps.keys() - {i - 1, i, i + 1}:
+            del laps[j]
         snap = traj.snapshots[i]
-        g, phi, f = snap.metric, snap.phi, d.log_u(i)
+        mf, phi, f = snap.metric, snap.phi, d.log_u(i)
+        inv = mf.inv
         dt_c = times[i + 1] - times[i - 1]
-        ginv = geometry.metric_inverse(g)
-        df = grid.partial(f)
-        df_up = np.einsum("...ij,...j->...i", ginv, df)
+        df = geometry._partials(grid, f)
+        df_up = [geometry._dot(row, df) for row in inv]
         coup = traj.variant.coupling(traj.schedule, snap.t)
-        ric = d.ricci(i)
+        ric_arr = d.ricci(i)
+        ric = [[ric_arr[..., a, b] for b in range(n)] for a in range(n)]
         if traj.variant.kind == "static":
-            s_tensor = np.zeros_like(snap.g)
+            s_tensor = [[0.0] * n for _ in range(n)]
         else:
-            s_tensor = ric - coup * geometry.grad_phi_outer(grid, phi)
-        hess = geometry.hessian(grid, g, f)
+            outer = geometry._grad_phi_outer(grid, phi)
+            s_tensor = [[ric[a][b] - coup * outer[a][b] for b in range(n)] for a in range(n)]
+        # one Christoffel field for Hess f and the rough Laplacian of df,
+        # freed before the contractions below
+        gam = geometry._christoffel(grid, mf)
+        hess = geometry._hessian(grid, f, df, gam)
+        lap_df = geometry._rough_laplacian_covector(grid, mf, df, gam)
+        del gam
         lap = lap_f(i)
         ft = d.f_t(i)
 
         # 1: time derivative of the gradient square
         lhs1 = (grad_sq(i + 1) - grad_sq(i - 1)) / dt_c
-        s_ff = np.einsum("...ab,...a,...b->...", s_tensor, df_up, df_up)
-        rhs1 = 2.0 * s_ff + 2.0 * np.einsum(
-            "...i,...i->...", df_up, grid.partial(ft)
-        )
+        s_ff = _form(s_tensor, df_up, df_up)
+        rhs1 = 2.0 * s_ff + 2.0 * geometry._dot(df_up, geometry._partials(grid, ft))
         out["grad_sq_time"].append(lhs1 - rhs1)
         note_scale("grad_sq_time", lhs1, rhs1)
 
         # 2: time derivative of the Laplacian
         lhs2 = (lap_f(i + 1) - lap_f(i - 1)) / dt_c
-        hess_up = np.einsum("...ai,...bj,...ij->...ab", ginv, ginv, hess)
-        s_hess = np.einsum("...ab,...ab->...", s_tensor, hess_up)
-        rhs2 = 2.0 * s_hess + geometry.laplace_beltrami(grid, g, ft)
+        hess_up = [[_pairwise([(inv[a][k] * inv[b][m]) * hess[k][m] for k, m in ab])
+                    for b in range(n)] for a in range(n)]
+        s_hess = _pairwise([s_tensor[a][b] * hess_up[a][b] for a, b in ba])
+        rhs2 = 2.0 * s_hess + laplacian(mf, ft)
         if include_flow_correction and traj.variant.kind != "static":
-            tension = geometry.tension_field(grid, g, phi)
-            dphi = np.stack([grid.d1(phi, ax) for ax in range(grid.dim)], axis=-2)
-            transport = np.einsum("...im,...m,...i->...", dphi, tension, df_up)
+            tension = geometry.tension_field(grid, mf, phi, faces=faces_of(mf))
+            dphi = [grid.d1(phi, ax) for ax in range(n)]
+            transport = geometry._sum(
+                (dphi[a][..., m] * tension[..., m]) * df_up[a]
+                for a in range(n) for m in range(phi.shape[-1])
+            )
             rhs2 = rhs2 - 2.0 * coup * transport
         out["laplacian_time"].append(lhs2 - rhs2)
         note_scale("laplacian_time", lhs2, rhs2)
 
         # 3: commutation of Laplacian and gradient (norm of the vector residual)
-        lap_df = geometry.rough_laplacian_covector(grid, g, df)
-        d_lapf = grid.partial(lap)
-        ric_df = np.einsum("...ij,...j->...i", ric, df_up)
-        res3 = lap_df - d_lapf - ric_df
-        out["commute_grad"].append(
-            np.sqrt(np.einsum("...ij,...i,...j->...", ginv, res3, res3))
-        )
-        side3 = d_lapf + ric_df
+        d_lapf = geometry._partials(grid, lap)
+        ric_df = [geometry._dot(row, df_up) for row in ric]
+        res3 = [x - y - z for x, y, z in zip(lap_df, d_lapf, ric_df)]
+        out["commute_grad"].append(np.sqrt(_form(inv, res3, res3)))
+        side3 = [y + z for y, z in zip(d_lapf, ric_df)]
         note_scale(
             "commute_grad",
-            np.sqrt(np.einsum("...ij,...i,...j->...", ginv, lap_df, lap_df)),
-            np.sqrt(np.einsum("...ij,...i,...j->...", ginv, side3, side3)),
+            np.sqrt(_form(inv, lap_df, lap_df)),
+            np.sqrt(_form(inv, side3, side3)),
         )
 
         # 4: Laplacian of the gradient square
-        lhs4 = geometry.laplace_beltrami(grid, g, grad_sq(i))
-        hess_sq = np.einsum("...ab,...ab->...", hess_up, hess)
-        ric_ff = np.einsum("...ab,...a,...b->...", ric, df_up, df_up)
-        rhs4 = 2.0 * hess_sq + 2.0 * ric_ff + 2.0 * np.einsum(
-            "...i,...i->...", df_up, grid.partial(lap)
-        )
+        lhs4 = laplacian(mf, grad_sq(i))
+        hess_sq = _pairwise([hess_up[a][b] * hess[a][b] for a, b in ba])
+        ric_ff = _form(ric, df_up, df_up)
+        rhs4 = 2.0 * hess_sq + 2.0 * ric_ff + 2.0 * geometry._dot(df_up, d_lapf)
         out["grad_sq_laplacian"].append(lhs4 - rhs4)
         note_scale("grad_sq_laplacian", lhs4, rhs4)
 
@@ -718,7 +789,8 @@ def check_evolution_inequality(
     asserted at every node (the bounds are self-satisfied by extraction).
     Interior snapshots only: F_t needs centered f_t on both neighbors.
     """
-    if a <= 0 or b <= 0:
+    check_beta(beta)
+    if not (0 < a < np.inf and 0 < b < np.inf):
         raise ValueError("splitting constants a, b must be positive")
     if abs(a + 2.0 * b - 1.0 / beta) > 1e-12:
         raise ValueError("need a + 2 b = 1/beta to within 1e-12")
@@ -741,14 +813,13 @@ def check_evolution_inequality(
     lhs_list, rhs_list = [], []
     for i in keep:
         snap = traj.snapshots[i]
-        g, f, t = snap.metric, d.log_u(i), times[i]
+        mf, f, t = snap.metric, d.log_u(i), times[i]
         dt_c = times[i + 1] - times[i - 1]
-        ginv = geometry.metric_inverse(g)
-        df = grid.partial(f)
-        df_up = np.einsum("...ij,...j->...i", ginv, df)
+        df = geometry._partials(grid, f)
+        df_up = [geometry._dot(row, df) for row in mf.inv]
         F_t = (F[i + 1] - F[i - 1]) / dt_c
-        lhs = geometry.laplace_beltrami(grid, g, F[i]) - F_t
-        grad_f_grad_F = np.einsum("...i,...i->...", df_up, grid.partial(F[i]))
+        lhs = geometry.laplace_beltrami(grid, mf, F[i]) - F_t
+        grad_f_grad_F = geometry._dot(df_up, geometry._partials(grid, F[i]))
         gs, ft = d.grad_sq(i), d.f_t(i)
         rhs = (
             -2.0 * grad_f_grad_F

@@ -295,11 +295,10 @@ def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     return _trace_with(metric_fields(g).inv, _sym(grid.dim, lambda i, j: ds[i] * ds[j]))
 
 
-def hessian(grid: Grid, g, s: np.ndarray) -> np.ndarray:
-    """Covariant Hessian d_i d_j s - G^k_ij d_k s, symmetrized."""
+def _hessian(grid: Grid, s: np.ndarray, ds: list, gam: list) -> list:
+    """Symmetric Hessian components of s from its partials ds and the
+    Christoffel field gam of the metric."""
     d = grid.dim
-    gam = _christoffel(grid, metric_fields(g))
-    ds = _partials(grid, s)
 
     def comp(i, j):
         if i == j:
@@ -308,7 +307,13 @@ def hessian(grid: Grid, g, s: np.ndarray) -> np.ndarray:
             plain = 0.5 * (grid.d1(ds[i], j) + grid.d1(ds[j], i))
         return plain - _dot([gam[k][i][j] for k in range(d)], ds)
 
-    return _stack2(_sym(d, comp))
+    return _sym(d, comp)
+
+
+def hessian(grid: Grid, g, s: np.ndarray) -> np.ndarray:
+    """Covariant Hessian d_i d_j s - G^k_ij d_k s, symmetrized."""
+    gam = _christoffel(grid, metric_fields(g))
+    return _stack2(_hessian(grid, s, _partials(grid, s), gam))
 
 
 def grad_phi_outer(grid: Grid, phi: np.ndarray) -> np.ndarray:
@@ -346,16 +351,10 @@ def tension_field(grid: Grid, g, phi: np.ndarray, faces: list | None = None) -> 
                     axis=-1)
 
 
-def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
-    """Connection Laplacian g^{ab} (nabla^2 omega)_{ab i} of a covector field.
-
-    omega has shape ``grid.shape + (d,)``.  Needed for the commutation
-    identity between the Laplacian and the gradient.
-    """
+def _rough_laplacian_covector(grid: Grid, mf: MetricFields, om: list, gam: list) -> list:
+    """Components of the connection Laplacian of the covector with
+    components om, given the Christoffel field gam of mf."""
     d = grid.dim
-    mf = metric_fields(g)
-    gam = _christoffel(grid, mf)
-    om = [omega[..., i] for i in range(d)]
     # first covariant derivative: T_{b i} = d_b omega_i - G^k_{bi} omega_k
     T = [[grid.d1(om[i], b) - _dot([gam[k][b][i] for k in range(d)], om) for i in range(d)]
          for b in range(d)]
@@ -369,7 +368,18 @@ def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
                     - _dot([gam[k][a][i] for k in range(d)], T[b]))
 
         out.append(_sum(mf.inv[a][b] * nabla_t(a, b) for a in range(d) for b in range(d)))
-    return np.stack(out, axis=-1)
+    return out
+
+
+def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
+    """Connection Laplacian g^{ab} (nabla^2 omega)_{ab i} of a covector field.
+
+    omega has shape ``grid.shape + (d,)``.  Needed for the commutation
+    identity between the Laplacian and the gradient.
+    """
+    mf = metric_fields(g)
+    om = [omega[..., i] for i in range(grid.dim)]
+    return np.stack(_rough_laplacian_covector(grid, mf, om, _christoffel(grid, mf)), axis=-1)
 
 
 def eig_general(A: np.ndarray, g) -> np.ndarray:

@@ -18,10 +18,15 @@ count) and reads each pair's target from it.  `gamma_fields` advances all
 of a call's programs in lockstep over the floor snapshots (the snapshot
 index never decreases across layers), so each floor snapshot's edge costs
 are built once per call, then divided by each program's layer length, and
-only one snapshot's costs are alive at a time.  Every program keeps the
-arithmetic of the one-pair, per-layer solver (the same average, einsum,
-division and roll for every edge cost, the same sums and minima per
-layer), so Gamma, the floors and the margins are bit-identical to it.
+only one snapshot's costs are alive at a time.  Costs live in a flat,
+periodically padded layout (`_Layout`), so each move of a layer is one
+contiguous slice at a fixed offset: one add and one minimum per move, and
+one refresh of the padding per layer.  Every program keeps the arithmetic
+of the one-pair, per-layer solver: each edge cost is the same average of g,
+the same products summed in the same order as that solver's einsum, and
+the same division; moves only read it at another offset where that solver
+rolled it, and each layer takes the same sums and minima.  So Gamma, the
+floors and the margins are bit-identical to it.
 
 Two floor recipes are wired in:
   compact   A1 = 1, A2 = sqrt(2) k n, A3 = n/2 + sqrt(2) n C alpha0, valid
@@ -32,17 +37,19 @@ Two floor recipes are wired in:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
-from .estimates import GateEmptyError, HypothesisConstants, extract_constants
+from .estimates import GateEmptyError, HypothesisConstants, check_beta, extract_constants
 from .flow import Trajectory
+from .geometry import _sum
 
 R_MAX_DEFAULT = 2
 # Largest r_max accepted.  The edge costs of one floor snapshot hold
-# 3/2 ((2 r_max + 1)^dim - 1) node fields, 120 at this cap on a 2-D grid;
+# (2 r_max + 1)^dim - 1 padded node fields, 80 at this cap on a 2-D grid;
 # nothing in the package uses more than 3.
 R_MAX_LIMIT = 4
 SUBSTEPS_FLOOR = 32
@@ -171,52 +178,101 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
     return K
 
 
-def _wrap_pad(a, wrap, bufs=None):
-    """a padded periodically on its leading grid axes; wrap[ax] holds the
-    source index of every padded position on axis ax.  bufs, one per axis,
-    take the result in place of new arrays."""
-    for ax, index in enumerate(wrap):
-        a = np.take(a, index, axis=ax, out=None if bufs is None else bufs[ax])
-    return a
+class _Layout:
+    """Node fields padded by r_max cells of periodic copies on every axis and
+    stored flat, so that for any move off of at most r_max cells per axis,
+    entry y - off at every node y is one contiguous slice.
+
+    ``work`` runs in the flat order from the first node to the last.  It
+    also covers the padding cells between rows (each layer writes junk
+    there, which `refresh` overwrites), and its slice shifted by any move
+    stays inside the padded array, so no guard cells are needed.  On a 1-D
+    grid ``work`` is exactly the nodes."""
+
+    def __init__(self, shape: tuple, r_max: int):
+        r = self.r_max = r_max
+        self.padded = tuple(n + 2 * r for n in shape)
+        self.strides = [math.prod(self.padded[ax + 1:]) for ax in range(len(shape))]
+        self.nodes = tuple(slice(r, r + n) for n in shape)
+        lo = r * sum(self.strides)
+        self.work = slice(lo, lo + sum((n - 1) * s for n, s in zip(shape, self.strides)) + 1)
+        # axis by axis, each over the full extent of the other axes, so the
+        # corner cells are copied from padding the earlier axes filled
+        self.copies = []
+        for ax, n in enumerate(shape):
+            lead = (slice(None),) * ax
+            self.copies.append((lead + (slice(0, r),), lead + (slice(n, n + r),)))
+            self.copies.append((lead + (slice(n + r, n + 2 * r),), lead + (slice(r, 2 * r),)))
+
+    def source(self, off) -> slice:
+        """The slice of a flat field holding entry y - off for each y of `work`."""
+        o = sum(a * s for a, s in zip(off, self.strides))
+        return slice(self.work.start - o, self.work.stop - o)
+
+    def refresh(self, flat: np.ndarray) -> None:
+        """Fill the padding of a flat field with periodic copies of its nodes."""
+        a = flat.reshape(self.padded)
+        for dst, src in self.copies:
+            a[dst] = a[src]
+
+    def pad(self, field: np.ndarray) -> np.ndarray:
+        """A node field as a new flat array of the layout."""
+        flat = np.empty(math.prod(self.padded))
+        flat.reshape(self.padded)[self.nodes] = field
+        self.refresh(flat)
+        return flat
+
+    def unpad(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(self.padded)[self.nodes].copy()
 
 
-def _edge_costs(grid, g, wrap, views) -> list:
-    """(off, edge) for one of every pair of opposite nonzero moves `off`,
-    -off of at most r_max cells per axis: edge[x] times the layer length is
-    the energy of the move x -> x + off, costed with the endpoint-averaged
-    metric g, and the energy of its reverse x + off -> x.  views[off]
-    selects entry y - off of an array padded by `_wrap_pad`.
+def _edge_costs(grid, g, layout) -> list:
+    """(off, edge) for one of every pair of opposite nonzero moves off, -off
+    of at most r_max cells per axis, edge a flat field of the `_Layout`:
+    edge[x] times the layer length is the energy of the move x -> x + off,
+    costed with the endpoint-averaged metric g, and the energy of its
+    reverse x + off -> x.
 
     A move and its reverse cross the same edge, so one average of g and one
-    einsum serve both.  The reversed delta only flips the sign of both
-    factors of each product, which leaves every rounded product unchanged."""
-    hvec = np.asarray(grid.h)
-    g_pad = _wrap_pad(g, wrap)
-    gbar = np.empty_like(g)
+    quadratic form serve both.  The form is the sum over (i, j), i outer,
+    of (gbar_ij delta_i) delta_j added left to right, which is how numpy's
+    einsum contracts "...ij,i,j->..." (the reversed delta flips the sign of
+    both factors of each product, which leaves every rounded product
+    unchanged)."""
+    d = grid.dim
+    padded = {(i, j): layout.pad(g[..., i, j]) for i in range(d) for j in range(i, d)}
+    work = layout.work
+    r = layout.r_max
     out = []
-    for off in views:
+    for off in product(range(-r, r + 1), repeat=d):
         back = tuple(-o for o in off)
         if off <= back:
             continue
-        delta = hvec * np.asarray(off, dtype=float)
-        np.add(g, g_pad[views[back]], out=gbar)  # g at x + off
-        np.multiply(0.5, gbar, out=gbar)
-        out.append((off, np.einsum("...ij,i,j->...", gbar, delta, delta)))
+        delta = [h * o for h, o in zip(grid.h, off)]
+        ahead = layout.source(back)  # entry x + off
+        gbar = {ij: 0.5 * (gij[work] + gij[ahead]) for ij, gij in padded.items()}
+        form = _sum((gbar[min(i, j), max(i, j)] * delta[i]) * delta[j]
+                    for i in range(d) for j in range(d))
+        edge = np.empty(math.prod(layout.padded))
+        edge[work] = form
+        layout.refresh(edge)
+        out.append((off, edge))
     return out
 
 
-def _move_costs(grid, edges, ds: float, views) -> list:
-    """(view, cost) for every nonzero move: cost[y] is the energy of the
-    move y - off -> y over one layer of length ds, and view selects entry
-    y - off of the padded cost array.  The cost of x -> x + off, stored at
-    x, is the edge divided by ds; rolled by off it is stored at x + off,
-    and unrolled it is the cost of the reverse move into x."""
-    axes = tuple(range(grid.dim))
+def _move_costs(edges, ds: float, layout) -> list:
+    """(view, cost) for every nonzero move off: cost[y] is the energy of the
+    move y - off -> y over one layer of length ds, for each y of the
+    layout's `work`, and view selects entry y - off of a flat field.  The
+    edge of x -> x + off is stored at x, so the move off reads the scaled
+    edge at y - off, and its reverse reads it at y: both are slices of one
+    division of the padded edge, with no roll."""
     out = []
     for off, edge in edges:
-        cost = edge / ds
-        out.append((views[off], np.roll(cost, shift=off, axis=axes)))
-        out.append((views[tuple(-o for o in off)], cost))
+        scaled = edge / ds
+        view, back = layout.source(off), layout.source(tuple(-o for o in off))
+        out.append((view, scaled[view]))
+        out.append((back, scaled[layout.work]))
     return out
 
 
@@ -226,55 +282,48 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
 
     Each floor snapshot's edge costs are built once, when the first program
     reaches it, and freed before the next snapshot's; programs sharing a
-    layer length share one division of them.  Alive at a time: one node
-    field per program, the padded cost, and one snapshot's costs: half the
-    moves' worth of unscaled edges and the scaled costs of every move for
-    one layer length.  Only r_max is checked here.
+    layer length share one division of them.  Alive at a time: one padded
+    node field per program, one spare and one candidate field, and one
+    snapshot's costs: half the moves' worth of unscaled edges and their
+    scaled copies for one layer length.  Only r_max is checked here.
     """
     check_r_max(r_max)
     grid = traj.grid
     times = traj.times
-    shape = grid.shape
-    wrap = [np.arange(-r_max, n + r_max) % n for n in shape]
-    views = {
-        off: tuple(slice(r_max - o, r_max - o + n) for o, n in zip(off, shape))
-        for off in product(range(-r_max, r_max + 1), repeat=grid.dim)
-    }
-    bufs, pad_shape = [], list(shape)
-    for ax in range(grid.dim):
-        pad_shape[ax] += 2 * r_max
-        bufs.append(np.empty(pad_shape))
+    layout = _Layout(grid.shape, r_max)
+    work = layout.work
     costs, steps, layers = [], [], {}  # layers[snapshot][program] = count
     for p, (x1, t1, t2, K) in enumerate(programs):
-        cost = np.full(shape, np.inf)
+        cost = np.full(grid.shape, np.inf)
         cost[x1] = 0.0
-        costs.append(cost)
+        costs.append(layout.pad(cost))
         ds = (t2 - t1) / K
         steps.append(ds)
         for k in range(K):
             at = layers.setdefault(_floor_snapshot_index(times, t1 + k * ds), {})
             at[p] = at.get(p, 0) + 1
-    spare = np.empty(shape)
-    cand = np.empty(shape)
+    spare = np.empty(math.prod(layout.padded))
+    cand = np.empty(work.stop - work.start)
     for idx in sorted(layers):
         edges = moves = None  # free the previous snapshot's costs first
-        edges = _edge_costs(grid, traj.snapshots[idx].g, wrap, views)
+        edges = _edge_costs(grid, traj.snapshots[idx].g, layout)
         step = None
         for p in sorted(layers[idx], key=steps.__getitem__):
             if steps[p] != step:
                 moves = None
                 step = steps[p]
-                moves = _move_costs(grid, edges, step, views)
+                moves = _move_costs(edges, step, layout)
             cost = costs[p]
             for _ in range(layers[idx][p]):
-                padded = _wrap_pad(cost, wrap, bufs)
-                np.copyto(spare, cost)
+                best = spare[work]
+                np.copyto(best, cost[work])
                 for view, move in moves:
-                    np.add(padded[view], move, out=cand)
-                    np.minimum(spare, cand, out=spare)
+                    np.add(cost[view], move, out=cand)
+                    np.minimum(best, cand, out=best)
+                layout.refresh(spare)
                 cost, spare = spare, cost
             costs[p] = cost
-    return costs
+    return [layout.unpad(cost) for cost in costs]
 
 
 def gamma_field(
@@ -295,8 +344,8 @@ def gamma_field(
     `check_harnack` validate a request before they run it.
 
     Edge costs are built only when the floor snapshot changes (see
-    `gamma_fields`).  Each layer pads the cost array periodically once and
-    adds each move's costs to a view of it.
+    `gamma_fields`).  Each layer refreshes the periodic padding of the cost
+    once and adds each move's costs to a contiguous slice of it.
     """
     x1 = _node_tuple(traj.grid, x1)
     return gamma_fields(traj, [(x1, t1, t2, int(substeps))], r_max)[0]
@@ -433,10 +482,9 @@ def check_harnack(
         a2 = np.sqrt(2.0) * constants.k2 * n
         a3 = n / 2.0 + np.sqrt(2.0) * n * constants.c_phi * alpha0
     else:
-        if beta <= 1:
-            raise ValueError("complete mode needs beta > 1")
-        if cprime is None or cprime <= 0:
-            raise ValueError("complete mode needs a positive C'")
+        check_beta(beta, strict=True)
+        if cprime is None or not 0 < cprime < np.inf:
+            raise ValueError(f"complete mode needs a positive C' (finite), got {cprime!r}")
         b2 = beta * beta
         kbar = max(constants.k1, constants.k2)
         a1 = beta

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from rhflow import estimates as est
+from rhflow import geometry
 from rhflow.estimates import GateEmptyError
-from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, run
+from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory, run
 from rhflow.grid import Grid
 from rhflow.scenarios import load_scenario, run_scenario
 
@@ -339,6 +340,95 @@ def test_identity_indices_validation(coupled_run):
     assert one["residuals"]["heat_log"].shape == (1, 64, 64)
 
 
+def einsum_identity_residuals(traj, include_flow_correction=True):
+    """The residual fields as identity_residuals computed them with stacked
+    tensors and numpy's einsum; the component form must equal them bit for
+    bit."""
+    grid = traj.grid
+    d = traj.derived
+    times = traj.times
+    out = {name: [] for name in est.IDENTITY_NAMES}
+
+    def lap_f(i):
+        return geometry.laplace_beltrami(grid, traj.snapshots[i].metric, d.log_u(i))
+
+    for i in range(1, len(traj.snapshots) - 1):
+        snap = traj.snapshots[i]
+        g, phi, f = snap.metric, snap.phi, d.log_u(i)
+        dt_c = times[i + 1] - times[i - 1]
+        ginv = geometry.metric_inverse(g)
+        df = grid.partial(f)
+        df_up = np.einsum("...ij,...j->...i", ginv, df)
+        coup = traj.variant.coupling(traj.schedule, snap.t)
+        ric = d.ricci(i)
+        if traj.variant.kind == "static":
+            s_tensor = np.zeros_like(snap.g)
+        else:
+            s_tensor = ric - coup * geometry.grad_phi_outer(grid, phi)
+        hess = geometry.hessian(grid, g, f)
+        lap = lap_f(i)
+        ft = d.f_t(i)
+        lhs1 = (d.grad_sq(i + 1) - d.grad_sq(i - 1)) / dt_c
+        rhs1 = (2.0 * np.einsum("...ab,...a,...b->...", s_tensor, df_up, df_up)
+                + 2.0 * np.einsum("...i,...i->...", df_up, grid.partial(ft)))
+        out["grad_sq_time"].append(lhs1 - rhs1)
+        lhs2 = (lap_f(i + 1) - lap_f(i - 1)) / dt_c
+        hess_up = np.einsum("...ai,...bj,...ij->...ab", ginv, ginv, hess)
+        rhs2 = (2.0 * np.einsum("...ab,...ab->...", s_tensor, hess_up)
+                + geometry.laplace_beltrami(grid, g, ft))
+        if include_flow_correction and traj.variant.kind != "static":
+            tension = geometry.tension_field(grid, g, phi)
+            dphi = np.stack([grid.d1(phi, ax) for ax in range(grid.dim)], axis=-2)
+            rhs2 = rhs2 - 2.0 * coup * np.einsum("...im,...m,...i->...", dphi, tension, df_up)
+        out["laplacian_time"].append(lhs2 - rhs2)
+        lap_df = geometry.rough_laplacian_covector(grid, g, df)
+        res3 = lap_df - grid.partial(lap) - np.einsum("...ij,...j->...i", ric, df_up)
+        out["commute_grad"].append(np.sqrt(np.einsum("...ij,...i,...j->...", ginv, res3, res3)))
+        lhs4 = geometry.laplace_beltrami(grid, g, d.grad_sq(i))
+        rhs4 = (2.0 * np.einsum("...ab,...ab->...", hess_up, hess)
+                + 2.0 * np.einsum("...ab,...a,...b->...", ric, df_up, df_up)
+                + 2.0 * np.einsum("...i,...i->...", df_up, grid.partial(lap)))
+        out["grad_sq_laplacian"].append(lhs4 - rhs4)
+        out["heat_log"].append(ft - lap - d.grad_sq(i))
+    return {name: np.stack(out[name]) for name in est.IDENTITY_NAMES}
+
+
+def random_coupled_traj(shape, n_snaps=4, components=3, seed=7):
+    """A coupled trajectory with a random SPD metric, a random map into R^3
+    and a random positive u at every snapshot: no symmetry or smallness for
+    the contractions to lean on."""
+    rng = np.random.default_rng(seed)
+    d = len(shape)
+    grid = Grid(d, shape, (1.3, 0.9)[:d])
+    snaps = []
+    for i in range(n_snaps):
+        a = rng.normal(size=shape + (d, d))
+        g = a @ np.swapaxes(a, -1, -2) + 0.3 * np.eye(d)
+        g = 0.5 * (g + np.swapaxes(g, -1, -2))
+        snaps.append(Snapshot(0.2 + 0.1 * i, g, rng.normal(size=shape + (components,)),
+                              np.exp(rng.normal(size=shape))))
+    return Trajectory(grid=grid, variant=FlowVariant("rh_alpha"),
+                      schedule=AlphaSchedule(0.7), snapshots=snaps, dt=0.1, dt_sub=0.01)
+
+
+@pytest.mark.parametrize("shape", [(12, 10), (17,)])
+@pytest.mark.parametrize("transport", [True, False])
+def test_identity_residuals_equal_the_einsum_forms(shape, transport):
+    traj = random_coupled_traj(shape)
+    got = est.identity_residuals(traj, include_flow_correction=transport)["residuals"]
+    want = einsum_identity_residuals(traj, include_flow_correction=transport)
+    for name in est.IDENTITY_NAMES:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def test_identity_residuals_equal_the_einsum_forms_on_1d_runs(eigenmode_run, heat_kernel_run):
+    for traj in (eigenmode_run, heat_kernel_run):
+        got = est.identity_residuals(traj)["residuals"]
+        want = einsum_identity_residuals(traj)
+        for name in est.IDENTITY_NAMES:
+            assert np.array_equal(got[name], want[name]), name
+
+
 def test_check_identities_summary(coupled_run):
     out = est.check_identities(coupled_run)
     assert out["ok"] is True
@@ -378,9 +468,44 @@ def test_evolution_inequality_validation(coupled_run, eigenmode_run):
         est.check_evolution_inequality(coupled_run, beta=1.5, a=0.3, b=0.3)
     with pytest.raises(ValueError, match="positive"):
         est.check_evolution_inequality(coupled_run, beta=1.5, a=-0.1, b=0.3833333333333333)
+    with pytest.raises(ValueError, match="positive"):
+        est.check_evolution_inequality(coupled_run, beta=1.5, a=np.nan, b=0.3)
+    # beta 0 used to end in a ZeroDivisionError
+    for beta in (0.0, 0.5, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="beta >= 1"):
+            est.check_evolution_inequality(coupled_run, beta=beta, a=0.1, b=0.1)
     grid = eigenmode_run.grid
     short = run(grid, FlowVariant("static"), AlphaSchedule(0.0),
                 eigenmode_run.snapshots[0], T=3e-3, dt_sub=1e-5, substride=100)
     assert len(short.snapshots) == 4
     with pytest.raises(ValueError, match="at least 5"):
         est.check_evolution_inequality(short, beta=1.5, a=1 / 4.5, b=1 / 4.5)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, 0.99, np.nan, np.inf])
+def test_global_check_refuses_beta_below_one(eigenmode_run, beta):
+    with pytest.raises(ValueError, match="beta >= 1"):
+        est.check_global(eigenmode_run, beta=beta)
+
+
+@pytest.mark.parametrize("beta", [1.0, 0.0, np.nan])
+def test_local_check_and_fit_refuse_beta_at_most_one(eigenmode_run, beta):
+    with pytest.raises(ValueError, match="beta > 1"):
+        est.check_local(eigenmode_run, beta, 0.3, (64,), 1.0)
+    with pytest.raises(ValueError, match="beta > 1"):
+        est.fit_cprime(eigenmode_run, [beta], shape="harnack")
+
+
+@pytest.mark.parametrize("rho", [0.0, -1.0, np.nan, np.inf])
+def test_local_check_and_fit_refuse_bad_rho(eigenmode_run, rho):
+    with pytest.raises(ValueError, match="rho must be a positive finite number"):
+        est.check_local(eigenmode_run, 2.0, rho, (64,), 1.0)
+    with pytest.raises(ValueError, match="rho must be a positive finite number"):
+        est.fit_cprime(eigenmode_run, [2.0], rho=rho, x0=(64,))
+
+
+@pytest.mark.parametrize("x0", [(1, 2), (), (1.5,), (True,)])
+def test_local_check_refuses_a_node_of_the_wrong_shape(eigenmode_run, x0):
+    # (1, 2) on the 128-node circle used to check the ball around node 1
+    with pytest.raises(ValueError, match="needs 1 integer coordinate"):
+        est.check_local(eigenmode_run, 2.0, 0.3, x0, 1.0)

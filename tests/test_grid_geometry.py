@@ -7,6 +7,9 @@ conformal 2d Ricci tensor equals a divergence built from the same stencils,
 and every operator commutes bitwise with grid translations.
 """
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -478,3 +481,21 @@ def test_eig_general_accurate_near_a_multiple_of_the_metric(eps):
     assert_close_per_node(lam, reference_eig_general(A, g), 1e-12)
     shifted = c[..., 0] + eps * reference_eig_general(E, g)
     assert_close_per_node(lam, shifted, 1e-12)
+
+
+def test_no_einsum_in_the_package():
+    # every contraction is written out over components, in an order that
+    # is pinned bit for bit by the tests of the kernels that use them; an
+    # einsum call, attribute or import anywhere in the package fails here
+    package = Path(geometry.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias)
+                    else node.value if isinstance(node, ast.Constant) else None)
+            if name == "einsum":
+                found.append(f"{path.name}:{node.lineno}")
+    assert len(list(package.glob("*.py"))) > 10
+    assert not found

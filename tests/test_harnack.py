@@ -103,14 +103,15 @@ def reference_gamma_inf(traj, x1, x2, t1, t2, substeps=None, r_max=R_MAX_DEFAULT
 
 
 def random_metric_traj(shape=(14, 11), n_snaps=4, seed=5):
-    """A 2-D trajectory whose SPD metric differs at every snapshot, so the
+    """A trajectory whose SPD metric differs at every snapshot, so the
     floor snapshot changes several times inside one dynamic program."""
     rng = np.random.default_rng(seed)
-    grid = Grid(2, shape, (1.3, 0.9))
+    d = len(shape)
+    grid = Grid(d, shape, (1.3, 0.9)[:d])
     snaps = []
     for i in range(n_snaps):
-        a = rng.normal(size=shape + (2, 2))
-        g = np.einsum("...ik,...jk->...ij", a, a) + 0.3 * np.eye(2)
+        a = rng.normal(size=shape + (d, d))
+        g = np.einsum("...ik,...jk->...ij", a, a) + 0.3 * np.eye(d)
         snaps.append(Snapshot(0.2 + 0.1 * i, g, np.zeros(shape + (1,)),
                               np.ones(shape)))
     return Trajectory(
@@ -245,6 +246,22 @@ def test_field_dp_is_bit_identical_to_the_one_pair_solver():
             t1, t2 = times[0] + 0.013, times[-1] - 0.021
             got = gamma_inf(traj, x1, x2, t1, t2, substeps=K, r_max=r_max)
             assert got == reference_gamma_inf(traj, x1, x2, t1, t2, K, r_max)
+
+
+@pytest.mark.parametrize("shape", [(23,), (8,), (14, 11), (9, 8)])
+def test_field_dp_wraps_both_ways_at_every_r_max(shape):
+    # sources at the first and the last node, so moves leave the grid through
+    # both ends of every axis and the padded copies on both sides are read
+    traj = random_metric_traj(shape)
+    times = traj.times
+    first, last = (0,) * len(shape), tuple(n - 1 for n in shape)
+    for r_max, x1 in product(range(1, R_MAX_LIMIT + 1), (first, last)):
+        K = 5
+        field = gamma_field(traj, x1, times[0], times[-1], K, r_max)
+        for step in ((-4, -4), (-1, 3), (3, -1), (1, 1), (0, 0)):
+            x2 = tuple((a + s) % n for a, s, n in zip(x1, step, shape))
+            want = reference_gamma_inf(traj, x1, x2, times[0], times[-1], K, r_max)
+            assert field[x2] == want, (r_max, x1, x2)
 
 
 def test_field_dp_is_bit_identical_on_bundled_runs(coupled_run, eigenmode_run):

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from tiny_configs import tiny_cfg_with, tiny_static_cfg
-from rhflow import persistence
+from rhflow import cli, persistence
 from rhflow.cli import main
 from rhflow.flow import Snapshot
 from rhflow.persistence import HashMismatchError, dumps, load_run, save_run
@@ -590,6 +590,76 @@ def test_cli_lattice_outside_its_range_exits_2(tmp_path, capsys, lattice):
     assert err.startswith("--lattice: ") and lattice in err
     assert peak < 2**20  # refused before any lattice field was allocated
     assert not (tmp_path / "reports").exists()
+
+
+# every numeric flag out of its range: (flag, which and extra arguments)
+BAD_NUMBERS = [
+    ("--beta", ["global", "--beta", "0"]),
+    ("--beta", ["global", "--beta", "-1"]),
+    ("--beta", ["global", "--beta", "nan"]),
+    ("--beta", ["evolution", "--beta", "0"]),
+    ("--beta", ["local", "--rho", "0.5", "--beta", "1"]),
+    ("--beta", ["harnack", "--mode", "complete", "--beta", "1"]),
+    ("--beta", ["harnack", "--beta", "inf"]),
+    ("--rho", ["local", "--rho", "0"]),
+    ("--rho", ["local", "--rho", "-1"]),
+    ("--rho", ["local", "--rho", "nan"]),
+    ("--rho", ["cutoff", "--rho", "0"]),
+    ("--rho", ["cutoff", "--rho", "inf"]),
+    ("--tau", ["cutoff", "--tau", "0"]),
+    ("--tau", ["cutoff", "--tau", "nan"]),
+    ("--c-tol", ["global", "--c-tol", "nan"]),
+    ("--c-tol", ["identities", "--c-tol", "inf"]),
+    ("--c-tol", ["identities", "--c-tol=-1"]),
+    ("--tol-eig", ["global", "--tol-eig", "nan"]),
+    ("--cprime", ["local", "--rho", "0.5", "--cprime", "0"]),
+    ("--cprime", ["harnack", "--mode", "complete", "--cprime", "nan"]),
+    ("--cprime-sq", ["local", "--rho", "0.5", "--cprime-sq", "-2"]),
+    ("--a", ["evolution", "--a", "nan"]),
+    ("--b", ["evolution", "--b", "0"]),
+    ("--x0", ["local", "--rho", "0.5", "--x0", "1,x"]),
+]
+
+
+@pytest.mark.parametrize("flag, argv", BAD_NUMBERS)
+def test_cli_numbers_outside_their_range_exit_2_before_loading(monkeypatch, tmp_path,
+                                                               capsys, flag, argv):
+    def no_load(source):
+        raise AssertionError("the run was loaded")
+
+    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    source = [] if argv[0] == "cutoff" else ["static_eigenmode"]
+    code = main(["check", *source, "--which", *argv, "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert json.loads(out)["error"].startswith(f"{flag}: ")
+    assert err == ""  # no traceback and no RuntimeWarning
+    assert not (tmp_path / "reports").exists()
+
+
+def test_cli_x0_with_the_wrong_coordinate_count_exits_2(tmp_path, capsys):
+    # it used to check the ball around node 1 and echo x0 (1, 2)
+    code = main(["check", "static_eigenmode", "--which", "local", "--rho", "0.5",
+                 "--x0", "1,2", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == (
+        "--x0: node (1, 2) needs 1 integer coordinate, one per grid axis")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_cli_explicit_numbers_are_used_as_given(tmp_path, capsys):
+    # numbers were read with `or`, so a 0 silently became the default; now a
+    # 0 is refused and every accepted value reaches the report unchanged
+    code = main(["check", "static_eigenmode", "--which", "global", "--beta", "1.25",
+                 "--c-tol", "0", "--out", str(tmp_path)])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1)
+    assert out["beta"] == 1.25 and out["c_tol"] == 0.0 and out["tol_num"] == 0.0
+    assert main(["check", "--which", "cutoff", "--rho", "0.5", "--tau", "0.25",
+                 "--lattice", "16", "--out", str(tmp_path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["rho"], out["tau"]) == (0.5, 0.25)
 
 
 def test_cli_output_root_env(tmp_path, capsys, monkeypatch):
