@@ -45,19 +45,16 @@ def _parse_node(text: str) -> tuple:
         raise ValueError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _get_trajectory(source: str) -> Trajectory:
+def _open_source(source: str) -> tuple:
+    """The name, the grid and a trajectory getter of a saved run directory
+    or a scenario.  A run directory is loaded here; a scenario is parsed
+    here and run only when the getter is called."""
     path = Path(source)
     if path.is_dir():
-        return persistence.load_run(path)
+        traj = persistence.load_run(path)
+        return path.name, traj.grid, lambda: traj
     sc = load_scenario(source)
-    return run_scenario(sc)
-
-
-def _source_name(source: str) -> str:
-    path = Path(source)
-    if path.is_dir():
-        return path.name
-    return load_scenario(source).name
+    return sc.name, sc.grid, lambda: run_scenario(sc)
 
 
 def _emit(obj) -> None:
@@ -104,8 +101,7 @@ def _run_check(args, traj: Trajectory):
         if args.x0 is None:
             x0 = tuple(n // 2 for n in traj.grid.n_points)
         else:
-            x0 = _parse_node(args.x0)
-            _check_flag("--x0", lambda x: distance.node_index(traj.grid, x), x0)
+            x0 = _parse_node(args.x0)  # checked against the grid by cmd_check
         cprime = args.cprime
         if cprime is None:
             cprime = estimates.fit_cprime(
@@ -140,7 +136,8 @@ def _run_check(args, traj: Trajectory):
             cprime = estimates.fit_cprime(traj, [beta], shape="harnack")
         return harnack.check_harnack(
             traj, pairs, mode=args.mode, beta=beta, cprime=cprime,
-            c_tol=args.c_tol, substeps=args.substeps, r_max=args.r_max,
+            c_tol=args.c_tol, tol_eig_factor=args.tol_eig, substeps=args.substeps,
+            r_max=args.r_max,
         )
     raise ValueError(f"unknown check {args.which!r}")
 
@@ -230,9 +227,10 @@ def cmd_check(args, emit_plotdata: bool = False) -> int:
         return 0 if report["ok"] else 1
     if not args.source:
         raise ValueError(f"--which {args.which} needs a scenario or run directory")
-    traj = _get_trajectory(args.source)
-    name = _source_name(args.source)
-    report = _run_check(args, traj)
+    name, grid, trajectory = _open_source(args.source)
+    if args.which == "local" and args.x0 is not None:
+        _check_flag("--x0", lambda x: distance.node_index(grid, x), _parse_node(args.x0))
+    report = _run_check(args, trajectory())
     out = Path(args.out) if args.out else _output_root() / name
     tag = args.which if args.which != "harnack" else f"harnack_{args.mode}"
     paths = persistence.save_report(report, out / "reports", tag)

@@ -30,6 +30,11 @@ import numpy as np
 # Largest lattice side `cutoff_verify` accepts: a few (n_r, n_t) fields of
 # doubles are alive at once, 32 MB each at this size.
 LATTICE_LIMIT = 2048
+# The lattice spans r in [0, 1.25 rho] and t in [0, 2 tau], and C_a is fitted
+# for these exponents a.
+R_MAX_FACTOR = 1.25
+T_MAX_FACTOR = 2.0
+EXPONENTS = (0.25, 0.5, 0.75)
 
 
 @dataclass(frozen=True)
@@ -115,19 +120,11 @@ def check_lattice(n) -> None:
         raise ValueError(f"lattice must be an integer from 2 to {LATTICE_LIMIT}, got {n!r}")
 
 
-def cutoff_verify(
-    rho: float,
-    tau: float,
-    n_r: int = 512,
-    n_t: int = 512,
-    exponents=(0.25, 0.5, 0.75),
-    r_max_factor: float = 1.25,
-    t_max_factor: float = 2.0,
-) -> dict:
+def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dict:
     """Verify the cutoff's structural properties on a dense (r, t) lattice.
 
     Returns fitted constants (time bound, first/second radial bounds, and
-    C_a for each requested exponent a) plus booleans for the support,
+    C_a for each exponent a in EXPONENTS) plus booleans for the support,
     range, and plateau requirements.  Fits use only points where Psi > 0;
     the profile decays faster than any power, so every C_a is finite.
     n_r and n_t must be integers from 2 to LATTICE_LIMIT.
@@ -139,8 +136,8 @@ def cutoff_verify(
     check_lattice(n_r)
     check_lattice(n_t)
     cf = CutoffFunction(rho=rho, tau=tau)
-    r = np.linspace(0.0, r_max_factor * rho, n_r)
-    t = np.linspace(0.0, t_max_factor * tau, n_t)
+    r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
+    t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)
     eta, zeta = cf.eta(r), cf.zeta(t)
     psi = np.multiply.outer(eta, zeta)
     dpsi_dt = np.multiply.outer(eta, cf.zeta_dt(t))
@@ -175,7 +172,7 @@ def cutoff_verify(
     report["c_r2"] = float(np.max(np.abs(dpsi_drr)) * rho**2)
 
     c_a = {}
-    for a in exponents:
+    for a in EXPONENTS:
         vals = np.abs(dpsi_dr[pos]) * rho / psi[pos] ** a
         c_a[float(a)] = float(np.max(vals))
     report["c_a"] = c_a

@@ -11,13 +11,18 @@ next check:
                   the identities read; the curvature bounds read every
                   snapshot's once)
     curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
-                  shape: the extreme eigenvalues of Ric relative to g and t
-                  times the largest eigenvalue of dphi (x) dphi relative to g
+                  shape: `curvature_fields` of every snapshot
     f_t(i)        centered difference of f = log u at interior snapshot i
     grad_sq(i)    |grad f|^2 at snapshot i
     distance(x0)  geodesic distance from x0 per snapshot, shape (S,) + grid
                   shape, with one Dijkstra per distinct metric array (one in
                   total on a static run)
+
+`curvature_fields` is the one eigenvalue pass behind every hypothesis
+constant.  The run reduces it to ``traj.constants`` as it steps
+(`flow.snapshot_constants`), where each snapshot's Ricci tensor is at hand;
+the layer computes it again rather than keep the run's fields, so an
+unchecked trajectory holds nothing but its snapshots.
 
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
 Neither is what only one check reads: `estimates.identity_residuals`
@@ -42,6 +47,15 @@ import weakref
 import numpy as np
 
 from . import distance, geometry
+
+
+def curvature_fields(grid, snap, ric: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lam_min(Ric), lam_max(Ric) and t lam_max(dphi (x) dphi) at every node
+    of one snapshot, eigenvalues relative to its metric; ``ric`` is the
+    Ricci tensor of that metric."""
+    lam_ric = geometry.eig_general(ric, snap.metric)
+    lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), snap.metric)
+    return lam_ric[..., 0], lam_ric[..., -1], snap.t * lam_outer[..., -1]
 
 
 class TrajectoryFields:
@@ -78,17 +92,10 @@ class TrajectoryFields:
 
     @functools.cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        grid = self.grid
-        S = len(self.snapshots)
-        lam_min = np.empty((S,) + grid.shape)
-        lam_max = np.empty((S,) + grid.shape)
-        t_lam_outer = np.empty((S,) + grid.shape)
+        shape = (len(self.snapshots),) + self.grid.shape
+        lam_min, lam_max, t_lam_outer = np.empty(shape), np.empty(shape), np.empty(shape)
         for i, s in enumerate(self.snapshots):
-            lam_ric = geometry.eig_general(self.ricci(i), s.metric)
-            lam_min[i] = lam_ric[..., 0]
-            lam_max[i] = lam_ric[..., -1]
-            lam_out = geometry.eig_general(geometry.grad_phi_outer(grid, s.phi), s.metric)
-            t_lam_outer[i] = s.t * lam_out[..., -1]
+            lam_min[i], lam_max[i], t_lam_outer[i] = curvature_fields(self.grid, s, self.ricci(i))
         return lam_min, lam_max, t_lam_outer
 
     def log_u(self, i: int) -> np.ndarray:

@@ -22,8 +22,6 @@ import functools
 import math
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .geometry import _sum, check_metric
 from .grid import Grid, shift
@@ -62,10 +60,13 @@ def _graph_structure(shape: tuple) -> tuple:
     return indptr, indices, order
 
 
-def _edge_graph(grid: Grid, g: np.ndarray) -> csr_matrix:
-    """The weighted stencil graph, built directly in canonical CSR form (the
-    form a COO assembly of the same edges converts to; grids have at least 8
-    nodes per axis, so no two stencil neighbours of a node coincide)."""
+def _edge_graph(grid: Grid, g: np.ndarray):
+    """The weighted stencil graph as a scipy.sparse.csr_matrix, built
+    directly in canonical CSR form (the form a COO assembly of the same
+    edges converts to; grids have at least 8 nodes per axis, so no two
+    stencil neighbours of a node coincide)."""
+    from scipy.sparse import csr_matrix  # scipy loads only when a distance is taken
+
     indptr, indices, order = _graph_structure(grid.shape)
     weights = []
     for off in _stencil_offsets(grid.dim):
@@ -105,6 +106,8 @@ def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
         source = int(x0)
     else:
         source = int(np.ravel_multi_index(node_index(grid, x0), grid.shape))
+    from scipy.sparse.csgraph import dijkstra
+
     graph = _edge_graph(grid, g)
     dist = dijkstra(graph, directed=False, indices=source)
     return dist.reshape(grid.shape)

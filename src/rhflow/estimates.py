@@ -12,9 +12,11 @@ evolution inequality for the Harnack quantity F = t (|grad f|^2 - beta f_t).
 
 Hypothesis constants are extracted empirically from the trajectory (tightest
 curvature bounds -k1 g <= Ric <= k2 g, map-gradient bound
-dphi (x) dphi <= (C/t) g) and are echoed into every report.  Points where the
-nonnegative-curvature gate of the global estimate fails are excluded from
-assertions and counted, never silently dropped.
+dphi (x) dphi <= (C/t) g) and are echoed into every report.  Each check
+takes them from `extract_constants` at its own tol_eig_factor, a mask over
+the layer's curvature fields.  Points where the nonnegative-curvature gate
+of the global estimate fails are excluded from assertions and counted,
+never silently dropped.
 
 Everything time-like uses centered differences over stored snapshots and
 is evaluated at interior snapshots only, so the numeric tolerance of a
@@ -360,7 +362,6 @@ def check_global(
     beta: float = 1.0,
     c_tol: float = C_TOL_DEFAULT,
     tol_eig_factor: float = TOL_EIG_FACTOR,
-    constants: HypothesisConstants | None = None,
 ) -> EstimateReport:
     """Gated check of the global gradient estimate over a trajectory.
 
@@ -371,8 +372,7 @@ def check_global(
     """
     check_beta(beta)
     grid = traj.grid
-    if constants is None:
-        constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
+    constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     times = traj.times
     keep = _report_indices(times)
     lhs = _liyau_lhs(traj, beta, keep)
@@ -411,7 +411,6 @@ def check_local(
     cprime_sq: float | None = None,
     c_tol: float = C_TOL_DEFAULT,
     tol_eig_factor: float = TOL_EIG_FACTOR,
-    constants: HypothesisConstants | None = None,
 ) -> EstimateReport:
     """Gated check of the local gradient estimate on the half ball.
 
@@ -424,10 +423,7 @@ def check_local(
     check_beta(beta, strict=True)
     check_positive("rho", rho)
     grid = traj.grid
-    if constants is None:
-        constants = extract_constants(
-            traj, region=(x0, rho), tol_eig_factor=tol_eig_factor
-        )
+    constants = extract_constants(traj, region=(x0, rho), tol_eig_factor=tol_eig_factor)
     times = traj.times
     keep = _report_indices(times)
     lhs = _liyau_lhs(traj, beta, keep)
@@ -478,7 +474,6 @@ def fit_cprime(
     x0=None,
     shape: str = "local",
     rho_power: int = 1,
-    constants: HypothesisConstants | None = None,
     floor: float = 1e-12,
 ) -> float:
     """Smallest C' making the selected bound hold with margin >= 0.
@@ -495,13 +490,10 @@ def fit_cprime(
         if rho is None or x0 is None:
             raise ValueError("local fit needs rho and x0")
         check_positive("rho", rho)
-        if constants is None:
-            constants = extract_constants(traj, region=(x0, rho))
         gate_all = traj.derived.distance(x0) < 0.5 * rho
     else:
-        if constants is None:
-            constants = extract_constants(traj)
         gate_all = np.ones((len(traj.snapshots),) + grid.shape, dtype=bool)
+    constants = extract_constants(traj, region=(x0, rho) if shape == "local" else None)
     d = traj.derived
     times = traj.times
     keep = _report_indices(times)
@@ -770,7 +762,6 @@ def check_evolution_inequality(
     b: float,
     c_tol: float = C_TOL_DEFAULT,
     tol_eig_factor: float = TOL_EIG_FACTOR,
-    constants: HypothesisConstants | None = None,
 ) -> EstimateReport:
     """Check the evolution inequality for F = t (|grad f|^2 - beta f_t).
 
@@ -798,8 +789,7 @@ def check_evolution_inequality(
     S = len(traj.snapshots)
     if S < 5:
         raise ValueError("evolution-inequality check needs at least 5 snapshots")
-    if constants is None:
-        constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
+    constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     k1, k2, c_phi = constants.k1, constants.k2, constants.c_phi
     alpha0 = traj.schedule.alpha0
     n = grid.dim

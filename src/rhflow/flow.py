@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .derived import TrajectoryFields
+from .derived import TrajectoryFields, curvature_fields
 from .geometry import MetricDegenerateError, MetricFields, metric_fields
 from .grid import Grid
 
@@ -153,7 +153,8 @@ class Trajectory:
 
     ``dt`` is the spacing between stored snapshots; the integrator substep is
     ``dt / substride`` and is recorded separately.  ``constants`` holds the
-    empirical curvature/map bounds per snapshot (see estimates module).
+    empirical curvature/map bounds per snapshot (`snapshot_constants`, the
+    node extremes of the same `derived.curvature_fields` the checks read).
     ``derived`` is the trajectory's lazily built field layer, which every
     check reads (see the derived module).
     """
@@ -317,25 +318,22 @@ def step_heat(
 
 
 def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None) -> dict:
-    """Empirical hypothesis bounds at one snapshot.
-
-    k1/k2 are the extreme eigenvalues of Ric relative to g over nodes
-    (k1 clipped at 0 from below as a lower-bound constant), and tc_phi is
-    t times the largest eigenvalue of dphi (x) dphi relative to g.  ``ric``
-    is the Ricci tensor of the snapshot's metric if the caller has it.
+    """Empirical hypothesis bounds at one snapshot: the extremes over nodes
+    of `derived.curvature_fields`, with k1 = -min lambda(Ric) clipped at 0
+    from below.  ``ric`` is the Ricci tensor of the snapshot's metric if the
+    caller has it (the run loop does, and reuses it for the next step).
     """
-    mf = snap.metric
     if ric is None:
-        ric = geometry.ricci(grid, mf)
-    lam_ric = geometry.eig_general(ric, mf)
-    lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), mf)
+        ric = geometry.ricci(grid, snap.metric)
+    lam_min, lam_max, t_lam_outer = curvature_fields(grid, snap, ric)
+    ric_min, ric_max = float(np.min(lam_min)), float(np.max(lam_max))
     return {
         "t": float(snap.t),
-        "ric_min": float(np.min(lam_ric)),
-        "ric_max": float(np.max(lam_ric)),
-        "k1": float(max(0.0, -np.min(lam_ric))),
-        "k2": float(np.max(lam_ric)),
-        "tc_phi": float(snap.t * np.max(lam_outer[..., -1])),
+        "ric_min": ric_min,
+        "ric_max": ric_max,
+        "k1": max(0.0, -ric_min),
+        "k2": ric_max,
+        "tc_phi": float(np.max(t_lam_outer)),
     }
 
 

@@ -43,7 +43,7 @@ from itertools import product
 
 import numpy as np
 
-from .estimates import GateEmptyError, HypothesisConstants, check_beta, extract_constants
+from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants
 from .flow import Trajectory
 from .geometry import _sum
 
@@ -447,15 +447,17 @@ def check_harnack(
     beta: float = 2.0,
     cprime: float | None = None,
     c_tol: float = 10.0,
-    constants: HypothesisConstants | None = None,
+    tol_eig_factor: float = TOL_EIG_FACTOR,
     substeps: int | None = None,
     r_max: int = R_MAX_DEFAULT,
 ) -> HarnackReport:
     """Check u(x2, t2) >= floor for every pair ((x1, t1), (x2, t2)).
 
-    compact mode gates on nonnegative Ricci curvature over the whole run
-    and uses the global-estimate constants; complete mode needs beta > 1
-    and a C' (fit one with `estimates.fit_cprime(..., shape="harnack")`).
+    compact mode gates on nonnegative Ricci curvature over the whole run,
+    up to the tol_eig that tol_eig_factor sets (as in
+    `estimates.check_global`), and uses the global-estimate constants;
+    complete mode needs beta > 1 and a C' (fit one with
+    `estimates.fit_cprime(..., shape="harnack")`).
     Margins are compared in log domain.  Each pair is [x1, t1, x2, t2] with
     integer nodes of the grid's dimension and finite times that coincide
     with stored snapshots; a malformed pair, or one whose floor underflows
@@ -468,8 +470,7 @@ def check_harnack(
         raise ValueError("mode must be 'compact' or 'complete'")
     check_r_max(r_max)
     grid = traj.grid
-    if constants is None:
-        constants = extract_constants(traj)
+    constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     n = grid.dim
     alpha0 = traj.schedule.alpha0
     if mode == "compact":

@@ -288,6 +288,16 @@ def _fmt_cell(v) -> str:
     return str(v)
 
 
+def _write_csv(path: Path, rows: list[dict]) -> Path:
+    """One header line of the first row's keys, then one line per row."""
+    header = list(rows[0].keys())
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt_cell(row[k]) for k in header))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
 def save_report(report, out_dir, name: str) -> dict:
     """Write <name>.json (summary) and, when rows exist, <name>.csv.
 
@@ -303,13 +313,7 @@ def save_report(report, out_dir, name: str) -> dict:
     json_path.write_text(dumps(summary))
     paths["json"] = json_path
     if rows:
-        csv_path = out / f"{name}.csv"
-        header = list(rows[0].keys())
-        lines = [",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt_cell(row[k]) for k in header))
-        csv_path.write_text("\n".join(lines) + "\n")
-        paths["csv"] = csv_path
+        paths["csv"] = _write_csv(out / f"{name}.csv", rows)
     return paths
 
 
@@ -318,35 +322,15 @@ def save_plotdata(report, out_dir, name: str) -> dict:
     LHS/RHS series at the worst gated node."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {}
-
-    rows = report.rows()
-    timeline = out / f"{name}_margin_timeline.csv"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_cell(row[k]) for k in header))
-    timeline.write_text("\n".join(lines) + "\n")
-    paths["margin_timeline"] = timeline
-
+    paths = {"margin_timeline": _write_csv(out / f"{name}_margin_timeline.csv",
+                                           report.rows())}
     if hasattr(report, "worst"):
         node = report.worst["node"]
         S = report.lhs.shape[0]
-        lhs_series = report.lhs.reshape(S, -1)[:, node]
-        rhs_series = report.rhs.reshape(S, -1)[:, node]
-        lines = ["t,lhs,rhs" + (",rhs_alt" if report.alt is not None else "")]
-        for i in range(S):
-            cells = [
-                _format_float(float(report.times[i])),
-                _format_float(float(lhs_series[i])),
-                _format_float(float(rhs_series[i])),
-            ]
-            if report.alt is not None:
-                cells.append(
-                    _format_float(float(report.alt["rhs"].reshape(S, -1)[:, node][i]))
-                )
-            lines.append(",".join(cells))
-        node_path = out / f"{name}_worst_node.csv"
-        node_path.write_text("\n".join(lines) + "\n")
-        paths["worst_node"] = node_path
+        series = {"t": report.times, "lhs": report.lhs.reshape(S, -1)[:, node],
+                  "rhs": report.rhs.reshape(S, -1)[:, node]}
+        if report.alt is not None:
+            series["rhs_alt"] = report.alt["rhs"].reshape(S, -1)[:, node]
+        rows = [{k: float(v[i]) for k, v in series.items()} for i in range(S)]
+        paths["worst_node"] = _write_csv(out / f"{name}_worst_node.csv", rows)
     return paths

@@ -8,17 +8,21 @@ one edge-cost build per floor snapshot per `check_harnack` call, with only
 one snapshot's edge costs alive at a time.
 """
 
+import ast
 import copy
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from test_flow import count_calls
+from test_flow import count_calls, short_coupled_scenario
+from tiny_configs import tiny_static_cfg
 from rhflow import distance, geometry, harnack
 from rhflow import estimates as est
 from rhflow.cli import _auto_pairs
 from rhflow.persistence import load_run, save_run
+from rhflow.scenarios import load_scenario, run_scenario
 
 
 def run_every_check(traj, x0, rho):
@@ -121,3 +125,60 @@ def test_f_t_is_centered_only(coupled_run, i):
     S = len(coupled_run.snapshots)
     with pytest.raises(ValueError, match="interior"):
         coupled_run.derived.f_t(i % S)
+
+
+# ---------------------------------------------------------------------------
+# one eigenvalue pass: the run's constants reduce the layer's curvature
+
+
+def halted_warped_scenario():
+    """A 1-D warped run whose map blows up after a few stored snapshots."""
+    return load_scenario({
+        "name": "warped_blowup",
+        "grid": {"dim": 1, "n_points": [16], "lengths": [1.0]},
+        "variant": {"kind": "warped_product", "m": 1, "mu": 20.0},
+        "alpha": {"alpha0": 1.0},
+        "initial": {
+            "metric": {"type": "flat"},
+            "phi": {"components": [{"type": "constant", "value": -1.0}]},
+            "u": {"type": "constant", "value": 1.0},
+        },
+        "time": {"t_start": 0.0, "t_end": 0.05, "dt_sub": 5e-4, "snapshot_stride": 2},
+    })
+
+
+@pytest.mark.parametrize("case", ["euler", "rk2", "static", "halted"])
+def test_run_constants_are_the_reduction_of_the_layer(case):
+    if case == "static":
+        sc = load_scenario(tiny_static_cfg())
+    elif case == "halted":
+        sc = halted_warped_scenario()
+    else:
+        sc = short_coupled_scenario(case)[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = run_scenario(sc)
+    assert traj.completed == (case != "halted")
+    assert len(traj.snapshots) > 2
+    lam_min, lam_max, t_lam_outer = traj.derived.curvature
+    assert len(traj.constants) == len(traj.snapshots) == len(lam_min)
+    for i, (s, rec) in enumerate(zip(traj.snapshots, traj.constants)):
+        ric_min, ric_max = float(lam_min[i].min()), float(lam_max[i].max())
+        assert rec == {"t": s.t, "ric_min": ric_min, "ric_max": ric_max,
+                       "k1": max(0.0, -ric_min), "k2": ric_max,
+                       "tc_phi": float(t_lam_outer[i].max())}
+
+
+def test_eig_general_has_one_caller():
+    # every hypothesis constant comes from derived.curvature_fields
+    package = Path(geometry.__file__).parent
+    callers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and "eig_general" in (
+                        getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    callers.append((path.name, fn.name))
+    assert callers == [("derived.py", "curvature_fields")] * 2

@@ -21,7 +21,7 @@ import pytest
 from rhflow import cli, harnack
 from rhflow.cli import _auto_pairs, main
 from rhflow.estimates import GateEmptyError, extract_constants, fit_cprime
-from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory
+from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory, run, stability_limit
 from rhflow.grid import Grid
 from rhflow.harnack import (
     R_MAX_DEFAULT,
@@ -481,7 +481,7 @@ def test_cli_huge_r_max_exits_2_before_loading(monkeypatch, tmp_path, capsys):
     def no_load(source):
         raise AssertionError("the run was loaded")
 
-    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    monkeypatch.setattr(cli, "_open_source", no_load)
     tracemalloc.start()
     try:
         code = main(["check", "static_eigenmode", "--which", "harnack",
@@ -512,7 +512,7 @@ def test_cli_substeps_outside_their_range_exit_2_before_loading(monkeypatch, tmp
     def no_load(source):
         raise AssertionError("the run was loaded")
 
-    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    monkeypatch.setattr(cli, "_open_source", no_load)
     code = main(["check", "static_eigenmode", "--which", "harnack",
                  "--substeps", substeps, "--out", str(tmp_path)])
     assert code == 2
@@ -549,3 +549,37 @@ def test_harnack_demo_runs():
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert "complete-manifold floors" in proc.stdout
+
+
+def conformal_run():
+    """Five snapshots of Ricci flow of a conformal metric on a 16x16 torus.
+    Its Gauss curvature takes both signs, so the compact gate fails at the
+    default curvature tolerance."""
+    grid = Grid(2, (16, 16), (1.0, 1.0))
+    x, y = grid.coords()
+    f = 0.2 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    g = np.exp(2.0 * f)[..., None, None] * np.eye(2)
+    u = 2.0 + np.sin(2.0 * np.pi * x)
+    snap = Snapshot(0.0, g, np.zeros(grid.shape + (1,)), u)
+    dt = 0.5 * stability_limit(grid, g)
+    return run(grid, FlowVariant("rh_alpha"), AlphaSchedule(0.0), snap, 16 * dt, dt, 4)
+
+
+def test_compact_gate_honours_the_curvature_tolerance(tmp_path, capsys):
+    traj = conformal_run()
+    t1, t2 = float(traj.times[1]), float(traj.times[-1])
+    pairs = [((0, 0), t1, (8, 8), t2), ((4, 4), t1, (4, 12), t2)]
+    with pytest.raises(GateEmptyError, match="nonnegative Ricci"):
+        check_harnack(traj, pairs)
+    # a tolerance of twice the curvature scale admits every node
+    want = extract_constants(traj, tol_eig_factor=2.0)
+    assert want.ric_nonneg and want.k1 > 0
+    rep = check_harnack(traj, pairs, tol_eig_factor=2.0)
+    assert rep.constants == want.as_dict() and len(rep.pairs) == 2
+    # and so does the CLI's --tol-eig, which the harnack check used to drop
+    save_run(traj, tmp_path / "run")
+    code = main(["check", str(tmp_path / "run"), "--which", "harnack", "--tol-eig", "2",
+                 "--out", str(tmp_path / "out")])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 1) and "error" not in out
+    assert out["constants"]["tol_eig"] == want.tol_eig

@@ -65,14 +65,15 @@ def scenario_digests(name: str, tmp: Path) -> dict:
     for f in RUN_FILES:
         out[f"{name}/{f}"] = _sha((run_dir / f).read_bytes())
     traj = persistence.load_run(run_dir)
-    real = cli._get_trajectory
-    cli._get_trajectory = lambda source: traj  # every check shares one trajectory
+    real = cli._open_source
+    # every check shares one trajectory
+    cli._open_source = lambda source: (run_dir.name, traj.grid, lambda: traj)
     try:
         for argv in _checks(name):
             key = f"{name}/{' '.join(argv)}"
             out[key] = list(_cli(["report", str(run_dir), "--out", str(out_dir)] + argv))
     finally:
-        cli._get_trajectory = real
+        cli._open_source = real
     for p in sorted((out_dir / "reports").iterdir()):
         out[f"{name}/reports/{p.name}"] = _sha(p.read_bytes())
     return out

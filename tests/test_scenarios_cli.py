@@ -9,7 +9,10 @@ content outside the run manifest).
 
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -627,7 +630,7 @@ def test_cli_numbers_outside_their_range_exit_2_before_loading(monkeypatch, tmp_
     def no_load(source):
         raise AssertionError("the run was loaded")
 
-    monkeypatch.setattr(cli, "_get_trajectory", no_load)
+    monkeypatch.setattr(cli, "_open_source", no_load)
     source = [] if argv[0] == "cutoff" else ["static_eigenmode"]
     code = main(["check", *source, "--which", *argv, "--out", str(tmp_path)])
     out, err = capsys.readouterr()
@@ -646,6 +649,34 @@ def test_cli_x0_with_the_wrong_coordinate_count_exits_2(tmp_path, capsys):
     assert json.loads(out)["error"] == (
         "--x0: node (1, 2) needs 1 integer coordinate, one per grid axis")
     assert not (tmp_path / "reports").exists()
+
+
+def test_cli_x0_of_the_wrong_length_exits_2_before_the_run(monkeypatch, tmp_path, capsys):
+    # it used to be refused only once the whole run had been computed
+    def no_run(*args, **kwargs):
+        raise AssertionError("the scenario was run")
+
+    monkeypatch.setattr(cli, "run_scenario", no_run)
+    code = main(["check", "rh_perturbed_2d", "--which", "local", "--rho", "1",
+                 "--x0", "1", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == (
+        "--x0: node (1,) needs 2 integer coordinates, one per grid axis")
+    assert not (tmp_path / "reports").exists()
+
+
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # scipy's import is most of a flag refusal's time; only a distance needs it
+    code = ("import sys, rhflow.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_explicit_numbers_are_used_as_given(tmp_path, capsys):
