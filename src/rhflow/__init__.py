@@ -16,12 +16,10 @@ from .estimates import (
     check_global,
     check_identities,
     check_local,
-    cprime_fallback,
     extract_constants,
     fit_cprime,
     global_bound,
     identity_residuals,
-    liyau_quantity,
     local_bound,
 )
 from .flow import (
@@ -96,7 +94,6 @@ __all__ = [
     "check_identities",
     "check_local",
     "christoffel",
-    "cprime_fallback",
     "cutoff_verify",
     "eig_general",
     "energy_density",
@@ -113,7 +110,6 @@ __all__ = [
     "hessian",
     "identity_residuals",
     "laplace_beltrami",
-    "liyau_quantity",
     "load_run",
     "load_scenario",
     "local_bound",

@@ -25,10 +25,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import distance, estimates, harnack, persistence
-from .cutoff import LATTICE_LIMIT, check_lattice, cutoff_verify
+from . import estimates, harnack, persistence
+from .cutoff import LATTICE_LIMIT, cutoff_verify
 from .estimates import GateEmptyError
 from .flow import Trajectory
+from .grid import check_int_range
 from .scenarios import load_scenario, run_scenario
 
 WHICH_CHOICES = ("identities", "global", "local", "evolution", "harnack", "cutoff")
@@ -111,9 +112,7 @@ def _run_check(args, traj: Trajectory):
             cprime_sq = estimates.fit_cprime(
                 traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2)
         report = estimates.check_local(
-            traj, beta, args.rho, x0, cprime, cprime_sq,
-            c_tol=args.c_tol, tol_eig_factor=args.tol_eig,
-        )
+            traj, beta, args.rho, x0, cprime, cprime_sq, c_tol=args.c_tol)
         if args.cprime is None:
             report.notes["cprime_fitted_in_sample"] = True
         return report
@@ -121,9 +120,7 @@ def _run_check(args, traj: Trajectory):
         beta = _default(args.beta, 1.5)
         a = _default(args.a, 1.0 / (3.0 * beta))
         b = _default(args.b, 1.0 / (3.0 * beta))
-        return estimates.check_evolution_inequality(
-            traj, beta, a, b, c_tol=args.c_tol, tol_eig_factor=args.tol_eig
-        )
+        return estimates.check_evolution_inequality(traj, beta, a, b, c_tol=args.c_tol)
     if args.which == "harnack":
         if args.pairs:
             # check_harnack validates every pair and names a malformed one
@@ -168,10 +165,10 @@ def cmd_run(args) -> int:
     return 0 if traj.completed else 1
 
 
-def _check_flag(flag: str, check, value) -> None:
-    """check(value), with a refusal blamed on the flag."""
+def _check_flag(flag: str, check, *args) -> None:
+    """check(*args), with a refusal blamed on the flag."""
     try:
-        check(value)
+        check(*args)
     except ValueError as exc:
         raise ValueError(f"{flag}: {exc}") from None
 
@@ -197,40 +194,39 @@ def _check_flags(args) -> None:
         if value is None:
             continue
         if flag in positive:
-            _check_flag(flag, lambda v: estimates.check_positive(name, v), value)
+            _check_flag(flag, estimates.check_positive, name, value)
         elif flag != "--beta":
             _check_flag(flag, _non_negative, value)
         elif args.which in ("global", "evolution"):
             _check_flag(flag, estimates.check_beta, value)
         elif args.which == "local" or (args.which == "harnack" and args.mode == "complete"):
-            _check_flag(flag, lambda v: estimates.check_beta(v, strict=True), value)
+            _check_flag(flag, estimates.check_beta, value, True)
         else:
             _check_flag(flag, _finite, value)  # read by no check
     if args.x0 is not None:
         _check_flag("--x0", _parse_node, args.x0)
     if args.which == "cutoff":
-        _check_flag("--lattice", check_lattice, args.lattice)
+        _check_flag("--lattice", check_int_range, "lattice", args.lattice, 2, LATTICE_LIMIT)
     if args.which == "harnack":
-        _check_flag("--r-max", harnack.check_r_max, args.r_max)
+        _check_flag("--r-max", check_int_range, "r_max", args.r_max, 1, harnack.R_MAX_LIMIT)
         if args.substeps is not None:
-            _check_flag("--substeps", harnack.check_substeps, args.substeps)
+            _check_flag("--substeps", check_int_range, "substeps", args.substeps, 1,
+                        harnack.SUBSTEPS_LIMIT)
 
 
 def cmd_check(args, emit_plotdata: bool = False) -> int:
     _check_flags(args)
     if args.which == "cutoff":
+        name = "cutoff"
         report = cutoff_verify(_default(args.rho, 1.0), _default(args.tau, 0.1),
                                n_r=args.lattice, n_t=args.lattice)
-        out = Path(args.out) if args.out else _output_root() / "cutoff"
-        paths = persistence.save_report(report, out / "reports", "cutoff")
-        _emit({**report, "report_files": sorted(p.name for p in paths.values())})
-        return 0 if report["ok"] else 1
-    if not args.source:
+    elif not args.source:
         raise ValueError(f"--which {args.which} needs a scenario or run directory")
-    name, grid, trajectory = _open_source(args.source)
-    if args.which == "local" and args.x0 is not None:
-        _check_flag("--x0", lambda x: distance.node_index(grid, x), _parse_node(args.x0))
-    report = _run_check(args, trajectory())
+    else:
+        name, grid, trajectory = _open_source(args.source)
+        if args.which == "local" and args.x0 is not None:
+            _check_flag("--x0", grid.node, _parse_node(args.x0))
+        report = _run_check(args, trajectory())
     out = Path(args.out) if args.out else _output_root() / name
     tag = args.which if args.which != "harnack" else f"harnack_{args.mode}"
     paths = persistence.save_report(report, out / "reports", tag)
@@ -270,7 +266,7 @@ def main(argv=None) -> int:
         p.add_argument("--beta", type=float, default=None)
         p.add_argument("--c-tol", type=float, default=estimates.C_TOL_DEFAULT)
         p.add_argument("--tol-eig", type=float, default=estimates.TOL_EIG_FACTOR,
-                       help="curvature-gate tolerance factor")
+                       help="curvature-gate tolerance factor (global, compact harnack)")
         p.add_argument("--rho", type=float, default=None, help="ball radius (local/cutoff)")
         p.add_argument("--x0", default=None, help="ball center node, comma separated")
         p.add_argument("--cprime", type=float, default=None)

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .grid import check_int_range
+
 # Largest lattice side `cutoff_verify` accepts: a few (n_r, n_t) fields of
 # doubles are alive at once, 32 MB each at this size.
 LATTICE_LIMIT = 2048
@@ -113,13 +115,6 @@ class CutoffFunction:
         return self.eta_drr(r) * self.zeta(t)
 
 
-def check_lattice(n) -> None:
-    """Refuse a lattice side that is not an integer in [2, LATTICE_LIMIT]."""
-    if (not isinstance(n, (int, np.integer)) or isinstance(n, bool)
-            or not 2 <= n <= LATTICE_LIMIT):
-        raise ValueError(f"lattice must be an integer from 2 to {LATTICE_LIMIT}, got {n!r}")
-
-
 def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dict:
     """Verify the cutoff's structural properties on a dense (r, t) lattice.
 
@@ -133,8 +128,8 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     on the n_t times; each lattice field is their outer product, equal bit
     for bit to evaluating the product at every (r, t).
     """
-    check_lattice(n_r)
-    check_lattice(n_t)
+    check_int_range("lattice", n_r, 2, LATTICE_LIMIT)
+    check_int_range("lattice", n_t, 2, LATTICE_LIMIT)
     cf = CutoffFunction(rho=rho, tau=tau)
     r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
     t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)

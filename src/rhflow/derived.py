@@ -14,9 +14,13 @@ next check:
                   shape: `curvature_fields` of every snapshot
     f_t(i)        centered difference of f = log u at interior snapshot i
     grad_sq(i)    |grad f|^2 at snapshot i
-    distance(x0)  geodesic distance from x0 per snapshot, shape (S,) + grid
-                  shape, with one Dijkstra per distinct metric array (one in
-                  total on a static run)
+    liyau(i, beta)
+                  the Li-Yau left side |grad f|^2 - beta f_t at interior
+                  snapshot i, the quantity every estimate bounds (not kept)
+    distance(x0)  geodesic distance from node x0 (`Grid.node`, so every
+                  spelling of one node shares it) per snapshot, shape (S,) +
+                  grid shape, with one Dijkstra per distinct metric array
+                  (one in total on a static run)
 
 `curvature_fields` is the one eigenvalue pass behind every hypothesis
 constant.  The run reduces it to ``traj.constants`` as it steps
@@ -117,8 +121,11 @@ class TrajectoryFields:
             self._grad_sq[i] = geometry.gradient_norm_sq(self.grid, s.metric, self.log_u(i))
         return self._grad_sq[i]
 
+    def liyau(self, i: int, beta: float) -> np.ndarray:
+        return self.grad_sq(i) - beta * self.f_t(i)
+
     def distance(self, x0) -> np.ndarray:
-        key = tuple(np.atleast_1d(x0).tolist())
+        key = self.grid.node(x0)
         if key not in self._distance:
             grid, out, last_g, last_d = self.grid, [], None, None
             for s in self.snapshots:

@@ -85,27 +85,13 @@ def _edge_graph(grid: Grid, g: np.ndarray):
     return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
-def node_index(grid: Grid, x0) -> tuple:
-    """x0, a sequence of one integer per grid axis, wrapped onto the torus;
-    a ValueError if it has another length or a non-integer entry."""
-    coords = np.atleast_1d(x0)
-    if coords.shape != (grid.dim,) or not np.issubdtype(coords.dtype, np.integer):
-        raise ValueError(f"node {tuple(coords.tolist())} needs {grid.dim} integer "
-                         f"coordinate{'s' if grid.dim > 1 else ''}, one per grid axis")
-    return tuple(int(c) % n for c, n in zip(coords, grid.n_points))
-
-
 def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
-    """Distance field from node x0: a linear index, or a multi-index (see
-    `node_index`).
+    """Distance field from node x0 (see `Grid.node`).
 
     Returns an array of shape ``grid.shape``.
     """
     check_metric(g)
-    if np.isscalar(x0):
-        source = int(x0)
-    else:
-        source = int(np.ravel_multi_index(node_index(grid, x0), grid.shape))
+    source = int(np.ravel_multi_index(grid.node(x0), grid.shape))
     from scipy.sparse.csgraph import dijkstra
 
     graph = _edge_graph(grid, g)
@@ -115,8 +101,7 @@ def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
 
 def flat_torus_distance(grid: Grid, x0, x1) -> float:
     """Closed-form Euclidean distance between nodes on the flat torus."""
-    x0 = np.atleast_1d(x0)
-    x1 = np.atleast_1d(x1)
+    x0, x1 = grid.node(x0), grid.node(x1)
     d2 = 0.0
     for ax in range(grid.dim):
         cells = grid.wrap_delta(x0[ax], x1[ax], ax)

@@ -13,20 +13,23 @@ evolution inequality for the Harnack quantity F = t (|grad f|^2 - beta f_t).
 Hypothesis constants are extracted empirically from the trajectory (tightest
 curvature bounds -k1 g <= Ric <= k2 g, map-gradient bound
 dphi (x) dphi <= (C/t) g) and are echoed into every report.  Each check
-takes them from `extract_constants` at its own tol_eig_factor, a mask over
-the layer's curvature fields.  Points where the nonnegative-curvature gate
-of the global estimate fails are excluded from assertions and counted,
+takes them from `extract_constants`, a mask over the layer's curvature
+fields; the global check sets its tol_eig_factor, the only check here whose
+verdict reads the curvature gate.  Points where the nonnegative-curvature
+gate of the global estimate fails are excluded from assertions and counted,
 never silently dropped.
 
 Everything time-like uses centered differences over stored snapshots and
 is evaluated at interior snapshots only, so the numeric tolerance of a
 report is ``tol_num = c_tol * (h_max^2 + dt_snapshot) * scale`` with
-``scale = max |LHS|`` over the report.
+``scale = max |LHS|`` over the report (`tol_num`; the Harnack report uses
+it too).
 
 Every field a check reads (Ricci curvature and its eigenvalue bounds,
-f = log u, f_t, |grad f|^2, distance fields) comes from the trajectory's
-shared layer ``traj.derived`` (see the derived module), so running several
-checks on one trajectory computes each field once.
+f = log u, f_t, |grad f|^2, the Li-Yau left side |grad f|^2 - beta f_t,
+distance fields) comes from the trajectory's shared layer ``traj.derived``
+(see the derived module), so running several checks on one trajectory
+computes each field once.
 """
 
 from __future__ import annotations
@@ -37,10 +40,11 @@ import numpy as np
 
 from . import geometry
 from .flow import Trajectory
-from .grid import Grid
 
 TOL_EIG_FACTOR = 1e-8
 C_TOL_DEFAULT = 10.0
+# `fit_cprime` returns at least this, also when no margin binds.
+CPRIME_FLOOR = 1e-12
 
 
 class GateEmptyError(ValueError):
@@ -64,7 +68,7 @@ def check_positive(name: str, value) -> None:
 
 
 # ---------------------------------------------------------------------------
-# report snapshots and the Li-Yau quantity
+# report snapshots and the numeric tolerance
 
 
 def _report_indices(times) -> list[int]:
@@ -79,10 +83,12 @@ def _report_indices(times) -> list[int]:
     return keep
 
 
-def _liyau_lhs(traj: Trajectory, beta: float, keep) -> np.ndarray:
-    """|grad f|^2 - beta f_t at the snapshots in keep, stacked."""
-    d = traj.derived
-    return np.stack([d.grad_sq(i) - beta * d.f_t(i) for i in keep])
+def tol_num(traj: Trajectory, c_tol: float, *sides) -> tuple[float, float]:
+    """(tol_num, scale) of a margin report: scale is the largest magnitude
+    the given sides reach (0 if they are empty), and the tolerance is
+    c_tol * (h_max^2 + dt_snapshot) * scale."""
+    scale = max((float(np.max(np.abs(s))) for s in sides if np.size(s)), default=0.0)
+    return float(c_tol * (max(traj.grid.h) ** 2 + traj.dt) * scale), scale
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +145,7 @@ def extract_constants(
     else:
         x0, rho = region
         mask = traj.derived.distance(x0) < rho
-        region_desc = f"ball(x0={tuple(np.atleast_1d(x0).tolist())}, rho={rho:g})"
+        region_desc = f"ball(x0={traj.grid.node(x0)}, rho={rho:g})"
         if not np.any(mask):
             raise GateEmptyError(f"region mask is empty: {region_desc}")
     ric_scale = float(np.max(np.abs(np.where(mask, lam_min, 0.0))))
@@ -163,38 +169,6 @@ def extract_constants(
 
 # ---------------------------------------------------------------------------
 # pointwise quantities and closed-form bounds
-
-
-def liyau_quantity(
-    grid: Grid,
-    snap,
-    snap_next,
-    beta: float = 1.0,
-    snap_prev=None,
-) -> np.ndarray:
-    """|grad f|^2 - beta f_t for f = log u at snap's time.
-
-    f_t is a forward difference to snap_next, or a centered difference when
-    snap_prev is also given.  At beta the value equals the beta=1 value plus
-    (beta - 1)(-f_t) exactly.
-    """
-    if np.any(snap.u <= 0) or np.any(snap_next.u <= 0):
-        raise ValueError("heat field must be positive to take logarithms")
-    f = np.log(snap.u)
-    f_next = np.log(snap_next.u)
-    if snap_prev is None:
-        dt = snap_next.t - snap.t
-        if dt <= 0:
-            raise ValueError("snapshots must be in increasing time order")
-        f_t = (f_next - f) / dt
-    else:
-        if np.any(snap_prev.u <= 0):
-            raise ValueError("heat field must be positive to take logarithms")
-        dt2 = snap_next.t - snap_prev.t
-        if dt2 <= 0:
-            raise ValueError("snapshots must be in increasing time order")
-        f_t = (f_next - np.log(snap_prev.u)) / dt2
-    return geometry.gradient_norm_sq(grid, snap.metric, f) - beta * f_t
 
 
 def global_bound(k: float, n: int, c_phi: float, alpha0: float, t) -> np.ndarray:
@@ -242,16 +216,6 @@ def local_bound(
     rho_term = b2 / (rho**rho_power * (beta - 1.0))
     return cprime * b2 * (rho_term + 1.0 / t + max(k1, k2)) + n * beta * k1 / (
         4.0 * (beta - 1.0)
-    )
-
-
-def cprime_fallback(n: int, alpha0: float, c_phi: float, d4: float) -> float:
-    """Analytic fallback for C' with the cutoff-derived constant d4 supplied
-    by the caller (it is left symbolic by the derivation)."""
-    return max(
-        2.0 * n * d4,
-        n * (d4 + 1.0 + alpha0 * c_phi / n + np.sqrt(2.0) * alpha0 * c_phi),
-        n * (d4 + 2.0),
     )
 
 
@@ -352,11 +316,6 @@ class EstimateReport:
         return out
 
 
-def _tol_num(grid: Grid, dt_snap: float, lhs: np.ndarray, c_tol: float) -> tuple[float, float]:
-    scale = float(np.max(np.abs(lhs))) if lhs.size else 0.0
-    return c_tol * (max(grid.h) ** 2 + dt_snap) * scale, scale
-
-
 def check_global(
     traj: Trajectory,
     beta: float = 1.0,
@@ -375,7 +334,7 @@ def check_global(
     constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     times = traj.times
     keep = _report_indices(times)
-    lhs = _liyau_lhs(traj, beta, keep)
+    lhs = np.stack([traj.derived.liyau(i, beta) for i in keep])
     alpha0 = traj.schedule.alpha0
     n = grid.dim
     rhs_t = global_bound(constants.k2, n, constants.c_phi, alpha0, times[keep])
@@ -385,7 +344,7 @@ def check_global(
     gate = constants.valid_mask[keep]
     if not np.any(gate):
         raise GateEmptyError("global-estimate hypothesis gate is empty on this run")
-    tol, scale = _tol_num(grid, traj.dt, lhs, c_tol)
+    tol, scale = tol_num(traj, c_tol, lhs)
     return EstimateReport(
         theorem="global",
         beta=beta,
@@ -410,7 +369,6 @@ def check_local(
     cprime: float,
     cprime_sq: float | None = None,
     c_tol: float = C_TOL_DEFAULT,
-    tol_eig_factor: float = TOL_EIG_FACTOR,
 ) -> EstimateReport:
     """Gated check of the local gradient estimate on the half ball.
 
@@ -418,15 +376,16 @@ def check_local(
     asserted on the ball of radius rho/2.  With cprime_sq given, the rho^2
     variant of the bound is evaluated alongside and both margins must clear
     the tolerance for the report to pass.  Reporting is restricted to
-    interior snapshots with t > 0, as in the global check.
+    interior snapshots with t > 0, as in the global check.  x0 is a node
+    (`Grid.node`), echoed wrapped onto the torus.
     """
     check_beta(beta, strict=True)
     check_positive("rho", rho)
     grid = traj.grid
-    constants = extract_constants(traj, region=(x0, rho), tol_eig_factor=tol_eig_factor)
+    constants = extract_constants(traj, region=(x0, rho))
     times = traj.times
     keep = _report_indices(times)
-    lhs = _liyau_lhs(traj, beta, keep)
+    lhs = np.stack([traj.derived.liyau(i, beta) for i in keep])
     gate = traj.derived.distance(x0)[keep] < 0.5 * rho
     if not np.any(gate):
         raise GateEmptyError("local-estimate gate (half ball) is empty on this run")
@@ -449,7 +408,7 @@ def check_local(
             "rhs": rhs2,
             "margin": rhs2 - lhs,
         }
-    tol, scale = _tol_num(grid, traj.dt, lhs, c_tol)
+    tol, scale = tol_num(traj, c_tol, lhs)
     return EstimateReport(
         theorem="local",
         beta=beta,
@@ -462,7 +421,7 @@ def check_local(
         c_tol=c_tol,
         scale=scale,
         constants=constants.as_dict(),
-        notes={"rho": rho, "x0": tuple(np.atleast_1d(x0).tolist()), "cprime": cprime},
+        notes={"rho": rho, "x0": grid.node(x0), "cprime": cprime},
         alt=alt,
     )
 
@@ -474,9 +433,9 @@ def fit_cprime(
     x0=None,
     shape: str = "local",
     rho_power: int = 1,
-    floor: float = 1e-12,
 ) -> float:
-    """Smallest C' making the selected bound hold with margin >= 0.
+    """Smallest C' making the selected bound hold with margin >= 0, and at
+    least CPRIME_FLOOR.
 
     shape="local" fits the half-ball estimate at the given rho and
     rho_power.  shape="harnack" fits the rho-free differential form
@@ -500,7 +459,7 @@ def fit_cprime(
     k1, k2 = constants.k1, constants.k2
     kbar = max(k1, k2)
     n = grid.dim
-    best = floor
+    best = CPRIME_FLOOR
     for beta in np.atleast_1d(betas):
         beta = float(beta)
         check_beta(beta, strict=True)
@@ -509,7 +468,7 @@ def fit_cprime(
             gate = gate_all[i]
             if not np.any(gate):
                 continue
-            lhs = d.grad_sq(i) - beta * d.f_t(i)
+            lhs = d.liyau(i, beta)
             t = times[i]
             if shape == "local":
                 numer = lhs - n * beta * k1 / (4.0 * (beta - 1.0))
@@ -719,7 +678,6 @@ def identity_residuals(
 def check_identities(
     traj: Trajectory,
     c_tol: float = C_TOL_DEFAULT,
-    indices=None,
     include_flow_correction: bool = True,
 ) -> dict:
     """Assert every identity residual is small relative to its own sides.
@@ -730,9 +688,7 @@ def check_identities(
     derivatives at that order).  All three quarter under the standard
     refinement (h/2, dt_snapshot/2, dt_sub/4).
     """
-    res = identity_residuals(
-        traj, indices=indices, include_flow_correction=include_flow_correction
-    )
+    res = identity_residuals(traj, include_flow_correction=include_flow_correction)
     grid = traj.grid
     basis = max(grid.h) ** 2 + traj.dt**2 + traj.dt_sub
     per = {}
@@ -761,7 +717,6 @@ def check_evolution_inequality(
     a: float,
     b: float,
     c_tol: float = C_TOL_DEFAULT,
-    tol_eig_factor: float = TOL_EIG_FACTOR,
 ) -> EstimateReport:
     """Check the evolution inequality for F = t (|grad f|^2 - beta f_t).
 
@@ -789,7 +744,7 @@ def check_evolution_inequality(
     S = len(traj.snapshots)
     if S < 5:
         raise ValueError("evolution-inequality check needs at least 5 snapshots")
-    constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
+    constants = extract_constants(traj)
     k1, k2, c_phi = constants.k1, constants.k2, constants.c_phi
     alpha0 = traj.schedule.alpha0
     n = grid.dim
@@ -798,7 +753,7 @@ def check_evolution_inequality(
     keep = [i for i in range(2, S - 2) if times[i] > 0]
     if not keep:
         raise ValueError("no interior snapshots with t > 0")
-    F = {j: times[j] * (d.grad_sq(j) - beta * d.f_t(j))
+    F = {j: times[j] * d.liyau(j, beta)
          for j in {j for i in keep for j in (i - 1, i, i + 1)}}
     lhs_list, rhs_list = [], []
     for i in keep:
@@ -814,7 +769,7 @@ def check_evolution_inequality(
         rhs = (
             -2.0 * grad_f_grad_F
             + (2.0 * a * beta * t / n) * (gs - ft) ** 2
-            - (gs - beta * ft)
+            - d.liyau(i, beta)
             - 2.0 * k1 * beta * t * gs
             - (beta * t * n / (2.0 * b)) * max(k1 * k1, k2 * k2)
             - (beta * alpha0 * alpha0 * n / (2.0 * b)) * (c_phi * c_phi / t)
@@ -824,7 +779,7 @@ def check_evolution_inequality(
         rhs_list.append(rhs)
     lhs = np.stack(lhs_list)
     rhs = np.stack(rhs_list)
-    tol, scale = _tol_num(grid, traj.dt, lhs, c_tol)
+    tol, scale = tol_num(traj, c_tol, lhs)
     return EstimateReport(
         theorem="evolution",
         beta=beta,

@@ -337,6 +337,20 @@ def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None
     }
 
 
+def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
+    """Number of snapshot intervals of dt_sub * stride in a time span >= 0;
+    a ValueError unless the span is an integer multiple of the interval to
+    within 1e-9 of the larger of the two."""
+    dt_snap = dt_sub * stride
+    n_snaps = int(round(span / dt_snap)) if span > 0 else 0
+    if abs(n_snaps * dt_snap - span) > 1e-9 * max(span, dt_snap):
+        raise ValueError(
+            f"(t_end - t_start)={span:g} is not an integer multiple of "
+            f"dt_sub*stride={dt_snap:g}"
+        )
+    return n_snaps
+
+
 def run(
     grid: Grid,
     variant: FlowVariant,
@@ -377,13 +391,7 @@ def run(
     span = T - initial.t
     if span < 0:
         raise ValueError("T must be >= the initial snapshot time")
-    dt_snap = dt_sub * substride
-    n_snaps = int(round(span / dt_snap)) if span > 0 else 0
-    if abs(n_snaps * dt_snap - span) > 1e-9 * max(span, dt_snap):
-        raise ValueError(
-            f"(T - t_start)={span:g} is not an integer multiple of "
-            f"dt*substride={dt_snap:g}"
-        )
+    n_snaps = snapshot_count(span, dt_sub, substride)
     snaps = [initial]
     ric = geometry.ricci(grid, initial.metric)  # of current.metric, or None
     constants = [snapshot_constants(grid, initial, ric)]
@@ -424,7 +432,7 @@ def run(
         variant=variant,
         schedule=schedule,
         snapshots=snaps,
-        dt=dt_snap,
+        dt=dt_sub * substride,
         dt_sub=dt_sub,
         halt_reason=halt,
         constants=constants,

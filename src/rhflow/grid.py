@@ -24,6 +24,12 @@ def _is_int(v) -> bool:
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
+def check_int_range(name: str, value, lo: int, hi: int) -> None:
+    """Refuse a value that is not an integer (bools refused) from lo to hi."""
+    if not _is_int(value) or not lo <= value <= hi:
+        raise ValueError(f"{name} must be an integer from {lo} to {hi}, got {value!r}")
+
+
 def shift(a: np.ndarray, k: int, axis: int) -> np.ndarray:
     """``np.roll(a, k, axis)`` for k = +1 or -1, built from two slice copies.
 
@@ -95,6 +101,25 @@ class Grid:
     @property
     def cell_volume(self) -> float:
         return float(np.prod(self.h))
+
+    def node(self, x) -> tuple[int, ...]:
+        """x as a node: one index per axis, wrapped onto the torus.  x is an
+        integer on a 1-D grid, or a sequence or array of dim integers; bools
+        and fractions are refused, not truncated."""
+        if isinstance(x, np.ndarray):
+            coords = tuple(np.atleast_1d(x))
+        elif isinstance(x, (list, tuple)):
+            coords = tuple(x)
+        else:
+            coords = (x,)
+        if len(coords) != self.dim:
+            problem = f"does not match grid dimension {self.dim}"
+        elif not all(_is_int(v) for v in coords):
+            problem = "has non-integer coordinates"
+        else:
+            return tuple(int(v) % n for v, n in zip(coords, self.n_points))
+        raise ValueError(f"node {x!r} {problem}: needs {self.dim} integer "
+                         f"coordinate{'s' if self.dim > 1 else ''}, one per grid axis")
 
     def axes(self) -> list[np.ndarray]:
         """Node coordinates per axis (left edge at 0)."""

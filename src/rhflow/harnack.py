@@ -43,9 +43,10 @@ from itertools import product
 
 import numpy as np
 
-from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants
+from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants, tol_num
 from .flow import Trajectory
 from .geometry import _sum
+from .grid import check_int_range
 
 R_MAX_DEFAULT = 2
 # Largest r_max accepted.  The edge costs of one floor snapshot hold
@@ -56,40 +57,6 @@ SUBSTEPS_FLOOR = 32
 # Largest layer count accepted.  A dynamic program's time is linear in its
 # layer count; the defaults stay below 300 on every bundled scenario.
 SUBSTEPS_LIMIT = 4096
-
-
-def check_r_max(r_max) -> None:
-    """Refuse an r_max that is not an integer in [1, R_MAX_LIMIT], before
-    anything is allocated for it."""
-    if (not isinstance(r_max, (int, np.integer)) or isinstance(r_max, bool)
-            or not 1 <= r_max <= R_MAX_LIMIT):
-        raise ValueError(f"r_max must be an integer from 1 to {R_MAX_LIMIT}, got {r_max!r}")
-
-
-def check_substeps(substeps) -> None:
-    """Refuse a layer count that is not an integer in [1, SUBSTEPS_LIMIT]."""
-    if (not isinstance(substeps, (int, np.integer)) or isinstance(substeps, bool)
-            or not 1 <= substeps <= SUBSTEPS_LIMIT):
-        raise ValueError(
-            f"substeps must be an integer from 1 to {SUBSTEPS_LIMIT}, got {substeps!r}")
-
-
-def _node_tuple(grid, x) -> tuple:
-    """x as a tuple of node indices, wrapped onto the torus.  A node is an
-    integer (1-D grids) or a sequence of grid.dim integers; bools and
-    non-integral numbers are refused, not truncated."""
-    if isinstance(x, np.ndarray):
-        coords = tuple(np.atleast_1d(x))
-    elif isinstance(x, (list, tuple)):
-        coords = tuple(x)
-    else:
-        coords = (x,)
-    if len(coords) != grid.dim:
-        raise ValueError(f"node {x!r} does not match grid dimension {grid.dim}")
-    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-               for v in coords):
-        raise ValueError(f"node {x!r} needs integer coordinates")
-    return tuple(int(v) % n for v, n in zip(coords, grid.n_points))
 
 
 def _pair_time(t) -> float:
@@ -109,7 +76,7 @@ def _parse_pair(grid, pair) -> tuple:
     if not isinstance(pair, (list, tuple)) or len(pair) != 4:
         raise ValueError(f"expected [x1, t1, x2, t2], got {pair!r}")
     x1, t1, x2, t2 = pair
-    return _node_tuple(grid, x1), _pair_time(t1), _node_tuple(grid, x2), _pair_time(t2)
+    return grid.node(x1), _pair_time(t1), grid.node(x2), _pair_time(t2)
 
 
 def _floor_snapshot_index(times: np.ndarray, s: float) -> int:
@@ -142,7 +109,7 @@ def path_energy(traj: Trajectory, nodes, t1: float, t2: float) -> float:
     """Energy of an explicit space-time polyline visiting `nodes` at uniform
     times from t1 to t2, metric frozen per segment at the floor snapshot."""
     grid = traj.grid
-    nodes = [_node_tuple(grid, x) for x in nodes]
+    nodes = [grid.node(x) for x in nodes]
     if len(nodes) < 2:
         raise ValueError("a path needs at least two nodes")
     if not t1 < t2:
@@ -168,10 +135,10 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
             f"path times [{t1:g}, {t2:g}] outside stored range "
             f"[{times[0]:g}, {times[-1]:g}]"
         )
-    check_r_max(r_max)
+    check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     if substeps is None:
         substeps = default_substeps(traj.grid, x1, x2, r_max)
-    check_substeps(substeps)
+    check_int_range("substeps", substeps, 1, SUBSTEPS_LIMIT)
     K = int(substeps)
     if _cell_distance(traj.grid, x1, x2) > K * r_max:
         raise ValueError("target unreachable: cell distance exceeds K * r_max")
@@ -287,7 +254,7 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
     snapshot's costs: half the moves' worth of unscaled edges and their
     scaled copies for one layer length.  Only r_max is checked here.
     """
-    check_r_max(r_max)
+    check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     grid = traj.grid
     times = traj.times
     layout = _Layout(grid.shape, r_max)
@@ -347,7 +314,7 @@ def gamma_field(
     `gamma_fields`).  Each layer refreshes the periodic padding of the cost
     once and adds each move's costs to a contiguous slice of it.
     """
-    x1 = _node_tuple(traj.grid, x1)
+    x1 = traj.grid.node(x1)
     return gamma_fields(traj, [(x1, t1, t2, int(substeps))], r_max)[0]
 
 
@@ -370,8 +337,8 @@ def gamma_inf(
     continuum infimum.
     """
     grid = traj.grid
-    x1 = _node_tuple(grid, x1)
-    x2 = _node_tuple(grid, x2)
+    x1 = grid.node(x1)
+    x2 = grid.node(x2)
     K = _layer_count(traj, x1, x2, t1, t2, substeps, r_max)
     return float(gamma_field(traj, x1, t1, t2, K, r_max)[x2])
 
@@ -456,7 +423,8 @@ def check_harnack(
     compact mode gates on nonnegative Ricci curvature over the whole run,
     up to the tol_eig that tol_eig_factor sets (as in
     `estimates.check_global`), and uses the global-estimate constants;
-    complete mode needs beta > 1 and a C' (fit one with
+    complete mode has no curvature gate, so it takes the constants at the
+    default factor, and needs beta > 1 and a C' (fit one with
     `estimates.fit_cprime(..., shape="harnack")`).
     Margins are compared in log domain.  Each pair is [x1, t1, x2, t2] with
     integer nodes of the grid's dimension and finite times that coincide
@@ -468,8 +436,10 @@ def check_harnack(
     """
     if mode not in ("compact", "complete"):
         raise ValueError("mode must be 'compact' or 'complete'")
-    check_r_max(r_max)
+    check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     grid = traj.grid
+    if mode == "complete":
+        tol_eig_factor = TOL_EIG_FACTOR
     constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     n = grid.dim
     alpha0 = traj.schedule.alpha0
@@ -521,7 +491,7 @@ def check_harnack(
             gammas[j] = float(field[requests[j][2]])
 
     results = []
-    lhs_abs, rhs_abs = [0.0], [0.0]
+    lhs_all, rhs_all = [], []
     for i, ((x1, i1, x2, i2, K), gamma) in enumerate(zip(requests, gammas)):
         s1, s2 = traj.snapshots[i1], traj.snapshots[i2]
         u1 = float(s1.u[x1])
@@ -534,8 +504,8 @@ def check_harnack(
             )
         lhs = np.log(u2) - np.log(u1)
         rhs = np.log(floor) - np.log(u1)
-        lhs_abs.append(abs(lhs))
-        rhs_abs.append(abs(rhs))
+        lhs_all.append(lhs)
+        rhs_all.append(rhs)
         results.append(
             {
                 "x1": x1,
@@ -550,8 +520,7 @@ def check_harnack(
                 "margin_log": float(lhs - rhs),
             }
         )
-    scale = float(max(max(lhs_abs), max(rhs_abs)))
-    tol = float(c_tol * (max(grid.h) ** 2 + traj.dt) * scale)
+    tol, scale = tol_num(traj, c_tol, lhs_all, rhs_all)
     for p in results:
         p["ok"] = bool(p["margin_log"] >= -tol)
     return HarnackReport(

@@ -168,22 +168,20 @@ def save_run(
     return out
 
 
-def _read(out: Path, name: str, digests: dict | None) -> bytes:
-    """The bytes of one file, checked against its manifest digest unless
-    ``digests`` is None (verification waived)."""
-    if digests is not None and name not in digests:
+def _read(out: Path, name: str, digests: dict) -> bytes:
+    """The bytes of one file, checked against its manifest digest."""
+    if name not in digests:
         raise HashMismatchError(f"{name}: not listed in the manifest")
     data = (out / name).read_bytes()
-    if digests is not None:
-        actual = hashlib.sha256(data).hexdigest()
-        if actual != digests[name]:
-            raise HashMismatchError(
-                f"{name}: manifest says {digests[name][:12]}..., file is {actual[:12]}..."
-            )
+    actual = hashlib.sha256(data).hexdigest()
+    if actual != digests[name]:
+        raise HashMismatchError(
+            f"{name}: manifest says {digests[name][:12]}..., file is {actual[:12]}..."
+        )
     return data
 
 
-def _load_npy(out: Path, name: str, digests: dict | None, shape: tuple) -> np.ndarray:
+def _load_npy(out: Path, name: str, digests: dict, shape: tuple) -> np.ndarray:
     data = _read(out, name, digests)
     try:
         arr = np.load(io.BytesIO(data), allow_pickle=False)
@@ -210,17 +208,17 @@ def _snapshot(t, g, phi, u, names: dict, i: int) -> Snapshot:
         raise ValueError(f"{names[field]}: snapshot {i}: {exc}") from exc
 
 
-def load_run(run_dir, verify: bool = True) -> Trajectory:
+def load_run(run_dir) -> Trajectory:
     """Rebuild a trajectory from a run directory.
 
-    With ``verify`` every file read must be listed in the manifest and match
-    its digest.  Only the file names of the directory's format are read.
+    Every file read must be listed in the manifest and match its digest.
+    Only the file names of the directory's format are read.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{out} has no manifest.json (incomplete run?)")
-    digests = json.loads(manifest_path.read_text())["files"] if verify else None
+    digests = json.loads(manifest_path.read_text())["files"]
     meta = json.loads(_read(out, "meta.json", digests))
     if "g" not in meta["fields_saved"]:
         raise ValueError(

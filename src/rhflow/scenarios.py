@@ -43,11 +43,11 @@ import numpy as np
 
 from .flow import (
     AlphaSchedule,
-    C_STAB_DEFAULT,
     FlowVariant,
     Snapshot,
     Trajectory,
     run,
+    snapshot_count,
     stability_limit,
 )
 from .geometry import MetricDegenerateError
@@ -343,14 +343,10 @@ def parse_scenario(cfg: dict) -> Scenario:
         raise ValueError("time.dt_sub must be positive")
     if stride < 1:
         raise ValueError("time.snapshot_stride must be a positive integer")
-    span = t_end - t_start
-    dt_snap = dt_sub * stride
-    n_snaps = round(span / dt_snap)
-    if abs(n_snaps * dt_snap - span) > 1e-9 * max(span, dt_snap):
-        raise ValueError(
-            f"(t_end - t_start)={span:g} is not an integer multiple of "
-            f"dt_sub*snapshot_stride={dt_snap:g}"
-        )
+    try:
+        snapshot_count(t_end - t_start, dt_sub, stride)
+    except ValueError as exc:
+        raise ValueError(f"time: {exc}") from None
 
     method = cfg.get("method", "euler")
     if method not in ("euler", "rk2"):
@@ -412,11 +408,7 @@ def load_scenario(source) -> Scenario:
     )
 
 
-def run_scenario(
-    sc: Scenario,
-    method: str | None = None,
-    c_stab: float = C_STAB_DEFAULT,
-) -> Trajectory:
+def run_scenario(sc: Scenario, method: str | None = None) -> Trajectory:
     return run(
         sc.grid,
         sc.variant,
@@ -426,7 +418,6 @@ def run_scenario(
         dt_sub=sc.dt_sub,
         substride=sc.snapshot_stride,
         method=method or sc.method,
-        c_stab=c_stab,
         scenario=sc.raw,
     )
 

@@ -21,7 +21,7 @@ from tiny_configs import tiny_static_cfg
 from rhflow import distance, geometry, harnack
 from rhflow import estimates as est
 from rhflow.cli import _auto_pairs
-from rhflow.persistence import load_run, save_run
+from rhflow.persistence import dumps, load_run, save_run
 from rhflow.scenarios import load_scenario, run_scenario
 
 
@@ -79,6 +79,18 @@ def test_static_run_needs_one_dijkstra_per_centre(eigenmode_run, tmp_path, monke
     np.testing.assert_array_equal(loaded.derived.distance((64,)),
                                   traj.derived.distance((64,)))
     assert len(dijkstra) == 3
+
+
+def test_spellings_of_one_node_share_one_dijkstra_and_echo(eigenmode_run, monkeypatch):
+    # 133 and -123 wrap to node 5 on the 128-node circle
+    traj = copy.copy(eigenmode_run)
+    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    reports = [est.check_local(traj, 2.0, 0.3, x0, 1.0)
+               for x0 in ((5,), (133,), np.array([-123]), [np.int64(5)])]
+    assert len(dijkstra) == 1 and dijkstra[0][2] == (5,)
+    assert {dumps(rep.summary()) for rep in reports} == {dumps(reports[0].summary())}
+    assert reports[0].notes["x0"] == (5,)
+    assert reports[0].constants["region"] == "ball(x0=(5,), rho=0.3)"
 
 
 def test_edge_costs_of_one_floor_snapshot_alive_at_a_time(coupled_run, monkeypatch):

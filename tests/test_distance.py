@@ -62,6 +62,23 @@ def test_flat_2d_band_and_exact_directions():
     assert np.isclose(d[5, 5], 5 * h * np.sqrt(2.0), rtol=1e-12)
 
 
+def test_an_integer_node_wraps_onto_the_1d_torus():
+    # 20 used to reach scipy as linear index 20 and fail there
+    grid = Grid(1, (16,), (1.0,))
+    g = flat_metric(grid)
+    np.testing.assert_array_equal(geodesic_distance(grid, g, 20),
+                                  geodesic_distance(grid, g, (4,)))
+
+
+@pytest.mark.parametrize("x0", [True, 3.7, 5, (True, 1), (1, 3.7), (1, 2, 3)])
+def test_a_2d_node_needs_two_integer_coordinates(x0):
+    # True used to be read as linear index 1, 3.7 truncated to 3 and 5 read
+    # as the linear index of node (0, 5)
+    grid = Grid(2, (16, 16), (1.0, 1.0))
+    with pytest.raises(ValueError, match="needs 2 integer coordinates"):
+        geodesic_distance(grid, flat_metric(grid), x0)
+
+
 def test_metric_scaling_scales_distance_by_sqrt():
     grid = Grid(2, (24, 24), (1.0, 1.0))
     g = flat_metric(grid)

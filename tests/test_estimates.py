@@ -15,6 +15,7 @@ from rhflow import geometry
 from rhflow.estimates import GateEmptyError
 from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory, run
 from rhflow.grid import Grid
+from rhflow.harnack import check_harnack
 from rhflow.scenarios import load_scenario, run_scenario
 
 
@@ -60,60 +61,48 @@ def test_local_bound_spot_values_and_validation():
                             kw["cprime"], kw["n"], rho_power=kw.get("rho_power", 1))
 
 
-def test_cprime_fallback_is_max_of_three_terms():
-    n, a0, c, d4 = 2, 0.5, 0.1, 3.0
-    expected = max(2.0 * n * d4,
-                   n * (d4 + 1.0 + a0 * c / n + np.sqrt(2.0) * a0 * c),
-                   n * (d4 + 2.0))
-    assert est.cprime_fallback(n, a0, c, d4) == expected
-    assert est.cprime_fallback(1, 0.0, 0.0, 10.0) == 20.0  # first term dominates
-
-
 # ---------------------------------------------------------------------------
 # the Li-Yau quantity
 
 
-def liyau_fixture():
+def liyau_fixture(beta=1.0):
+    """A hand-built static trajectory of the separable solution
+    u = exp(c t) w(x), snapshots at t = 0.1, 0.2, 0.3."""
     grid = Grid(1, (64,), (2.0 * np.pi,))
     x = grid.coords()[0]
     w = np.exp(0.2 * np.sin(x))
     phi = np.zeros(grid.shape + (1,))
     g = flat_metric(grid)
     c = -1.3
-
-    def snap(t):
-        return Snapshot(t, g, phi, np.exp(c * t) * w)
-
-    return grid, x, c, snap
+    snaps = [Snapshot(t, g, phi, np.exp(c * t) * w) for t in (0.1, 0.2, 0.3)]
+    traj = Trajectory(grid, FlowVariant("static"), AlphaSchedule(0.0), snaps,
+                      dt=0.1, dt_sub=0.1)
+    return grid, x, c, traj
 
 
 def test_liyau_quantity_exact_on_separable_solution():
-    # u = exp(c t) w(x) makes f = log u linear in t, so every finite
+    # u = exp(c t) w(x) makes f = log u linear in t, so the centred
     # difference recovers f_t = c exactly and the quantity has a closed form
-    grid, x, c, snap = liyau_fixture()
+    grid, x, c, traj = liyau_fixture()
     h = grid.h[0]
     grad_sq = (0.2 * np.cos(x) * np.sin(h) / h) ** 2
-    got = est.liyau_quantity(grid, snap(0.1), snap(0.2))
-    np.testing.assert_allclose(got, grad_sq - c, atol=1e-12)
-    centered = est.liyau_quantity(grid, snap(0.2), snap(0.3), snap_prev=snap(0.1))
-    np.testing.assert_allclose(centered, grad_sq - c, atol=1e-12)
+    np.testing.assert_allclose(traj.derived.f_t(1), c, atol=1e-12)
+    np.testing.assert_allclose(traj.derived.liyau(1, 1.0), grad_sq - c, atol=1e-12)
 
 
 def test_liyau_quantity_beta_relation_exact():
-    grid, x, c, snap = liyau_fixture()
-    q1 = est.liyau_quantity(grid, snap(0.1), snap(0.2), beta=1.0)
-    q3 = est.liyau_quantity(grid, snap(0.1), snap(0.2), beta=3.0)
+    grid, x, c, traj = liyau_fixture()
+    q1 = traj.derived.liyau(1, 1.0)
+    q3 = traj.derived.liyau(1, 3.0)
     np.testing.assert_allclose(q3, q1 + (3.0 - 1.0) * (-c), atol=1e-12)
 
 
 def test_liyau_quantity_validation():
-    grid, x, c, snap = liyau_fixture()
-    with pytest.raises(ValueError, match="increasing"):
-        est.liyau_quantity(grid, snap(0.2), snap(0.1))
-    bad = Snapshot(0.3, snap(0.3).g, snap(0.3).phi, snap(0.3).u)
-    object.__setattr__(bad, "u", -snap(0.3).u)
-    with pytest.raises(ValueError, match="positive"):
-        est.liyau_quantity(grid, snap(0.1), bad)
+    # f_t is centred, so the end snapshots have no Li-Yau quantity
+    grid, x, c, traj = liyau_fixture()
+    for i in (0, 2):
+        with pytest.raises(ValueError, match="interior"):
+            traj.derived.liyau(i, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +240,7 @@ def test_fitted_cprime_touches_in_sample(coupled_run):
     assert abs(rep.min_margin) <= 1e-9 * rep.scale
 
 
-def test_fit_cprime_validation(coupled_run):
+def test_fit_cprime_validation(coupled_run, monkeypatch):
     with pytest.raises(ValueError, match="shape"):
         est.fit_cprime(coupled_run, [2.0], shape="global")
     with pytest.raises(ValueError, match="rho and x0"):
@@ -259,7 +248,8 @@ def test_fit_cprime_validation(coupled_run):
     with pytest.raises(ValueError, match="beta > 1"):
         est.fit_cprime(coupled_run, [1.0], rho=2.0, x0=(32, 32))
     # the floor survives when nothing binds
-    assert est.fit_cprime(coupled_run, [2.0], shape="harnack", floor=1e9) == 1e9
+    monkeypatch.setattr(est, "CPRIME_FLOOR", 1e9)
+    assert est.fit_cprime(coupled_run, [2.0], shape="harnack") == 1e9
 
 
 def test_check_local_gate_and_alt(coupled_run):
@@ -502,6 +492,16 @@ def test_local_check_and_fit_refuse_bad_rho(eigenmode_run, rho):
         est.check_local(eigenmode_run, 2.0, rho, (64,), 1.0)
     with pytest.raises(ValueError, match="rho must be a positive finite number"):
         est.fit_cprime(eigenmode_run, [2.0], rho=rho, x0=(64,))
+
+
+def test_local_and_harnack_checks_refuse_a_bool_coordinate(coupled_run):
+    # np.atleast_1d read [True, 1] as node (1, 1) in the local check
+    with pytest.raises(ValueError, match="non-integer coordinates"):
+        est.check_local(coupled_run, 2.0, 1.0, [True, 1], 1.0)
+    times = coupled_run.times
+    with pytest.raises(ValueError, match="pair 0: .*non-integer coordinates"):
+        check_harnack(coupled_run, [[[True, 1], times[1], [2, 2], times[-1]]],
+                      mode="complete", cprime=1.0)
 
 
 @pytest.mark.parametrize("x0", [(1, 2), (), (1.5,), (True,)])

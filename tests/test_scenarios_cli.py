@@ -80,7 +80,8 @@ def test_time_validation():
     with pytest.raises(ValueError, match="dt_sub must be positive"):
         parse_scenario(tiny_cfg_with(time={"t_end": 0.1, "dt_sub": 0.0,
                                            "snapshot_stride": 10}))
-    with pytest.raises(ValueError, match="integer multiple"):
+    # the rule is flow.snapshot_count's; the scenario names its section
+    with pytest.raises(ValueError, match="^time: .*integer multiple"):
         parse_scenario(tiny_cfg_with(time={"t_end": 0.0015, "dt_sub": 1e-4,
                                            "snapshot_stride": 10}))
     with pytest.raises(ValueError, match="positive integer"):
@@ -296,8 +297,9 @@ def test_tampered_run_detected(tmp_path):
     target.write_bytes(bytes(data))
     with pytest.raises(HashMismatchError, match="manifest says"):
         load_run(out)
-    # verification can be waived explicitly
-    load_run(out, verify=False)
+    # the tampered file is still a readable run: only its digest gives it away
+    rehash(out)
+    load_run(out)
 
 
 def test_u_only_runs_do_not_reload(tmp_path):
@@ -373,7 +375,6 @@ def test_manifest_must_list_every_file_read(tmp_path):
     edit_manifest_files(out, lambda files: files.clear())
     with pytest.raises(HashMismatchError, match="meta.json: not listed"):
         load_run(out)
-    load_run(out, verify=False)
 
     save_run(traj, out, overwrite=True)
     edit_manifest_files(out, lambda files: files.pop("g.npy"))
@@ -647,7 +648,8 @@ def test_cli_x0_with_the_wrong_coordinate_count_exits_2(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
     assert json.loads(out)["error"] == (
-        "--x0: node (1, 2) needs 1 integer coordinate, one per grid axis")
+        "--x0: node (1, 2) does not match grid dimension 1: needs 1 integer coordinate, "
+        "one per grid axis")
     assert not (tmp_path / "reports").exists()
 
 
@@ -662,8 +664,23 @@ def test_cli_x0_of_the_wrong_length_exits_2_before_the_run(monkeypatch, tmp_path
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
     assert json.loads(out)["error"] == (
-        "--x0: node (1,) needs 2 integer coordinates, one per grid axis")
+        "--x0: node (1,) does not match grid dimension 2: needs 2 integer coordinates, "
+        "one per grid axis")
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("which, extra", [
+    ("local", ["--rho", "1"]), ("evolution", []), ("harnack", ["--mode", "complete"])])
+def test_tol_eig_leaves_ungated_reports_unchanged(tmp_path, capsys, which, extra):
+    # no verdict here reads the curvature gate; the echo used to change
+    codes = [main(["check", "rh_perturbed_2d", "--which", which, *extra, "--tol-eig", tol,
+                   "--out", str(tmp_path / tol)]) for tol in ("0", "1")]
+    first, second = capsys.readouterr().out.splitlines()
+    assert codes[0] == codes[1] and first == second
+    reports = [sorted((tmp_path / tol / "reports").iterdir()) for tol in ("0", "1")]
+    assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
+    for a, b in zip(*reports):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
