@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import estimates, harnack, persistence
-from .cutoff import LATTICE_LIMIT, cutoff_verify
+from .cutoff import LATTICE_LIMIT, check_scale, cutoff_verify
 from .estimates import GateEmptyError
 from .flow import Trajectory
 from .grid import check_int_range
@@ -66,7 +66,10 @@ def _auto_pairs(traj: Trajectory) -> list:
     """Deterministic default Harnack pairs: peak and trough of u at the first
     positive-time snapshot, bridged to the final snapshot."""
     times = traj.times
-    i1 = next(i for i, t in enumerate(times) if t > 0)
+    i1 = next((i for i, t in enumerate(times) if t > 0), None)
+    if i1 is None:
+        raise ValueError("the default Harnack pairs need a stored snapshot at t > 0, "
+                         f"and the run's last is at t={times[-1]:g}")
     t1, t2 = float(times[i1]), float(times[-1])
     u1 = traj.snapshots[i1].u
     peak = np.unravel_index(int(np.argmax(u1)), traj.grid.shape)
@@ -207,6 +210,9 @@ def _check_flags(args) -> None:
         _check_flag("--x0", _parse_node, args.x0)
     if args.which == "cutoff":
         _check_flag("--lattice", check_int_range, "lattice", args.lattice, 2, LATTICE_LIMIT)
+        for name in ("rho", "tau"):
+            if getattr(args, name) is not None:
+                _check_flag(f"--{name}", check_scale, name, getattr(args, name))
     if args.which == "harnack":
         _check_flag("--r-max", check_int_range, "r_max", args.r_max, 1, harnack.R_MAX_LIMIT)
         if args.substeps is not None:

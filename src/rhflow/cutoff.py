@@ -18,7 +18,8 @@ estimate's integration-by-parts argument needs:
 All derivatives are exact formulas, not differences; `cutoff_verify`
 confirms the bounds on a dense lattice and fits the constants.  Since the
 profile is a product, the lattice values are outer products of the factors
-evaluated once per r and once per t.
+evaluated once per r and once per t, over distinct rows x columns only
+(the plateau, the outside and the times past the ramp repeat).
 """
 
 from __future__ import annotations
@@ -37,6 +38,26 @@ LATTICE_LIMIT = 2048
 R_MAX_FACTOR = 1.25
 T_MAX_FACTOR = 2.0
 EXPONENTS = (0.25, 0.5, 0.75)
+# `check_scale` needs these numerators over rho^2 and tau^2 finite and
+# nonzero: zeta_dt is 2 t / tau^2, and rho^2 |eta_drr| peaks near 84 (the
+# certificate's c_r2), so 128 keeps eta_drr finite.
+SCALE_NUMERATORS = {"rho": 128.0, "tau": 2.0}
+
+
+def check_scale(name: str, value) -> None:
+    """Refuse a cutoff radius ("rho") or ramp time ("tau") unless it is
+    finite and positive and both its square and the numerator over its square
+    are finite and nonzero, so the derivatives neither overflow nor lose
+    their scale."""
+    if not 0 < value < np.inf:
+        raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+    with np.errstate(all="ignore"):
+        square = np.float64(value) ** 2
+        scaled = SCALE_NUMERATORS[name] / square
+    if not (0 < square < np.inf and 0 < scaled < np.inf):
+        raise ValueError(
+            f"{name} = {value!r} is out of range: {name}^2 and "
+            f"{SCALE_NUMERATORS[name]:g}/{name}^2 must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -47,8 +68,8 @@ class CutoffFunction:
     tau: float
 
     def __post_init__(self):
-        if not (0 < self.rho < np.inf and 0 < self.tau < np.inf):
-            raise ValueError("cutoff needs finite rho > 0 and tau > 0")
+        check_scale("rho", self.rho)
+        check_scale("tau", self.tau)
 
     # -- temporal factor -------------------------------------------------
 
@@ -115,6 +136,13 @@ class CutoffFunction:
         return self.eta_drr(r) * self.zeta(t)
 
 
+def _distinct(*fields) -> np.ndarray:
+    """Ascending indices of the first position of each distinct tuple of
+    bit patterns the 1-D ``fields`` (floats or bools, one length) take."""
+    bits = np.stack([np.asarray(f, dtype=np.float64).view(np.int64) for f in fields], axis=1)
+    return np.sort(np.unique(bits, axis=0, return_index=True)[1])
+
+
 def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dict:
     """Verify the cutoff's structural properties on a dense (r, t) lattice.
 
@@ -125,24 +153,33 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     n_r and n_t must be integers from 2 to LATTICE_LIMIT.
 
     The radial factors are evaluated on the n_r radii and the temporal ones
-    on the n_t times; each lattice field is their outer product, equal bit
-    for bit to evaluating the product at every (r, t).
+    on the n_t times.  A lattice row depends only on (eta, eta_r, eta_rr,
+    r <= rho/2, r >= rho) and a column only on (zeta, zeta_t, t >= tau), so
+    the lattice fields are outer products over the distinct rows x distinct
+    columns (bit patterns, not values, decide what is distinct).  Each entry
+    equals bit for bit the product evaluated at its (r, t), and every value
+    the report holds is an `all` or a `max` over the lattice, so it is the
+    full lattice's; ``n_r`` and ``n_t`` echo the requested sides.
     """
     check_int_range("lattice", n_r, 2, LATTICE_LIMIT)
     check_int_range("lattice", n_t, 2, LATTICE_LIMIT)
     cf = CutoffFunction(rho=rho, tau=tau)
     r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
     t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)
-    eta, zeta = cf.eta(r), cf.zeta(t)
+    radial = cf.eta(r), cf.eta_dr(r), cf.eta_drr(r), r <= 0.5 * rho, r >= rho
+    temporal = cf.zeta(t), cf.zeta_dt(t), t >= tau
+    rows, cols = _distinct(*radial), _distinct(*temporal)
+    eta, eta_dr, eta_drr, inner, outside = (a[rows] for a in radial)
+    zeta, zeta_dt, late = (a[cols] for a in temporal)
     psi = np.multiply.outer(eta, zeta)
-    dpsi_dt = np.multiply.outer(eta, cf.zeta_dt(t))
-    dpsi_dr = np.multiply.outer(cf.eta_dr(r), zeta)
-    dpsi_drr = np.multiply.outer(cf.eta_drr(r), zeta)
+    dpsi_dt = np.multiply.outer(eta, zeta_dt)
+    dpsi_dr = np.multiply.outer(eta_dr, zeta)
+    dpsi_drr = np.multiply.outer(eta_drr, zeta)
 
-    shape = (n_r, n_t)
-    inner = np.broadcast_to((r <= 0.5 * rho)[:, None], shape)
-    late = np.broadcast_to((t >= tau)[None, :], shape)
-    outside = np.broadcast_to((r >= rho)[:, None], shape)
+    shape = psi.shape
+    inner = np.broadcast_to(inner[:, None], shape)
+    late = np.broadcast_to(late[None, :], shape)
+    outside = np.broadcast_to(outside[:, None], shape)
     pos = psi > 0.0
 
     report = {

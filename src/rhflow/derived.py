@@ -4,14 +4,17 @@ Every check reads the same fields of a run: the Ricci tensor and the
 curvature bounds taken from it, f = log u with its time derivative and
 gradient square, and geodesic distance fields.  ``TrajectoryFields`` computes
 each of them once, when a check first asks for it, and keeps it for the
-next check:
+next check.  What depends on the metric alone is computed once per distinct
+metric array: consecutive snapshots whose metric arrays are one object or
+equal in content (``metric_class``) share it, so a static run computes it
+once in all, in memory or reloaded, and a coupled run once per snapshot:
 
     ricci(i)      Ricci tensor of stored snapshot i, kept as its d(d+1)/2
-                  distinct components at interior snapshots (the only ones
-                  the identities read; the curvature bounds read every
-                  snapshot's once)
+                  distinct components once per distinct metric array
     curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
-                  shape: `curvature_fields` of every snapshot
+                  shape: `curvature_fields` once per distinct metric array
+                  whose phi is equal too, its map term then scaled by each
+                  snapshot's t
     f_t(i)        centered difference of f = log u at interior snapshot i
     grad_sq(i)    |grad f|^2 at snapshot i
     liyau(i, beta)
@@ -20,7 +23,6 @@ next check:
     distance(x0)  geodesic distance from node x0 (`Grid.node`, so every
                   spelling of one node shares it) per snapshot, shape (S,) +
                   grid shape, with one Dijkstra per distinct metric array
-                  (one in total on a static run)
 
 `curvature_fields` is the one eigenvalue pass behind every hypothesis
 constant.  The run reduces it to ``traj.constants`` as it steps
@@ -31,16 +33,17 @@ unchecked trajectory holds nothing but its snapshots.
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
 Neither is what only one check reads: `estimates.identity_residuals`
 builds each snapshot's Christoffel field and Laplacian faces once per call
-and shares them among its own terms, and `harnack.gamma_fields` each floor
-snapshot's edge costs.
+and shares them among its own terms, and `harnack.gamma_fields` builds
+the edge costs once per distinct floor metric array per call (it reads
+``metric_class`` too).
 
 A trajectory reaches its layer as ``traj.derived``.  The layer lives as long
 as the trajectory, is never saved and takes no part in equality; a copy of
 the trajectory starts with an empty one.  Once every check has run it holds
 at most 8 node fields per stored snapshot in 2-D (Ricci 3, curvature 3,
-|grad f|^2 and f_t one each; Ricci and f_t at interior snapshots only) plus
-one per distance centre; in 1-D, at most 6 plus one per centre.  The snapshots must not be
-modified once it holds any of them.
+|grad f|^2 and f_t one each; f_t at interior snapshots only) plus one per
+distance centre; in 1-D, at most 6 plus one per centre.  The snapshots must
+not be modified once it holds any of them.
 """
 
 from __future__ import annotations
@@ -54,12 +57,13 @@ from . import distance, geometry
 
 
 def curvature_fields(grid, snap, ric: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """lam_min(Ric), lam_max(Ric) and t lam_max(dphi (x) dphi) at every node
+    """lam_min(Ric), lam_max(Ric) and lam_max(dphi (x) dphi) at every node
     of one snapshot, eigenvalues relative to its metric; ``ric`` is the
-    Ricci tensor of that metric."""
+    Ricci tensor of that metric.  The map term is not yet scaled by the
+    snapshot's time: the hypothesis constant c_phi bounds t times it."""
     lam_ric = geometry.eig_general(ric, snap.metric)
     lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), snap.metric)
-    return lam_ric[..., 0], lam_ric[..., -1], snap.t * lam_outer[..., -1]
+    return lam_ric[..., 0], lam_ric[..., -1], lam_outer[..., -1]
 
 
 class TrajectoryFields:
@@ -79,27 +83,45 @@ class TrajectoryFields:
         self._grad_sq = {}
         self._distance = {}
 
+    @functools.cached_property
+    def metric_class(self) -> list[int]:
+        """For each stored snapshot, the index of the first of the
+        consecutive snapshots whose metric arrays equal its own (the same
+        object, or separate arrays of equal content, as a reloaded static
+        run holds).  What depends on the metric alone is computed once per
+        class."""
+        out = []
+        for i, s in enumerate(self.snapshots):
+            prev = self.snapshots[i - 1].g if i else None
+            same = i > 0 and (s.g is prev or np.array_equal(s.g, prev))
+            out.append(out[-1] if same else i)
+        return out
+
     def ricci(self, i: int) -> np.ndarray:
-        kept = self._ricci.get(i)
-        if kept is not None:
-            if len(kept) == 1:
-                return kept[0][..., None, None]
-            r00, r01, r11 = kept
-            return np.stack([np.stack([r00, r01], axis=-1), np.stack([r01, r11], axis=-1)],
-                            axis=-2)
-        ric = geometry.ricci(self.grid, self.snapshots[i].metric)
-        if 0 < i < len(self.snapshots) - 1:
+        key = self.metric_class[i]
+        kept = self._ricci.get(key)
+        if kept is None:
+            ric = geometry.ricci(self.grid, self.snapshots[key].metric)
             # exactly symmetric, so its upper triangle holds all of it
             d = ric.shape[-1]
-            self._ricci[i] = tuple(ric[..., a, b].copy() for a in range(d) for b in range(a, d))
-        return ric
+            self._ricci[key] = tuple(ric[..., a, b].copy() for a in range(d) for b in range(a, d))
+            return ric
+        if len(kept) == 1:
+            return kept[0][..., None, None]
+        r00, r01, r11 = kept
+        return np.stack([np.stack([r00, r01], axis=-1), np.stack([r01, r11], axis=-1)], axis=-2)
 
     @functools.cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shape = (len(self.snapshots),) + self.grid.shape
         lam_min, lam_max, t_lam_outer = np.empty(shape), np.empty(shape), np.empty(shape)
+        fields = key = phi = None  # of the last snapshot whose fields were computed
         for i, s in enumerate(self.snapshots):
-            lam_min[i], lam_max[i], t_lam_outer[i] = curvature_fields(self.grid, s, self.ricci(i))
+            c = self.metric_class[i]
+            if c != key or not (s.phi is phi or np.array_equal(s.phi, phi)):
+                fields, key, phi = curvature_fields(self.grid, s, self.ricci(i)), c, s.phi
+            lam_min[i], lam_max[i] = fields[0], fields[1]
+            t_lam_outer[i] = s.t * fields[2]
         return lam_min, lam_max, t_lam_outer
 
     def log_u(self, i: int) -> np.ndarray:
@@ -127,10 +149,10 @@ class TrajectoryFields:
     def distance(self, x0) -> np.ndarray:
         key = self.grid.node(x0)
         if key not in self._distance:
-            grid, out, last_g, last_d = self.grid, [], None, None
-            for s in self.snapshots:
-                if last_g is None or not (s.g is last_g or np.array_equal(s.g, last_g)):
-                    last_g, last_d = s.g, distance.geodesic_distance(grid, s.g, key)
-                out.append(last_d)
+            out = []
+            for i, s in enumerate(self.snapshots):
+                if self.metric_class[i] == i:
+                    last = distance.geodesic_distance(self.grid, s.g, key)
+                out.append(last)
             self._distance[key] = np.stack(out)
         return self._distance[key]

@@ -325,7 +325,7 @@ def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None
     """
     if ric is None:
         ric = geometry.ricci(grid, snap.metric)
-    lam_min, lam_max, t_lam_outer = curvature_fields(grid, snap, ric)
+    lam_min, lam_max, lam_outer = curvature_fields(grid, snap, ric)
     ric_min, ric_max = float(np.min(lam_min)), float(np.max(lam_max))
     return {
         "t": float(snap.t),
@@ -333,7 +333,7 @@ def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None
         "ric_max": ric_max,
         "k1": max(0.0, -ric_min),
         "k2": ric_max,
-        "tc_phi": float(np.max(t_lam_outer)),
+        "tc_phi": float(np.max(snap.t * lam_outer)),
     }
 
 

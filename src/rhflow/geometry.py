@@ -67,7 +67,9 @@ def _metric_dim(g: np.ndarray) -> int:
 
 
 def _first_node(bad: np.ndarray) -> tuple:
-    return np.unravel_index(int(np.argmax(bad)), bad.shape)
+    """The first True node of ``bad`` as a tuple of Python ints, so that
+    messages print it as (0, 1) under every numpy version."""
+    return tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), bad.shape))
 
 
 def min_metric_eigenvalue(g: np.ndarray) -> np.ndarray:

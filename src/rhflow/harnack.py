@@ -16,9 +16,10 @@ lowers the floor: the verified inequality is conservative, never optimistic.
 `check_harnack` runs one dynamic program per distinct (x1, t1, t2, layer
 count) and reads each pair's target from it.  `gamma_fields` advances all
 of a call's programs in lockstep over the floor snapshots (the snapshot
-index never decreases across layers), so each floor snapshot's edge costs
-are built once per call, then divided by each program's layer length, and
-only one snapshot's costs are alive at a time.  Costs live in a flat,
+index never decreases across layers), so the edge costs are built once per
+call and distinct metric array (``traj.derived.metric_class``: once in all
+on a static run), then divided by each program's layer length, and only
+one metric's costs are alive at a time.  Costs live in a flat,
 periodically padded layout (`_Layout`), so each move of a layer is one
 contiguous slice at a fixed offset: one add and one minimum per move, and
 one refresh of the padding per layer.  Every program keeps the arithmetic
@@ -247,12 +248,13 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
     """`gamma_field` of every program (x1, t1, t2, substeps), x1 a node
     tuple, all advanced in lockstep over the floor snapshots.
 
-    Each floor snapshot's edge costs are built once, when the first program
-    reaches it, and freed before the next snapshot's; programs sharing a
-    layer length share one division of them.  Alive at a time: one padded
-    node field per program, one spare and one candidate field, and one
-    snapshot's costs: half the moves' worth of unscaled edges and their
-    scaled copies for one layer length.  Only r_max is checked here.
+    The edge costs of each distinct floor metric array are built once, when
+    the first program reaches a snapshot of it, and freed before the next
+    metric's; programs sharing a layer length share one division of them.
+    Alive at a time: one padded node field per program, one spare and one
+    candidate field, and one metric's costs: half the moves' worth of
+    unscaled edges and their scaled copies for one layer length.  Only
+    r_max is checked here.
     """
     check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     grid = traj.grid
@@ -271,10 +273,13 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
             at[p] = at.get(p, 0) + 1
     spare = np.empty(math.prod(layout.padded))
     cand = np.empty(work.stop - work.start)
+    classes = traj.derived.metric_class
+    built = None  # metric class of the snapshot whose costs are alive
     for idx in sorted(layers):
-        edges = moves = None  # free the previous snapshot's costs first
-        edges = _edge_costs(grid, traj.snapshots[idx].g, layout)
-        step = None
+        if classes[idx] != built:
+            edges = moves = None  # free the previous metric's costs first
+            edges = _edge_costs(grid, traj.snapshots[idx].g, layout)
+            built, step = classes[idx], None
         for p in sorted(layers[idx], key=steps.__getitem__):
             if steps[p] != step:
                 moves = None
@@ -310,7 +315,7 @@ def gamma_field(
     r_max is checked here; the other arguments are trusted: `gamma_inf` and
     `check_harnack` validate a request before they run it.
 
-    Edge costs are built only when the floor snapshot changes (see
+    Edge costs are built only when the floor metric changes (see
     `gamma_fields`).  Each layer refreshes the periodic padding of the cost
     once and adds each move's costs to a contiguous slice of it.
     """

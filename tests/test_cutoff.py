@@ -1,15 +1,26 @@
 """Space-time cutoff profile: plateau, support, the exact time-ramp constant,
 and finite-difference cross-checks of the hand-written radial derivatives.
 
-The time ramp (t/tau)^2 gives zeta_dt * ? <= 2/tau... more precisely
-zeta_dt / sqrt(zeta) = 2/tau everywhere on the ramp, so the certified
-constant is exactly 2 and any excess is a bug, not discretization.
+The time ramp (t/tau)^2 gives zeta_dt / sqrt(zeta) = 2/tau everywhere on
+the ramp, so the certified constant is exactly 2 and any excess is a bug,
+not discretization.
+
+Every test here runs with RuntimeWarning as an error, so an overflow or an
+invalid value inside the certificate fails instead of printing a warning.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rhflow.cutoff import LATTICE_LIMIT, CutoffFunction, cutoff_verify
+from rhflow.cutoff import (EXPONENTS, LATTICE_LIMIT, R_MAX_FACTOR, SCALE_NUMERATORS,
+                           T_MAX_FACTOR, CutoffFunction, cutoff_verify)
+from rhflow.persistence import dumps
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+BIG = float(np.finfo(float).max)
 
 
 def test_validation():
@@ -17,6 +28,30 @@ def test_validation():
         CutoffFunction(0.0, 0.1)
     with pytest.raises(ValueError):
         CutoffFunction(1.0, -0.1)
+
+
+# the CLI refuses them too, naming the flag (BAD_NUMBERS in test_scenarios_cli)
+@pytest.mark.parametrize("rho, tau, name", [(1e200, 1.0, "rho"), (1.0, 1e-200, "tau"),
+                                            (1e-160, 1.0, "rho"), (1.0, 1e160, "tau")])
+def test_scales_whose_squares_overflow_or_underflow_are_refused(rho, tau, name):
+    with pytest.raises(ValueError, match=f"^{name} = .* is out of range: {name}\\^2"):
+        CutoffFunction(rho, tau)
+    with pytest.raises(ValueError, match=f"^{name} = "):
+        cutoff_verify(rho, tau, n_r=8, n_t=8)
+
+
+def test_scales_at_the_ends_of_the_range_certify_without_warnings():
+    smallest = {name: float(np.sqrt(k / BIG)) * (1 + 1e-12)
+                for name, k in SCALE_NUMERATORS.items()}
+    largest = float(np.nextafter(np.sqrt(BIG), 0.0))
+    for rho in (smallest["rho"], largest):
+        for tau in (smallest["tau"], largest):
+            rep = cutoff_verify(rho, tau, n_r=LATTICE_LIMIT, n_t=16)
+            assert rep["ok"] and 80.0 < rep["c_r2"] < 90.0, (rho, tau)
+    for name in SCALE_NUMERATORS:
+        for value in (smallest[name] * (1 - 1e-9), largest * (1 + 1e-9)):
+            with pytest.raises(ValueError, match=f"^{name} = "):
+                CutoffFunction(**{"rho": 1.0, "tau": 1.0, name: value})
 
 
 def test_time_ramp_values_and_left_derivative():
@@ -134,6 +169,89 @@ def test_separable_verify_equals_the_2d_lattice_bit_for_bit(rho, tau, n_r, n_t):
     want = verify_on_2d_lattice(rho, tau, n_r, n_t)
     assert {k: got[k] for k in want} == want
     assert got["c_a"] == want["c_a"]  # dict equality on floats is bitwise here
+
+
+def verify_on_full_lattice(rho, tau, n_r, n_t):
+    """The certificate as it was computed before rows and columns were
+    deduplicated: every lattice field is the outer product of the factors
+    over all n_r radii and all n_t times."""
+    cf = CutoffFunction(rho=rho, tau=tau)
+    r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
+    t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)
+    eta, zeta = cf.eta(r), cf.zeta(t)
+    psi = np.multiply.outer(eta, zeta)
+    dpsi_dt = np.multiply.outer(eta, cf.zeta_dt(t))
+    dpsi_dr = np.multiply.outer(cf.eta_dr(r), zeta)
+    dpsi_drr = np.multiply.outer(cf.eta_drr(r), zeta)
+
+    shape = (n_r, n_t)
+    inner = np.broadcast_to((r <= 0.5 * rho)[:, None], shape)
+    late = np.broadcast_to((t >= tau)[None, :], shape)
+    outside = np.broadcast_to((r >= rho)[:, None], shape)
+    pos = psi > 0.0
+
+    report = {
+        "rho": rho,
+        "tau": tau,
+        "n_r": n_r,
+        "n_t": n_t,
+        "range_ok": bool(np.all((psi >= 0.0) & (psi <= 1.0))),
+        "plateau_ok": bool(np.all(psi[inner & late] == 1.0)),
+        "support_ok": bool(np.all(psi[outside] == 0.0))
+        and bool(np.all(cf.value(r, 0.0) == 0.0)),
+        "dr_zero_inner_ok": bool(np.all(dpsi_dr[inner] == 0.0)),
+        "monotone_r_ok": bool(np.all(dpsi_dr <= 0.0)),
+    }
+
+    # time bound: |dPsi/dt| * tau <= 2 sqrt(Psi), sharp on the inner ramp
+    cbar = np.max(np.abs(dpsi_dt[pos]) * tau / np.sqrt(psi[pos]))
+    report["cbar_time"] = float(cbar)
+    report["cbar_time_ok"] = bool(cbar <= 2.0 + 1e-9)
+
+    report["c_r1"] = float(np.max(np.abs(dpsi_dr)) * rho)
+    report["c_r2"] = float(np.max(np.abs(dpsi_drr)) * rho**2)
+
+    c_a = {}
+    for a in EXPONENTS:
+        vals = np.abs(dpsi_dr[pos]) * rho / psi[pos] ** a
+        c_a[float(a)] = float(np.max(vals))
+    report["c_a"] = c_a
+    report["c_a_finite_ok"] = bool(all(np.isfinite(v) for v in c_a.values()))
+
+    report["ok"] = bool(
+        report["range_ok"]
+        and report["plateau_ok"]
+        and report["support_ok"]
+        and report["dr_zero_inner_ok"]
+        and report["cbar_time_ok"]
+        and report["c_a_finite_ok"]
+        and np.isfinite(report["c_r1"])
+        and np.isfinite(report["c_r2"])
+    )
+    return report
+
+
+# admissible scales: 10^-150 to 10^150, whose squares and inverse squares
+# stay well inside the double range
+scales = st.floats(-150.0, 150.0).map(lambda e: float(10.0**e))
+sides = st.integers(2, 700)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(rho=scales, tau=scales, n_r=sides, n_t=sides)
+def test_distinct_rows_and_columns_give_the_full_lattice_report(rho, tau, n_r, n_t):
+    got = cutoff_verify(rho, tau, n_r=n_r, n_t=n_t)
+    assert dumps(got) == dumps(verify_on_full_lattice(rho, tau, n_r, n_t))
+
+
+@pytest.mark.parametrize("rho, tau, n_r, n_t", [
+    (1.0, 0.1, 2, 2), (1.0, 0.1, 3, 7), (1.0, 0.1, 512, 512), (0.3, 0.05, 512, 512),
+    (1.0, 0.1, LATTICE_LIMIT, LATTICE_LIMIT),
+])
+def test_distinct_rows_and_columns_on_the_lattices_in_use(rho, tau, n_r, n_t):
+    got = cutoff_verify(rho, tau, n_r=n_r, n_t=n_t)
+    assert dumps(got) == dumps(verify_on_full_lattice(rho, tau, n_r, n_t))
+    assert (got["n_r"], got["n_t"]) == (n_r, n_t)
 
 
 @pytest.mark.parametrize("n", [0, 1, LATTICE_LIMIT + 1, 10**9, 2.0, True])

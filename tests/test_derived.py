@@ -2,10 +2,13 @@
 
 Every check reads Ricci curvature, f = log u, f_t, |grad f|^2 and distance
 fields from ``traj.derived``.  Running the whole chain of checks on one
-trajectory must compute each of them once: Ricci and its eigenvalues once
-per stored snapshot, one Dijkstra per (centre, distinct metric array), and
-one edge-cost build per floor snapshot per `check_harnack` call, with only
-one snapshot's edge costs alive at a time.
+trajectory must compute each of them once.  What depends on the metric
+alone is built once per distinct metric array (consecutive snapshots whose
+metric arrays are one object or equal in content): Ricci and its
+eigenvalues, one Dijkstra per centre, and one edge-cost build per
+`check_harnack` call, with only one metric's edge costs alive at a time.
+So a coupled run, whose metrics all differ, builds them once per stored
+(or floor) snapshot, and a static run once in all, in memory or reloaded.
 """
 
 import ast
@@ -79,6 +82,33 @@ def test_static_run_needs_one_dijkstra_per_centre(eigenmode_run, tmp_path, monke
     np.testing.assert_array_equal(loaded.derived.distance((64,)),
                                   traj.derived.distance((64,)))
     assert len(dijkstra) == 3
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_a_static_run_builds_its_metric_fields_once(eigenmode_run, tmp_path, monkeypatch,
+                                                    reloaded):
+    traj = copy.copy(eigenmode_run)
+    if reloaded:  # separate but equal arrays in every snapshot
+        save_run(eigenmode_run, tmp_path / "run")
+        traj = load_run(tmp_path / "run")
+        a, b = traj.snapshots[0], traj.snapshots[1]
+        assert a.g is not b.g and a.phi is not b.phi and a.metric is not b.metric
+    ricci = count_calls(monkeypatch, geometry, "ricci")
+    eig = count_calls(monkeypatch, geometry, "eig_general")
+    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    edges = count_calls(monkeypatch, harnack, "_edge_costs")
+    run_every_check(traj, (64,), 0.3)
+    assert len(edges) == 1
+    harnack.check_harnack(traj, _auto_pairs(traj), mode="compact")
+    assert len(edges) == 2
+    # Ricci once, its eigenvalues and the map's once each, for all snapshots
+    assert len(ricci) == 1 and len(eig) == 2 and len(dijkstra) == 1
+    assert traj.derived.metric_class == [0] * len(traj.snapshots)
+    # the run's constants are still the reduction of the shared fields
+    lam_min, lam_max, t_lam_outer = traj.derived.curvature
+    for i, s in enumerate(traj.snapshots):
+        assert traj.constants[i]["tc_phi"] == float(t_lam_outer[i].max())
+        assert traj.constants[i]["ric_min"] == float(lam_min[i].min())
 
 
 def test_spellings_of_one_node_share_one_dijkstra_and_echo(eigenmode_run, monkeypatch):

@@ -159,6 +159,21 @@ def test_metric_non_finite_entries_diagnosed_first(value):
         geometry.MetricFields(g)
 
 
+def test_the_failing_node_prints_as_plain_integers():
+    # numpy 2 prints unravel_index scalars as np.int64(3), which a saved
+    # halt reason would then carry
+    grid = Grid(2, (8, 8), (1.0, 1.0))
+    g = flat_metric(grid)
+    g[3, 5] = np.array([[1.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(MetricDegenerateError, match=r"degenerate at node \(3, 5\): min") as exc:
+        geometry.check_metric(g)
+    assert [type(i) for i in exc.value.node] == [int, int]
+    g[2, 6, 1, 1] = np.inf
+    with pytest.raises(MetricDegenerateError, match=r"entries at node \(2, 6\): \[\[") as exc:
+        geometry.check_metric(g)
+    assert [type(i) for i in exc.value.node] == [int, int]
+
+
 def test_metric_fields_validate_once_and_accept_either_form():
     grid = Grid(2, (16, 16), (2.0 * np.pi, 2.0 * np.pi))
     g = generic_metric_2d(grid)

@@ -562,6 +562,34 @@ def test_cli_failed_run_exits_1(tmp_path, capsys):
     assert out["completed"] is False and "non-finite" in out["halt_reason"]
 
 
+def test_cli_run_halted_before_its_first_stored_time(tmp_path, capsys):
+    # phi jumps to about 1e297 in the first substep, so the metric overflows
+    # in the second (t = 0.005), before the first stored time t = 0.01
+    cfg = json.loads(json.dumps(load_scenario("warped_muneg").raw))
+    cfg["variant"]["mu"] = -1e300
+    src = write_cfg(tmp_path, cfg, "halted.json")
+    run_dir = tmp_path / "run"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["run", src, "--out", str(run_dir)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_snapshots"] == 1
+    reason = out["halt_reason"]
+    assert "metric has non-finite entries at node (0, 1): [[inf, " in reason
+    assert reason.endswith("(halted at t=0.005)")
+    assert json.loads((run_dir / "meta.json").read_text())["halt_reason"] == reason
+    # the default Harnack pairs need a positive stored time: exit 2 with a
+    # message, as the other checks do on too short a run
+    errors = {}
+    for which in ("global", "harnack"):
+        code = main(["check", str(run_dir), "--which", which, "--out", str(tmp_path / "c")])
+        out, err = capsys.readouterr()
+        assert code == 2 and err == ""
+        errors[which] = json.loads(out)["error"]
+    assert errors["global"].startswith("need at least 3 snapshots")
+    assert errors["harnack"] == ("the default Harnack pairs need a stored snapshot at "
+                                 "t > 0, and the run's last is at t=0")
+
+
 def test_cli_empty_gate_exits_1(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("RHFLOW_OUTPUT_ROOT", str(tmp_path))
     code = main(["check", "rh_perturbed_2d", "--which", "harnack",
@@ -622,6 +650,8 @@ BAD_NUMBERS = [
     ("--a", ["evolution", "--a", "nan"]),
     ("--b", ["evolution", "--b", "0"]),
     ("--x0", ["local", "--rho", "0.5", "--x0", "1,x"]),
+    ("--rho", ["cutoff", "--rho", "1e200"]),  # rho^2 overflows
+    ("--tau", ["cutoff", "--tau", "1e-200"]),  # tau^2 underflows
 ]
 
 
