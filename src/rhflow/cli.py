@@ -1,16 +1,19 @@
 """Command line front end.
 
-    rhflow run SOURCE [--out DIR] [--u-only] [--seed N] [--method M]
-    rhflow check SOURCE --which WHICH [options]
-    rhflow report SOURCE --which WHICH [options]
+    rhflow run SOURCE [--out DIR] [--seed N] [--method M]
+    rhflow check SOURCE --which WHICH [flags]
+    rhflow report SOURCE --which WHICH [flags]
 
 SOURCE is a bundled scenario name, a path to a scenario JSON, or a saved
-run directory.  WHICH selects what to verify: identities, global, local,
-evolution, harnack, or cutoff (cutoff needs no source).  `check` exits 0
-only if every asserted margin clears -tol_num and no hypothesis gate was
-empty; `run` exits 0 only if the run reached its final time.  Configuration
-and usage problems exit 2.  All output is deterministic JSON/CSV: checking
-the same scenario twice produces byte-identical files.
+run directory.  `CHECKS` holds one entry per check, keyed by its report tag
+(`--which harnack --mode compact` is `harnack_compact`; `cutoff` takes no
+SOURCE): the flags it reads, with their defaults and domains, and the
+function that runs it.  A flag the check does not read, or a value outside
+its domain, exits 2 naming the flag before anything is loaded.  `check`
+exits 0 only if every asserted margin clears -tol_num and no hypothesis
+gate was empty; `run` exits 0 only if the run reached its final time.
+Configuration and usage problems exit 2.  All output is deterministic
+JSON/CSV: checking the same scenario twice produces byte-identical files.
 
 The output root is --out, else $RHFLOW_OUTPUT_ROOT, else ./runs.
 """
@@ -21,18 +24,18 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import estimates, harnack, persistence
 from .cutoff import LATTICE_LIMIT, check_scale, cutoff_verify
-from .estimates import GateEmptyError
+from .estimates import EstimateReport, GateEmptyError, check_beta, check_positive
 from .flow import Trajectory
 from .grid import check_int_range
 from .scenarios import load_scenario, run_scenario
-
-WHICH_CHOICES = ("identities", "global", "local", "evolution", "harnack", "cutoff")
 
 
 def _output_root() -> Path:
@@ -83,67 +86,144 @@ def _auto_pairs(traj: Trajectory) -> list:
     ]
 
 
-def _default(value, default):
-    return default if value is None else value
+def _check_flag(flag: str, check, *args):
+    """check(*args), with a refusal blamed on the flag."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ValueError(f"{flag}: {exc}") from None
 
 
-def _run_check(args, traj: Trajectory):
-    if args.which == "identities":
-        return estimates.check_identities(
-            traj,
-            c_tol=args.c_tol,
-            include_flow_correction=not args.printed_identity,
-        )
-    if args.which == "global":
-        return estimates.check_global(
-            traj, beta=_default(args.beta, 1.0), c_tol=args.c_tol, tol_eig_factor=args.tol_eig
-        )
-    if args.which == "local":
-        beta = _default(args.beta, 2.0)
-        if args.rho is None:
-            raise ValueError("--which local needs --rho")
-        if args.x0 is None:
-            x0 = tuple(n // 2 for n in traj.grid.n_points)
-        else:
-            x0 = _parse_node(args.x0)  # checked against the grid by cmd_check
-        cprime = args.cprime
-        if cprime is None:
-            cprime = estimates.fit_cprime(
-                traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=1)
-        cprime_sq = args.cprime_sq
-        if cprime_sq is None:
-            cprime_sq = estimates.fit_cprime(
-                traj, [beta], rho=args.rho, x0=x0, shape="local", rho_power=2)
-        report = estimates.check_local(
-            traj, beta, args.rho, x0, cprime, cprime_sq, c_tol=args.c_tol)
-        if args.cprime is None:
-            report.notes["cprime_fitted_in_sample"] = True
-        return report
-    if args.which == "evolution":
-        beta = _default(args.beta, 1.5)
-        a = _default(args.a, 1.0 / (3.0 * beta))
-        b = _default(args.b, 1.0 / (3.0 * beta))
-        return estimates.check_evolution_inequality(traj, beta, a, b, c_tol=args.c_tol)
-    if args.which == "harnack":
-        if args.pairs:
-            # check_harnack validates every pair and names a malformed one
-            pairs = json.loads(Path(args.pairs).read_text())
-        else:
-            pairs = _auto_pairs(traj)
-        beta = _default(args.beta, 2.0)
-        cprime = args.cprime
-        if args.mode == "complete" and cprime is None:
-            cprime = estimates.fit_cprime(traj, [beta], shape="harnack")
-        return harnack.check_harnack(
-            traj, pairs, mode=args.mode, beta=beta, cprime=cprime,
-            c_tol=args.c_tol, tol_eig_factor=args.tol_eig, substeps=args.substeps,
-            r_max=args.r_max,
-        )
-    raise ValueError(f"unknown check {args.which!r}")
+def _non_negative(value) -> None:
+    if not 0 <= value < np.inf:
+        raise ValueError(f"must be a finite number >= 0, got {value!r}")
 
 
-def _summary_of(report) -> dict:
-    return report.summary() if hasattr(report, "summary") else dict(report)
+def _with_pairs(traj: Trajectory, pairs_file) -> tuple:
+    # check_harnack validates every pair and names a malformed one
+    return traj, json.loads(Path(pairs_file).read_text()) if pairs_file else _auto_pairs(traj)
+
+
+def _local(grid, trajectory, beta, rho, x0, cprime, cprime_sq, c_tol):
+    if rho is None:
+        raise ValueError("--which local needs --rho")
+    # the centre node by default; a given --x0 is checked against the grid before the run
+    x0 = (tuple(n // 2 for n in grid.n_points) if x0 is None
+          else _check_flag("--x0", grid.node, _parse_node(x0)))
+    traj = trajectory()
+    fit = partial(estimates.fit_cprime, traj, [beta], rho=rho, x0=x0, shape="local")
+    report = estimates.check_local(
+        traj, beta, rho, x0, fit(rho_power=1) if cprime is None else cprime,
+        fit(rho_power=2) if cprime_sq is None else cprime_sq, c_tol=c_tol)
+    if cprime is None:
+        report.notes["cprime_fitted_in_sample"] = True
+    return report
+
+
+def _harnack_complete(grid, trajectory, pairs, beta, cprime, **options):
+    traj, pairs = _with_pairs(trajectory(), pairs)
+    if cprime is None:
+        cprime = estimates.fit_cprime(traj, [beta], shape="harnack")
+    return harnack.check_harnack(traj, pairs, beta=beta, cprime=cprime, **options)
+
+
+class Check(NamedTuple):
+    """flags maps each flag the check reads to (default, domain); a domain
+    raises ValueError on a value outside it.  run(grid, trajectory getter,
+    **values) gets one value per flag, keyed by dest; it derives a None
+    default from the run (a fitted C', the centre node) or refuses it
+    (local's --rho).  A check without a source gets no grid or trajectory."""
+
+    flags: dict
+    run: Callable
+    source: bool = True
+
+
+_C_TOL = {"--c-tol": (estimates.C_TOL_DEFAULT, _non_negative)}
+_GATE = {"--tol-eig": (estimates.TOL_EIG_FACTOR, _non_negative)}
+_BETA_ABOVE_1 = partial(check_beta, strict=True)
+_HARNACK = {
+    "--pairs": (None, None), **_C_TOL,
+    "--substeps": (None, partial(check_int_range, "substeps", lo=1, hi=harnack.SUBSTEPS_LIMIT)),
+    "--r-max": (harnack.R_MAX_DEFAULT,
+                partial(check_int_range, "r_max", lo=1, hi=harnack.R_MAX_LIMIT)),
+}
+CHECKS = {
+    "identities": Check(
+        {**_C_TOL, "--printed-identity": (False, None)},
+        lambda grid, trajectory, c_tol, printed_identity: estimates.check_identities(
+            trajectory(), c_tol=c_tol, include_flow_correction=not printed_identity)),
+    "global": Check(
+        {"--beta": (1.0, check_beta), **_C_TOL, **_GATE},
+        lambda grid, trajectory, beta, c_tol, tol_eig: estimates.check_global(
+            trajectory(), beta=beta, c_tol=c_tol, tol_eig_factor=tol_eig)),
+    "local": Check(
+        {"--beta": (2.0, _BETA_ABOVE_1), "--rho": (None, partial(check_positive, "rho")),
+         "--x0": (None, _parse_node), "--cprime": (None, partial(check_positive, "cprime")),
+         "--cprime-sq": (None, partial(check_positive, "cprime_sq")), **_C_TOL},
+        _local),
+    "evolution": Check(
+        {"--beta": (1.5, check_beta), "--a": (None, partial(check_positive, "a")),
+         "--b": (None, partial(check_positive, "b")), **_C_TOL},
+        lambda grid, trajectory, beta, a, b, c_tol: estimates.check_evolution_inequality(
+            trajectory(), beta, *(1.0 / (3.0 * beta) if v is None else v for v in (a, b)),
+            c_tol=c_tol)),  # by default a = b, with a + 2b = 1/beta
+    "harnack_compact": Check(
+        {"--mode": ("compact", None), **_HARNACK, **_GATE},
+        lambda grid, trajectory, pairs, tol_eig, **options: harnack.check_harnack(
+            *_with_pairs(trajectory(), pairs), tol_eig_factor=tol_eig, **options)),
+    "harnack_complete": Check(
+        {"--mode": ("complete", None), "--beta": (2.0, _BETA_ABOVE_1),
+         "--cprime": (None, partial(check_positive, "cprime")), **_HARNACK},
+        _harnack_complete),
+    "cutoff": Check(
+        {"--rho": (1.0, partial(check_scale, "rho")), "--tau": (0.1, partial(check_scale, "tau")),
+         "--lattice": (512, partial(check_int_range, "lattice", lo=2, hi=LATTICE_LIMIT))},
+        lambda grid, trajectory, rho, tau, lattice: cutoff_verify(rho, tau, lattice, lattice),
+        source=False),
+}
+FLAGS = tuple(dict.fromkeys(flag for check in CHECKS.values() for flag in check.flags))
+WHICH_CHOICES = tuple(dict.fromkeys(tag.split("_")[0] for tag in CHECKS))
+
+# what each flag sets, and its argparse options
+_OPTIONS = {
+    "--c-tol": ("tolerance factor of the margin verdicts", {"type": float}),
+    "--printed-identity": ("drop the map-transport term from the Laplacian-rate identity",
+                           {"action": "store_true"}),
+    "--beta": ("weight of f_t in |grad f|^2 - beta f_t", {"type": float}),
+    "--tol-eig": ("curvature-gate tolerance factor", {"type": float}),
+    "--rho": ("radius of the local ball (required there) or of the cutoff", {"type": float}),
+    "--x0": ("ball center node, comma separated (default: the center node)", {}),
+    "--cprime": ("C' of the bound (default: fitted in-sample)", {"type": float}),
+    "--cprime-sq": ("C' of the local bound's rho^2 variant (default: fitted)", {"type": float}),
+    "--a": ("evolution splitting constant (default: 1/(3 beta))", {"type": float}),
+    "--b": ("evolution splitting constant (default: 1/(3 beta))", {"type": float}),
+    "--mode": ("Harnack case (default: compact)", {"choices": ("compact", "complete")}),
+    "--pairs": ("JSON file of [x1, t1, x2, t2] pairs (default: peak/trough pairs)", {}),
+    "--substeps": (f"path-energy layers, 1 to {harnack.SUBSTEPS_LIMIT}", {"type": int}),
+    "--r-max": (f"path-energy moves per layer, 1 to {harnack.R_MAX_LIMIT} cells", {"type": int}),
+    "--tau": ("cutoff ramp time", {"type": float}),
+    "--lattice": (f"cutoff verification lattice side, 2 to {LATTICE_LIMIT}", {"type": int}),
+}
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _values(args, tag: str, check: Check) -> dict:
+    """Each flag the check reads, as given or by default, keyed by dest.  A flag
+    it does not read, or a value outside its domain, is refused naming the flag."""
+    for flag in FLAGS:
+        if flag not in check.flags and getattr(args, _dest(flag)) is not None:
+            raise ValueError(f"{flag}: not read by {tag}")
+    values = {}
+    for flag, (default, domain) in check.flags.items():
+        value = getattr(args, _dest(flag))
+        if value is not None and domain is not None:
+            _check_flag(flag, domain, value)
+        values[_dest(flag)] = default if value is None else value
+    return values
 
 
 def cmd_run(args) -> int:
@@ -154,7 +234,7 @@ def cmd_run(args) -> int:
         sc = load_scenario(raw)
     traj = run_scenario(sc, method=args.method)
     out = Path(args.out) if args.out else _output_root() / sc.name
-    persistence.save_run(traj, out, full_fields=not args.u_only, overwrite=True)
+    persistence.save_run(traj, out, overwrite=True)
     _emit(
         {
             "scenario": sc.name,
@@ -168,83 +248,26 @@ def cmd_run(args) -> int:
     return 0 if traj.completed else 1
 
 
-def _check_flag(flag: str, check, *args) -> None:
-    """check(*args), with a refusal blamed on the flag."""
-    try:
-        check(*args)
-    except ValueError as exc:
-        raise ValueError(f"{flag}: {exc}") from None
-
-
-def _finite(value) -> None:
-    if not np.isfinite(value):
-        raise ValueError(f"must be a finite number, got {value!r}")
-
-
-def _non_negative(value) -> None:
-    if not 0 <= value < np.inf:
-        raise ValueError(f"must be a finite number >= 0, got {value!r}")
-
-
-def _check_flags(args) -> None:
-    """Refuse every numeric flag outside its range, before anything is
-    loaded or allocated.  --beta is checked against the domain of the
-    check that reads it (see `estimates.check_beta`)."""
-    positive = ("--rho", "--tau", "--cprime", "--cprime-sq", "--a", "--b")
-    for flag in positive + ("--c-tol", "--tol-eig", "--beta"):
-        name = flag[2:].replace("-", "_")
-        value = getattr(args, name)
-        if value is None:
-            continue
-        if flag in positive:
-            _check_flag(flag, estimates.check_positive, name, value)
-        elif flag != "--beta":
-            _check_flag(flag, _non_negative, value)
-        elif args.which in ("global", "evolution"):
-            _check_flag(flag, estimates.check_beta, value)
-        elif args.which == "local" or (args.which == "harnack" and args.mode == "complete"):
-            _check_flag(flag, estimates.check_beta, value, True)
-        else:
-            _check_flag(flag, _finite, value)  # read by no check
-    if args.x0 is not None:
-        _check_flag("--x0", _parse_node, args.x0)
-    if args.which == "cutoff":
-        _check_flag("--lattice", check_int_range, "lattice", args.lattice, 2, LATTICE_LIMIT)
-        for name in ("rho", "tau"):
-            if getattr(args, name) is not None:
-                _check_flag(f"--{name}", check_scale, name, getattr(args, name))
-    if args.which == "harnack":
-        _check_flag("--r-max", check_int_range, "r_max", args.r_max, 1, harnack.R_MAX_LIMIT)
-        if args.substeps is not None:
-            _check_flag("--substeps", check_int_range, "substeps", args.substeps, 1,
-                        harnack.SUBSTEPS_LIMIT)
-
-
 def cmd_check(args, emit_plotdata: bool = False) -> int:
-    _check_flags(args)
-    if args.which == "cutoff":
-        name = "cutoff"
-        report = cutoff_verify(_default(args.rho, 1.0), _default(args.tau, 0.1),
-                               n_r=args.lattice, n_t=args.lattice)
-    elif not args.source:
-        raise ValueError(f"--which {args.which} needs a scenario or run directory")
-    else:
-        name, grid, trajectory = _open_source(args.source)
-        if args.which == "local" and args.x0 is not None:
-            _check_flag("--x0", grid.node, _parse_node(args.x0))
-        report = _run_check(args, trajectory())
+    tag = args.which if args.which in CHECKS else f"{args.which}_{args.mode or 'compact'}"
+    check = CHECKS[tag]
+    values = _values(args, tag, check)
+    if check.source != bool(args.source):
+        raise ValueError(f"--which {args.which} needs a scenario or run directory"
+                         if check.source else
+                         f"--which {args.which} reads no SOURCE, got {args.source!r}")
+    name, grid, trajectory = _open_source(args.source) if check.source else (tag, None, None)
+    report = check.run(grid, trajectory, **values)
     out = Path(args.out) if args.out else _output_root() / name
-    tag = args.which if args.which != "harnack" else f"harnack_{args.mode}"
     paths = persistence.save_report(report, out / "reports", tag)
-    if emit_plotdata and hasattr(report, "rows") and hasattr(report, "lhs"):
+    if emit_plotdata and isinstance(report, EstimateReport):
         paths.update(persistence.save_plotdata(report, out / "reports", tag))
-    summary = _summary_of(report)
-    ok = summary.get("ok", False)
+    summary = report if isinstance(report, dict) else report.summary()
     _emit({**summary, "report_files": sorted(str(p.name) for p in paths.values())})
-    return 0 if ok else 1
+    return 0 if summary.get("ok", False) else 1
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rhflow",
         description="coupled metric/map flow runs and gradient-estimate checks",
@@ -256,10 +279,6 @@ def main(argv=None) -> int:
     p_run.add_argument("--out", help="run directory (default <root>/<name>)")
     p_run.add_argument("--method", choices=("euler", "rk2"), default=None)
     p_run.add_argument("--seed", type=int, default=None, help="override scenario seed")
-    p_run.add_argument(
-        "--u-only", action="store_true",
-        help="save only the heat field per snapshot (smaller, not reloadable)",
-    )
 
     for cmd, helptext in (
         ("check", "verify an estimate on a scenario or saved run"),
@@ -269,36 +288,18 @@ def main(argv=None) -> int:
         p.add_argument("source", nargs="?", help="scenario name/path or run directory")
         p.add_argument("--which", choices=WHICH_CHOICES, required=True)
         p.add_argument("--out", help="output directory (default <root>/<name>)")
-        p.add_argument("--beta", type=float, default=None)
-        p.add_argument("--c-tol", type=float, default=estimates.C_TOL_DEFAULT)
-        p.add_argument("--tol-eig", type=float, default=estimates.TOL_EIG_FACTOR,
-                       help="curvature-gate tolerance factor (global, compact harnack)")
-        p.add_argument("--rho", type=float, default=None, help="ball radius (local/cutoff)")
-        p.add_argument("--x0", default=None, help="ball center node, comma separated")
-        p.add_argument("--cprime", type=float, default=None)
-        p.add_argument("--cprime-sq", type=float, default=None,
-                       help="C' for the rho^2 variant of the local bound")
-        p.add_argument("--a", type=float, default=None, help="evolution splitting constant")
-        p.add_argument("--b", type=float, default=None, help="evolution splitting constant")
-        p.add_argument("--printed-identity", action="store_true",
-                       help="drop the map-transport term from the Laplacian-rate identity")
-        p.add_argument("--mode", choices=("compact", "complete"), default="compact")
-        p.add_argument("--pairs", default=None, help="JSON file of [x1, t1, x2, t2] pairs")
-        p.add_argument("--substeps", type=int, default=None,
-                       help=f"path-energy layers, 1 to {harnack.SUBSTEPS_LIMIT}")
-        p.add_argument("--r-max", type=int, default=harnack.R_MAX_DEFAULT,
-                       help=f"path-energy moves per layer, 1 to {harnack.R_MAX_LIMIT} cells")
-        p.add_argument("--tau", type=float, default=None, help="cutoff ramp time")
-        p.add_argument("--lattice", type=int, default=512,
-                       help=f"cutoff verification lattice side, 2 to {LATTICE_LIMIT}")
+        for flag, (text, options) in _OPTIONS.items():
+            readers = ", ".join(tag for tag, check in CHECKS.items() if flag in check.flags)
+            p.add_argument(flag, default=None, help=f"{text}; read by {readers}", **options)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)
-        if args.command == "check":
-            return cmd_check(args)
-        return cmd_check(args, emit_plotdata=True)
+        return cmd_check(args, emit_plotdata=args.command == "report")
     except GateEmptyError as exc:
         _emit({"ok": False, "error": f"empty hypothesis gate: {exc}"})
         return 1

@@ -401,29 +401,31 @@ def run(
     faces = None  # of current.metric, built on first use
     step_index = 0
     try:
-        for _ in range(n_snaps):
-            for _ in range(substride):
-                if faces is None:
-                    faces = geometry.laplacian_faces(current.metric)
-                # the flow update reads only g and phi, so it steps the
-                # pre-heat snapshot and the heated u is attached after
-                u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab,
-                                  faces=faces)
-                nxt = step_flow(
-                    grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab,
-                    ric=ric, faces=faces,
-                )
-                if nxt.metric is not current.metric:
-                    ric = faces = None
-                step_index += 1
-                # exact time bookkeeping: t derived from the step counter
-                t_exact = initial.t + step_index * dt_sub
-                current = Snapshot._unchecked(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
-            snaps.append(current)
-            if ric is None:
-                ric = geometry.ricci(grid, current.metric)
-            constants.append(snapshot_constants(grid, current, ric))
-            alphas.append(float(schedule(current.t)))
+        # an overflow halts the run naming the node; numpy's warning would repeat it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(n_snaps):
+                for _ in range(substride):
+                    if faces is None:
+                        faces = geometry.laplacian_faces(current.metric)
+                    # the flow update reads only g and phi, so it steps the
+                    # pre-heat snapshot and the heated u is attached after
+                    u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab,
+                                      faces=faces)
+                    nxt = step_flow(
+                        grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab,
+                        ric=ric, faces=faces,
+                    )
+                    if nxt.metric is not current.metric:
+                        ric = faces = None
+                    step_index += 1
+                    # exact time bookkeeping: t derived from the step counter
+                    t_exact = initial.t + step_index * dt_sub
+                    current = Snapshot._unchecked(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
+                snaps.append(current)
+                if ric is None:
+                    ric = geometry.ricci(grid, current.metric)
+                constants.append(snapshot_constants(grid, current, ric))
+                alphas.append(float(schedule(current.t)))
     except (BlowUpError, StabilityError) as exc:
         t_fail = getattr(exc, "t", initial.t + (step_index + 1) * dt_sub)
         halt = f"{exc} (halted at t={t_fail:g})"

@@ -427,10 +427,10 @@ def check_harnack(
 
     compact mode gates on nonnegative Ricci curvature over the whole run,
     up to the tol_eig that tol_eig_factor sets (as in
-    `estimates.check_global`), and uses the global-estimate constants;
-    complete mode has no curvature gate, so it takes the constants at the
-    default factor, and needs beta > 1 and a C' (fit one with
-    `estimates.fit_cprime(..., shape="harnack")`).
+    `estimates.check_global`), and uses the global-estimate constants, so a
+    C' given to it is refused; complete mode has no curvature gate, so it
+    takes the constants at the default factor, and needs beta > 1 and a C'
+    (fit one with `estimates.fit_cprime(..., shape="harnack")`).
     Margins are compared in log domain.  Each pair is [x1, t1, x2, t2] with
     integer nodes of the grid's dimension and finite times that coincide
     with stored snapshots; a malformed pair, or one whose floor underflows
@@ -441,6 +441,8 @@ def check_harnack(
     """
     if mode not in ("compact", "complete"):
         raise ValueError("mode must be 'compact' or 'complete'")
+    if mode == "compact" and cprime is not None:
+        raise ValueError(f"compact mode reads no C', got {cprime!r}")
     check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     grid = traj.grid
     if mode == "complete":

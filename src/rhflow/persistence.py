@@ -11,11 +11,11 @@ A run directory (format version 2) holds
                      last, so its presence marks a complete directory
 
 The arrays are C-order float64 written by ``np.save`` without pickling, so
-they round-trip every double exactly; a run saved u-only has no g.npy or
-phi.npy and cannot be reloaded.  An ``.npy`` header holds only the dtype,
-the order and the shape, so the same trajectory always produces
-byte-identical files.  Version 1 directories, one ``snap_NNNNN.json`` per
-snapshot, are still read.
+they round-trip every double exactly.  A directory whose meta.json lists
+only u in ``fields_saved`` (a u-only save) is refused on reload.  An
+``.npy`` header holds only the dtype, the order and the shape, so the
+same trajectory always produces byte-identical files.  Version 1
+directories, one ``snap_NNNNN.json`` per snapshot, are still read.
 
 JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
 with 17 significant digits ("%.17g"), which round-trips IEEE doubles
@@ -98,12 +98,7 @@ def _field_bytes(traj: Trajectory, name: str) -> bytes:
     return buf.getvalue()
 
 
-def save_run(
-    traj: Trajectory,
-    out_dir,
-    full_fields: bool = True,
-    overwrite: bool = False,
-) -> Path:
+def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
     """Write a trajectory to a run directory and return its path.
 
     Every file is serialised (and checked finite) before the directory is
@@ -116,7 +111,6 @@ def save_run(
         raise FileExistsError(f"{out} already holds a run (pass overwrite=True)")
 
     grid = traj.grid
-    fields_saved = list(FIELDS) if full_fields else ["u"]
     meta = {
         "format_version": FORMAT_VERSION,
         "grid": {
@@ -143,18 +137,18 @@ def save_run(
         "constants": traj.constants,
         "halt_reason": traj.halt_reason,
         "completed": traj.completed,
-        "fields_saved": fields_saved,
+        "fields_saved": list(FIELDS),
         "phi_components": int(traj.snapshots[0].phi.shape[-1]),
         "scenario": traj.scenario,
     }
     blobs = {"meta.json": dumps(meta).encode()}
-    for name in fields_saved:
+    for name in FIELDS:
         blobs[f"{name}.npy"] = _field_bytes(traj, name)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    for stale in [*out.glob("snap_*.json"), *(out / f"{f}.npy" for f in FIELDS)]:
-        stale.unlink(missing_ok=True)
+    for stale in out.glob("snap_*.json"):
+        stale.unlink()
     files = {}
     for name, data in blobs.items():
         (out / name).write_bytes(data)
@@ -222,7 +216,7 @@ def load_run(run_dir) -> Trajectory:
     meta = json.loads(_read(out, "meta.json", digests))
     if "g" not in meta["fields_saved"]:
         raise ValueError(
-            f"{out} was saved u-only; re-run with full fields to reload it"
+            f"{out} was saved u-only and holds no metric; run its scenario again"
         )
     grid = Grid(
         dim=meta["grid"]["dim"],

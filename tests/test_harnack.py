@@ -376,6 +376,14 @@ def test_complete_mode_validation(coupled_run):
         check_harnack(coupled_run, [], mode="complete", beta=2.0, cprime=0.01)
 
 
+def test_compact_mode_refuses_a_cprime(eigenmode_run):
+    # compact floors use the global-estimate constants; a C' was echoed unread
+    pairs = eigenmode_pairs()[:1]
+    with pytest.raises(ValueError, match=r"^compact mode reads no C', got 0\.5$"):
+        check_harnack(eigenmode_run, pairs, mode="compact", cprime=0.5)
+    assert check_harnack(eigenmode_run, pairs, mode="compact").notes["cprime"] is None
+
+
 def test_pair_times_must_hit_snapshots(eigenmode_run):
     with pytest.raises(ValueError, match="no snapshot"):
         check_harnack(eigenmode_run, [((0,), 0.0105, (3,), 0.08)], mode="compact")

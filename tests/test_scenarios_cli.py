@@ -7,7 +7,9 @@ bitwise-reproducible output files (%.17g floats, sorted keys, no wall-clock
 content outside the run manifest).
 """
 
+import argparse
 import hashlib
+import inspect
 import json
 import os
 import shutil
@@ -303,16 +305,19 @@ def test_tampered_run_detected(tmp_path):
 
 
 def test_u_only_runs_do_not_reload(tmp_path):
-    traj = run_scenario(load_scenario(tiny_static_cfg()))
-    full = tmp_path / "full"
+    # earlier versions could save u alone; such a directory is refused, not
+    # half read.  It is built by hand: save_run always writes every field
     lean = tmp_path / "lean"
-    save_run(traj, full)
-    save_run(traj, lean, full_fields=False)
+    save_run(run_scenario(load_scenario(tiny_static_cfg())), lean)
+    meta = json.loads((lean / "meta.json").read_text())
+    meta["fields_saved"] = ["u"]
+    (lean / "meta.json").write_text(dumps(meta))
+    for name in ("g.npy", "phi.npy"):
+        (lean / name).unlink()
+        edit_manifest_files(lean, lambda files: files.pop(name))
+    rehash(lean)
     with pytest.raises(ValueError, match="u-only"):
         load_run(lean)
-    size_full = sum(f.stat().st_size for f in full.iterdir())
-    size_lean = sum(f.stat().st_size for f in lean.iterdir())
-    assert size_lean < size_full
 
 
 def test_missing_manifest(tmp_path):
@@ -433,8 +438,6 @@ def test_save_over_other_layouts_sweeps_their_files(tmp_path):
     save_run(traj, out, overwrite=True)
     assert sorted(f.name for f in out.iterdir()) == [
         "g.npy", "manifest.json", "meta.json", "phi.npy", "u.npy"]
-    save_run(traj, out, full_fields=False, overwrite=True)
-    assert sorted(f.name for f in out.iterdir()) == ["manifest.json", "meta.json", "u.npy"]
 
 
 def test_save_report_and_plotdata(tmp_path, eigenmode_run):
@@ -540,6 +543,7 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "needs a scenario or run directory" in err["error"]
 
 
+@pytest.mark.filterwarnings("error")  # pytest would keep a warning out of err
 def test_cli_failed_run_exits_1(tmp_path, capsys):
     blowup = {
         "name": "blowup",
@@ -555,13 +559,14 @@ def test_cli_failed_run_exits_1(tmp_path, capsys):
                  "snapshot_stride": 10},
     }
     src = write_cfg(tmp_path, blowup, "blowup.json")
-    with np.errstate(over="ignore", invalid="ignore"):
-        code = main(["run", src, "--out", str(tmp_path / "out")])
-    assert code == 1
-    out = json.loads(capsys.readouterr().out)
+    code = main(["run", src, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""  # the halt reason alone reports the overflow
+    out = json.loads(out)
     assert out["completed"] is False and "non-finite" in out["halt_reason"]
 
 
+@pytest.mark.filterwarnings("error")  # pytest would keep a warning out of err
 def test_cli_run_halted_before_its_first_stored_time(tmp_path, capsys):
     # phi jumps to about 1e297 in the first substep, so the metric overflows
     # in the second (t = 0.005), before the first stored time t = 0.01
@@ -569,9 +574,10 @@ def test_cli_run_halted_before_its_first_stored_time(tmp_path, capsys):
     cfg["variant"]["mu"] = -1e300
     src = write_cfg(tmp_path, cfg, "halted.json")
     run_dir = tmp_path / "run"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["run", src, "--out", str(run_dir)]) == 1
-    out = json.loads(capsys.readouterr().out)
+    assert main(["run", src, "--out", str(run_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""  # no numpy RuntimeWarning before the halt is reported
+    out = json.loads(out)
     assert out["n_snapshots"] == 1
     reason = out["halt_reason"]
     assert "metric has non-finite entries at node (0, 1): [[inf, " in reason
@@ -655,13 +661,14 @@ BAD_NUMBERS = [
 ]
 
 
+def refuse_load(source):
+    raise AssertionError("the run was loaded")
+
+
 @pytest.mark.parametrize("flag, argv", BAD_NUMBERS)
 def test_cli_numbers_outside_their_range_exit_2_before_loading(monkeypatch, tmp_path,
                                                                capsys, flag, argv):
-    def no_load(source):
-        raise AssertionError("the run was loaded")
-
-    monkeypatch.setattr(cli, "_open_source", no_load)
+    monkeypatch.setattr(cli, "_open_source", refuse_load)
     source = [] if argv[0] == "cutoff" else ["static_eigenmode"]
     code = main(["check", *source, "--which", *argv, "--out", str(tmp_path)])
     out, err = capsys.readouterr()
@@ -697,20 +704,80 @@ def test_cli_x0_of_the_wrong_length_exits_2_before_the_run(monkeypatch, tmp_path
         "--x0: node (1,) does not match grid dimension 2: needs 2 integer coordinates, "
         "one per grid axis")
     assert not (tmp_path / "reports").exists()
+    # a missing --rho, too, is refused before the run
+    code = main(["check", "rh_perturbed_2d", "--which", "local", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "--which local needs --rho"
 
 
 @pytest.mark.parametrize("which, extra", [
     ("local", ["--rho", "1"]), ("evolution", []), ("harnack", ["--mode", "complete"])])
-def test_tol_eig_leaves_ungated_reports_unchanged(tmp_path, capsys, which, extra):
-    # no verdict here reads the curvature gate; the echo used to change
-    codes = [main(["check", "rh_perturbed_2d", "--which", which, *extra, "--tol-eig", tol,
-                   "--out", str(tmp_path / tol)]) for tol in ("0", "1")]
-    first, second = capsys.readouterr().out.splitlines()
-    assert codes[0] == codes[1] and first == second
-    reports = [sorted((tmp_path / tol / "reports").iterdir()) for tol in ("0", "1")]
-    assert [p.name for p in reports[0]] == [p.name for p in reports[1]]
-    for a, b in zip(*reports):
-        assert a.read_bytes() == b.read_bytes(), a.name
+def test_tol_eig_is_refused_by_checks_without_a_curvature_gate(monkeypatch, tmp_path, capsys,
+                                                               which, extra):
+    # no verdict here reads the curvature gate; the flag used to be accepted
+    # and left the reports unchanged
+    monkeypatch.setattr(cli, "_open_source", refuse_load)
+    code = main(["check", "rh_perturbed_2d", "--which", which, *extra, "--tol-eig", "1",
+                 "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    tag = which if which != "harnack" else "harnack_complete"
+    assert json.loads(out)["error"] == f"--tol-eig: not read by {tag}"
+    assert not (tmp_path / "reports").exists()
+
+
+# a valid value of each check flag, so that only the table decides a refusal
+FLAG_VALUES = {"--x0": ["0"], "--pairs": ["pairs.json"], "--mode": ["complete"],
+               "--printed-identity": []}
+UNREAD = [(tag, flag) for tag, check in cli.CHECKS.items()
+          for flag in cli.FLAGS if flag not in check.flags]
+
+
+def selection(tag: str) -> list:
+    """The --which (and --mode) arguments that select a table entry."""
+    which, _, mode = tag.partition("_")
+    return ["--which", which] + (["--mode", mode] if mode else [])
+
+
+@pytest.mark.parametrize("tag, flag", UNREAD)
+def test_cli_flag_the_check_does_not_read_exits_2_before_loading(monkeypatch, tmp_path,
+                                                                  capsys, tag, flag):
+    monkeypatch.setattr(cli, "_open_source", refuse_load)
+    source = ["static_eigenmode"] if cli.CHECKS[tag].source else []
+    code = main(["check", *source, *selection(tag), flag, *FLAG_VALUES.get(flag, ["2"]),
+                 "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == f"{flag}: not read by {tag}"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_cli_cutoff_with_a_source_exits_2(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(cli, "_open_source", refuse_load)
+    code = main(["check", "static_eigenmode", "--which", "cutoff", "--out", str(tmp_path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out)["error"] == "--which cutoff reads no SOURCE, got 'static_eigenmode'"
+    assert not (tmp_path / "reports").exists()
+
+
+def test_check_options_are_the_table_flags():
+    # no flag without a reader, and no reader of an undeclared flag
+    table = {flag for check in cli.CHECKS.values() for flag in check.flags}
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for cmd in ("check", "report"):
+        actions = [a for a in sub.choices[cmd]._actions if a.dest != "help"]
+        assert [a.dest for a in actions if not a.option_strings] == ["source"]
+        options = {s for a in actions for s in a.option_strings}
+        assert options == {"--which", "--out"} | table
+        for a in actions:
+            flag = a.option_strings[0] if a.option_strings else None
+            if flag in table:  # its --help names the checks that read it
+                readers = set(a.help.split("; read by ")[1].split(", "))
+                assert readers == {t for t, c in cli.CHECKS.items() if flag in c.flags}
+    for check in cli.CHECKS.values():
+        inspect.signature(check.run).bind(None, None, **dict.fromkeys(map(cli._dest, check.flags)))
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
