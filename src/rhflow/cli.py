@@ -12,7 +12,8 @@ function that runs it.  A flag the check does not read, or a value outside
 its domain, exits 2 naming the flag before anything is loaded.  `check`
 exits 0 only if every asserted margin clears -tol_num and no hypothesis
 gate was empty; `run` exits 0 only if the run reached its final time.
-Configuration and usage problems exit 2.  All output is deterministic
+Configuration and usage problems, argparse's own included, exit 2 with
+{"ok": false, "error": ...} on stdout.  All output is deterministic
 JSON/CSV: checking the same scenario twice produces byte-identical files.
 
 The output root is --out, else $RHFLOW_OUTPUT_ROOT, else ./runs.
@@ -267,8 +268,17 @@ def cmd_check(args, emit_plotdata: bool = False) -> int:
     return 0 if summary.get("ok", False) else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (its subcommand parsers too) whose usage errors
+    raise ValueError, so that `main` refuses them as JSON on stdout with
+    exit 2, like every other refusal, instead of printing usage to stderr."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rhflow",
         description="coupled metric/map flow runs and gradient-estimate checks",
     )
@@ -295,8 +305,8 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         if args.command == "run":
             return cmd_run(args)
         return cmd_check(args, emit_plotdata=args.command == "report")

@@ -32,7 +32,7 @@ unchecked trajectory holds nothing but its snapshots.
 
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
 Neither is what only one check reads: `estimates.identity_residuals`
-builds each snapshot's Christoffel field and Laplacian faces once per call
+builds each snapshot's Christoffel field and Laplacian once per call
 and shares them among its own terms, and `harnack.gamma_fields` builds
 the edge costs once per distinct floor metric array per call (it reads
 ``metric_class`` too).
@@ -152,7 +152,7 @@ class TrajectoryFields:
             out = []
             for i, s in enumerate(self.snapshots):
                 if self.metric_class[i] == i:
-                    last = distance.geodesic_distance(self.grid, s.g, key)
+                    last = distance.geodesic_distance(self.grid, s.metric, key)
                 out.append(last)
             self._distance[key] = np.stack(out)
         return self._distance[key]

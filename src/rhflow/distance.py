@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .geometry import _sum, check_metric
+from .geometry import _sum, metric_fields
 from .grid import Grid, shift
 
 # Worst-case overestimation factor of the 8-neighbor stencil on flat space.
@@ -85,17 +85,21 @@ def _edge_graph(grid: Grid, g: np.ndarray):
     return csr_matrix((data, indices.copy(), indptr.copy()), shape=(n, n))
 
 
-def geodesic_distance(grid: Grid, g: np.ndarray, x0) -> np.ndarray:
-    """Distance field from node x0 (see `Grid.node`).
+def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
+    """Distance field from node x0 (see `Grid.node`) in the metric ``g``, a
+    MetricFields or a raw array (validated here).
 
-    Returns an array of shape ``grid.shape``.
+    Returns an array of shape ``grid.shape``.  The graph is searched as
+    directed: its weights are exactly symmetric (an edge and its reverse
+    average the same two endpoint metrics, and flipping the sign of delta
+    is exact), so each edge is stored once per direction already.
     """
-    check_metric(g)
+    g = metric_fields(g).g
     source = int(np.ravel_multi_index(grid.node(x0), grid.shape))
     from scipy.sparse.csgraph import dijkstra
 
     graph = _edge_graph(grid, g)
-    dist = dijkstra(graph, directed=False, indices=source)
+    dist = dijkstra(graph, directed=True, indices=source)
     return dist.reshape(grid.shape)
 
 

@@ -546,8 +546,8 @@ def identity_residuals(
     Everything is computed over component lists of node fields, as in the
     geometry module: g^{ij} comes from the snapshot's MetricFields, each
     snapshot's Christoffel field is computed once and shared by Hess f and
-    the rough Laplacian of df, and each metric's Laplacian faces once and
-    shared by all of its Laplacians.  The contractions keep the summation
+    the rough Laplacian of df, and each metric's `geometry.Laplacian` once
+    and shared by all of its Laplacians.  The contractions keep the summation
     order of the einsum forms they replaced (see `_form`), so every
     residual and scale is unchanged to the last bit.
     """
@@ -563,16 +563,16 @@ def identity_residuals(
     d = traj.derived
     times = traj.times
     grad_sq = d.grad_sq
-    laps, faces = {}, {}
+    laps, ops = {}, {}
 
-    def faces_of(mf):
-        # one set of Laplacian faces per metric (a static run has one metric)
-        if id(mf) not in faces:
-            faces[id(mf)] = geometry.laplacian_faces(mf)
-        return faces[id(mf)]
+    def operator_of(mf):
+        # one Laplacian per metric (a static run has one metric)
+        if id(mf) not in ops:
+            ops[id(mf)] = geometry.Laplacian(grid, mf)
+        return ops[id(mf)]
 
     def laplacian(mf, s):
-        return geometry.laplace_beltrami(grid, mf, s, faces=faces_of(mf))
+        return operator_of(mf)(s)
 
     def lap_f(i):
         if i not in laps:
@@ -591,10 +591,10 @@ def identity_residuals(
     # "...ab,...ab->..." pairs its products as (t00 + t10) + (t01 + t11)
     ba = [(a, b) for b in range(n) for a in range(n)]
     for i in indices:
-        # faces and Laplacians of snapshots before i - 1 are not read again
+        # operators and Laplacians of snapshots before i - 1 are not read again
         near = {id(traj.snapshots[j].metric) for j in (i - 1, i, i + 1)}
-        for key in faces.keys() - near:
-            del faces[key]
+        for key in ops.keys() - near:
+            del ops[key]
         for j in laps.keys() - {i - 1, i, i + 1}:
             del laps[j]
         snap = traj.snapshots[i]
@@ -634,7 +634,7 @@ def identity_residuals(
         s_hess = _pairwise([s_tensor[a][b] * hess_up[a][b] for a, b in ba])
         rhs2 = 2.0 * s_hess + laplacian(mf, ft)
         if include_flow_correction and traj.variant.kind != "static":
-            tension = geometry.tension_field(grid, mf, phi, faces=faces_of(mf))
+            tension = geometry._tension(operator_of(mf), phi)
             dphi = [grid.d1(phi, ax) for ax in range(n)]
             transport = geometry._sum(
                 (dphi[a][..., m] * tension[..., m]) * df_up[a]

@@ -13,6 +13,10 @@ Euler is the default; an RK2 midpoint rule is available per step.
 
 Stability is enforced, not assumed: every step requires
 ``dt <= c_stab * h_min^2 * min_eig(g)`` and refuses to run otherwise.
+
+`run` steps the state (u, g, phi, metric), checks stability and builds one
+`geometry.Laplacian` per metric array, and assembles a `Snapshot` only at
+each stored stride; `step_heat` and `step_flow` build the same per call.
 """
 
 from __future__ import annotations
@@ -117,9 +121,9 @@ class Snapshot:
 
     Constructing a Snapshot checks it: the metric (unless passed in), phi
     finite and u positive everywhere.  The stepping code does not construct
-    snapshots this way per substep; it checks each field where it changes
-    (u in ``step_heat``, phi and the metric in ``step_flow``) and assembles
-    the result with ``_unchecked``.
+    snapshots this way; it checks each field where it changes (u in the
+    heat step, phi and the metric in the flow step) and assembles a stored
+    snapshot with ``_unchecked``.
     """
 
     t: float
@@ -218,21 +222,60 @@ def _new_metric(g: np.ndarray, t: float) -> MetricFields:
         raise BlowUpError(f"metric degenerate after step: {exc}", t) from exc
 
 
+def _check_method(method: str) -> None:
+    if method not in ("euler", "rk2"):
+        raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
+
+
+def _check_map(variant: FlowVariant, phi: np.ndarray) -> None:
+    if variant.kind == "warped_product" and phi.shape[-1] != 1:
+        raise ValueError("warped_product flow requires a single-component map")
+
+
 def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi,
-              ric=None, faces=None):
+              ric=None, lap=None):
     """Right-hand sides (dg/dt, dphi/dt) for the metric/map system; ``ric``
-    and ``faces`` are the Ricci tensor and Laplacian face coefficients of
-    ``mf`` if the caller already has them."""
+    and ``lap`` are the Ricci tensor and `geometry.Laplacian` of ``mf`` if
+    the caller already has them."""
     coup = variant.coupling(schedule, t)
     if ric is None:
         ric = geometry.ricci(grid, mf)
+    if lap is None:
+        lap = geometry.Laplacian(grid, mf)
     outer = geometry.grad_phi_outer(grid, phi)
     dg = -2.0 * ric + (2.0 * coup) * outer
     if variant.kind == "warped_product":
-        dphi = geometry.tension_field(grid, mf, phi, faces) - variant.mu * np.exp(-2.0 * phi)
+        dphi = geometry._tension(lap, phi) - variant.mu * np.exp(-2.0 * phi)
     else:
-        dphi = geometry.tension_field(grid, mf, phi, faces)
+        dphi = geometry._tension(lap, phi)
     return dg, dphi
+
+
+def _flow_update(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, method: str,
+                 t: float, dt: float, g, phi, mf, ric, lap) -> tuple:
+    """(g, phi, metric) one flow step of dt after time t, for a moving
+    variant and a checked method; ``ric`` and ``lap`` are as in
+    `_flow_rhs`.  The new metric is validated once and the new map checked
+    finite once; the midpoint metric of an RK2 step is validated too."""
+    t_new = t + dt
+    if method == "euler":
+        dg, dphi = _flow_rhs(grid, variant, schedule, t, mf, phi, ric, lap)
+        g_new = g + dt * dg
+        phi_new = phi + dt * dphi
+    else:
+        dg1, dphi1 = _flow_rhs(grid, variant, schedule, t, mf, phi, ric, lap)
+        g_mid = g + 0.5 * dt * dg1
+        g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
+        phi_mid = phi + 0.5 * dt * dphi1
+        mid = _new_metric(g_mid, t + 0.5 * dt)
+        dg2, dphi2 = _flow_rhs(grid, variant, schedule, t + 0.5 * dt, mid, phi_mid)
+        g_new = g + dt * dg2
+        phi_new = phi + dt * dphi2
+    # keep the stored metric exactly symmetric
+    g_new = 0.5 * (g_new + np.swapaxes(g_new, -1, -2))
+    if not np.isfinite(phi_new).all():
+        raise BlowUpError("map field became non-finite", t_new)
+    return g_new, phi_new, _new_metric(g_new, t_new)
 
 
 def step_flow(
@@ -260,31 +303,43 @@ def step_flow(
     t_new = snap.t + dt
     if variant.kind == "static":
         return Snapshot._unchecked(t_new, snap.g, snap.phi, snap.u, snap.metric)
-    if variant.kind == "warped_product" and snap.phi.shape[-1] != 1:
-        raise ValueError("warped_product flow requires a single-component map")
+    _check_map(variant, snap.phi)
     _require_stable(grid, snap.metric, dt, c_stab)
-    if method == "euler":
-        dg, dphi = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric,
-                             faces)
-        g_new = snap.g + dt * dg
-        phi_new = snap.phi + dt * dphi
-    elif method == "rk2":
-        dg1, dphi1 = _flow_rhs(grid, variant, schedule, snap.t, snap.metric, snap.phi, ric,
-                               faces)
-        g_mid = snap.g + 0.5 * dt * dg1
-        g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
-        phi_mid = snap.phi + 0.5 * dt * dphi1
-        mid = _new_metric(g_mid, snap.t + 0.5 * dt)
-        dg2, dphi2 = _flow_rhs(grid, variant, schedule, snap.t + 0.5 * dt, mid, phi_mid)
-        g_new = snap.g + dt * dg2
-        phi_new = snap.phi + dt * dphi2
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
-    # keep the stored metric exactly symmetric
-    g_new = 0.5 * (g_new + np.swapaxes(g_new, -1, -2))
-    if not np.isfinite(phi_new).all():
-        raise BlowUpError("map field became non-finite", t_new)
-    return Snapshot._unchecked(t_new, g_new, phi_new, snap.u, _new_metric(g_new, t_new))
+    _check_method(method)
+    g, phi, metric = _flow_update(grid, variant, schedule, method, snap.t, dt, snap.g,
+                                  snap.phi, snap.metric, ric,
+                                  geometry.Laplacian(grid, snap.metric, faces))
+    return Snapshot._unchecked(t_new, g, phi, snap.u, metric)
+
+
+class _HeatStep:
+    """The explicit heat step of one metric, with its per-metric work done
+    once: the stability check, on construction, and one `geometry.Laplacian`
+    (``lap``).  A step is a fixed sequence of ufuncs into two scratch
+    buffers, the same floating-point operations per node and in the same
+    order as u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u) (RK2)."""
+
+    def __init__(self, grid: Grid, mf: MetricFields, dt: float, method: str, c_stab: float,
+                 faces: list | None = None):
+        _require_stable(grid, mf, dt, c_stab)
+        self.lap = geometry.Laplacian(grid, mf, faces)
+        _check_method(method)
+        self.dt, self.rk2 = dt, method == "rk2"
+        self._dlap, self._mid = np.empty(grid.shape), np.empty(grid.shape)
+
+    def __call__(self, u: np.ndarray, t_new: float) -> np.ndarray:
+        """u one step later, as a new array; positivity is asserted (NaN
+        fails too), never clamped: a BlowUpError at t_new."""
+        dt, dlap = self.dt, self._dlap
+        if self.rk2:
+            np.multiply(self.lap(u, out=dlap), 0.5 * dt, out=dlap)
+            self.lap(np.add(u, dlap, out=self._mid), out=dlap)
+        else:
+            self.lap(u, out=dlap)
+        u_new = np.add(u, np.multiply(dlap, dt, out=dlap))
+        if not u_new.min() > 0:
+            raise BlowUpError("heat solution lost positivity", t_new)
+        return u_new
 
 
 def step_heat(
@@ -301,40 +356,32 @@ def step_heat(
     ``faces``, the Laplacian face coefficients of ``snap.metric`` when the
     caller already has them, spare their recomputation.
     """
-    mf = snap.metric
-    _require_stable(grid, mf, dt, c_stab)
-    if faces is None:
-        faces = geometry.laplacian_faces(mf)
-    if method == "euler":
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, snap.u, faces)
-    elif method == "rk2":
-        u_mid = snap.u + 0.5 * dt * geometry.laplace_beltrami(grid, mf, snap.u, faces)
-        u_new = snap.u + dt * geometry.laplace_beltrami(grid, mf, u_mid, faces)
-    else:
-        raise ValueError(f"unknown method {method!r}; use 'euler' or 'rk2'")
-    if not (u_new > 0).all():
-        raise BlowUpError("heat solution lost positivity", snap.t + dt)
-    return u_new
+    return _HeatStep(grid, snap.metric, dt, method, c_stab, faces)(snap.u, snap.t + dt)
+
+
+def _constants(t: float, curvature: tuple) -> dict:
+    """`snapshot_constants` at time t from the snapshot's `curvature_fields`."""
+    lam_min, lam_max, lam_outer = curvature
+    ric_min, ric_max = float(np.min(lam_min)), float(np.max(lam_max))
+    return {
+        "t": float(t),
+        "ric_min": ric_min,
+        "ric_max": ric_max,
+        "k1": max(0.0, -ric_min),
+        "k2": ric_max,
+        "tc_phi": float(np.max(t * lam_outer)),
+    }
 
 
 def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None) -> dict:
     """Empirical hypothesis bounds at one snapshot: the extremes over nodes
     of `derived.curvature_fields`, with k1 = -min lambda(Ric) clipped at 0
     from below.  ``ric`` is the Ricci tensor of the snapshot's metric if the
-    caller has it (the run loop does, and reuses it for the next step).
+    caller has it.
     """
     if ric is None:
         ric = geometry.ricci(grid, snap.metric)
-    lam_min, lam_max, lam_outer = curvature_fields(grid, snap, ric)
-    ric_min, ric_max = float(np.min(lam_min)), float(np.max(lam_max))
-    return {
-        "t": float(snap.t),
-        "ric_min": ric_min,
-        "ric_max": ric_max,
-        "k1": max(0.0, -ric_min),
-        "k2": ric_max,
-        "tc_phi": float(np.max(snap.t * lam_outer)),
-    }
+    return _constants(snap.t, curvature_fields(grid, snap, ric))
 
 
 def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
@@ -366,21 +413,29 @@ def run(
     """Integrate from the initial snapshot to time T, recording every
     ``substride`` substeps.
 
+    The loop state is (u, g, phi, metric).  What depends on the metric is
+    built once per metric array, when a substep first needs it: the
+    stability check and one `geometry.Laplacian` (`_HeatStep`), which serves
+    the heat step and the map's tension.  So a static run checks stability
+    and builds the Laplacian's faces once, and calls no flow step at all; a
+    moving run does both once per substep (the RK2 midpoint metric builds
+    its own Laplacian too), and keeps neither on a stored snapshot.
+
     Each substep validates the new metric once (twice with RK2, whose
     midpoint metric is validated too), so an N-substep run calls
     check_metric N + 1 times with Euler and 2N + 1 times with RK2; the
     static variant shares the initial metric throughout and calls it once.
+    Per substep, u is checked for positivity once and a map the flow moved
+    for finiteness once; the initial snapshot was checked when it was
+    constructed.  A `Snapshot` is assembled, unchecked, only at each stored
+    stride.
 
-    Per substep, u is checked for positivity once (in ``step_heat``) and a
-    map the flow moved for finiteness once (in ``step_flow``); the initial
-    snapshot was checked when it was constructed, and no snapshot is
-    checked again.  The Ricci tensor of each stored snapshot's metric is
-    computed once, for its constants, and reused by the next substep's flow,
-    so an Euler run evaluates it N + 1 times, an RK2 run 2N + 1 times and a
-    static run once.  Likewise the loop holds the Laplacian face
-    coefficients of the current metric for the heat step and the map's
-    tension: built once per metric (once per static run), and kept on no
-    stored snapshot.
+    The Ricci tensor of each stored snapshot's metric is computed once, for
+    its constants, and reused by the next substep's flow, so an Euler run
+    evaluates it N + 1 times, an RK2 run 2N + 1 times and a static run
+    once.  The constants' `curvature_fields` are computed once per metric
+    and map (once per static run), and their map term scaled by each
+    stored snapshot's time.
 
     On blow-up the partial trajectory is returned with ``halt_reason`` set
     and the failure time appended; callers decide whether that is an error.
@@ -392,40 +447,43 @@ def run(
     if span < 0:
         raise ValueError("T must be >= the initial snapshot time")
     n_snaps = snapshot_count(span, dt_sub, substride)
+    static = variant.kind == "static"
+    if n_snaps:
+        _check_map(variant, initial.phi)
+    t, g, phi, u, metric = initial.t, initial.g, initial.phi, initial.u, initial.metric
+    ric = geometry.ricci(grid, metric)  # of metric, or None
+    curvature = curvature_fields(grid, initial, ric)  # of metric and phi, or None
+    heat = None  # of metric, built on first use
     snaps = [initial]
-    ric = geometry.ricci(grid, initial.metric)  # of current.metric, or None
-    constants = [snapshot_constants(grid, initial, ric)]
-    alphas = [float(schedule(initial.t))]
+    constants = [_constants(t, curvature)]
+    alphas = [float(schedule(t))]
     halt = None
-    current = initial
-    faces = None  # of current.metric, built on first use
     step_index = 0
     try:
         # an overflow halts the run naming the node; numpy's warning would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_snaps):
                 for _ in range(substride):
-                    if faces is None:
-                        faces = geometry.laplacian_faces(current.metric)
-                    # the flow update reads only g and phi, so it steps the
-                    # pre-heat snapshot and the heated u is attached after
-                    u_new = step_heat(grid, current, dt_sub, method=method, c_stab=c_stab,
-                                      faces=faces)
-                    nxt = step_flow(
-                        grid, current, dt_sub, variant, schedule, method=method, c_stab=c_stab,
-                        ric=ric, faces=faces,
-                    )
-                    if nxt.metric is not current.metric:
-                        ric = faces = None
+                    if heat is None:
+                        heat = _HeatStep(grid, metric, dt_sub, method, c_stab)
+                    u_new = heat(u, t + dt_sub)
+                    if not static:
+                        # the flow reads g and phi only: it steps the pre-heat state
+                        g, phi, metric = _flow_update(grid, variant, schedule, method, t,
+                                                      dt_sub, g, phi, metric, ric, heat.lap)
+                        ric = curvature = heat = None
+                    u = u_new
                     step_index += 1
                     # exact time bookkeeping: t derived from the step counter
-                    t_exact = initial.t + step_index * dt_sub
-                    current = Snapshot._unchecked(t_exact, nxt.g, nxt.phi, u_new, nxt.metric)
-                snaps.append(current)
+                    t = initial.t + step_index * dt_sub
+                snap = Snapshot._unchecked(t, g, phi, u, metric)
+                snaps.append(snap)
                 if ric is None:
-                    ric = geometry.ricci(grid, current.metric)
-                constants.append(snapshot_constants(grid, current, ric))
-                alphas.append(float(schedule(current.t)))
+                    ric = geometry.ricci(grid, metric)
+                if curvature is None:
+                    curvature = curvature_fields(grid, snap, ric)
+                constants.append(_constants(t, curvature))
+                alphas.append(float(schedule(t)))
     except (BlowUpError, StabilityError) as exc:
         t_fail = getattr(exc, "t", initial.t + (step_index + 1) * dt_sub)
         halt = f"{exc} (halted at t={t_fail:g})"

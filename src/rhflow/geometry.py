@@ -21,14 +21,15 @@ Validate once: MetricFields
 ``MetricFields(g)`` runs ``check_metric`` on the array exactly once and
 holds what every operator needs: the components g_ij, the closed-form
 inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
-the nodes (which the stability bound reads).  The Laplacian's face
-coefficients (``laplacian_faces``) are not kept on it: a caller applying
-many Laplacians with one metric, like the stepping loop of a run (all the
-heat steps of a static run share one metric), builds them once and passes
-them in.  Every operator taking a metric accepts either a MetricFields or
-a raw array; a raw array is wrapped (and so validated) once on entry.  Code that applies several operators to one metric, like a flow
-substep, builds one MetricFields and passes it to all of them.  The wrapped
-array must not be modified afterwards.
+the nodes (which the stability bound reads).  The Laplacian's
+coefficients are not kept on it: a caller applying many Laplacians with one
+metric, like the stepping loop of a run (all the heat steps of a static run
+share one metric), builds one ``Laplacian`` and applies it.  Every operator
+taking a metric accepts either a MetricFields or a raw array; a raw array
+is wrapped (and so validated) once on entry.  Code that applies several
+operators to one metric, like a flow substep, builds one MetricFields and
+passes it to all of them.  The wrapped array must not be modified
+afterwards.
 
 Tensors are computed component by component with explicit arithmetic over
 the d <= 2 index range (nested lists of node fields, with [i][j] and [j][i]
@@ -43,7 +44,7 @@ import operator
 
 import numpy as np
 
-from .grid import Grid, shift
+from .grid import Grid, Halo, shift
 
 # Relative threshold for the positive-definiteness check: smallest eigenvalue
 # must exceed PD_RTOL * trace(g) at every node.
@@ -118,7 +119,7 @@ class MetricFields:
     ``sqrt_det`` is sqrt(det g) per node and ``min_eigenvalue`` the smallest
     eigenvalue over all nodes.  A trajectory keeps one MetricFields per
     stored snapshot, so only these are kept: the Laplacian's coefficients
-    are recomputed per call, or passed in by a caller that holds them.
+    live in a `Laplacian`, built per call or held by the caller.
     """
 
     def __init__(self, g: np.ndarray):
@@ -224,17 +225,81 @@ def _partials(grid: Grid, s: np.ndarray) -> list:
     return [grid.d1(s, ax) for ax in range(grid.dim)]
 
 
-def _laplace(grid: Grid, mf: MetricFields, s: np.ndarray, faces: list) -> np.ndarray:
-    w = mf.sqrt_det
+class Laplacian:
+    """The Laplace-Beltrami operator of one metric, built once and applied
+    to any number of scalar fields (see `laplace_beltrami` for the scheme).
 
-    def term(i, j):
-        if i != j:
-            return grid.d1(w * mf.inv[i][j] * grid.d1(s, j), i)
-        # face k sits between nodes k and k+1: mean coefficient, flux through it
-        flux = faces[i] * (shift(s, -1, i) - s)
-        return (flux - shift(flux, 1, i)) / (grid.h[i] * grid.h[i])
+    It holds what every application reads: the metric's `laplacian_faces`
+    (or the ones passed in), sqrt(det g), in 2-D the mixed coefficient
+    sqrt(det g) g^{01}, the grid spacings, and scratch buffers.  Term (i, j)
+    of the sum is
 
-    return _sum(term(i, j) for i in range(grid.dim) for j in range(grid.dim)) / w
+        (i, i)  (flux - shift(flux, 1, i)) / h_i^2,
+                flux = faces[i] * (shift(s, -1, i) - s),
+                face k sitting between nodes k and k+1
+        (i, j)  d1(sqrt(det g) g^{ij} d1(s, j), i) for j != i
+
+    the terms are added in row-major order, and the sum is divided by
+    sqrt(det g).  An application loads s into a `grid.Halo`, then runs a
+    few ufuncs per term into the buffers: each term's inner field (flux, or
+    the mixed coefficient times d1(s, j)) is formed one node beyond the
+    grid along i, from the halo and a coefficient padded the same way, so
+    no shifted copy is made.  The floating-point operations per node and
+    their order are those of the formulas above, so the result is bit for
+    bit theirs.  Calls share the buffers, so one operator serves one caller
+    at a time.
+    """
+
+    def __init__(self, grid: Grid, g, faces: list | None = None):
+        mf = metric_fields(g)
+        faces = laplacian_faces(mf) if faces is None else faces
+        self.sqrt_det = mf.sqrt_det
+        self.shape = grid.shape
+        self._halo = Halo(grid.shape)
+        self._term = np.empty(grid.shape)
+        buf = self._halo.buf
+        core, whole = (slice(1, -1),) * grid.dim, (slice(None),) * grid.dim
+
+        def along(axis, sl, base=core):
+            return base[:axis] + (sl,) + base[axis + 1:]
+
+        mixed = self.sqrt_det * mf.inv[0][1] if grid.dim == 2 else None
+        self._terms = []
+        for i, n in enumerate(grid.shape):
+            for j, h in enumerate(grid.h):
+                if i == j:  # fluxes through faces -1 .. n - 1, face -1 being n - 1
+                    reach, scale, denom = 1, None, h * h
+                    hi, lo = buf[along(i, slice(1, None))], buf[along(i, slice(None, -1))]
+                    coef = faces[i]
+                else:  # d1(s, j) at nodes -1 .. n along i
+                    reach, scale, denom = 2, 2.0 * h, 2.0 * grid.h[i]
+                    rows = along(i, slice(None))
+                    hi = buf[along(j, slice(2, None), rows)]
+                    lo = buf[along(j, slice(None, -2), rows)]
+                    coef = mixed
+                coef = np.take(coef, np.arange(-1, n + reach - 1), axis=i, mode="wrap")
+                inner = np.empty(coef.shape)
+                self._terms.append((hi, lo, scale, coef, inner,
+                                    inner[along(i, slice(reach, None), whole)],
+                                    inner[along(i, slice(None, -reach), whole)], denom))
+
+    def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Lap s, written into ``out`` (a new array if None); ``out`` may be s."""
+        self._halo.load(s)
+        if out is None:
+            out = np.empty(self.shape)
+        acc = out
+        for hi, lo, scale, coef, inner, inner_hi, inner_lo, denom in self._terms:
+            np.subtract(hi, lo, out=inner)
+            if scale is not None:
+                np.divide(inner, scale, out=inner)
+            np.multiply(coef, inner, out=inner)
+            np.subtract(inner_hi, inner_lo, out=acc)
+            np.divide(acc, denom, out=acc)
+            if acc is not out:
+                np.add(out, acc, out=out)
+            acc = self._term
+        return np.divide(out, self.sqrt_det, out=out)
 
 
 def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:
@@ -287,8 +352,7 @@ def laplace_beltrami(grid: Grid, g, s: np.ndarray, faces: list | None = None) ->
     sum(Lap s * sqrt(det g) * h^n) telescopes to zero.  ``faces`` are the
     metric's `laplacian_faces`, if the caller holds them.
     """
-    mf = metric_fields(g)
-    return _laplace(grid, mf, s, faces if faces is not None else laplacian_faces(mf))
+    return Laplacian(grid, g, faces)(s)
 
 
 def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
@@ -346,11 +410,15 @@ def s_scalar(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
 def tension_field(grid: Grid, g, phi: np.ndarray, faces: list | None = None) -> np.ndarray:
     """Tension field of a map into flat R^m: componentwise Laplace-Beltrami.
     ``faces`` are the metric's `laplacian_faces`, if the caller holds them."""
-    mf = metric_fields(g)
-    if faces is None:
-        faces = laplacian_faces(mf)
-    return np.stack([_laplace(grid, mf, phi[..., m], faces) for m in range(phi.shape[-1])],
-                    axis=-1)
+    return _tension(Laplacian(grid, g, faces), phi)
+
+
+def _tension(lap: Laplacian, phi: np.ndarray) -> np.ndarray:
+    """`tension_field` with the metric's Laplacian at hand."""
+    out = np.empty(phi.shape)
+    for m in range(phi.shape[-1]):
+        lap(phi[..., m], out=out[..., m])
+    return out
 
 
 def _rough_laplacian_covector(grid: Grid, mf: MetricFields, om: list, gam: list) -> list:

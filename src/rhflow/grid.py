@@ -48,6 +48,33 @@ def shift(a: np.ndarray, k: int, axis: int) -> np.ndarray:
     return out
 
 
+class Halo:
+    """A reusable buffer holding a node field with one periodic ghost layer
+    on each side of every axis, so that shifted copies of the field are
+    plain slices of ``buf``: node k of the field sits at k + 1 along each
+    axis, and ``buf[0]`` and ``buf[n + 1]`` along an axis hold its layers
+    n - 1 and 0, corners included.
+    """
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.buf = np.empty(tuple(n + 2 for n in shape))
+        self._inner = self.buf[(slice(1, -1),) * len(shape)]
+        # axis by axis, each ghost layer spanning the earlier axes' ghosts too
+        self._ghosts = []
+        for axis, n in enumerate(shape):
+            lead = (slice(None),) * axis
+            rest = (slice(1, -1),) * (len(shape) - axis - 1)
+            self._ghosts += [(lead + (0,) + rest, lead + (n,) + rest),
+                             (lead + (n + 1,) + rest, lead + (1,) + rest)]
+
+    def load(self, a: np.ndarray) -> None:
+        """Copy the node field ``a`` in and fill the ghost layers."""
+        buf = self.buf
+        np.copyto(self._inner, a)
+        for ghost, image in self._ghosts:
+            buf[ghost] = buf[image]
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform periodic grid on a d-torus, d in {1, 2}.

@@ -53,7 +53,7 @@ def test_every_check_shares_one_layer(coupled_run, monkeypatch):
     assert len(eig) == 2 * S
     assert sorted(id(args[1]) for args in eig) == sorted(2 * [id(s.metric) for s in snaps])
     # every metric of a coupled run differs: one Dijkstra per snapshot
-    assert [id(args[1]) for args in dijkstra] == [id(s.g) for s in snaps]
+    assert [id(args[1]) for args in dijkstra] == [id(s.metric) for s in snaps]
     assert {args[2] for args in dijkstra} == {x0}
     # one edge build per floor snapshot of the Harnack call, in time order;
     # the auto pairs run from the first positive time to the last snapshot

@@ -11,6 +11,7 @@ import pytest
 from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import dijkstra
 
+from rhflow import geometry
 from rhflow.distance import (
     METRICATION_8,
     _edge_graph,
@@ -19,6 +20,7 @@ from rhflow.distance import (
     geodesic_distance,
 )
 from rhflow.grid import Grid
+from rhflow.scenarios import bundled_names, load_scenario, run_scenario
 
 
 def flat_metric(grid):
@@ -161,3 +163,57 @@ def test_csr_graph_equals_the_coo_assembly_bit_for_bit(shape):
     for source in (0, grid.n_nodes // 2):
         np.testing.assert_array_equal(dijkstra(got, directed=False, indices=source),
                                       dijkstra(want, directed=False, indices=source))
+
+
+def undirected_distance(grid, g, x0):
+    """The distance field searched as an undirected graph: the reference for
+    the directed search of `geodesic_distance`."""
+    source = int(np.ravel_multi_index(grid.node(x0), grid.shape))
+    return dijkstra(_edge_graph(grid, g), directed=False, indices=source).reshape(grid.shape)
+
+
+def spd_metric(rng, shape):
+    d = len(shape)
+    a = 0.3 * rng.standard_normal(shape + (d, d))
+    return np.eye(d) + a @ np.swapaxes(a, -1, -2)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_directed_search_equals_undirected_on_bundled_metrics(name):
+    # the stencil weights are exactly symmetric, so the reverse edges the
+    # undirected search adds change nothing, to the bit
+    sc = load_scenario(name)
+    traj = run_scenario(sc) if sc.variant.kind != "static" else None
+    metrics = [sc.initial_snapshot().g] + ([traj.snapshots[-1].g] if traj else [])
+    for g in metrics:
+        for x0 in [(0,) * sc.grid.dim, tuple(n // 3 for n in sc.grid.shape)]:
+            assert np.array_equal(geodesic_distance(sc.grid, g, x0),
+                                  undirected_distance(sc.grid, g, x0))
+
+
+@pytest.mark.parametrize("shape", [(8,), (61,), (8, 8), (9, 13), (24, 17)])
+def test_directed_search_equals_undirected_on_random_metrics(shape):
+    rng = np.random.default_rng(7 + shape[-1])
+    grid = Grid(len(shape), shape, tuple(1.0 + 0.5 * i for i in range(len(shape))))
+    for _ in range(3):
+        g = spd_metric(rng, shape)
+        x0 = tuple(int(rng.integers(n)) for n in shape)
+        assert np.array_equal(geodesic_distance(grid, g, x0), undirected_distance(grid, g, x0))
+
+
+def test_validated_metric_is_not_checked_again(monkeypatch):
+    grid = Grid(2, (9, 13), (1.0, 1.5))
+    g = spd_metric(np.random.default_rng(3), grid.shape)
+    mf = geometry.MetricFields(g)
+    checks = []
+    real = geometry.check_metric
+    monkeypatch.setattr(geometry, "check_metric", lambda a: checks.append(a) or real(a))
+    via_fields = geodesic_distance(grid, mf, (4, 5))
+    assert not checks
+    # a raw array is still validated, once
+    assert np.array_equal(geodesic_distance(grid, g, (4, 5)), via_fields)
+    assert len(checks) == 1
+    bad = g.copy()
+    bad[2, 3] = -np.eye(2)
+    with pytest.raises(geometry.MetricDegenerateError):
+        geodesic_distance(grid, bad, (0, 0))

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from tiny_configs import tiny_static_cfg
-from rhflow import geometry
+from rhflow import flow, geometry
 from rhflow.estimates import check_identities
 from rhflow.flow import (
     AlphaSchedule,
@@ -452,3 +452,75 @@ def test_static_run_evaluates_ricci_once(monkeypatch):
     traj = run_scenario(load_scenario(tiny_static_cfg()))
     assert traj.completed and len(traj.snapshots) == 5
     assert len(calls) == 1
+
+
+# ---------------------------------------------------------------------------
+# built once per metric, assembled once per stored snapshot
+
+
+def test_static_run_computes_its_curvature_fields_once(monkeypatch):
+    sc = load_scenario("static_eigenmode")
+    eig = count_calls(monkeypatch, geometry, "eig_general")
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) == 81
+    # one eigenvalue pass for Ric and one for dphi (x) dphi, for all 81 snapshots
+    assert len(eig) == 2
+    monkeypatch.undo()
+    assert traj.constants == [snapshot_constants(sc.grid, s) for s in traj.snapshots]
+
+
+@pytest.mark.parametrize("scenario", ["static", "coupled"])
+def test_run_assembles_each_stored_snapshot_once(monkeypatch, scenario):
+    sc = load_scenario(tiny_static_cfg()) if scenario == "static" else short_coupled_scenario()[0]
+    assembled = count_calls(monkeypatch, Snapshot, "_unchecked")
+    traj = run_scenario(sc)
+    assert traj.completed and len(traj.snapshots) > 2
+    assert len(assembled) == len(traj.snapshots) - 1
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_static_run_checks_stability_once_and_takes_no_flow_step(monkeypatch, method):
+    stable = count_calls(monkeypatch, flow, "_require_stable")
+    flows = count_calls(monkeypatch, flow, "_flow_update")
+    traj = run_scenario(load_scenario(tiny_static_cfg()), method=method)
+    assert traj.completed and len(traj.snapshots) == 5
+    assert len(stable) == 1 and not flows
+
+
+def test_coupled_run_checks_stability_once_per_substep(monkeypatch):
+    sc, n_substeps = short_coupled_scenario()
+    stable = count_calls(monkeypatch, flow, "_require_stable")
+    assert run_scenario(sc).completed
+    assert len(stable) == n_substeps
+
+
+def unstable_mode_run(method, **options):
+    """A 32-node flat static run whose dt, 0.6 h^2, exceeds the explicit
+    bound 0.5 h^2: its highest mode grows 1.4-fold per Euler substep."""
+    grid = Grid(1, (32,), (1.0,))
+    u = 1.0 + 1e-3 * (-1.0) ** np.arange(32)
+    snap = Snapshot(0.0, flat_metric(grid), np.zeros(grid.shape + (1,)), u)
+    dt = 0.6 * grid.h[0] ** 2
+    return run(grid, FlowVariant("static"), AlphaSchedule(0.0), snap, 40 * dt, dt, 5,
+               method=method, **options), dt
+
+
+@pytest.mark.parametrize("method, reason, n_snapshots", [
+    ("euler", "heat solution lost positivity (halted at t=0.0123047)", 5),
+    ("rk2", "heat solution lost positivity (halted at t=0.0105469)", 4),
+])
+def test_static_run_halts_when_positivity_is_lost(method, reason, n_snapshots):
+    # let through by c_stab = 1; the record is the allocating heat step's
+    traj, dt = unstable_mode_run(method, c_stab=1.0)
+    assert traj.halt_reason == reason
+    assert list(traj.times) == [k * 5 * dt for k in range(n_snapshots)]
+    assert len(traj.constants) == len(traj.alphas) == n_snapshots
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_run_refused_for_stability_halts_before_its_first_substep(method):
+    traj, dt = unstable_mode_run(method)
+    assert traj.halt_reason == ("dt=0.000585937 exceeds stability bound "
+                                "c_stab*h_min^2*min_eig(g)=0.000195313 "
+                                "(halted at t=0.000585937)")
+    assert list(traj.times) == [0.0] and len(traj.constants) == 1

@@ -3,7 +3,9 @@
 Every stencil is built from one-node periodic shifts, so the Laplacian and
 a whole static run commute bit for bit with translations of the grid, and
 the divergence-form Laplacian conserves the weighted mass sum(u sqrt(det g))
-to roundoff.  Hypothesis draws the grid, the shift and a seed; numpy draws
+to roundoff.  The in-place `geometry.Laplacian`, and the heat step built on
+it, match the allocating reference in `heat_oracle` bit for bit.
+Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
 """
@@ -12,8 +14,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import heat_oracle
 from rhflow import geometry
-from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, run, stability_limit
+from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_heat
 from rhflow.grid import Grid
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -91,3 +94,28 @@ def test_static_run_conserves_weighted_mass(grid, seed, method):
     # roundoff only: each substep adds at most a few ulps of the node sum
     bound = 20 * 2 * grid.n_nodes * np.finfo(float).eps * mass[0]
     assert traj.completed and np.max(np.abs(mass - mass[0])) <= bound
+
+
+@PROPERTY
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["euler", "rk2"]))
+def test_laplacian_and_heat_step_match_the_reference_bitwise(grid, seed, method):
+    # the in-place operator does the reference's floating-point operations
+    # per node in the same order: Laplacian, tension, one step, a whole run
+    rng = np.random.default_rng(seed)
+    g = random_metric(grid, rng)
+    s = rng.standard_normal(grid.shape)
+    phi = rng.standard_normal(grid.shape + (2,))
+    assert np.array_equal(geometry.laplace_beltrami(grid, g, s),
+                          heat_oracle.laplace_beltrami(grid, g, s))
+    assert np.array_equal(geometry.tension_field(grid, g, phi),
+                          heat_oracle.tension_field(grid, g, phi))
+    u = 1.0 + rng.random(grid.shape)
+    traj = static_run(grid, g, u, method)
+    snap = traj.snapshots[0]
+    assert np.array_equal(step_heat(grid, snap, traj.dt_sub, method),
+                          heat_oracle.step_heat(grid, snap, traj.dt_sub, method))
+    for stored in traj.snapshots[1:]:
+        for _ in range(2):  # the stride
+            snap = Snapshot(snap.t + traj.dt_sub, g, snap.phi,
+                            heat_oracle.step_heat(grid, snap, traj.dt_sub, method), snap.metric)
+        assert np.array_equal(stored.u, snap.u)

@@ -543,6 +543,50 @@ def test_cli_usage_errors_exit_2(tmp_path, capsys):
     assert "needs a scenario or run directory" in err["error"]
 
 
+def assert_argparse_refusal(capsys, argv, message):
+    """argv is refused by argparse itself: exit 2 and a JSON error on stdout
+    naming the problem, with nothing on stderr (no usage text)."""
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"ok": False, "error": message}
+
+
+def test_cli_mistyped_number_is_a_json_refusal(capsys):
+    assert_argparse_refusal(capsys, ["check", "--which", "cutoff", "--substeps", "2.5"],
+                            "argument --substeps: invalid int value: '2.5'")
+
+
+def test_cli_unknown_flag_is_a_json_refusal(capsys):
+    assert_argparse_refusal(capsys, ["check", "--which", "cutoff", "--bogus"],
+                            "unrecognized arguments: --bogus")
+
+
+def test_cli_missing_which_is_a_json_refusal(capsys):
+    assert_argparse_refusal(capsys, ["check", "static_eigenmode"],
+                            "the following arguments are required: --which")
+
+
+def test_cli_mode_outside_its_choices_is_a_json_refusal(capsys):
+    assert_argparse_refusal(
+        capsys, ["check", "static_eigenmode", "--which", "harnack", "--mode", "bogus"],
+        "argument --mode: invalid choice: 'bogus' (choose from 'compact', 'complete')")
+
+
+def test_cli_run_method_outside_its_choices_is_a_json_refusal(capsys):
+    assert_argparse_refusal(
+        capsys, ["run", "static_eigenmode", "--method", "x"],
+        "argument --method: invalid choice: 'x' (choose from 'euler', 'rk2')")
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--help"])
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: rhflow check") and err == ""
+
+
 @pytest.mark.filterwarnings("error")  # pytest would keep a warning out of err
 def test_cli_failed_run_exits_1(tmp_path, capsys):
     blowup = {
