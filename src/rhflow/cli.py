@@ -12,8 +12,9 @@ function that runs it.  A flag the check does not read, or a value outside
 its domain, exits 2 naming the flag before anything is loaded.  `check`
 exits 0 only if every asserted margin clears -tol_num and no hypothesis
 gate was empty; `run` exits 0 only if the run reached its final time.
-Configuration and usage problems, argparse's own included, exit 2 with
-{"ok": false, "error": ...} on stdout.  All output is deterministic
+Configuration and usage problems, argparse's own included, and files that
+cannot be read or written (any OSError) exit 2 with {"ok": false,
+"error": ...} on stdout.  All output is deterministic
 JSON/CSV: checking the same scenario twice produces byte-identical files.
 
 The output root is --out, else $RHFLOW_OUTPUT_ROOT, else ./runs.
@@ -313,7 +314,7 @@ def main(argv=None) -> int:
     except GateEmptyError as exc:
         _emit({"ok": False, "error": f"empty hypothesis gate: {exc}"})
         return 1
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         _emit({"ok": False, "error": str(exc)})
         return 2
 

@@ -11,6 +11,8 @@ once in all, in memory or reloaded, and a coupled run once per snapshot:
 
     ricci(i)      Ricci tensor of stored snapshot i, kept as its d(d+1)/2
                   distinct components once per distinct metric array
+    laplacian(i)  `geometry.Laplacian` of snapshot i's metric class; only the
+                  last one built is kept (a walk in order builds one per class)
     curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
                   shape: `curvature_fields` once per distinct metric array
                   whose phi is equal too, its map term then scaled by each
@@ -32,8 +34,8 @@ unchecked trajectory holds nothing but its snapshots.
 
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
 Neither is what only one check reads: `estimates.identity_residuals`
-builds each snapshot's Christoffel field and Laplacian once per call
-and shares them among its own terms, and `harnack.gamma_fields` builds
+builds each snapshot's Christoffel field once per call and shares it
+among its own terms, and `harnack.gamma_fields` builds
 the edge costs once per distinct floor metric array per call (it reads
 ``metric_class`` too).
 
@@ -42,8 +44,9 @@ as the trajectory, is never saved and takes no part in equality; a copy of
 the trajectory starts with an empty one.  Once every check has run it holds
 at most 8 node fields per stored snapshot in 2-D (Ricci 3, curvature 3,
 |grad f|^2 and f_t one each; f_t at interior snapshots only) plus one per
-distance centre; in 1-D, at most 6 plus one per centre.  The snapshots must
-not be modified once it holds any of them.
+distance centre, and one Laplacian (about 11 node fields in 2-D); in 1-D,
+at most 6 plus one per centre, and a Laplacian of about 5.  The snapshots
+must not be modified once it holds any of them.
 """
 
 from __future__ import annotations
@@ -82,6 +85,7 @@ class TrajectoryFields:
         self._f_t = {}
         self._grad_sq = {}
         self._distance = {}
+        self._laplacian = (None, None)  # (metric class, its operator)
 
     @functools.cached_property
     def metric_class(self) -> list[int]:
@@ -123,6 +127,12 @@ class TrajectoryFields:
             lam_min[i], lam_max[i] = fields[0], fields[1]
             t_lam_outer[i] = s.t * fields[2]
         return lam_min, lam_max, t_lam_outer
+
+    def laplacian(self, i: int) -> geometry.Laplacian:
+        key = self.metric_class[i]
+        if self._laplacian[0] != key:
+            self._laplacian = (key, geometry.Laplacian(self.grid, self.snapshots[key].metric))
+        return self._laplacian[1]
 
     def log_u(self, i: int) -> np.ndarray:
         return np.log(self.snapshots[i].u)

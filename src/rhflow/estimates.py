@@ -546,8 +546,8 @@ def identity_residuals(
     Everything is computed over component lists of node fields, as in the
     geometry module: g^{ij} comes from the snapshot's MetricFields, each
     snapshot's Christoffel field is computed once and shared by Hess f and
-    the rough Laplacian of df, and each metric's `geometry.Laplacian` once
-    and shared by all of its Laplacians.  The contractions keep the summation
+    the rough Laplacian of df, and every Laplacian is applied by the layer's
+    operator (``traj.derived.laplacian``).  The contractions keep the summation
     order of the einsum forms they replaced (see `_form`), so every
     residual and scale is unchanged to the last bit.
     """
@@ -563,20 +563,11 @@ def identity_residuals(
     d = traj.derived
     times = traj.times
     grad_sq = d.grad_sq
-    laps, ops = {}, {}
-
-    def operator_of(mf):
-        # one Laplacian per metric (a static run has one metric)
-        if id(mf) not in ops:
-            ops[id(mf)] = geometry.Laplacian(grid, mf)
-        return ops[id(mf)]
-
-    def laplacian(mf, s):
-        return operator_of(mf)(s)
+    laps = {}
 
     def lap_f(i):
         if i not in laps:
-            laps[i] = laplacian(traj.snapshots[i].metric, d.log_u(i))
+            laps[i] = d.laplacian(i)(d.log_u(i))
         return laps[i]
 
     out = {name: [] for name in IDENTITY_NAMES}
@@ -591,10 +582,7 @@ def identity_residuals(
     # "...ab,...ab->..." pairs its products as (t00 + t10) + (t01 + t11)
     ba = [(a, b) for b in range(n) for a in range(n)]
     for i in indices:
-        # operators and Laplacians of snapshots before i - 1 are not read again
-        near = {id(traj.snapshots[j].metric) for j in (i - 1, i, i + 1)}
-        for key in ops.keys() - near:
-            del ops[key]
+        # Laplacians of snapshots before i - 1 are not read again
         for j in laps.keys() - {i - 1, i, i + 1}:
             del laps[j]
         snap = traj.snapshots[i]
@@ -617,8 +605,15 @@ def identity_residuals(
         hess = geometry._hessian(grid, f, df, gam)
         lap_df = geometry._rough_laplacian_covector(grid, mf, df, gam)
         del gam
-        lap = lap_f(i)
         ft = d.f_t(i)
+        # the layer keeps its last operator only: snapshot i's uses come after
+        # i - 1's and before i + 1's, so each metric's is built once
+        lap_prev, lap = lap_f(i - 1), lap_f(i)
+        op = d.laplacian(i)
+        lap_ft, lhs4 = op(ft), op(grad_sq(i))
+        transported = include_flow_correction and traj.variant.kind != "static"
+        tension = geometry._tension(op, phi) if transported else None
+        lhs2 = (lap_f(i + 1) - lap_prev) / dt_c
 
         # 1: time derivative of the gradient square
         lhs1 = (grad_sq(i + 1) - grad_sq(i - 1)) / dt_c
@@ -628,13 +623,11 @@ def identity_residuals(
         note_scale("grad_sq_time", lhs1, rhs1)
 
         # 2: time derivative of the Laplacian
-        lhs2 = (lap_f(i + 1) - lap_f(i - 1)) / dt_c
         hess_up = [[_pairwise([(inv[a][k] * inv[b][m]) * hess[k][m] for k, m in ab])
                     for b in range(n)] for a in range(n)]
         s_hess = _pairwise([s_tensor[a][b] * hess_up[a][b] for a, b in ba])
-        rhs2 = 2.0 * s_hess + laplacian(mf, ft)
-        if include_flow_correction and traj.variant.kind != "static":
-            tension = geometry._tension(operator_of(mf), phi)
+        rhs2 = 2.0 * s_hess + lap_ft
+        if transported:
             dphi = [grid.d1(phi, ax) for ax in range(n)]
             transport = geometry._sum(
                 (dphi[a][..., m] * tension[..., m]) * df_up[a]
@@ -657,7 +650,6 @@ def identity_residuals(
         )
 
         # 4: Laplacian of the gradient square
-        lhs4 = laplacian(mf, grad_sq(i))
         hess_sq = _pairwise([hess_up[a][b] * hess[a][b] for a, b in ba])
         ric_ff = _form(ric, df_up, df_up)
         rhs4 = 2.0 * hess_sq + 2.0 * ric_ff + 2.0 * geometry._dot(df_up, d_lapf)
@@ -763,7 +755,7 @@ def check_evolution_inequality(
         df = geometry._partials(grid, f)
         df_up = [geometry._dot(row, df) for row in mf.inv]
         F_t = (F[i + 1] - F[i - 1]) / dt_c
-        lhs = geometry.laplace_beltrami(grid, mf, F[i]) - F_t
+        lhs = d.laplacian(i)(F[i]) - F_t
         grad_f_grad_F = geometry._dot(df_up, geometry._partials(grid, F[i]))
         gs, ft = d.grad_sq(i), d.f_t(i)
         rhs = (

@@ -17,6 +17,7 @@ Stability is enforced, not assumed: every step requires
 `run` steps the state (u, g, phi, metric), checks stability and builds one
 `geometry.Laplacian` per metric array, and assembles a `Snapshot` only at
 each stored stride; `step_heat` and `step_flow` build the same per call.
+The checks read each metric's Laplacian from ``traj.derived.laplacian``.
 """
 
 from __future__ import annotations
@@ -286,8 +287,6 @@ def step_flow(
     schedule: AlphaSchedule,
     method: str = "euler",
     c_stab: float = C_STAB_DEFAULT,
-    ric: np.ndarray | None = None,
-    faces: list | None = None,
 ) -> Snapshot:
     """Advance metric and map by one step; u is carried along unchanged.
 
@@ -296,9 +295,9 @@ def step_flow(
     Each new metric is validated once: one per Euler step, two per RK2 step
     (midpoint and end), none on the static variant.  The new map is checked
     for finiteness once, and not at all on the static variant, whose fields
-    are those of ``snap``.  ``ric`` and ``faces``, the Ricci tensor and
-    Laplacian face coefficients of ``snap.metric`` when the caller already
-    has them, spare their recomputation.
+    are those of ``snap``.  The Ricci tensor and the `geometry.Laplacian`
+    of ``snap.metric`` are built once per call; `run` steps without this
+    function and builds them once per metric.
     """
     t_new = snap.t + dt
     if variant.kind == "static":
@@ -307,8 +306,7 @@ def step_flow(
     _require_stable(grid, snap.metric, dt, c_stab)
     _check_method(method)
     g, phi, metric = _flow_update(grid, variant, schedule, method, snap.t, dt, snap.g,
-                                  snap.phi, snap.metric, ric,
-                                  geometry.Laplacian(grid, snap.metric, faces))
+                                  snap.phi, snap.metric, None, None)
     return Snapshot._unchecked(t_new, g, phi, snap.u, metric)
 
 
@@ -319,10 +317,9 @@ class _HeatStep:
     buffers, the same floating-point operations per node and in the same
     order as u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u) (RK2)."""
 
-    def __init__(self, grid: Grid, mf: MetricFields, dt: float, method: str, c_stab: float,
-                 faces: list | None = None):
+    def __init__(self, grid: Grid, mf: MetricFields, dt: float, method: str, c_stab: float):
         _require_stable(grid, mf, dt, c_stab)
-        self.lap = geometry.Laplacian(grid, mf, faces)
+        self.lap = geometry.Laplacian(grid, mf)
         _check_method(method)
         self.dt, self.rk2 = dt, method == "rk2"
         self._dlap, self._mid = np.empty(grid.shape), np.empty(grid.shape)
@@ -348,15 +345,14 @@ def step_heat(
     dt: float,
     method: str = "euler",
     c_stab: float = C_STAB_DEFAULT,
-    faces: list | None = None,
 ) -> np.ndarray:
     """One explicit heat step du/dt = Lap_g u with the snapshot's metric.
 
     Positivity is asserted, never clamped: a non-positive result raises.
-    ``faces``, the Laplacian face coefficients of ``snap.metric`` when the
-    caller already has them, spare their recomputation.
+    The stability check and the `geometry.Laplacian` of ``snap.metric`` are
+    done once per call; `run` does them once per metric.
     """
-    return _HeatStep(grid, snap.metric, dt, method, c_stab, faces)(snap.u, snap.t + dt)
+    return _HeatStep(grid, snap.metric, dt, method, c_stab)(snap.u, snap.t + dt)
 
 
 def _constants(t: float, curvature: tuple) -> dict:
@@ -373,15 +369,13 @@ def _constants(t: float, curvature: tuple) -> dict:
     }
 
 
-def snapshot_constants(grid: Grid, snap: Snapshot, ric: np.ndarray | None = None) -> dict:
+def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
     """Empirical hypothesis bounds at one snapshot: the extremes over nodes
     of `derived.curvature_fields`, with k1 = -min lambda(Ric) clipped at 0
-    from below.  ``ric`` is the Ricci tensor of the snapshot's metric if the
-    caller has it.
+    from below.  `run` reduces the same fields as it steps, with each
+    metric's Ricci tensor computed once.
     """
-    if ric is None:
-        ric = geometry.ricci(grid, snap.metric)
-    return _constants(snap.t, curvature_fields(grid, snap, ric))
+    return _constants(snap.t, curvature_fields(grid, snap, geometry.ricci(grid, snap.metric)))
 
 
 def snapshot_count(span: float, dt_sub: float, stride: int) -> int:

@@ -22,10 +22,9 @@ Validate once: MetricFields
 holds what every operator needs: the components g_ij, the closed-form
 inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
 the nodes (which the stability bound reads).  The Laplacian's
-coefficients are not kept on it: a caller applying many Laplacians with one
-metric, like the stepping loop of a run (all the heat steps of a static run
-share one metric), builds one ``Laplacian`` and applies it.  Every operator
-taking a metric accepts either a MetricFields or a raw array; a raw array
+coefficients are kept on a ``Laplacian``, built once per metric by the
+stepping loop of a run (all the heat steps of a static run share one) and,
+for the checks, by ``traj.derived.laplacian``.  Every operator taking a metric accepts either a MetricFields or a raw array; a raw array
 is wrapped (and so validated) once on entry.  Code that applies several
 operators to one metric, like a flow substep, builds one MetricFields and
 passes it to all of them.  The wrapped array must not be modified
@@ -229,10 +228,9 @@ class Laplacian:
     """The Laplace-Beltrami operator of one metric, built once and applied
     to any number of scalar fields (see `laplace_beltrami` for the scheme).
 
-    It holds what every application reads: the metric's `laplacian_faces`
-    (or the ones passed in), sqrt(det g), in 2-D the mixed coefficient
-    sqrt(det g) g^{01}, the grid spacings, and scratch buffers.  Term (i, j)
-    of the sum is
+    It holds what every application reads: the metric's `laplacian_faces`,
+    sqrt(det g), in 2-D the mixed coefficient sqrt(det g) g^{01}, the grid
+    spacings, and scratch buffers.  Term (i, j) of the sum is
 
         (i, i)  (flux - shift(flux, 1, i)) / h_i^2,
                 flux = faces[i] * (shift(s, -1, i) - s),
@@ -247,12 +245,13 @@ class Laplacian:
     no shifted copy is made.  The floating-point operations per node and
     their order are those of the formulas above, so the result is bit for
     bit theirs.  Calls share the buffers, so one operator serves one caller
-    at a time.
+    at a time: a run holds one per metric array, the checks one per metric
+    class (``traj.derived.laplacian``), and the public operators one per call.
     """
 
-    def __init__(self, grid: Grid, g, faces: list | None = None):
+    def __init__(self, grid: Grid, g):
         mf = metric_fields(g)
-        faces = laplacian_faces(mf) if faces is None else faces
+        faces = laplacian_faces(mf)
         self.sqrt_det = mf.sqrt_det
         self.shape = grid.shape
         self._halo = Halo(grid.shape)
@@ -342,17 +341,17 @@ def scalar_curvature(grid: Grid, g) -> np.ndarray:
     return _trace_with(mf.inv, _ricci(grid, mf))
 
 
-def laplace_beltrami(grid: Grid, g, s: np.ndarray, faces: list | None = None) -> np.ndarray:
+def laplace_beltrami(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     """Divergence-form Laplace-Beltrami operator applied to a scalar field.
 
     Diagonal terms use face-averaged coefficients with forward/backward
     differences; mixed terms use nested centered differences.  Summation by
     parts then gives exact discrete self-adjointness with respect to the
     sqrt(det g)-weighted inner product, and the nodewise integral
-    sum(Lap s * sqrt(det g) * h^n) telescopes to zero.  ``faces`` are the
-    metric's `laplacian_faces`, if the caller holds them.
+    sum(Lap s * sqrt(det g) * h^n) telescopes to zero.  Each call builds
+    one `Laplacian`.
     """
-    return Laplacian(grid, g, faces)(s)
+    return Laplacian(grid, g)(s)
 
 
 def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
@@ -407,10 +406,10 @@ def s_scalar(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
     return scalar_curvature(grid, mf) - alpha * energy_density(grid, mf, phi)
 
 
-def tension_field(grid: Grid, g, phi: np.ndarray, faces: list | None = None) -> np.ndarray:
-    """Tension field of a map into flat R^m: componentwise Laplace-Beltrami.
-    ``faces`` are the metric's `laplacian_faces`, if the caller holds them."""
-    return _tension(Laplacian(grid, g, faces), phi)
+def tension_field(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
+    """Tension field of a map into flat R^m: componentwise Laplace-Beltrami,
+    with one `Laplacian` for all components."""
+    return _tension(Laplacian(grid, g), phi)
 
 
 def _tension(lap: Laplacian, phi: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ directories, one ``snap_NNNNN.json`` per snapshot, are still read.
 JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
 with 17 significant digits ("%.17g"), which round-trips IEEE doubles
 exactly, and dict keys emitted sorted.  ``load_run`` checks every file it
-parses against the manifest digest.  Reports (margin checks, Harnack pair
-tables) are saved as a JSON summary plus a CSV of per-snapshot or per-pair
-rows with the same float format.
+parses against the manifest digest, and the structure of the manifest and
+of meta.json (`META`: every key, each value's type, the snapshot times).
+Reports (margin checks, Harnack pair tables) are saved as a JSON summary
+plus a CSV of per-snapshot or per-pair rows with the same float format.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .flow import AlphaSchedule, BlowUpError, FlowVariant, Snapshot, Trajectory
-from .grid import Grid
+from .flow import BlowUpError, Snapshot, Trajectory, snapshot_count
+from .scenarios import (_check_keys, _integer, _list, _number, _object, parse_grid,
+                        parse_schedule, parse_variant)
 
 FORMAT_VERSION = 2
 FIELDS = ("u", "g", "phi")
@@ -202,37 +204,122 @@ def _snapshot(t, g, phi, u, names: dict, i: int) -> Snapshot:
         raise ValueError(f"{names[field]}: snapshot {i}: {exc}") from exc
 
 
+def _each(read):
+    """A reader of a list whose entries ``read`` checks, entry i at path[i]."""
+    return lambda raw, path: [read(v, f"{path}[{i}]") for i, v in enumerate(_list(raw, path))]
+
+
+def _instance(kinds: tuple, what: str):
+    """A reader refusing a value that is not an instance of one of ``kinds``."""
+    def instance(raw, path):
+        if not isinstance(raw, kinds):
+            raise ValueError(f"{path} must be {what}, got {raw!r}")
+        return raw
+    return instance
+
+
+def _json_number(raw, path: str) -> float:
+    """A finite JSON number; a string is refused, even a numeric one."""
+    return _number(_instance((int, float), "a number")(raw, path), path)
+
+
+# every key of meta.json, and the reader (value, key) -> value that checks it
+META = {
+    "format_version": _integer,
+    "grid": parse_grid,
+    "variant": parse_variant,
+    "schedule": parse_schedule,
+    "dt_snapshot": _json_number,
+    "dt_sub": _json_number,
+    "n_snapshots": _integer,
+    "times": _each(_json_number),
+    "alphas": _each(_json_number),
+    "constants": _each(_object),
+    "halt_reason": _instance((str, type(None)), "a string or null"),
+    "completed": _instance((bool,), "true or false"),
+    "fields_saved": _each(_instance((str,), "a field name")),
+    "phi_components": _integer,
+    "scenario": _instance((dict, type(None)), "an object or null"),
+}
+
+
+def _json_object(data: bytes, name: str) -> dict:
+    """The JSON object a run file holds, else a ValueError naming the file."""
+    try:
+        obj = json.loads(data)
+    except ValueError as exc:
+        raise ValueError(f"{name}: not valid JSON ({exc})") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{name}: must hold a JSON object, got a {type(obj).__name__}")
+    return obj
+
+
+def _in_file(name: str, parse, obj):
+    """parse(obj), with a ValueError it raises prefixed by the file name."""
+    try:
+        return parse(obj)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
+def _digests(manifest: dict) -> dict:
+    """The manifest's file -> sha256 table."""
+    digests = _instance((dict,), "an object of file digests")(manifest.get("files"), "files")
+    for name, digest in digests.items():
+        _instance((str,), "a sha256 digest string")(digest, f"files.{name}")
+    return digests
+
+
+def _header(meta: dict) -> dict:
+    """meta.json's values, each checked by its `META` reader, the counts
+    and steps positive.  Its times must increase and step by dt_snapshot
+    from the first, to within the tolerance of `flow.snapshot_count`."""
+    _check_keys(meta, dict.fromkeys(META, True), "")
+    head = {key: read(meta[key], key) for key, read in META.items()}
+    for key in ("dt_snapshot", "dt_sub", "n_snapshots", "phi_components"):
+        if not head[key] > 0:
+            raise ValueError(f"{key} must be positive, got {meta[key]!r}")
+    times, dt = head["times"], head["dt_snapshot"]
+    if len(times) != head["n_snapshots"]:
+        raise ValueError(f"{len(times)} times for {head['n_snapshots']} snapshots")
+    for i in range(1, len(times)):
+        if not times[i] > times[i - 1]:
+            raise ValueError(f"times must increase, but times[{i}]={times[i]!r} "
+                             f"follows {times[i - 1]!r}")
+        try:
+            steps = snapshot_count(times[i] - times[0], dt, 1)
+        except ValueError:
+            steps = None
+        if steps != i:
+            raise ValueError(f"times[{i}]={times[i]!r} is not times[0] + {i} dt_snapshot "
+                             f"to within 1e-9 (dt_snapshot={dt!r})")
+    return head
+
+
 def load_run(run_dir) -> Trajectory:
     """Rebuild a trajectory from a run directory.
 
     Every file read must be listed in the manifest and match its digest.
-    Only the file names of the directory's format are read.
+    Only the file names of the directory's format are read.  A manifest or
+    meta.json of the wrong structure, and snapshot times that do not step by
+    dt_snapshot, are a ValueError naming the file and the key.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{out} has no manifest.json (incomplete run?)")
-    digests = json.loads(manifest_path.read_text())["files"]
-    meta = json.loads(_read(out, "meta.json", digests))
-    if "g" not in meta["fields_saved"]:
+    manifest = _json_object(manifest_path.read_bytes(), "manifest.json")
+    digests = _in_file("manifest.json", _digests, manifest)
+    meta = _json_object(_read(out, "meta.json", digests), "meta.json")
+    head = _in_file("meta.json", _header, meta)
+    if "g" not in head["fields_saved"]:
         raise ValueError(
             f"{out} was saved u-only and holds no metric; run its scenario again"
         )
-    grid = Grid(
-        dim=meta["grid"]["dim"],
-        n_points=tuple(meta["grid"]["n_points"]),
-        lengths=tuple(meta["grid"]["lengths"]),
-    )
-    variant = FlowVariant(**meta["variant"])
-    schedule = AlphaSchedule(**meta["schedule"])
-    d = meta["phi_components"]
-    n = meta["n_snapshots"]
-    version = meta.get("format_version")
+    grid, times = head["grid"], head["times"]
+    n, d, version = head["n_snapshots"], head["phi_components"], head["format_version"]
     snaps = []
     if version == 2:
-        times = meta["times"]
-        if len(times) != n:
-            raise ValueError(f"meta.json: {len(times)} times for {n} snapshots")
         shapes = {
             "u": (n,) + grid.shape,
             "g": (n,) + grid.shape + (grid.dim, grid.dim),
@@ -245,24 +332,27 @@ def load_run(run_dir) -> Trajectory:
     elif version == 1:
         for i in range(n):
             name = _snap_name(i)
-            payload = json.loads(_read(out, name, digests))
+            payload = _json_object(_read(out, name, digests), name)
+            if payload["t"] != times[i]:
+                raise ValueError(f"{name}: t={payload['t']!r}, but meta.json has "
+                                 f"times[{i}]={times[i]!r}")
             g = np.array(payload["g"]).reshape(grid.shape + (grid.dim, grid.dim))
             phi = np.array(payload["phi"]).reshape(grid.shape + (d,))
             u = np.array(payload["u"]).reshape(grid.shape)
-            snaps.append(_snapshot(payload["t"], g, phi, u, dict.fromkeys(FIELDS, name), i))
+            snaps.append(_snapshot(times[i], g, phi, u, dict.fromkeys(FIELDS, name), i))
     else:
         raise ValueError(f"meta.json: unsupported format_version {version!r}")
     return Trajectory(
         grid=grid,
-        variant=variant,
-        schedule=schedule,
+        variant=head["variant"],
+        schedule=head["schedule"],
         snapshots=snaps,
-        dt=meta["dt_snapshot"],
-        dt_sub=meta["dt_sub"],
-        halt_reason=meta["halt_reason"],
-        constants=meta["constants"],
-        alphas=meta["alphas"],
-        scenario=meta["scenario"],
+        dt=head["dt_snapshot"],
+        dt_sub=head["dt_sub"],
+        halt_reason=head["halt_reason"],
+        constants=head["constants"],
+        alphas=head["alphas"],
+        scenario=head["scenario"],
     )
 
 

@@ -250,6 +250,38 @@ _TOP_KEYS = {
 }
 
 
+def parse_grid(spec, path: str) -> Grid:
+    """A grid object {dim, n_points, lengths}; errors name the dotted path."""
+    _check_keys(spec, {"dim": True, "n_points": True, "lengths": True}, path)
+    dim = _int_field(spec, "dim", path)
+    n_points = _per_axis(spec, "n_points", path, _integer)
+    lengths = _per_axis(spec, "lengths", path, _number)
+    try:
+        # the node-count cap is checked here, before any field is allocated
+        return Grid(dim=dim, n_points=n_points, lengths=lengths)
+    except ValueError as exc:
+        raise ValueError(f"{path}.{exc}") from None
+
+
+def parse_variant(spec, path: str) -> FlowVariant:
+    """A variant object {kind, m, mu}; errors name the dotted path."""
+    _check_keys(spec, {"kind": True, "m": False, "mu": False}, path)
+    return FlowVariant(kind=spec["kind"], m=_int_field(spec, "m", path, 1),
+                       mu=_finite(spec, "mu", path, 0.0))
+
+
+def parse_schedule(spec, path: str) -> AlphaSchedule:
+    """A schedule object {alpha0, alpha_bar, form, rate}; errors name the
+    dotted path."""
+    _check_keys(spec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, path)
+    return AlphaSchedule(
+        alpha0=_finite(spec, "alpha0", path),
+        alpha_bar=_finite(spec, "alpha_bar", path, 0.0),
+        form=spec.get("form", "constant"),
+        rate=_finite(spec, "rate", path, 0.0),
+    )
+
+
 @dataclass
 class Scenario:
     """Parsed, validated scenario.  `raw` is the exact dict it came from and
@@ -296,34 +328,9 @@ class Scenario:
 def parse_scenario(cfg: dict) -> Scenario:
     """Validate a scenario dict (strict keys, stability, timing) and parse it."""
     _check_keys(cfg, _TOP_KEYS, "")
-    gspec = cfg["grid"]
-    _check_keys(gspec, {"dim": True, "n_points": True, "lengths": True}, "grid")
-    dim = _int_field(gspec, "dim", "grid")
-    n_points = _per_axis(gspec, "n_points", "grid", _integer)
-    lengths = _per_axis(gspec, "lengths", "grid", _number)
-    try:
-        # the node-count cap is checked here, before any field is allocated
-        grid = Grid(dim=dim, n_points=n_points, lengths=lengths)
-    except ValueError as exc:
-        raise ValueError(f"grid.{exc}") from None
-
-    vspec = dict(_object(cfg.get("variant", {"kind": "rh_alpha"}), "variant"))
-    _check_keys(vspec, {"kind": True, "m": False, "mu": False}, "variant")
-    variant = FlowVariant(
-        kind=vspec["kind"], m=_int_field(vspec, "m", "variant", 1),
-        mu=_finite(vspec, "mu", "variant", 0.0),
-    )
-
-    aspec = dict(_object(cfg.get("alpha", {"alpha0": 0.0}), "alpha"))
-    _check_keys(
-        aspec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, "alpha"
-    )
-    schedule = AlphaSchedule(
-        alpha0=_finite(aspec, "alpha0", "alpha"),
-        alpha_bar=_finite(aspec, "alpha_bar", "alpha", 0.0),
-        form=aspec.get("form", "constant"),
-        rate=_finite(aspec, "rate", "alpha", 0.0),
-    )
+    grid = parse_grid(cfg["grid"], "grid")
+    variant = parse_variant(cfg.get("variant", {"kind": "rh_alpha"}), "variant")
+    schedule = parse_schedule(cfg.get("alpha", {"alpha0": 0.0}), "alpha")
 
     tspec = cfg["time"]
     _check_keys(

@@ -5,10 +5,11 @@ fields from ``traj.derived``.  Running the whole chain of checks on one
 trajectory must compute each of them once.  What depends on the metric
 alone is built once per distinct metric array (consecutive snapshots whose
 metric arrays are one object or equal in content): Ricci and its
-eigenvalues, one Dijkstra per centre, and one edge-cost build per
-`check_harnack` call, with only one metric's edge costs alive at a time.
-So a coupled run, whose metrics all differ, builds them once per stored
-(or floor) snapshot, and a static run once in all, in memory or reloaded.
+eigenvalues, its Laplacian, one Dijkstra per centre, and one edge-cost
+build per `check_harnack` call, with only one metric's edge costs alive at
+a time.  So a coupled run, whose metrics all differ, builds them once per
+stored (or floor) snapshot, and a static run once in all, in memory or
+reloaded.
 """
 
 import ast
@@ -19,8 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from test_flow import count_calls, short_coupled_scenario
-from tiny_configs import tiny_static_cfg
+from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
 from rhflow import distance, geometry, harnack
 from rhflow import estimates as est
 from rhflow.cli import _auto_pairs
@@ -109,6 +109,42 @@ def test_a_static_run_builds_its_metric_fields_once(eigenmode_run, tmp_path, mon
     for i, s in enumerate(traj.snapshots):
         assert traj.constants[i]["tc_phi"] == float(t_lam_outer[i].max())
         assert traj.constants[i]["ric_min"] == float(lam_min[i].min())
+
+
+@pytest.mark.parametrize("reloaded", [False, True])
+def test_identities_and_evolution_build_one_laplacian_on_a_static_run(eigenmode_run, tmp_path,
+                                                                       monkeypatch, reloaded):
+    traj = copy.copy(eigenmode_run)
+    if reloaded:  # separate but equal arrays in every snapshot
+        save_run(eigenmode_run, tmp_path / "run")
+        traj = load_run(tmp_path / "run")
+    faces = count_calls(monkeypatch, geometry, "laplacian_faces")
+    est.check_identities(traj)
+    est.check_evolution_inequality(traj, 1.5, 1.0 / 4.5, 1.0 / 4.5)
+    assert [args[0] for args in faces] == [traj.snapshots[0].metric]
+
+
+@pytest.fixture(scope="module")
+def short_coupled_run():
+    return run_scenario(short_coupled_scenario(strides=6)[0])
+
+
+@pytest.mark.parametrize("check", ["identities", "evolution", "both"])
+def test_checks_build_one_laplacian_per_metric_class_of_a_coupled_run(short_coupled_run,
+                                                                      monkeypatch, check):
+    traj = copy.copy(short_coupled_run)
+    snaps = traj.snapshots
+    S = len(snaps)
+    assert S == 7 and traj.derived.metric_class == list(range(S))
+    faces = count_calls(monkeypatch, geometry, "laplacian_faces")
+    expected = []
+    if check != "evolution":  # every snapshot, in time order
+        est.check_identities(traj)
+        expected += snaps
+    if check != "identities":  # the interior snapshots it reads, 2 .. S - 3
+        est.check_evolution_inequality(traj, 1.5, 1.0 / 4.5, 1.0 / 4.5)
+        expected += snaps[2:S - 2]
+    assert [args[0] for args in faces] == [s.metric for s in expected]
 
 
 def test_spellings_of_one_node_share_one_dijkstra_and_echo(eigenmode_run, monkeypatch):

@@ -12,7 +12,7 @@ import json
 import numpy as np
 import pytest
 
-from tiny_configs import tiny_static_cfg
+from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
 from rhflow import flow, geometry
 from rhflow.estimates import check_identities
 from rhflow.flow import (
@@ -319,29 +319,6 @@ def test_map_blowup_halts_gracefully():
 
 # ---------------------------------------------------------------------------
 # validate once per metric
-
-
-def count_calls(monkeypatch, owner, name) -> list:
-    """Replace owner.name by a wrapper that records each call's arguments."""
-    calls = []
-    real = getattr(owner, name)
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(owner, name, counting)
-    return calls
-
-
-def short_coupled_scenario(method="euler"):
-    """rh_perturbed_2d cut to two strides; returns it with its substep count."""
-    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
-    cfg["method"] = method
-    t = cfg["time"]
-    n_substeps = 2 * t.get("snapshot_stride", 1)
-    t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
-    return load_scenario(cfg), n_substeps
 
 
 def test_coupled_run_validates_each_new_metric_once(monkeypatch):

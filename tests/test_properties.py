@@ -4,11 +4,14 @@ Every stencil is built from one-node periodic shifts, so the Laplacian and
 a whole static run commute bit for bit with translations of the grid, and
 the divergence-form Laplacian conserves the weighted mass sum(u sqrt(det g))
 to roundoff.  The in-place `geometry.Laplacian`, and the heat step built on
-it, match the allocating reference in `heat_oracle` bit for bit.
+it and the operator a trajectory's derived layer hands the checks, match
+the allocating reference in `heat_oracle` bit for bit.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
 """
+
+import copy
 
 import numpy as np
 from hypothesis import given, settings
@@ -119,3 +122,17 @@ def test_laplacian_and_heat_step_match_the_reference_bitwise(grid, seed, method)
             snap = Snapshot(snap.t + traj.dt_sub, g, snap.phi,
                             heat_oracle.step_heat(grid, snap, traj.dt_sub, method), snap.metric)
         assert np.array_equal(stored.u, snap.u)
+
+
+@PROPERTY
+@given(data=st.data())
+def test_layer_laplacian_matches_the_reference_bitwise(eigenmode_run, coupled_run, data):
+    # the layer keeps one operator; asked for snapshots in any order, it
+    # applies each snapshot's metric's Laplacian to the last bit
+    for traj in (copy.copy(eigenmode_run), copy.copy(coupled_run)):
+        last = len(traj.snapshots) - 1
+        for i in data.draw(st.lists(st.integers(0, last), min_size=1, max_size=4)):
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+            s = rng.standard_normal(traj.grid.shape)
+            assert np.array_equal(traj.derived.laplacian(i)(s), heat_oracle.laplace_beltrami(
+                traj.grid, traj.snapshots[i].metric, s))

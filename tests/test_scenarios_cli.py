@@ -1141,3 +1141,80 @@ def test_schedule_and_variant_reject_non_finite_values():
             AlphaSchedule(**kwargs)
     with pytest.raises(ValueError, match="mu must be finite"):
         FlowVariant("warped_product", mu=float("nan"))
+
+
+def _nudge_times(meta):
+    meta["times"][2] += 0.25 * meta["dt_snapshot"]
+
+
+# (file of the saved tiny run, edit of its JSON in place or returning a
+# replacement, what the error names)
+MALFORMED_RUN_FILES = {
+    "manifest-a-list": ("manifest.json", lambda m: [m], ["manifest.json", "list"]),
+    "manifest-files-5": ("manifest.json", _edit("files", 5), ["manifest.json", "files"]),
+    "meta-n_points-int": ("meta.json", _edit("grid.n_points", 32), ["meta.json", "grid.n_points"]),
+    "meta-variant-list": ("meta.json", _edit("variant", ["static"]), ["meta.json", "variant"]),
+    "meta-schedule-unknown-key": ("meta.json", _edit("schedule.colour", 1.0),
+                                  ["meta.json", "schedule.colour"]),
+    "meta-dt_snapshot-string": ("meta.json", _edit("dt_snapshot", "0.001"),
+                                ["meta.json", "dt_snapshot"]),
+    "meta-fields_saved-int": ("meta.json", _edit("fields_saved", 5), ["meta.json", "fields_saved"]),
+    "meta-times-reversed": ("meta.json", lambda m: m["times"].reverse(),
+                            ["meta.json", "times[1]", "increase"]),
+    "meta-times-uneven": ("meta.json", _nudge_times, ["meta.json", "times[2]"]),
+}
+
+
+def _malformed_run(name):
+    def prepare(tmp_path, monkeypatch):
+        run_dir = _saved_tiny_run(tmp_path)
+        file, edit, names = MALFORMED_RUN_FILES[name]
+        path = run_dir / file
+        obj = json.loads(path.read_text())
+        path.write_text(dumps(edit(obj) or obj))
+        if file != "manifest.json":
+            rehash(run_dir)
+        return ["check", str(run_dir), "--which", "global", "--out", str(tmp_path / "chk")], names
+    return prepare
+
+
+def _pairs_is_a_directory(tmp_path, monkeypatch):
+    return (["check", str(_saved_tiny_run(tmp_path)), "--which", "harnack",
+             "--pairs", str(tmp_path), "--out", str(tmp_path / "chk")], [str(tmp_path)])
+
+
+def _under_a_file(command, via):
+    def prepare(tmp_path, monkeypatch):
+        blocker = tmp_path / "a_file"
+        blocker.write_text("")
+        root = blocker / "sub"
+        source = str(_saved_tiny_run(tmp_path)) if command == "check" else write_cfg(
+            tmp_path, tiny_static_cfg())
+        argv = [command, source] + (["--which", "global"] if command == "check" else [])
+        if via == "--out":
+            argv += ["--out", str(root)]
+        else:
+            monkeypatch.setenv("RHFLOW_OUTPUT_ROOT", str(root))
+        return argv, [str(blocker)]
+    return prepare
+
+
+EXIT_2_CASES = {
+    **{name: _malformed_run(name) for name in MALFORMED_RUN_FILES},
+    "pairs-is-a-directory": _pairs_is_a_directory,
+    "check-out-under-a-file": _under_a_file("check", "--out"),
+    "check-output-root-under-a-file": _under_a_file("check", "env"),
+    "run-out-under-a-file": _under_a_file("run", "--out"),
+    "run-output-root-under-a-file": _under_a_file("run", "env"),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_2_CASES)
+def test_cli_malformed_runs_and_os_errors_exit_2(tmp_path, capsys, monkeypatch, case):
+    argv, names = EXIT_2_CASES[case](tmp_path, monkeypatch)
+    capsys.readouterr()
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)
+    assert error["ok"] is False and err == ""
+    assert all(name in error["error"] for name in names), error["error"]

@@ -1,10 +1,13 @@
-"""Tiny scenario dicts shared by the persistence and CLI tests.
+"""Tiny scenarios and a call counter shared by the test modules.
 
 They live outside conftest.py so test modules can import them by a name no
-other test directory's conftest shadows.
+other test directory's conftest shadows, and no test module imports another.
 """
 
 import copy
+import json
+
+from rhflow.scenarios import load_scenario
 
 
 def tiny_static_cfg():
@@ -36,3 +39,26 @@ def tiny_cfg_with(**edits):
     cfg = copy.deepcopy(tiny_static_cfg())
     cfg.update(edits)
     return cfg
+
+
+def short_coupled_scenario(method="euler", strides=2):
+    """rh_perturbed_2d cut to a few strides; returns it with its substep count."""
+    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
+    cfg["method"] = method
+    t = cfg["time"]
+    n_substeps = strides * t.get("snapshot_stride", 1)
+    t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
+    return load_scenario(cfg), n_substeps
+
+
+def count_calls(monkeypatch, owner, name) -> list:
+    """Replace owner.name by a wrapper that records each call's arguments."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
