@@ -99,7 +99,7 @@ class FlowVariant:
         if self.kind not in VARIANT_KINDS:
             raise ValueError(f"unknown flow variant {self.kind!r}; use one of {VARIANT_KINDS}")
         if self.kind == "warped_product" and self.m < 1:
-            raise ValueError("warped_product fiber dimension m must be >= 1")
+            raise ValueError("m, the warped_product fiber dimension, must be >= 1")
         if not math.isfinite(self.mu):
             raise ValueError(f"mu must be finite, got {self.mu!r}")
 
@@ -383,13 +383,14 @@ def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
     a ValueError unless the span is an integer multiple of the interval to
     within 1e-9 of the larger of the two."""
     dt_snap = dt_sub * stride
-    n_snaps = int(round(span / dt_snap)) if span > 0 else 0
-    if abs(n_snaps * dt_snap - span) > 1e-9 * max(span, dt_snap):
+    ratio = span / dt_snap if span > 0 else 0.0
+    tol = 1e-9 * max(span, dt_snap)
+    if not math.isfinite(ratio) or abs(round(ratio) * dt_snap - span) > tol:
         raise ValueError(
             f"(t_end - t_start)={span:g} is not an integer multiple of "
             f"dt_sub*stride={dt_snap:g}"
         )
-    return n_snaps
+    return round(ratio)
 
 
 def run(

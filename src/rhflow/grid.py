@@ -83,7 +83,8 @@ class Grid:
     ----------
     dim : spatial dimension (1 or 2).
     n_points : nodes per axis, at least 8 each and at most MAX_NODES in all.
-    lengths : period per axis, so the spacing is lengths[i] / n_points[i].
+    lengths : period per axis, so the spacing is lengths[i] / n_points[i],
+              which must lie between 1e-100 and 1e100.
     """
 
     dim: int
@@ -106,8 +107,12 @@ class Grid:
                 f"n_points {self.n_points} give {nodes} nodes, more than the limit "
                 f"of {MAX_NODES}"
             )
-        if any(isinstance(L, bool) or not L > 0 or not math.isfinite(L) for L in self.lengths):
-            raise ValueError(f"lengths must be finite and positive, got {self.lengths}")
+        # the stencils, the stability bound and the check tolerances square
+        # the node spacing and its inverse as Python floats
+        if any(isinstance(L, bool) or not 1e-100 < L / n < 1e100
+               for L, n in zip(self.lengths, self.n_points)):
+            raise ValueError(f"lengths must be positive, with node spacings from 1e-100 "
+                             f"to 1e100, got {self.lengths} over {self.n_points} nodes")
 
     @property
     def shape(self) -> tuple[int, ...]:

@@ -48,6 +48,7 @@ from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_const
 from .flow import Trajectory
 from .geometry import _sum
 from .grid import check_int_range
+from .scenarios import json_list, number
 
 R_MAX_DEFAULT = 2
 # Largest r_max accepted.  The edge costs of one floor snapshot hold
@@ -60,24 +61,13 @@ SUBSTEPS_FLOOR = 32
 SUBSTEPS_LIMIT = 4096
 
 
-def _pair_time(t) -> float:
-    if isinstance(t, (int, float, np.integer, np.floating)) and not isinstance(t, bool):
-        try:
-            value = float(t)
-        except OverflowError:
-            value = np.inf
-        if np.isfinite(value):
-            return value
-    raise ValueError(f"time {t!r} is not a finite real number")
-
-
 def _parse_pair(grid, pair) -> tuple:
     """(x1, t1, x2, t2) of one Harnack pair, with wrapped nodes and float
     times, or a ValueError saying what is wrong with it."""
     if not isinstance(pair, (list, tuple)) or len(pair) != 4:
         raise ValueError(f"expected [x1, t1, x2, t2], got {pair!r}")
     x1, t1, x2, t2 = pair
-    return grid.node(x1), _pair_time(t1), grid.node(x2), _pair_time(t2)
+    return grid.node(x1), number(t1, "t1"), grid.node(x2), number(t2, "t2")
 
 
 def _floor_snapshot_index(times: np.ndarray, s: float) -> int:
@@ -469,10 +459,8 @@ def check_harnack(
         a2 = cprime * b2 * kbar + n * b2 * constants.k1 / (4.0 * (beta - 1.0))
         a3 = cprime * b2
 
-    if not isinstance(pairs, (list, tuple)):
-        raise ValueError(f"pairs must be a list of [x1, t1, x2, t2], got {pairs!r}")
     requests = []
-    for i, pair in enumerate(pairs):
+    for i, pair in enumerate(json_list(pairs, "pairs")):
         try:
             x1, t1, x2, t2 = _parse_pair(grid, pair)
             i1, i2 = traj.snapshot_at(t1), traj.snapshot_at(t2)

@@ -15,13 +15,18 @@ they round-trip every double exactly.  A directory whose meta.json lists
 only u in ``fields_saved`` (a u-only save) is refused on reload.  An
 ``.npy`` header holds only the dtype, the order and the shape, so the
 same trajectory always produces byte-identical files.  Version 1
-directories, one ``snap_NNNNN.json`` per snapshot, are still read.
+directories, one ``snap_NNNNN.json`` per snapshot, are still read,
+strictly: exactly the keys index, t, u, g and phi, the index and time of
+its place in meta.json, each field a list of numbers of its shape's size.
 
 JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
 with 17 significant digits ("%.17g"), which round-trips IEEE doubles
 exactly, and dict keys emitted sorted.  ``load_run`` checks every file it
 parses against the manifest digest, and the structure of the manifest and
-of meta.json (`META`: every key, each value's type, the snapshot times).
+of meta.json (`META`: every key, each value's type by the readers of
+`scenarios`, the snapshot times, one alpha and constants object per
+snapshot, ``completed`` exactly when ``halt_reason`` is null); an error
+names the file and the key.
 Reports (margin checks, Harnack pair tables) are saved as a JSON summary
 plus a CSV of per-snapshot or per-pair rows with the same float format.
 """
@@ -31,14 +36,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .flow import BlowUpError, Snapshot, Trajectory, snapshot_count
-from .scenarios import (_check_keys, _integer, _list, _number, _object, parse_grid,
-                        parse_schedule, parse_variant)
+from .scenarios import (check_keys, choice, integer, json_list, json_object, number,
+                        parse_grid, parse_schedule, parse_variant)
 
 FORMAT_VERSION = 2
 FIELDS = ("u", "g", "phi")
@@ -79,10 +86,6 @@ def dumps(obj) -> str:
     if obj is None:
         return "null"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _snap_name(i: int) -> str:
-    return f"snap_{i:05d}.json"
 
 
 def _field_bytes(traj: Trajectory, name: str) -> bytes:
@@ -190,9 +193,13 @@ def _load_npy(out: Path, name: str, digests: dict, shape: tuple) -> np.ndarray:
     return arr
 
 
-def _snapshot(t, g, phi, u, names: dict, i: int) -> Snapshot:
+# the file that holds field f of snapshot i, by format version
+_FIELD_FILES = {1: "snap_{i:05d}.json", 2: "{f}.npy"}
+
+
+def _snapshot(t, g, phi, u, version: int, i: int) -> Snapshot:
     """A stored snapshot; a field it rejects is a ValueError naming the
-    file that holds it (``names`` maps field to file) and the index."""
+    file that holds it and the index."""
     try:
         return Snapshot(t, g, phi, u)
     except (BlowUpError, ValueError) as exc:
@@ -201,49 +208,50 @@ def _snapshot(t, g, phi, u, names: dict, i: int) -> Snapshot:
             field = "g"
         else:
             field = "phi" if not np.isfinite(phi).all() else "u"
-        raise ValueError(f"{names[field]}: snapshot {i}: {exc}") from exc
+        raise ValueError(f"{_FIELD_FILES[version].format(f=field, i=i)}: snapshot {i}: "
+                         f"{exc}") from exc
 
 
-def _each(read):
-    """A reader of a list whose entries ``read`` checks, entry i at path[i]."""
-    return lambda raw, path: [read(v, f"{path}[{i}]") for i, v in enumerate(_list(raw, path))]
+def _snap_fields(payload: dict, i: int, t: float, shapes: dict) -> list:
+    """The u, g and phi of format-1 snapshot file i: its keys are checked,
+    its index and time must be i and meta.json's, and each field must be a
+    list of numbers with one entry per value of its shape."""
+    check_keys(payload, dict.fromkeys(("index", "t") + FIELDS, True), "")
+    if integer(payload["index"], "index") != i:
+        raise ValueError(f"index={payload['index']!r}, but the file is snapshot {i}")
+    if number(payload["t"], "t") != t:
+        raise ValueError(f"t={payload['t']!r}, but meta.json has times[{i}]={t!r}")
+    fields = []
+    for f in FIELDS:
+        values = json_list(payload[f], f, number)
+        if len(values) != math.prod(shapes[f]):
+            raise ValueError(f"{f} holds {len(values)} numbers, meta.json implies {shapes[f]}")
+        fields.append(np.array(values).reshape(shapes[f]))
+    return fields
 
 
-def _instance(kinds: tuple, what: str):
-    """A reader refusing a value that is not an instance of one of ``kinds``."""
-    def instance(raw, path):
-        if not isinstance(raw, kinds):
-            raise ValueError(f"{path} must be {what}, got {raw!r}")
-        return raw
-    return instance
-
-
-def _json_number(raw, path: str) -> float:
-    """A finite JSON number; a string is refused, even a numeric one."""
-    return _number(_instance((int, float), "a number")(raw, path), path)
-
-
-# every key of meta.json, and the reader (value, key) -> value that checks it
+# every key of meta.json, and the reader (value, key) -> value that checks it;
+# `completed` is checked against halt_reason in `_header`
 META = {
-    "format_version": _integer,
+    "format_version": integer,
     "grid": parse_grid,
     "variant": parse_variant,
     "schedule": parse_schedule,
-    "dt_snapshot": _json_number,
-    "dt_sub": _json_number,
-    "n_snapshots": _integer,
-    "times": _each(_json_number),
-    "alphas": _each(_json_number),
-    "constants": _each(_object),
-    "halt_reason": _instance((str, type(None)), "a string or null"),
-    "completed": _instance((bool,), "true or false"),
-    "fields_saved": _each(_instance((str,), "a field name")),
-    "phi_components": _integer,
-    "scenario": _instance((dict, type(None)), "an object or null"),
+    "dt_snapshot": number,
+    "dt_sub": number,
+    "n_snapshots": integer,
+    "times": partial(json_list, read=number),
+    "alphas": partial(json_list, read=number),
+    "constants": partial(json_list, read=json_object),
+    "halt_reason": lambda raw, key: raw if raw is None else choice(raw, key),
+    "completed": lambda raw, key: raw,
+    "fields_saved": partial(json_list, read=partial(choice, options=FIELDS)),
+    "phi_components": integer,
+    "scenario": lambda raw, key: raw if raw is None else json_object(raw, key),
 }
 
 
-def _json_object(data: bytes, name: str) -> dict:
+def _file_object(data: bytes, name: str) -> dict:
     """The JSON object a run file holds, else a ValueError naming the file."""
     try:
         obj = json.loads(data)
@@ -254,19 +262,19 @@ def _json_object(data: bytes, name: str) -> dict:
     return obj
 
 
-def _in_file(name: str, parse, obj):
-    """parse(obj), with a ValueError it raises prefixed by the file name."""
+def _in_file(name: str, parse, *args):
+    """parse(*args), with a ValueError it raises prefixed by the file name."""
     try:
-        return parse(obj)
+        return parse(*args)
     except ValueError as exc:
         raise ValueError(f"{name}: {exc}") from None
 
 
 def _digests(manifest: dict) -> dict:
     """The manifest's file -> sha256 table."""
-    digests = _instance((dict,), "an object of file digests")(manifest.get("files"), "files")
+    digests = json_object(manifest.get("files"), "files")
     for name, digest in digests.items():
-        _instance((str,), "a sha256 digest string")(digest, f"files.{name}")
+        choice(digest, f"files.{name}")
     return digests
 
 
@@ -274,14 +282,18 @@ def _header(meta: dict) -> dict:
     """meta.json's values, each checked by its `META` reader, the counts
     and steps positive.  Its times must increase and step by dt_snapshot
     from the first, to within the tolerance of `flow.snapshot_count`."""
-    _check_keys(meta, dict.fromkeys(META, True), "")
+    check_keys(meta, dict.fromkeys(META, True), "")
     head = {key: read(meta[key], key) for key, read in META.items()}
     for key in ("dt_snapshot", "dt_sub", "n_snapshots", "phi_components"):
         if not head[key] > 0:
             raise ValueError(f"{key} must be positive, got {meta[key]!r}")
+    if head["completed"] is not (head["halt_reason"] is None):
+        raise ValueError(f"completed must be true exactly when halt_reason is null, "
+                         f"got {meta['completed']!r}")
     times, dt = head["times"], head["dt_snapshot"]
-    if len(times) != head["n_snapshots"]:
-        raise ValueError(f"{len(times)} times for {head['n_snapshots']} snapshots")
+    for key in ("times", "alphas", "constants"):
+        if len(head[key]) != head["n_snapshots"]:
+            raise ValueError(f"{len(head[key])} {key} for {head['n_snapshots']} snapshots")
     for i in range(1, len(times)):
         if not times[i] > times[i - 1]:
             raise ValueError(f"times must increase, but times[{i}]={times[i]!r} "
@@ -308,40 +320,30 @@ def load_run(run_dir) -> Trajectory:
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{out} has no manifest.json (incomplete run?)")
-    manifest = _json_object(manifest_path.read_bytes(), "manifest.json")
+    manifest = _file_object(manifest_path.read_bytes(), "manifest.json")
     digests = _in_file("manifest.json", _digests, manifest)
-    meta = _json_object(_read(out, "meta.json", digests), "meta.json")
+    meta = _file_object(_read(out, "meta.json", digests), "meta.json")
     head = _in_file("meta.json", _header, meta)
     if "g" not in head["fields_saved"]:
         raise ValueError(
             f"{out} was saved u-only and holds no metric; run its scenario again"
         )
     grid, times = head["grid"], head["times"]
-    n, d, version = head["n_snapshots"], head["phi_components"], head["format_version"]
-    snaps = []
+    n, version = head["n_snapshots"], head["format_version"]
+    shapes = {"u": grid.shape, "g": grid.shape + (grid.dim, grid.dim),
+              "phi": grid.shape + (head["phi_components"],)}
     if version == 2:
-        shapes = {
-            "u": (n,) + grid.shape,
-            "g": (n,) + grid.shape + (grid.dim, grid.dim),
-            "phi": (n,) + grid.shape + (d,),
-        }
-        names = {f: f"{f}.npy" for f in FIELDS}
-        u, g, phi = (_load_npy(out, names[f], digests, shapes[f]) for f in FIELDS)
-        for i in range(n):
-            snaps.append(_snapshot(times[i], g[i], phi[i], u[i], names, i))
+        u, g, phi = (_load_npy(out, f"{f}.npy", digests, (n,) + shapes[f]) for f in FIELDS)
     elif version == 1:
-        for i in range(n):
-            name = _snap_name(i)
-            payload = _json_object(_read(out, name, digests), name)
-            if payload["t"] != times[i]:
-                raise ValueError(f"{name}: t={payload['t']!r}, but meta.json has "
-                                 f"times[{i}]={times[i]!r}")
-            g = np.array(payload["g"]).reshape(grid.shape + (grid.dim, grid.dim))
-            phi = np.array(payload["phi"]).reshape(grid.shape + (d,))
-            u = np.array(payload["u"]).reshape(grid.shape)
-            snaps.append(_snapshot(times[i], g, phi, u, dict.fromkeys(FIELDS, name), i))
+        files = []
+        for i, t in enumerate(times):
+            name = _FIELD_FILES[1].format(i=i)
+            payload = _file_object(_read(out, name, digests), name)
+            files.append(_in_file(name, _snap_fields, payload, i, t, shapes))
+        u, g, phi = (np.stack(field) for field in zip(*files))
     else:
         raise ValueError(f"meta.json: unsupported format_version {version!r}")
+    snaps = [_snapshot(times[i], g[i], phi[i], u[i], version, i) for i in range(n)]
     return Trajectory(
         grid=grid,
         variant=head["variant"],

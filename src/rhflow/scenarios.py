@@ -4,12 +4,17 @@ A scenario pins everything a run needs: grid, flow variant, coupling
 schedule, initial data profiles, time window, substep, snapshot stride and
 integrator.  Loading is strict: unknown fields are rejected by dotted
 path, specs, terms and factors must be objects and ``terms``, ``factors``
-and ``components`` lists, numbers must be finite and never booleans,
-integer fields (dim, n_points, snapshot_stride, axis, k, images, n_modes,
-m, seed) must hold integral values, the grid may have at most
-``grid.MAX_NODES`` nodes, and the substep is checked against the explicit
-stability bound of the initial metric at load time, not step time.  Each
-of these errors names the field's dotted path.
+and ``components`` lists, numbers must be finite and are never booleans or
+strings, integer fields (dim, n_points, snapshot_stride, axis, k, images,
+n_modes, m, seed) must hold integral values, name and the enumerated
+fields (type, fn, kind, form, method) must be strings, the grid may have
+at most ``grid.MAX_NODES`` nodes, ``images`` at most `IMAGES_LIMIT` and
+``n_modes`` at most half the smallest node count, and the substep is
+checked against the explicit stability bound of the initial metric at
+load time, not step time.  Each of these errors names the field's dotted
+path.  The readers here (`number`, `integer`, `json_object`, `json_list`,
+`check_keys`, `per_axis`, `choice`) also read run metadata, format-1
+snapshot files and Harnack pairs.
 
 Initial data comes from a small typed catalog.  Scalar fields (u, map
 components, conformal exponents) are built from:
@@ -34,7 +39,7 @@ lists them and `load_scenario` accepts a name, a path, or a dict.
 from __future__ import annotations
 
 import json
-import math
+import sys
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -42,6 +47,8 @@ from pathlib import Path
 import numpy as np
 
 from .flow import (
+    ALPHA_FORMS,
+    VARIANT_KINDS,
     AlphaSchedule,
     FlowVariant,
     Snapshot,
@@ -51,135 +58,141 @@ from .flow import (
     stability_limit,
 )
 from .geometry import MetricDegenerateError
-from .grid import Grid
+from .grid import Grid, check_int_range
 
 _FN = {"cos": np.cos, "sin": np.sin}
 
 
-def _object(d, path: str) -> dict:
-    """d itself if it is a JSON object, else a ValueError naming the path."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{path or 'scenario'} must be an object, got {d!r}")
-    return d
-
-
-def _list(raw, path: str) -> list:
-    """raw itself if it is a list (or tuple), else a ValueError naming the
-    path."""
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"{path} must be a list, got {raw!r}")
+def json_object(raw, path: str) -> dict:
+    """raw itself if it is a JSON object, else a ValueError naming the path."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path or 'scenario'} must be an object, got {raw!r}")
     return raw
 
 
-def _check_keys(d: dict, allowed: dict, path: str) -> None:
-    """allowed maps key -> required(bool); rejects a non-object and unknown
-    keys by path."""
-    _object(d, path)
-    for key in d:
+def json_list(raw, path: str, read=None) -> list:
+    """raw if it is a list (or tuple), with each entry read by
+    read(entry, path[i]) when a reader is given; else a ValueError naming
+    the path."""
+    if not isinstance(raw, (list, tuple)):
+        raise ValueError(f"{path} must be a list, got {raw!r}")
+    return raw if read is None else [read(v, f"{path}[{i}]") for i, v in enumerate(raw)]
+
+
+def check_keys(raw, allowed: dict, path: str) -> dict:
+    """raw if it is an object whose keys are all in ``allowed`` (key ->
+    required) and that holds every required one, else a ValueError naming
+    the path and the key."""
+    json_object(raw, path)
+    prefix = path + "." if path else ""
+    for key in raw:
         if key not in allowed:
-            raise ValueError(f"unknown field '{path}.{key}'" if path else f"unknown field '{key}'")
+            raise ValueError(f"unknown field '{prefix}{key}'")
     for key, required in allowed.items():
-        if required and key not in d:
-            raise ValueError(f"missing required field '{path + '.' if path else ''}{key}'")
+        if required and key not in raw:
+            raise ValueError(f"missing required field '{prefix}{key}'")
+    return raw
 
 
-def _number(raw, path: str) -> float:
+def number(raw, path: str) -> float:
     """raw as a finite float, else a ValueError naming the dotted path.
-    Booleans are refused, not read as 0 and 1."""
-    try:
-        if isinstance(raw, bool):
-            raise TypeError("a boolean is not a number")
-        value = float(raw)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path} must be a number, got {raw!r}") from None
-    if not math.isfinite(value):
-        raise ValueError(f"{path} must be finite, got {raw!r}")
-    return value
+    Python and numpy real scalars are read; booleans, strings (numeric ones
+    too) and what is not finite as a double (nan, inf, an int too large)
+    are refused."""
+    if (isinstance(raw, (int, float, np.integer, np.floating)) and not isinstance(raw, bool)
+            and abs(raw) <= sys.float_info.max):
+        return float(raw)
+    raise ValueError(f"{path} is not a finite real number: {raw!r}")
 
 
-def _integer(raw, path: str) -> int:
+def integer(raw, path: str) -> int:
     """raw as an int, else a ValueError naming the dotted path.  Integral
-    floats (64.0) are accepted; booleans, strings and fractions are not
-    truncated but refused."""
-    integral = isinstance(raw, int) or (isinstance(raw, float) and raw.is_integer())
-    if isinstance(raw, bool) or not integral:
+    numbers (64.0) are read; fractions are refused rather than truncated,
+    and so is whatever `number` refuses."""
+    if not number(raw, path).is_integer():
         raise ValueError(f"{path} must be an integer, got {raw!r}")
     return int(raw)
 
 
-def _finite(spec: dict, key: str, path: str, default=None) -> float:
-    """spec[key] (or the default) as a finite float."""
-    return _number(spec.get(key, default), f"{path}.{key}")
+def per_axis(raw, path: str, read, dim: int) -> tuple:
+    """raw as a tuple of one entry per grid axis, each read by
+    read(entry, path[i]), else a ValueError naming the dotted path."""
+    values = tuple(json_list(raw, path, read))
+    if len(values) != dim:
+        raise ValueError(f"{path} must have {dim} entries, one per axis, got {raw!r}")
+    return values
 
 
-def _int_field(spec: dict, key: str, path: str, default=None) -> int:
-    """spec[key] (or the default) as an int."""
-    return _integer(spec.get(key, default), f"{path}.{key}")
+def choice(raw, path: str, options=None) -> str:
+    """raw if it is a string, and one of ``options`` when they are given;
+    else a ValueError naming the dotted path."""
+    if not isinstance(raw, str) or options is not None and raw not in options:
+        wanted = "a string" if options is None else "one of " + ", ".join(map(repr, options))
+        raise ValueError(f"{path} must be {wanted}; got {raw!r}")
+    return raw
 
 
-def _per_axis(spec: dict, key: str, path: str, kind) -> tuple:
-    """spec[key] as a tuple with one entry per axis, each converted by
-    kind(value, dotted path), i.e. _number or _integer."""
-    raw = spec[key]
-    if not isinstance(raw, (list, tuple)):
-        raise ValueError(f"{path}.{key} must be a list with one entry per axis, got {raw!r}")
-    return tuple(kind(v, f"{path}.{key}[{i}]") for i, v in enumerate(raw))
+def _field(spec: dict, key: str, path: str, read, default=None):
+    """spec[key] (or the default) read by read(value, path.key)."""
+    return read(spec.get(key, default), f"{path}.{key}")
 
 
 def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
     coords = grid.coords()
     total = np.zeros(grid.shape)
-    for i, term in enumerate(_list(terms, f"{path}.terms")):
+    for i, term in enumerate(json_list(terms, f"{path}.terms")):
         tpath = f"{path}.terms[{i}]"
-        _check_keys(term, {"coeff": False, "factors": True}, tpath)
-        prod = np.full(grid.shape, _finite(term, "coeff", tpath, 1.0))
-        for j, fac in enumerate(_list(term["factors"], f"{tpath}.factors")):
+        check_keys(term, {"coeff": False, "factors": True}, tpath)
+        prod = np.full(grid.shape, _field(term, "coeff", tpath, number, 1.0))
+        for j, fac in enumerate(json_list(term["factors"], f"{tpath}.factors")):
             fpath = f"{tpath}.factors[{j}]"
-            _check_keys(fac, {"axis": True, "fn": True, "k": True}, fpath)
-            axis = _int_field(fac, "axis", fpath)
+            check_keys(fac, {"axis": True, "fn": True, "k": True}, fpath)
+            axis = _field(fac, "axis", fpath, integer)
             if not 0 <= axis < grid.dim:
                 raise ValueError(f"{fpath}.axis out of range for dim {grid.dim}")
-            fn = fac["fn"]
-            if fn not in _FN:
-                raise ValueError(f"{fpath}.fn must be 'cos' or 'sin'")
-            k = _int_field(fac, "k", fpath)
+            fn = _FN[choice(fac["fn"], f"{fpath}.fn", _FN)]
+            k = _field(fac, "k", fpath, integer)
             if k < 1:
                 raise ValueError(f"{fpath}.k must be >= 1")
             theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
-            prod = prod * _FN[fn](theta)
+            prod = prod * fn(theta)
         total += prod
     return total
 
 
+_SCALAR_KEYS = {
+    "constant": {"value": True},
+    "sine_sum": {"offset": False, "amplitude": False, "terms": True},
+    "heat_kernel": {"t0": True, "center": False, "floor": False, "images": False},
+    "random_fourier": {"offset": False, "amplitude": False, "n_modes": True},
+}
+# Largest heat_kernel image count accepted.  The periodized sum costs
+# (2 images + 1)^dim grid-wide exp calls, 4225 at this cap in 2-D (0.14 s
+# on a 64^2 grid, 2 cores); for a centre on the torus and t0 up to 6 L^2
+# (L the shorter side) the translates beyond it are below double
+# precision.  Bundled scenarios use 4.
+IMAGES_LIMIT = 32
+
+
 def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
-    kind = _object(spec, path).get("type")
+    kind = choice(json_object(spec, path).get("type"), f"{path}.type", _SCALAR_KEYS)
+    check_keys(spec, {"type": True, **_SCALAR_KEYS[kind]}, path)
     if kind == "constant":
-        _check_keys(spec, {"type": True, "value": True}, path)
-        return np.full(grid.shape, _finite(spec, "value", path))
+        return np.full(grid.shape, _field(spec, "value", path, number))
     if kind == "sine_sum":
-        _check_keys(
-            spec,
-            {"type": True, "offset": False, "amplitude": False, "terms": True},
-            path,
-        )
         body = _eval_terms(grid, spec["terms"], path)
-        return _finite(spec, "offset", path, 0.0) + _finite(spec, "amplitude", path, 1.0) * body
+        return (_field(spec, "offset", path, number, 0.0)
+                + _field(spec, "amplitude", path, number, 1.0) * body)
     if kind == "heat_kernel":
-        _check_keys(
-            spec,
-            {"type": True, "t0": True, "center": False, "floor": False, "images": False},
-            path,
-        )
-        t0 = _finite(spec, "t0", path)
+        t0 = _field(spec, "t0", path, number)
         if t0 <= 0:
             raise ValueError(f"{path}.t0 must be positive")
         if "center" in spec:
-            center = _per_axis(spec, "center", path, _number)
+            center = per_axis(spec["center"], f"{path}.center", number, grid.dim)
         else:
             center = [L / 2.0 for L in grid.lengths]
-        if len(center) != grid.dim:
-            raise ValueError(f"{path}.center must have {grid.dim} coordinates")
-        images = _int_field(spec, "images", path, 4)
+        images = _field(spec, "images", path, integer, 4)
+        check_int_range(f"{path}.images", images, 0, IMAGES_LIMIT)
         coords = grid.coords()
         kernel = np.zeros(grid.shape)
         # periodize by summing lattice translates; 4 images per side is
@@ -196,45 +209,32 @@ def _eval_scalar(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
                     dy2 = (coords[1] - center[1] - jy * grid.lengths[1]) ** 2
                     kernel += np.exp(-(dx2 + dy2) / (4.0 * t0))
         kernel *= (4.0 * np.pi * t0) ** (-grid.dim / 2.0)
-        return _finite(spec, "floor", path, 0.0) + kernel
-    if kind == "random_fourier":
-        _check_keys(
-            spec,
-            {"type": True, "offset": False, "amplitude": False, "n_modes": True},
-            path,
-        )
-        if rng is None:
-            raise ValueError(f"{path}: random_fourier needs a scenario seed")
-        n_modes = _int_field(spec, "n_modes", path)
-        coords = grid.coords()
-        out = np.zeros(grid.shape)
-        for axis in range(grid.dim):
-            for k in range(1, n_modes + 1):
-                theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
-                c, s = rng.standard_normal(2) / k**2
-                out += c * np.cos(theta) + s * np.sin(theta)
-        return _finite(spec, "offset", path, 0.0) + _finite(spec, "amplitude", path, 1.0) * out
-    raise ValueError(
-        f"{path}.type must be one of 'constant', 'sine_sum', 'heat_kernel', "
-        f"'random_fourier'; got {kind!r}"
-    )
+        return _field(spec, "floor", path, number, 0.0) + kernel
+    if rng is None:
+        raise ValueError(f"{path}: random_fourier needs a scenario seed")
+    n_modes = _field(spec, "n_modes", path, integer)
+    # a mode above half the node count of an axis aliases a lower one
+    check_int_range(f"{path}.n_modes", n_modes, 1, min(grid.n_points) // 2)
+    coords = grid.coords()
+    out = np.zeros(grid.shape)
+    for axis in range(grid.dim):
+        for k in range(1, n_modes + 1):
+            theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
+            c, s = rng.standard_normal(2) / k**2
+            out += c * np.cos(theta) + s * np.sin(theta)
+    return (_field(spec, "offset", path, number, 0.0)
+            + _field(spec, "amplitude", path, number, 1.0) * out)
 
 
 def _eval_metric(grid: Grid, spec: dict, path: str, rng=None) -> np.ndarray:
-    kind = _object(spec, path).get("type")
+    kind = choice(json_object(spec, path).get("type"), f"{path}.type", ("flat", "conformal"))
     eye = np.broadcast_to(np.eye(grid.dim), grid.shape + (grid.dim, grid.dim)).copy()
     if kind == "flat":
-        _check_keys(spec, {"type": True}, path)
+        check_keys(spec, {"type": True}, path)
         return eye
-    if kind == "conformal":
-        _check_keys(
-            spec,
-            {"type": True, "offset": False, "amplitude": False, "terms": True},
-            path,
-        )
-        w = _eval_scalar(grid, {**spec, "type": "sine_sum"}, path, rng)
-        return np.exp(2.0 * w)[..., None, None] * eye
-    raise ValueError(f"{path}.type must be 'flat' or 'conformal'; got {kind!r}")
+    # a conformal spec is a sine_sum body, read and checked as one
+    w = _eval_scalar(grid, {**spec, "type": "sine_sum"}, path, rng)
+    return np.exp(2.0 * w)[..., None, None] * eye
 
 
 _TOP_KEYS = {
@@ -250,35 +250,44 @@ _TOP_KEYS = {
 }
 
 
-def parse_grid(spec, path: str) -> Grid:
-    """A grid object {dim, n_points, lengths}; errors name the dotted path."""
-    _check_keys(spec, {"dim": True, "n_points": True, "lengths": True}, path)
-    dim = _int_field(spec, "dim", path)
-    n_points = _per_axis(spec, "n_points", path, _integer)
-    lengths = _per_axis(spec, "lengths", path, _number)
+def _build(cls, path: str, **fields):
+    """cls(**fields), with a ValueError it raises prefixed by the dotted
+    path; the messages of Grid, FlowVariant and AlphaSchedule start with
+    the field name."""
     try:
-        # the node-count cap is checked here, before any field is allocated
-        return Grid(dim=dim, n_points=n_points, lengths=lengths)
+        return cls(**fields)
     except ValueError as exc:
         raise ValueError(f"{path}.{exc}") from None
 
 
+def parse_grid(spec, path: str) -> Grid:
+    """A grid object {dim, n_points, lengths}; errors name the dotted path.
+    The node-count cap is checked here, before any field is allocated."""
+    check_keys(spec, {"dim": True, "n_points": True, "lengths": True}, path)
+    dim = _field(spec, "dim", path, integer)
+    check_int_range(f"{path}.dim", dim, 1, 2)
+    return _build(Grid, path, dim=dim,
+                  n_points=per_axis(spec["n_points"], f"{path}.n_points", integer, dim),
+                  lengths=per_axis(spec["lengths"], f"{path}.lengths", number, dim))
+
+
 def parse_variant(spec, path: str) -> FlowVariant:
     """A variant object {kind, m, mu}; errors name the dotted path."""
-    _check_keys(spec, {"kind": True, "m": False, "mu": False}, path)
-    return FlowVariant(kind=spec["kind"], m=_int_field(spec, "m", path, 1),
-                       mu=_finite(spec, "mu", path, 0.0))
+    check_keys(spec, {"kind": True, "m": False, "mu": False}, path)
+    return _build(FlowVariant, path, kind=choice(spec["kind"], f"{path}.kind", VARIANT_KINDS),
+                  m=_field(spec, "m", path, integer, 1), mu=_field(spec, "mu", path, number, 0.0))
 
 
 def parse_schedule(spec, path: str) -> AlphaSchedule:
     """A schedule object {alpha0, alpha_bar, form, rate}; errors name the
     dotted path."""
-    _check_keys(spec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, path)
-    return AlphaSchedule(
-        alpha0=_finite(spec, "alpha0", path),
-        alpha_bar=_finite(spec, "alpha_bar", path, 0.0),
-        form=spec.get("form", "constant"),
-        rate=_finite(spec, "rate", path, 0.0),
+    check_keys(spec, {"alpha0": True, "alpha_bar": False, "form": False, "rate": False}, path)
+    return _build(
+        AlphaSchedule, path,
+        alpha0=_field(spec, "alpha0", path, number),
+        alpha_bar=_field(spec, "alpha_bar", path, number, 0.0),
+        form=choice(spec.get("form", "constant"), f"{path}.form", ALPHA_FORMS),
+        rate=_field(spec, "rate", path, number, 0.0),
     )
 
 
@@ -302,16 +311,16 @@ class Scenario:
     def initial_snapshot(self) -> Snapshot:
         rng = np.random.default_rng(self.seed) if self.seed is not None else None
         init = self.raw["initial"]
-        g = _eval_metric(self.grid, init["metric"], "initial.metric", rng)
         phi_spec = init.get("phi", {"components": [{"type": "constant", "value": 0.0}]})
-        comps = [
-            _eval_scalar(self.grid, c, f"initial.phi.components[{i}]", rng)
-            for i, c in enumerate(phi_spec["components"])
-        ]
-        phi = np.stack(comps, axis=-1)
-        u = _eval_scalar(self.grid, init["u"], "initial.u", rng)
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("initial.phi has non-finite values")
+        # a value that overflows is refused below, by the field it lands in
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = _eval_metric(self.grid, init["metric"], "initial.metric", rng)
+            phi = np.stack([_eval_scalar(self.grid, c, f"initial.phi.components[{i}]", rng)
+                            for i, c in enumerate(phi_spec["components"])], axis=-1)
+            u = _eval_scalar(self.grid, init["u"], "initial.u", rng)
+        for name, field in (("metric", g), ("phi", phi)):
+            if not np.all(np.isfinite(field)):
+                raise ValueError(f"initial.{name} has non-finite values")
         ok = np.isfinite(u) & (u > 0)
         if not np.all(ok):
             node = np.unravel_index(int(np.argmin(ok)), ok.shape)
@@ -327,21 +336,20 @@ class Scenario:
 
 def parse_scenario(cfg: dict) -> Scenario:
     """Validate a scenario dict (strict keys, stability, timing) and parse it."""
-    _check_keys(cfg, _TOP_KEYS, "")
+    check_keys(cfg, _TOP_KEYS, "")
     grid = parse_grid(cfg["grid"], "grid")
     variant = parse_variant(cfg.get("variant", {"kind": "rh_alpha"}), "variant")
     schedule = parse_schedule(cfg.get("alpha", {"alpha0": 0.0}), "alpha")
 
-    tspec = cfg["time"]
-    _check_keys(
-        tspec,
+    tspec = check_keys(
+        cfg["time"],
         {"t_start": False, "t_end": True, "dt_sub": True, "snapshot_stride": False},
         "time",
     )
-    t_start = _finite(tspec, "t_start", "time", 0.0)
-    t_end = _finite(tspec, "t_end", "time")
-    dt_sub = _finite(tspec, "dt_sub", "time")
-    stride = _int_field(tspec, "snapshot_stride", "time", 1)
+    t_start = _field(tspec, "t_start", "time", number, 0.0)
+    t_end = _field(tspec, "t_end", "time", number)
+    dt_sub = _field(tspec, "dt_sub", "time", number)
+    stride = _field(tspec, "snapshot_stride", "time", integer, 1)
     if t_start < 0:
         raise ValueError("time.t_start must be >= 0")
     if t_end <= t_start:
@@ -355,20 +363,17 @@ def parse_scenario(cfg: dict) -> Scenario:
     except ValueError as exc:
         raise ValueError(f"time: {exc}") from None
 
-    method = cfg.get("method", "euler")
-    if method not in ("euler", "rk2"):
-        raise ValueError("method must be 'euler' or 'rk2'")
-
-    init = cfg["initial"]
-    _check_keys(init, {"metric": True, "phi": False, "u": True}, "initial")
+    init = check_keys(cfg["initial"], {"metric": True, "phi": False, "u": True}, "initial")
     if "phi" in init:
-        _check_keys(init["phi"], {"components": True}, "initial.phi")
-        if not _list(init["phi"]["components"], "initial.phi.components"):
+        check_keys(init["phi"], {"components": True}, "initial.phi")
+        if not json_list(init["phi"]["components"], "initial.phi.components"):
             raise ValueError("initial.phi.components must not be empty")
+    if "description" in cfg:
+        choice(cfg["description"], "description")
 
     sc = Scenario(
         raw=cfg,
-        name=str(cfg["name"]),
+        name=choice(cfg["name"], "name"),
         grid=grid,
         variant=variant,
         schedule=schedule,
@@ -376,9 +381,11 @@ def parse_scenario(cfg: dict) -> Scenario:
         t_end=t_end,
         dt_sub=dt_sub,
         snapshot_stride=stride,
-        method=method,
-        seed=_integer(cfg["seed"], "seed") if "seed" in cfg else None,
+        method=choice(cfg.get("method", "euler"), "method", ("euler", "rk2")),
+        seed=integer(cfg["seed"], "seed") if "seed" in cfg else None,
     )
+    if sc.seed is not None and sc.seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {sc.seed}")
 
     # reject unstable configs at load time, citing the bound
     snap0 = sc.initial_snapshot()
@@ -389,7 +396,7 @@ def parse_scenario(cfg: dict) -> Scenario:
             f"c_stab*h_min^2*min_eig(g) = {limit:g} for the initial metric"
         )
     if variant.kind == "warped_product" and snap0.phi.shape[-1] != 1:
-        raise ValueError("warped_product scenarios need a single-component map")
+        raise ValueError("initial.phi.components: warped_product needs a single-component map")
     return sc
 
 

@@ -8,18 +8,25 @@ content outside the run manifest).
 """
 
 import argparse
+import contextlib
 import hashlib
 import inspect
+import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tiny_configs import tiny_cfg_with, tiny_static_cfg
 from rhflow import cli, persistence
@@ -27,6 +34,7 @@ from rhflow.cli import main
 from rhflow.flow import Snapshot
 from rhflow.persistence import HashMismatchError, dumps, load_run, save_run
 from rhflow.scenarios import (
+    IMAGES_LIMIT,
     bundled_names,
     load_scenario,
     parse_scenario,
@@ -968,10 +976,11 @@ def _run_exit_2(tmp_path, capsys, cfg) -> str:
 
 
 def test_cli_non_finite_alpha_is_a_config_error(tmp_path, capsys):
-    error = _run_exit_2(tmp_path, capsys, tiny_cfg_with(alpha={"alpha0": "nan"}))
+    error = _run_exit_2(tmp_path, capsys, tiny_cfg_with(alpha={"alpha0": float("nan")}))
     assert "alpha.alpha0" in error and "finite" in error
-    error = _run_exit_2(tmp_path, capsys, tiny_cfg_with(alpha={"alpha0": 1.0, "rate": "inf"}))
-    assert "alpha.rate" in error
+    error = _run_exit_2(tmp_path, capsys,
+                        tiny_cfg_with(alpha={"alpha0": 1.0, "rate": float("inf")}))
+    assert "alpha.rate" in error and "finite" in error
 
 
 def test_cli_scalar_n_points_is_a_config_error(tmp_path, capsys):
@@ -1070,7 +1079,7 @@ def test_cli_non_positive_initial_u_is_a_config_error(tmp_path, capsys):
 
 def test_cli_non_finite_initial_map_is_a_config_error(tmp_path, capsys):
     cfg = tiny_static_cfg()
-    cfg["initial"]["phi"] = {"components": [{"type": "constant", "value": "nan"}]}
+    cfg["initial"]["phi"] = {"components": [{"type": "constant", "value": float("nan")}]}
     assert "initial.phi" in _run_exit_2(tmp_path, capsys, cfg)
 
 
@@ -1147,8 +1156,27 @@ def _nudge_times(meta):
     meta["times"][2] += 0.25 * meta["dt_snapshot"]
 
 
-# (file of the saved tiny run, edit of its JSON in place or returning a
-# replacement, what the error names)
+def _drop(key):
+    def edit(obj):
+        del obj[key]
+    return edit
+
+
+def _shorten(key):
+    def edit(obj):
+        obj[key].pop()
+    return edit
+
+
+def _u3(value):
+    def edit(payload):
+        payload["u"][3] = value
+    return edit
+
+
+# (file of the saved tiny run, or of a copy of the format-1 V1_RUN for a
+# snapshot file; edit of its JSON in place or returning a replacement; what
+# the error names)
 MALFORMED_RUN_FILES = {
     "manifest-a-list": ("manifest.json", lambda m: [m], ["manifest.json", "list"]),
     "manifest-files-5": ("manifest.json", _edit("files", 5), ["manifest.json", "files"]),
@@ -1162,13 +1190,28 @@ MALFORMED_RUN_FILES = {
     "meta-times-reversed": ("meta.json", lambda m: m["times"].reverse(),
                             ["meta.json", "times[1]", "increase"]),
     "meta-times-uneven": ("meta.json", _nudge_times, ["meta.json", "times[2]"]),
+    "meta-alphas-short": ("meta.json", _shorten("alphas"), ["meta.json", "4 alphas"]),
+    "meta-completed-false": ("meta.json", _edit("completed", False), ["meta.json", "completed"]),
+    "meta-fields_saved-unknown": ("meta.json", _edit("fields_saved", ["u", "g", "phi", "psi"]),
+                                  ["meta.json", "fields_saved[3]"]),
+    "v1-u-holds-x": ("snap_00002.json", _u3("x"), ["snap_00002.json", "u[3]", "finite"]),
+    "v1-u-numeric-string": ("snap_00002.json", _u3("2.5"), ["snap_00002.json", "u[3]"]),
+    "v1-u-short": ("snap_00002.json", _shorten("u"), ["snap_00002.json", "u holds 31"]),
+    "v1-g-a-string": ("snap_00002.json", _edit("g", "1.0"), ["snap_00002.json", "g must be a list"]),
+    "v1-t-missing": ("snap_00002.json", _drop("t"), ["snap_00002.json", "missing", "'t'"]),
+    "v1-index-wrong": ("snap_00002.json", _edit("index", 3), ["snap_00002.json", "index=3"]),
+    "v1-unknown-key": ("snap_00002.json", _edit("colour", 1.0), ["snap_00002.json", "colour"]),
 }
 
 
 def _malformed_run(name):
     def prepare(tmp_path, monkeypatch):
-        run_dir = _saved_tiny_run(tmp_path)
         file, edit, names = MALFORMED_RUN_FILES[name]
+        if file.startswith("snap_"):
+            run_dir = tmp_path / "v1"
+            shutil.copytree(V1_RUN, run_dir)
+        else:
+            run_dir = _saved_tiny_run(tmp_path)
         path = run_dir / file
         obj = json.loads(path.read_text())
         path.write_text(dumps(edit(obj) or obj))
@@ -1218,3 +1261,150 @@ def test_cli_malformed_runs_and_os_errors_exit_2(tmp_path, capsys, monkeypatch, 
     error = json.loads(out)
     assert error["ok"] is False and err == ""
     assert all(name in error["error"] for name in names), error["error"]
+
+
+# (dotted path, edit, what else the error says): values of the wrong JSON
+# type (a list for a string, a string for a number, an integer too large for
+# a double) and values past the loader's caps.  Each exits 2 naming the field.
+MISTYPED_FIELDS = [
+    ("initial.u.terms[0].factors[0].fn", _edit_factor("fn", ["cos"]), "one of"),
+    ("initial.u.type", _edit("initial.u.type", ["sine_sum"]), "one of"),
+    ("variant.kind", _edit("variant.kind", ["static"]), "one of"),
+    ("alpha.form", _edit("alpha.form", ["constant"]), "one of"),
+    ("method", _edit("method", ["euler"]), "one of"),
+    ("name", _edit("name", ["a", 1]), "string"),
+    ("time.t_end", _edit("time.t_end", 10**400), "finite"),
+    ("grid.n_points[0]", _edit("grid.n_points", [10**400]), "finite"),
+    ("seed", _edit("seed", -10**400), "finite"),
+    ("seed", _edit("seed", -1), "non-negative"),
+    ("time.t_end", _edit("time.t_end", "0.1"), "finite"),
+    ("alpha.alpha0", _edit("alpha.alpha0", "nan"), "finite"),
+    ("alpha.rate", _edit("alpha.rate", "inf"), "finite"),
+    ("initial.phi.components[0].value",
+     _edit("initial.phi", {"components": [{"type": "constant", "value": "nan"}]}), "finite"),
+    ("grid.lengths[0]", _edit("grid.lengths", ["1.0"]), "finite"),
+    ("grid.n_points[0]", _edit("grid.n_points", ["32"]), "finite"),
+    ("grid.lengths", _edit("grid.lengths", [1e300]), "spacing"),
+    ("initial.u.images", _edit("initial.u.images", IMAGES_LIMIT + 1, _heat_kernel_u), "from 0"),
+    ("initial.u.images", _edit("initial.u.images", 10**4, _heat_kernel_u), "from 0"),
+    ("initial.u.n_modes", _edit("initial.u.n_modes", 17, _random_fourier_u), "from 1 to 16"),
+]
+
+
+@pytest.mark.parametrize("path, edit, what", MISTYPED_FIELDS,
+                         ids=[f"{p}-{i}" for i, (p, _, _) in enumerate(MISTYPED_FIELDS)])
+def test_cli_mistyped_and_capped_fields_exit_2(tmp_path, capsys, path, edit, what):
+    cfg = tiny_static_cfg()
+    edit(cfg)
+    src = write_cfg(tmp_path, cfg, "bad.json")
+    assert main(["check", src, "--which", "global", "--out", str(tmp_path / "chk")]) == 2
+    out, err = capsys.readouterr()
+    error = json.loads(out)["error"]
+    assert err == "" and path in error and what in error, error
+
+
+def test_images_and_n_modes_up_to_their_caps_load():
+    for images in (4, 25, IMAGES_LIMIT):
+        cfg = tiny_static_cfg()
+        _edit("initial.u.images", images, _heat_kernel_u)(cfg)
+        parse_scenario(cfg)
+    cfg = tiny_static_cfg()
+    _edit("initial.u.n_modes", 16, _random_fourier_u)(cfg)
+    parse_scenario(cfg)
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the one JSON reader: one field at a time set to an arbitrary JSON
+# value (huge and non-finite numbers and numeric strings included)
+
+FUZZ = settings(max_examples=50, deadline=None, derandomize=True, database=None)
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-1000, 1000),
+    st.sampled_from([2**63, 10**400, -10**400]),
+    st.floats(),
+    st.sampled_from(["", "cos", "static", "0.1", "32", "nan", "inf", "1e400"]),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 40) | st.floats(-1.0, 1.0) | st.text(max_size=2), max_size=3),
+    st.dictionaries(st.sampled_from(["type", "kind", "x"]), st.integers(0, 3), max_size=2),
+)
+
+
+def _leaves(node, path=""):
+    """(dotted path, value) of every scalar leaf of a JSON value."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, f"{path}.{key}" if path else key)
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, f"{path}[{i}]")
+    else:
+        yield path, node
+
+
+TINY_LEAVES = dict(_leaves(tiny_static_cfg()))
+# every dotted path of tiny_static_cfg, its objects and lists included
+TINY_PATHS = {leaf[:m.start()] for leaf in TINY_LEAVES
+              for m in re.finditer(r"[.\[]|$", leaf) if m.start()}
+
+
+def _set_leaf(cfg, path, value):
+    *parents, last = (int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path))
+    node = cfg
+    for key in parents:
+        node = node[key]
+    node[last] = value
+
+
+def _same_json_type(old, new) -> bool:
+    """new is of old's JSON type: a string, an integral number or a finite
+    number."""
+    if isinstance(old, str) or isinstance(new, (bool, str)) or not isinstance(new, (int, float)):
+        return isinstance(old, str) and isinstance(new, str)
+    try:
+        value = float(new)
+    except OverflowError:
+        return False
+    return math.isfinite(value) and (isinstance(old, float) or value.is_integer())
+
+
+@FUZZ
+@given(path=st.sampled_from(sorted(TINY_LEAVES)), value=JSON_VALUES)
+def test_fuzzed_scenario_field_loads_or_names_the_field(path, value):
+    """Loading succeeds or is a ValueError that names the field.  A value of
+    the field's own JSON type may instead break a rule that spans fields
+    (u positive, dt_sub stable, a whole number of snapshots), whose error
+    names the field the rule is checked at."""
+    cfg = tiny_static_cfg()
+    _set_leaf(cfg, path, value)
+    try:
+        parse_scenario(cfg)
+    except ValueError as exc:
+        error = str(exc)
+        named = path in error or _same_json_type(TINY_LEAVES[path], value) and any(
+            p in error for p in TINY_PATHS)
+        assert named, error
+
+
+@pytest.fixture(scope="module")
+def tiny_run_dir(tmp_path_factory):
+    return _saved_tiny_run(tmp_path_factory.mktemp("fuzz"))
+
+
+@FUZZ
+@given(key=st.sampled_from(sorted(persistence.META)), value=JSON_VALUES)
+def test_fuzzed_meta_value_exits_0_or_2_quietly(tiny_run_dir, key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(tiny_run_dir, run_dir)
+        meta = json.loads((run_dir / "meta.json").read_text())
+        meta[key] = value
+        (run_dir / "meta.json").write_text(json.dumps(meta))
+        rehash(run_dir)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["check", str(run_dir), "--which", "global",
+                         "--out", str(Path(tmp) / "chk")])
+    assert code in (0, 2) and err.getvalue() == ""
+    assert json.loads(out.getvalue())["ok"] is (code == 0)
