@@ -15,8 +15,9 @@ Stability is enforced, not assumed: every step requires
 ``dt <= c_stab * h_min^2 * min_eig(g)`` and refuses to run otherwise.
 
 `run` steps the state (u, g, phi, metric), checks stability and builds one
-`geometry.Laplacian` per metric array, and assembles a `Snapshot` only at
-each stored stride; `step_heat` and `step_flow` build the same per call.
+`geometry.Laplacian` per metric array, steps a frozen metric's u a whole
+stored stride per call, and assembles a `Snapshot` only at each stored
+stride; `step_heat` and `step_flow` build the same per call.
 The checks read each metric's Laplacian from ``traj.derived.laplacian``.
 """
 
@@ -30,7 +31,7 @@ import numpy as np
 from . import geometry
 from .derived import TrajectoryFields, curvature_fields
 from .geometry import MetricDegenerateError, MetricFields, metric_fields
-from .grid import Grid
+from .grid import Grid, Halo
 
 C_STAB_DEFAULT = 0.2
 
@@ -313,30 +314,65 @@ def step_flow(
 class _HeatStep:
     """The explicit heat step of one metric, with its per-metric work done
     once: the stability check, on construction, and one `geometry.Laplacian`
-    (``lap``).  A step is a fixed sequence of ufuncs into two scratch
-    buffers, the same floating-point operations per node and in the same
-    order as u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u) (RK2)."""
+    (``lap``).  `advance` keeps u in the interior of the operator's halo
+    and steps it there: each substep is one fixed list of ufunc calls into
+    scratch buffers, built here, then an add in place, and makes no new
+    array: refresh the ghost layers, form the fluxes and their differences,
+    divide by h^2 and then by sqrt(det g), multiply by dt, add.  These are
+    the same floating-point operations per node, in the same order, as
+    u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u) (RK2).  The halo
+    holds u only within a call, so the operator serves other callers (the
+    map's tension) between calls."""
 
     def __init__(self, grid: Grid, mf: MetricFields, dt: float, method: str, c_stab: float):
         _require_stable(grid, mf, dt, c_stab)
         self.lap = geometry.Laplacian(grid, mf)
         _check_method(method)
-        self.dt, self.rk2 = dt, method == "rk2"
-        self._dlap, self._mid = np.empty(grid.shape), np.empty(grid.shape)
+        self.dt = dt
+        u, dlap = self.lap.halo.inner, self.lap.out
+        self._calls = list(self.lap.calls)
+        if method == "rk2":
+            mid = Halo(grid.shape)
+            self._calls += [(np.multiply, (dlap, np.array(0.5 * dt), dlap)),
+                            (np.add, (u, dlap, mid.inner)), *self.lap.bind(mid, dlap)]
+        self._calls.append((np.multiply, (dlap, np.array(dt), dlap)))
 
-    def __call__(self, u: np.ndarray, t_new: float) -> np.ndarray:
-        """u one step later, as a new array; positivity is asserted (NaN
-        fails too), never clamped: a BlowUpError at t_new."""
-        dt, dlap = self.dt, self._dlap
-        if self.rk2:
-            np.multiply(self.lap(u, out=dlap), 0.5 * dt, out=dlap)
-            self.lap(np.add(u, dlap, out=self._mid), out=dlap)
-        else:
-            self.lap(u, out=dlap)
-        u_new = np.add(u, np.multiply(dlap, dt, out=dlap))
-        if not u_new.min() > 0:
-            raise BlowUpError("heat solution lost positivity", t_new)
-        return u_new
+    def advance(self, u: np.ndarray, steps: int, t0: float, n: int = 0) -> np.ndarray:
+        """u ``steps`` substeps later, as a new array; u itself is not
+        changed.  Substep k (from 0) is substep n + k of a run from t0, and
+        ends at (t0 + (n + k) dt) + dt, the time `run` steps to.
+
+        Positivity is asserted at every substep (NaN fails too), never
+        clamped: a BlowUpError at the end of the first substep that loses
+        it.  One substep is tested directly.  Over more, an element-wise
+        running minimum of u is kept and tested once at the end; if that
+        fails, or anything raises on the way, the substeps are replayed
+        from u one at a time, each tested, so that the same substep fails
+        with the same error as when stepping one at a time."""
+        inner, dlap, calls = self.lap.halo.inner, self.lap.out, self._calls
+        np.copyto(inner, u)
+        if steps == 1:
+            for f, args in calls:
+                f(*args)
+            u_new = np.add(u, dlap)
+            if not u_new.min() > 0:
+                raise BlowUpError("heat solution lost positivity", t0 + n * self.dt + self.dt)
+            return u_new
+        low = np.full(inner.shape, np.inf)
+        try:
+            for _ in range(steps):
+                for f, args in calls:
+                    f(*args)
+                np.add(inner, dlap, out=inner)
+                np.minimum(low, inner, out=low)  # a NaN stays
+            held = low.min() > 0
+        except Exception:  # the replay raises it again at its substep, after any halt before it
+            held = False
+        if held:
+            return inner.copy()
+        for k in range(steps):
+            u = self.advance(u, 1, t0, n + k)
+        return u
 
 
 def step_heat(
@@ -350,9 +386,12 @@ def step_heat(
 
     Positivity is asserted, never clamped: a non-positive result raises.
     The stability check and the `geometry.Laplacian` of ``snap.metric`` are
-    done once per call; `run` does them once per metric.
+    done once per call; `run` does them once per metric, and on a static
+    run steps a whole stored stride per call (`_HeatStep.advance`), with
+    positivity asserted at every substep through a running minimum and the
+    stride replayed one substep at a time if it fails.
     """
-    return _HeatStep(grid, snap.metric, dt, method, c_stab)(snap.u, snap.t + dt)
+    return _HeatStep(grid, snap.metric, dt, method, c_stab).advance(snap.u, 1, snap.t)
 
 
 def _constants(t: float, curvature: tuple) -> dict:
@@ -381,7 +420,8 @@ def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
 def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
     """Number of snapshot intervals of dt_sub * stride in a time span >= 0;
     a ValueError unless the span is an integer multiple of the interval to
-    within 1e-9 of the larger of the two."""
+    within 1e-9 of the larger of the two, and a positive span holds at
+    least one whole interval."""
     dt_snap = dt_sub * stride
     ratio = span / dt_snap if span > 0 else 0.0
     tol = 1e-9 * max(span, dt_snap)
@@ -390,6 +430,9 @@ def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
             f"(t_end - t_start)={span:g} is not an integer multiple of "
             f"dt_sub*stride={dt_snap:g}"
         )
+    if span > 0 and round(ratio) == 0:
+        raise ValueError(f"(t_end - t_start)={span:g} holds no whole interval of "
+                         f"dt_sub*stride={dt_snap:g}")
     return round(ratio)
 
 
@@ -414,7 +457,10 @@ def run(
     the heat step and the map's tension.  So a static run checks stability
     and builds the Laplacian's faces once, and calls no flow step at all; a
     moving run does both once per substep (the RK2 midpoint metric builds
-    its own Laplacian too), and keeps neither on a stored snapshot.
+    its own Laplacian too), and keeps neither on a stored snapshot.  Heat
+    steps go through `_HeatStep.advance`: a static run, whose operator never
+    changes, advances u a whole stored stride per call, and a moving run
+    one substep per call.
 
     Each substep validates the new metric once (twice with RK2, whose
     midpoint metric is validated too), so an N-substep run calls
@@ -422,8 +468,12 @@ def run(
     static variant shares the initial metric throughout and calls it once.
     Per substep, u is checked for positivity once and a map the flow moved
     for finiteness once; the initial snapshot was checked when it was
-    constructed.  A `Snapshot` is assembled, unchecked, only at each stored
-    stride.
+    constructed.  Within a static stride the positivity checks go through
+    an element-wise running minimum tested at the stride's end, and a
+    stride that fails it is replayed from its stored snapshot one checked
+    substep at a time, so a halt names the substep, time and message of
+    stepping one substep at a time.  A `Snapshot` is assembled, unchecked,
+    only at each stored stride.
 
     The Ricci tensor of each stored snapshot's metric is computed once, for
     its constants, and reused by the next substep's flow, so an Euler run
@@ -443,6 +493,7 @@ def run(
         raise ValueError("T must be >= the initial snapshot time")
     n_snaps = snapshot_count(span, dt_sub, substride)
     static = variant.kind == "static"
+    steps = substride if static else 1  # per heat step: a frozen operator steps a stride
     if n_snaps:
         _check_map(variant, initial.phi)
     t, g, phi, u, metric = initial.t, initial.g, initial.phi, initial.u, initial.metric
@@ -458,17 +509,17 @@ def run(
         # an overflow halts the run naming the node; numpy's warning would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_snaps):
-                for _ in range(substride):
+                for _ in range(substride // steps):
                     if heat is None:
                         heat = _HeatStep(grid, metric, dt_sub, method, c_stab)
-                    u_new = heat(u, t + dt_sub)
+                    u_new = heat.advance(u, steps, initial.t, step_index)
                     if not static:
                         # the flow reads g and phi only: it steps the pre-heat state
                         g, phi, metric = _flow_update(grid, variant, schedule, method, t,
                                                       dt_sub, g, phi, metric, ric, heat.lap)
                         ric = curvature = heat = None
                     u = u_new
-                    step_index += 1
+                    step_index += steps
                     # exact time bookkeeping: t derived from the step counter
                     t = initial.t + step_index * dt_sub
                 snap = Snapshot._unchecked(t, g, phi, u, metric)

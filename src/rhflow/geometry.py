@@ -238,15 +238,24 @@ class Laplacian:
         (i, j)  d1(sqrt(det g) g^{ij} d1(s, j), i) for j != i
 
     the terms are added in row-major order, and the sum is divided by
-    sqrt(det g).  An application loads s into a `grid.Halo`, then runs a
-    few ufuncs per term into the buffers: each term's inner field (flux, or
-    the mixed coefficient times d1(s, j)) is formed one node beyond the
-    grid along i, from the halo and a coefficient padded the same way, so
-    no shifted copy is made.  The floating-point operations per node and
-    their order are those of the formulas above, so the result is bit for
-    bit theirs.  Calls share the buffers, so one operator serves one caller
-    at a time: a run holds one per metric array, the checks one per metric
-    class (``traj.derived.laplacian``), and the public operators one per call.
+    sqrt(det g).  Loading a field and applying the operator are split: the
+    field sits in the interior of a `grid.Halo`, and `bind` lists the ufunc
+    calls that refresh the halo's ghost layers and then form each term into
+    the buffers: the term's inner field (flux, or the mixed coefficient
+    times d1(s, j)) is formed one node beyond the grid along i, from the
+    halo and a coefficient padded the same way, so no shifted copy is made.
+    The operator holds one such list, ``calls``, from its own ``halo`` into
+    its own ``out``, built once.  Calling the operator loads s into
+    ``halo``, runs ``calls`` and copies ``out`` out.  A caller may instead
+    keep a field in the halo and step it there, running ``calls`` and its
+    own calls after them each time: `flow.run` steps u a whole stored stride
+    so on a static run, asserting its positivity at every substep through a
+    running minimum and replaying a stride that fails.  The floating-point
+    operations per node and their order are those of the formulas above, so
+    the result is bit for bit theirs.  The calls share the buffers, so one
+    operator serves one caller at a time: a run holds one per metric array,
+    the checks one per metric class (``traj.derived.laplacian``), and the
+    public operators one per call.
     """
 
     def __init__(self, grid: Grid, g):
@@ -254,9 +263,7 @@ class Laplacian:
         faces = laplacian_faces(mf)
         self.sqrt_det = mf.sqrt_det
         self.shape = grid.shape
-        self._halo = Halo(grid.shape)
         self._term = np.empty(grid.shape)
-        buf = self._halo.buf
         core, whole = (slice(1, -1),) * grid.dim, (slice(None),) * grid.dim
 
         def along(axis, sl, base=core):
@@ -268,37 +275,55 @@ class Laplacian:
             for j, h in enumerate(grid.h):
                 if i == j:  # fluxes through faces -1 .. n - 1, face -1 being n - 1
                     reach, scale, denom = 1, None, h * h
-                    hi, lo = buf[along(i, slice(1, None))], buf[along(i, slice(None, -1))]
+                    hi, lo = along(i, slice(1, None)), along(i, slice(None, -1))
                     coef = faces[i]
                 else:  # d1(s, j) at nodes -1 .. n along i
-                    reach, scale, denom = 2, 2.0 * h, 2.0 * grid.h[i]
+                    reach, scale, denom = 2, np.array(2.0 * h), 2.0 * grid.h[i]
                     rows = along(i, slice(None))
-                    hi = buf[along(j, slice(2, None), rows)]
-                    lo = buf[along(j, slice(None, -2), rows)]
+                    hi, lo = along(j, slice(2, None), rows), along(j, slice(None, -2), rows)
                     coef = mixed
                 coef = np.take(coef, np.arange(-1, n + reach - 1), axis=i, mode="wrap")
                 inner = np.empty(coef.shape)
+                # scale and denom as 0-d arrays divide as the floats do, with
+                # less overhead per call
                 self._terms.append((hi, lo, scale, coef, inner,
                                     inner[along(i, slice(reach, None), whole)],
-                                    inner[along(i, slice(None, -reach), whole)], denom))
+                                    inner[along(i, slice(None, -reach), whole)],
+                                    np.array(denom)))
+        self.halo, self.out = Halo(grid.shape), np.empty(grid.shape)
+        self.calls = self.bind(self.halo, self.out)
+
+    def bind(self, halo: Halo, out: np.ndarray) -> list:
+        """The calls, each a (function, arguments) pair, that write Lap of
+        the field in ``halo.inner`` into ``out``, which must not overlap the
+        halo: the ghost-layer copies (``ghost[...] = image``), then a few
+        ufuncs per term, each with its output buffer as last argument, then
+        the division by sqrt(det g).
+        """
+        calls = [(ghost.__setitem__, (..., image)) for ghost, image in halo.ghosts]
+        acc = out
+        for hi, lo, scale, coef, inner, inner_hi, inner_lo, denom in self._terms:
+            calls.append((np.subtract, (halo.buf[hi], halo.buf[lo], inner)))
+            if scale is not None:
+                calls.append((np.divide, (inner, scale, inner)))
+            calls += [(np.multiply, (coef, inner, inner)),
+                      (np.subtract, (inner_hi, inner_lo, acc)),
+                      (np.divide, (acc, denom, acc))]
+            if acc is not out:
+                calls.append((np.add, (out, acc, out)))
+            acc = self._term
+        calls.append((np.divide, (out, self.sqrt_det, out)))
+        return calls
 
     def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Lap s, written into ``out`` (a new array if None); ``out`` may be s."""
-        self._halo.load(s)
+        np.copyto(self.halo.inner, s)
+        for f, args in self.calls:
+            f(*args)
         if out is None:
-            out = np.empty(self.shape)
-        acc = out
-        for hi, lo, scale, coef, inner, inner_hi, inner_lo, denom in self._terms:
-            np.subtract(hi, lo, out=inner)
-            if scale is not None:
-                np.divide(inner, scale, out=inner)
-            np.multiply(coef, inner, out=inner)
-            np.subtract(inner_hi, inner_lo, out=acc)
-            np.divide(acc, denom, out=acc)
-            if acc is not out:
-                np.add(out, acc, out=out)
-            acc = self._term
-        return np.divide(out, self.sqrt_det, out=out)
+            return self.out.copy()
+        np.copyto(out, self.out)
+        return out
 
 
 def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:

@@ -52,27 +52,23 @@ class Halo:
     """A reusable buffer holding a node field with one periodic ghost layer
     on each side of every axis, so that shifted copies of the field are
     plain slices of ``buf``: node k of the field sits at k + 1 along each
-    axis, and ``buf[0]`` and ``buf[n + 1]`` along an axis hold its layers
-    n - 1 and 0, corners included.
+    axis (the view ``inner``), and ``buf[0]`` and ``buf[n + 1]`` along an
+    axis hold its layers n - 1 and 0, corners included, once each ghost
+    layer in ``ghosts`` has been copied from its image, in order.
     """
 
     def __init__(self, shape: tuple[int, ...]):
         self.buf = np.empty(tuple(n + 2 for n in shape))
-        self._inner = self.buf[(slice(1, -1),) * len(shape)]
-        # axis by axis, each ghost layer spanning the earlier axes' ghosts too
-        self._ghosts = []
+        self.inner = self.buf[(slice(1, -1),) * len(shape)]
+        # (ghost, image) views, axis by axis, each ghost layer spanning the
+        # earlier axes' ghosts too
+        self.ghosts = []
         for axis, n in enumerate(shape):
             lead = (slice(None),) * axis
             rest = (slice(1, -1),) * (len(shape) - axis - 1)
-            self._ghosts += [(lead + (0,) + rest, lead + (n,) + rest),
-                             (lead + (n + 1,) + rest, lead + (1,) + rest)]
-
-    def load(self, a: np.ndarray) -> None:
-        """Copy the node field ``a`` in and fill the ghost layers."""
-        buf = self.buf
-        np.copyto(self._inner, a)
-        for ghost, image in self._ghosts:
-            buf[ghost] = buf[image]
+            for ghost, image in ((0, n), (n + 1, 1)):
+                self.ghosts.append((self.buf[lead + (slice(ghost, ghost + 1),) + rest],
+                                    self.buf[lead + (slice(image, image + 1),) + rest]))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,8 @@ strings, integer fields (dim, n_points, snapshot_stride, axis, k, images,
 n_modes, m, seed) must hold integral values, name and the enumerated
 fields (type, fn, kind, form, method) must be strings, the grid may have
 at most ``grid.MAX_NODES`` nodes, ``images`` at most `IMAGES_LIMIT` and
-``n_modes`` at most half the smallest node count, and the substep is
+``n_modes`` at most half the smallest node count, a sine-sum factor's
+``k`` at most half the node count of its axis, and the substep is
 checked against the explicit stability bound of the initial metric at
 load time, not step time.  Each of these errors names the field's dotted
 path.  The readers here (`number`, `integer`, `json_object`, `json_list`,
@@ -152,8 +153,8 @@ def _eval_terms(grid: Grid, terms: list, path: str) -> np.ndarray:
                 raise ValueError(f"{fpath}.axis out of range for dim {grid.dim}")
             fn = _FN[choice(fac["fn"], f"{fpath}.fn", _FN)]
             k = _field(fac, "k", fpath, integer)
-            if k < 1:
-                raise ValueError(f"{fpath}.k must be >= 1")
+            # a mode above half the node count of its axis aliases a lower one
+            check_int_range(f"{fpath}.k", k, 1, grid.n_points[axis] // 2)
             theta = 2.0 * np.pi * k * coords[axis] / grid.lengths[axis]
             prod = prod * fn(theta)
         total += prod

@@ -8,10 +8,12 @@ a closed-form final state.
 """
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+import heat_oracle
 from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
 from rhflow import flow, geometry
 from rhflow.estimates import check_identities
@@ -501,3 +503,92 @@ def test_run_refused_for_stability_halts_before_its_first_substep(method):
                                 "c_stab*h_min^2*min_eig(g)=0.000195313 "
                                 "(halted at t=0.000585937)")
     assert list(traj.times) == [0.0] and len(traj.constants) == 1
+
+
+# ---------------------------------------------------------------------------
+# positivity at every substep of a stride stepped in one call
+
+
+def static_run_and_reference(grid, g, u, dt, T, stride, method, c_stab=flow.C_STAB_DEFAULT):
+    """A static run and `heat_oracle.static_run`, its per-substep reference."""
+    snap = Snapshot(0.0, g, np.zeros(grid.shape + (1,)), u)
+    traj = run(grid, FlowVariant("static"), AlphaSchedule(0.0), snap, T, dt, stride,
+               method=method, c_stab=c_stab)
+    return traj, heat_oracle.static_run(grid, snap, T, dt, stride, method, c_stab)
+
+
+def unchecked_minima(grid, g, u, dt, method, n):
+    """min u after each of n reference heat steps, positivity not asserted."""
+    mf = geometry.MetricFields(g)
+    faces = geometry.laplacian_faces(mf)
+
+    def lap(s):
+        return heat_oracle._laplace(grid, mf, s, faces)
+
+    minima = []
+    for _ in range(n):
+        u = u + dt * lap(u if method == "euler" else u + 0.5 * dt * lap(u))
+        minima.append(u.min())
+    return minima
+
+
+@pytest.mark.parametrize("method, shear, floor", [("euler", 0.5, 0.01), ("rk2", 0.3, 0.001)])
+def test_transient_dip_inside_a_stride_halts_at_its_substep(method, shear, floor):
+    # a sheared metric's mixed term makes the stencil non-monotone: a spike
+    # overshoots below zero at the default c_stab and is positive again well
+    # before the end of the 7-substep stride, so a check made only at the
+    # end of each stride would let the run complete
+    grid = Grid(2, (16, 16), (1.0, 1.0))
+    g = flat_metric(grid)
+    g[..., 0, 1] = g[..., 1, 0] = shear
+    u = np.full(grid.shape, floor)
+    u[7, 7] += 1.0
+    dt = stability_limit(grid, g)
+    minima = unchecked_minima(grid, g, u, dt, method, 7)
+    assert minima[0] < 0 < minima[-1]
+    traj, (times, _, constants, halt) = static_run_and_reference(grid, g, u, dt, 14 * dt, 7,
+                                                                  method)
+    assert traj.halt_reason == halt == f"heat solution lost positivity (halted at t={dt:g})"
+    assert list(traj.times) == times == [0.0]
+    assert traj.constants == constants and len(traj.alphas) == 1
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_overflow_inside_a_stride_halts_as_the_per_substep_loop_does(method):
+    # the unstable mode of `unstable_mode_run` on an offset near the double
+    # range: the Laplacian overflows, and u goes infinite, partway through
+    # a stride, with u positive until then
+    grid = Grid(1, (32,), (1.0,))
+    g = flat_metric(grid)
+    u = 1e306 * (1.0 + 1e-3 * (-1.0) ** np.arange(32))
+    dt = 0.6 * grid.h[0] ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        minima = unchecked_minima(grid, g, u, dt, method, 40)
+    lost = next(k for k, m in enumerate(minima, 1) if not m > 0)
+    assert lost % 5 and all(np.isfinite(minima[:lost - 1]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, (times, _, constants, halt) = static_run_and_reference(grid, g, u, dt, 40 * dt,
+                                                                      5, method, c_stab=1.0)
+    assert traj.halt_reason == halt
+    assert halt.endswith(f"(halted at t={lost * dt:g})")
+    assert list(traj.times) == times and len(times) == lost // 5 + 1
+    assert traj.constants == constants
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_nan_inside_a_stride_halts_at_its_substep(method):
+    # an infinite node is positive; its own Laplacian is inf - inf, so the
+    # first substep leaves NaN there beside infinite neighbours, and no
+    # node below zero: only NaN's propagation through the running minimum
+    # halts the run
+    grid = Grid(1, (32,), (1.0,))
+    u = np.ones(32)
+    u[5] = np.inf
+    dt = 0.1 * grid.h[0] ** 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj, (times, _, constants, halt) = static_run_and_reference(
+            grid, flat_metric(grid), u, dt, 20 * dt, 5, method)
+    assert traj.halt_reason == halt == f"heat solution lost positivity (halted at t={dt:g})"
+    assert list(traj.times) == times == [0.0] and traj.constants == constants

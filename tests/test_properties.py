@@ -3,9 +3,12 @@
 Every stencil is built from one-node periodic shifts, so the Laplacian and
 a whole static run commute bit for bit with translations of the grid, and
 the divergence-form Laplacian conserves the weighted mass sum(u sqrt(det g))
-to roundoff.  The in-place `geometry.Laplacian`, and the heat step built on
-it and the operator a trajectory's derived layer hands the checks, match
-the allocating reference in `heat_oracle` bit for bit.
+to roundoff; it is also self-adjoint and negative in the sqrt(det g)-
+weighted inner product, to roundoff.  The in-place `geometry.Laplacian`,
+and the heat step built on it and the operator a trajectory's derived layer
+hands the checks, match the allocating reference in `heat_oracle` bit for
+bit, and a static run, which steps a stored stride per call, matches the
+reference's one substep at a time.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
@@ -122,6 +125,38 @@ def test_laplacian_and_heat_step_match_the_reference_bitwise(grid, seed, method)
             snap = Snapshot(snap.t + traj.dt_sub, g, snap.phi,
                             heat_oracle.step_heat(grid, snap, traj.dt_sub, method), snap.metric)
         assert np.array_equal(stored.u, snap.u)
+
+
+@settings(PROPERTY, max_examples=12)
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), method=st.sampled_from(["euler", "rk2"]),
+       stride=st.sampled_from([1, 2, 7]), n_strides=st.sampled_from([1, 3, 5]))
+def test_static_run_matches_the_per_substep_reference_bitwise(grid, seed, method, stride,
+                                                              n_strides):
+    rng = np.random.default_rng(seed)
+    g = random_metric(grid, rng)
+    u = 1.0 + rng.random(grid.shape)
+    traj = static_run(grid, g, u, method, n_substeps=stride * n_strides, stride=stride)
+    times, us, constants, halt = heat_oracle.static_run(
+        grid, traj.snapshots[0], traj.snapshots[-1].t, traj.dt_sub, stride, method)
+    assert traj.completed and halt is None
+    assert [s.t for s in traj.snapshots] == times
+    assert all(np.array_equal(s.u, v) for s, v in zip(traj.snapshots, us, strict=True))
+    assert traj.constants == constants
+
+
+@PROPERTY
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1))
+def test_laplacian_is_self_adjoint_and_negative(grid, seed):
+    # discrete integration by parts in the sqrt(det g)-weighted inner
+    # product; the 2-D metrics have g_01 != 0
+    rng = np.random.default_rng(seed)
+    g = random_metric(grid, rng)
+    w = geometry.sqrt_det(g)
+    u, v = rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
+    lap_u, lap_v = geometry.laplace_beltrami(grid, g, u), geometry.laplace_beltrami(grid, g, v)
+    asymmetry = np.sum(v * lap_u * w) - np.sum(lap_v * u * w)
+    assert abs(asymmetry) <= 8 * np.finfo(float).eps * np.sum(np.abs(v * lap_u * w))
+    assert np.sum(u * lap_u * w) < 0
 
 
 @PROPERTY

@@ -1288,6 +1288,9 @@ MISTYPED_FIELDS = [
     ("initial.u.images", _edit("initial.u.images", IMAGES_LIMIT + 1, _heat_kernel_u), "from 0"),
     ("initial.u.images", _edit("initial.u.images", 10**4, _heat_kernel_u), "from 0"),
     ("initial.u.n_modes", _edit("initial.u.n_modes", 17, _random_fourier_u), "from 1 to 16"),
+    ("initial.u.terms[0].factors[0].k", _edit_factor("k", 17), "from 1 to 16"),
+    ("initial.u.terms[0].factors[0].k", _edit_factor("k", 10**308), "from 1 to 16"),
+    ("initial.u.terms[0].factors[0].k", _edit_factor("k", 0), "from 1 to 16"),
 ]
 
 
@@ -1301,6 +1304,31 @@ def test_cli_mistyped_and_capped_fields_exit_2(tmp_path, capsys, path, edit, wha
     out, err = capsys.readouterr()
     error = json.loads(out)["error"]
     assert err == "" and path in error and what in error, error
+
+
+def test_sine_sum_k_is_capped_per_axis():
+    # half the node count of the factor's own axis: 8 along axis 0, 16 along 1
+    cfg = tiny_static_cfg()
+    cfg["grid"] = {"dim": 2, "n_points": [16, 32], "lengths": [1.0, 1.0]}
+    factor = cfg["initial"]["u"]["terms"][0]["factors"][0]
+    factor.update(axis=1, k=16)
+    parse_scenario(cfg)
+    factor.update(axis=0, k=9)
+    with pytest.raises(ValueError, match=re.escape("factors[0].k must be an integer from 1 to 8")):
+        parse_scenario(cfg)
+
+
+@pytest.mark.parametrize("stride", [10**11, 10**12])
+def test_stride_past_the_window_is_a_time_error(tmp_path, capsys, stride):
+    # the window holds 40 substeps, within 1e-9 of the interval of `stride`
+    # substeps from 0 of them: it holds no whole interval, so nothing but
+    # the initial snapshot would be stored
+    cfg = tiny_static_cfg()
+    cfg["time"]["snapshot_stride"] = stride
+    with pytest.raises(ValueError, match="^time: .* holds no whole interval"):
+        parse_scenario(cfg)
+    error = _run_exit_2(tmp_path, capsys, cfg)
+    assert error.startswith("time: ") and "no whole interval" in error
 
 
 def test_images_and_n_modes_up_to_their_caps_load():
