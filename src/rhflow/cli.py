@@ -26,7 +26,7 @@ import argparse
 import json
 import os
 import sys
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -278,6 +278,7 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="rhflow",

@@ -195,8 +195,10 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
         "monotone_r_ok": bool(np.all(dpsi_dr <= 0.0)),
     }
 
+    # the fits read Psi > 0 only: gathered once, as is |dPsi/dr| * rho
+    psi_pos, slope = psi[pos], np.abs(dpsi_dr[pos]) * rho
     # time bound: |dPsi/dt| * tau <= 2 sqrt(Psi), sharp on the inner ramp
-    cbar = np.max(np.abs(dpsi_dt[pos]) * tau / np.sqrt(psi[pos]))
+    cbar = np.max(np.abs(dpsi_dt[pos]) * tau / np.sqrt(psi_pos))
     report["cbar_time"] = float(cbar)
     report["cbar_time_ok"] = bool(cbar <= 2.0 + 1e-9)
 
@@ -205,8 +207,7 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
 
     c_a = {}
     for a in EXPONENTS:
-        vals = np.abs(dpsi_dr[pos]) * rho / psi[pos] ** a
-        c_a[float(a)] = float(np.max(vals))
+        c_a[float(a)] = float(np.max(slope / psi_pos ** a))
     report["c_a"] = c_a
     report["c_a_finite_ok"] = bool(all(np.isfinite(v) for v in c_a.values()))
 

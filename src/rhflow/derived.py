@@ -27,10 +27,12 @@ once in all, in memory or reloaded, and a coupled run once per snapshot:
                   grid shape, with one Dijkstra per distinct metric array
 
 `curvature_fields` is the one eigenvalue pass behind every hypothesis
-constant.  The run reduces it to ``traj.constants`` as it steps
-(`flow.snapshot_constants`), where each snapshot's Ricci tensor is at hand;
-the layer computes it again rather than keep the run's fields, so an
-unchecked trajectory holds nothing but its snapshots.
+constant.  The run reduces the same fields to ``traj.constants`` as it
+steps (`flow.snapshot_constants`), where each snapshot's Ricci tensor is at
+hand (a moving run forms them with the same `geometry` eigenvalue calls,
+bound in its workspace); the layer computes them again rather than keep
+the run's fields, so an unchecked trajectory holds nothing but its
+snapshots.
 
 ``log_u(i)``, f itself, costs one logarithm per node and is not kept.
 Neither is what only one check reads: `estimates.identity_residuals`
@@ -46,7 +48,11 @@ at most 8 node fields per stored snapshot in 2-D (Ricci 3, curvature 3,
 |grad f|^2 and f_t one each; f_t at interior snapshots only) plus one per
 distance centre, and one Laplacian (about 12 node fields in 2-D); in 1-D,
 at most 6 plus one per centre, and a Laplacian of about 6.  The snapshots
-must not be modified once it holds any of them.
+must not be modified once it holds any of them.  The run itself keeps
+nothing either: the workspace a moving run steps in (about 60 node fields
+in 2-D) is freed when `flow.run` returns, and the one-shot kernels of the
+Ricci tensor, Christoffel symbols and dphi (x) dphi that the layer and the
+checks call free theirs with their results.
 """
 
 from __future__ import annotations
@@ -59,13 +65,15 @@ import numpy as np
 from . import distance, geometry
 
 
-def curvature_fields(grid, snap, ric: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def curvature_fields(metric, ric, outer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam_min(Ric), lam_max(Ric) and lam_max(dphi (x) dphi) at every node
-    of one snapshot, eigenvalues relative to its metric; ``ric`` is the
-    Ricci tensor of that metric.  The map term is not yet scaled by the
-    snapshot's time: the hypothesis constant c_phi bounds t times it."""
-    lam_ric = geometry.eig_general(ric, snap.metric)
-    lam_outer = geometry.eig_general(geometry.grad_phi_outer(grid, snap.phi), snap.metric)
+    of one snapshot, eigenvalues relative to its metric (a MetricFields);
+    ``ric`` and ``outer`` are the Ricci tensor of that metric and the map's
+    dphi (x) dphi, as arrays or component lists (`geometry.eig_general`).
+    The map term is not yet scaled by the snapshot's time: the hypothesis
+    constant c_phi bounds t times it."""
+    lam_ric = geometry.eig_general(ric, metric)
+    lam_outer = geometry.eig_general(outer, metric)
     return lam_ric[..., 0], lam_ric[..., -1], lam_outer[..., -1]
 
 
@@ -123,7 +131,8 @@ class TrajectoryFields:
         for i, s in enumerate(self.snapshots):
             c = self.metric_class[i]
             if c != key or not (s.phi is phi or np.array_equal(s.phi, phi)):
-                fields, key, phi = curvature_fields(self.grid, s, self.ricci(i)), c, s.phi
+                outer = geometry._grad_phi_outer(self.grid, s.phi)
+                fields, key, phi = curvature_fields(s.metric, self.ricci(i), outer), c, s.phi
             lam_min[i], lam_max[i] = fields[0], fields[1]
             t_lam_outer[i] = s.t * fields[2]
         return lam_min, lam_max, t_lam_outer

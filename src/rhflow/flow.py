@@ -14,15 +14,16 @@ Euler is the default; an RK2 midpoint rule is available per step.
 Stability is enforced, not assumed: every step requires
 ``dt <= c_stab * h_min^2 * min_eig(g)`` and refuses to run otherwise.
 
-`run` steps the state (u, g, phi, metric), checks stability and builds one
-`geometry.Laplacian` per metric array, steps a frozen metric's u a whole
-stored stride per call, and assembles a `Snapshot` only at each stored
-stride; `step_heat` and `step_flow` build the same per call.
-The checks read each metric's Laplacian from ``traj.derived.laplacian``.
+`run` steps a frozen metric's u a whole stored stride per call, and a
+moving metric and map in one per-run workspace of bound in-place calls
+(`_Workspace`), and assembles a `Snapshot` only at each stored stride;
+`step_heat` and `step_flow` build the same per call.  The checks read each
+metric's Laplacian from ``traj.derived.laplacian``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -122,10 +123,10 @@ class Snapshot:
     metric array (all of a static run's) validate it only once.
 
     Constructing a Snapshot checks it: the metric (unless passed in), phi
-    finite and u positive everywhere.  The stepping code does not construct
-    snapshots this way; it checks each field where it changes (u in the
-    heat step, phi and the metric in the flow step) and assembles a stored
-    snapshot with ``_unchecked``.
+    finite and u finite and positive everywhere.  The stepping code does
+    not construct snapshots this way; it checks each field where it
+    changes (u in the heat step, phi and the metric in the flow step) and
+    assembles a stored snapshot with ``_unchecked``.
     """
 
     t: float
@@ -141,8 +142,9 @@ class Snapshot:
             raise ValueError("metric fields were built from a different array than g")
         if not np.all(np.isfinite(self.phi)):
             raise BlowUpError("map field has non-finite values", self.t)
-        if not np.all(self.u > 0):
-            raise BlowUpError("heat solution is not positive everywhere", self.t)
+        # a NaN minimum fails the first test, an infinite maximum the second
+        if not (self.u.min() > 0 and self.u.max() < np.inf):
+            raise BlowUpError("heat solution is not finite and positive everywhere", self.t)
 
     @classmethod
     def _unchecked(cls, t, g, phi, u, metric: MetricFields) -> "Snapshot":
@@ -234,50 +236,199 @@ def _check_map(variant: FlowVariant, phi: np.ndarray) -> None:
         raise ValueError("warped_product flow requires a single-component map")
 
 
-def _flow_rhs(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, t, mf, phi,
-              ric=None, lap=None):
-    """Right-hand sides (dg/dt, dphi/dt) for the metric/map system; ``ric``
-    and ``lap`` are the Ricci tensor and `geometry.Laplacian` of ``mf`` if
-    the caller already has them."""
-    coup = variant.coupling(schedule, t)
-    if ric is None:
-        ric = geometry.ricci(grid, mf)
-    if lap is None:
-        lap = geometry.Laplacian(grid, mf)
-    outer = geometry.grad_phi_outer(grid, phi)
-    dg = -2.0 * ric + (2.0 * coup) * outer
-    if variant.kind == "warped_product":
-        dphi = geometry._tension(lap, phi) - variant.mu * np.exp(-2.0 * phi)
-    else:
-        dphi = geometry._tension(lap, phi)
-    return dg, dphi
+class _Workspace:
+    """The metric and map of a moving run, and every buffer and call list
+    that steps them, allocated once per run (or `step_flow` call).
 
+    The metric is held as its components g_ij, contiguous node fields, with
+    its inverse, sqrt(det g) and smallest eigenvalue, all as a
+    `MetricFields` (``metric``, whose ``g`` is None) that these buffers
+    back; the map phi is one contiguous array.  Around them are bound
+    once: a `geometry.Curvature` (Ricci), a `geometry.MapGradient`
+    (dphi (x) dphi), a `geometry.Laplacian` whose coefficients are
+    refreshed in place for each new metric (the heat step and the map's
+    tension, each component loaded into its halo), and the flow's own call
+    lists:
 
-def _flow_update(grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, method: str,
-                 t: float, dt: float, g, phi, mf, ric, lap) -> tuple:
-    """(g, phi, metric) one flow step of dt after time t, for a moving
-    variant and a checked method; ``ric`` and ``lap`` are as in
-    `_flow_rhs`.  The new metric is validated once and the new map checked
-    finite once; the midpoint metric of an RK2 step is validated too."""
-    t_new = t + dt
-    if method == "euler":
-        dg, dphi = _flow_rhs(grid, variant, schedule, t, mf, phi, ric, lap)
-        g_new = g + dt * dg
-        phi_new = phi + dt * dphi
-    else:
-        dg1, dphi1 = _flow_rhs(grid, variant, schedule, t, mf, phi, ric, lap)
-        g_mid = g + 0.5 * dt * dg1
-        g_mid = 0.5 * (g_mid + np.swapaxes(g_mid, -1, -2))
-        phi_mid = phi + 0.5 * dt * dphi1
-        mid = _new_metric(g_mid, t + 0.5 * dt)
-        dg2, dphi2 = _flow_rhs(grid, variant, schedule, t + 0.5 * dt, mid, phi_mid)
-        g_new = g + dt * dg2
-        phi_new = phi + dt * dphi2
-    # keep the stored metric exactly symmetric
-    g_new = 0.5 * (g_new + np.swapaxes(g_new, -1, -2))
-    if not np.isfinite(phi_new).all():
-        raise BlowUpError("map field became non-finite", t_new)
-    return g_new, phi_new, _new_metric(g_new, t_new)
+        rhs      dg = -2 Ric + (2 coupling) dphi (x) dphi,
+                 dphi/dt = tension [- mu exp(-2 phi)]
+        update   g = base + h dg, phi = base + h dphi/dt, g_ij = 1/2 (g_ij + g_ji)
+                 (Euler: base the state, h = dt; RK2: base the state saved
+                 at the substep's start, h = dt/2, then dt)
+        check    phi finite, then g: finite, min eigenvalue > 1e-12 trace
+        inverse  g^{ij}, sqrt(det g)
+        eig      the eigenvalues of Ric and dphi (x) dphi against g
+                 (`derived.curvature_fields`, at stored snapshots)
+
+    each a fixed list of in-place ufunc calls with the floating-point
+    operations per node, and their order, of these formulas evaluated as
+    array expressions (see the ``geometry`` kernels), so every stepped
+    field is bit for bit that evaluation's.  A metric that fails the check
+    is stacked and passed to `geometry.check_metric`, which raises the same
+    error, at the same node, as validating the stacked array would have.
+
+    Ricci and dphi (x) dphi (`_fields`) and the Laplacian's coefficients
+    (`laplacian`) are formed at most once per metric and map, when first
+    needed; `snapshot` copies the state out into a `Snapshot`.  In 2-D with
+    one map component it holds about 57 node fields with Euler and 62 with
+    RK2 (1.9 and 2.1 MB at 64^2), freed with the run.
+    """
+
+    def __init__(self, grid: Grid, variant: FlowVariant, schedule: AlphaSchedule, method: str,
+                 dt: float, snap: Snapshot):
+        self.grid, self.variant, self.schedule, self.dt = grid, variant, schedule, dt
+        self.rk2 = method == "rk2"
+        d, shape = grid.dim, grid.shape
+        new = functools.partial(np.empty, shape)
+        pairs = [(i, j) for i in range(d) for j in range(i, d)]
+        src = snap.metric
+        g = geometry._sym(d, lambda i, j: src.comp[i][j].copy())
+        inv = geometry._sym(d, lambda i, j: src.inv[i][j].copy())
+        self.metric = MetricFields._assembled(None, g, inv, src.sqrt_det.copy(),
+                                              src.min_eigenvalue)
+        self._g = [g[i][j] for i, j in pairs]
+        self.phi = snap.phi.copy()
+        self.curvature = geometry.Curvature(grid, g, inv)
+        self.gradient = geometry.MapGradient(grid, self.phi)
+        self.lap = geometry.Laplacian(grid, self.metric)
+        self._fresh, self._fresh_lap = False, True
+
+        # rhs
+        self._coupling = np.array(0.0)  # 2 alpha(t), set per stage
+        dg, tmp, tension = [new() for _ in pairs], new(), np.empty(snap.phi.shape)
+        rhs = []
+        for (i, j), dg_ij in zip(pairs, dg):
+            rhs += [(np.multiply, (self.curvature.ric[i][j], geometry._MINUS_TWO, dg_ij)),
+                    (np.multiply, (self.gradient.outer[i][j], self._coupling, tmp)),
+                    (np.add, (dg_ij, tmp, dg_ij))]
+        for m in range(snap.phi.shape[-1]):
+            rhs += [(np.copyto, (self.lap.halo.inner, self.phi[..., m])),
+                    *self.lap.bind(self.lap.halo, tension[..., m])]
+        if variant.kind == "warped_product":
+            decay = np.empty(snap.phi.shape)
+            rhs += [(np.multiply, (self.phi, geometry._MINUS_TWO, decay)),
+                    (np.exp, (decay, decay)),
+                    (np.multiply, (decay, np.array(variant.mu), decay)),
+                    (np.subtract, (tension, decay, tension))]
+        self._rhs = rhs
+
+        # update: Euler in place; RK2 from a copy of the state, by dt/2 then dt
+        def update(base_g, base_phi, h):
+            calls = []
+            for g_ij, b_ij, dg_ij in zip(self._g, base_g, dg):
+                calls += [(np.multiply, (dg_ij, h, dg_ij)), (np.add, (b_ij, dg_ij, g_ij)),
+                          (np.add, (g_ij, g_ij, g_ij)),
+                          (np.multiply, (g_ij, geometry._HALF, g_ij))]
+            return calls + [(np.multiply, (tension, h, tension)),
+                            (np.add, (base_phi, tension, self.phi))]
+
+        if self.rk2:
+            saved_g, saved_phi = [new() for _ in pairs], np.empty(snap.phi.shape)
+            self._save = [(np.copyto, (b, g_ij)) for b, g_ij in zip(saved_g, self._g)]
+            self._save.append((np.copyto, (saved_phi, self.phi)))
+            self._mid = update(saved_g, saved_phi, np.array(0.5 * dt))
+            self._end = update(saved_g, saved_phi, np.array(dt))
+        else:
+            self._end = update(self._g, self.phi, np.array(dt))
+
+        # check and inverse
+        self._mask = np.empty(shape, dtype=bool)
+        if d == 1:
+            self._lam = self._tr = g[0][0]
+            check = []
+        else:
+            self._lam, self._tr = new(), new()
+            check = geometry._min_eigenvalue_calls(g, self._lam, self._tr, tmp)
+        self._check = check + [(np.multiply, (self._tr, np.array(geometry.PD_RTOL), tmp)),
+                               (np.less_equal, (self._lam, tmp, self._mask))]
+        det = new()
+        self._inverse = geometry._inverse_calls(g, inv, self.metric.sqrt_det, det, tmp)
+
+        # curvature_fields: eigenvalues of Ric and dphi (x) dphi against g,
+        # with the update's and the inverse's buffers as scratch
+        scratch = dg + [tmp, det] + [new() for _ in range(3 - len(dg))]
+        eig = [new() for _ in range(4)]
+        self._eig = (geometry._eig_calls(self.metric, self.curvature.ric, *eig[:2], scratch)
+                     + geometry._eig_calls(self.metric, self.gradient.outer, *eig[2:], scratch))
+        self._lam_fields = (eig[0], eig[1 if d == 2 else 0], eig[3 if d == 2 else 2])
+        self._phi_finite = np.empty(snap.phi.shape, dtype=bool)
+
+    def _fields(self) -> None:
+        """Form Ric and dphi (x) dphi of the current metric and map, once
+        per metric."""
+        if not self._fresh:
+            self.curvature.ricci()
+            self.gradient()
+            self._fresh = True
+
+    def curvature_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """`derived.curvature_fields` of the current metric and map, in
+        buffers that the next call overwrites."""
+        self._fields()
+        geometry._run(self._eig)
+        return self._lam_fields
+
+    def laplacian(self) -> geometry.Laplacian:
+        """The Laplacian of the current metric."""
+        if not self._fresh_lap:
+            self.lap.refresh()
+            self._fresh_lap = True
+        return self.lap
+
+    def _stage(self, t: float) -> None:
+        self._fields()
+        self.laplacian()
+        self._coupling[...] = 2.0 * self.variant.coupling(self.schedule, t)
+        geometry._run(self._rhs)
+
+    def step(self, t: float) -> None:
+        """Step the metric and map from time t by dt.  Each new metric is
+        validated once: one per Euler step, two per RK2 step (midpoint and
+        end).  A BlowUpError leaves the workspace unusable."""
+        dt, t_stage = self.dt, t
+        if self.rk2:
+            geometry._run(self._save)
+            self._stage(t)
+            geometry._run(self._mid)
+            t_stage = t + 0.5 * dt
+            self.validate(t_stage)
+        self._stage(t_stage)
+        geometry._run(self._end)
+        if not np.isfinite(self.phi, out=self._phi_finite).all():
+            raise BlowUpError("map field became non-finite", t + dt)
+        self.validate(t + dt)
+
+    def validate(self, t: float) -> None:
+        """Check the metric the buffers hold, as `geometry.check_metric`
+        would, and form its inverse and sqrt(det g); a degenerate metric is
+        a blow-up at time t."""
+        ok = all(np.isfinite(g_ij, out=self._mask).all() for g_ij in self._g)
+        if ok:
+            geometry._run(self._check)
+            ok = not self._mask.any()
+        if not ok:
+            _new_metric(self._stacked(), t)  # raises the error of the stacked array
+        geometry._run(self._inverse)
+        self.metric.min_eigenvalue = float(np.min(self._lam))
+        self._fresh = self._fresh_lap = False
+
+    def _stacked(self) -> np.ndarray:
+        d = self.grid.dim
+        g = np.empty(self.grid.shape + (d, d))
+        for i in range(d):
+            for j in range(d):
+                g[..., i, j] = self.metric.comp[i][j]
+        return g
+
+    def snapshot(self, t: float, u: np.ndarray) -> Snapshot:
+        """The state at time t, with heat solution u, as a Snapshot of new
+        arrays whose metric fields are copied, not validated again."""
+        g, m = self._stacked(), self.metric
+        d = m.dim
+        metric = MetricFields._assembled(
+            g, geometry._components(g), geometry._sym(d, lambda i, j: m.inv[i][j].copy()),
+            m.sqrt_det.copy(), m.min_eigenvalue)
+        return Snapshot._unchecked(t, g, self.phi.copy(), u, metric)
 
 
 def step_flow(
@@ -296,9 +447,9 @@ def step_flow(
     Each new metric is validated once: one per Euler step, two per RK2 step
     (midpoint and end), none on the static variant.  The new map is checked
     for finiteness once, and not at all on the static variant, whose fields
-    are those of ``snap``.  The Ricci tensor and the `geometry.Laplacian`
-    of ``snap.metric`` are built once per call; `run` steps without this
-    function and builds them once per metric.
+    are those of ``snap``.  The step is `run`'s substep: one `_Workspace`
+    per call, loaded from ``snap``, whose Ricci tensor and Laplacian are
+    formed once per metric.
     """
     t_new = snap.t + dt
     if variant.kind == "static":
@@ -306,33 +457,33 @@ def step_flow(
     _check_map(variant, snap.phi)
     _require_stable(grid, snap.metric, dt, c_stab)
     _check_method(method)
-    g, phi, metric = _flow_update(grid, variant, schedule, method, snap.t, dt, snap.g,
-                                  snap.phi, snap.metric, None, None)
-    return Snapshot._unchecked(t_new, g, phi, snap.u, metric)
+    ws = _Workspace(grid, variant, schedule, method, dt, snap)
+    ws.step(snap.t)
+    return ws.snapshot(t_new, snap.u)
 
 
 class _HeatStep:
-    """The explicit heat step of one metric, with its per-metric work done
-    once: the stability check, on construction, and one `geometry.Laplacian`
-    (``lap``).  `advance` keeps u in the interior of the operator's halo
-    and steps it there: each substep is one fixed list of ufunc calls into
-    scratch buffers, built here, then an add in place, and makes no new
-    array: refresh the ghost layers, form the fluxes and their differences,
-    divide by h^2 and then by sqrt(det g), multiply by dt, add.  These are
-    the same floating-point operations per node, in the same order, as
-    u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u) (RK2).  The halo
+    """The explicit heat step of one metric's `geometry.Laplacian`
+    (``lap``), whose calls it binds once.  `advance` keeps u in the
+    interior of the operator's halo and steps it there: each substep is one
+    fixed list of ufunc calls into scratch buffers, built here, then an add
+    in place, and makes no new array: refresh the ghost layers, form the
+    fluxes and their differences, divide by h^2 and then by sqrt(det g),
+    multiply by dt, add.  These are the same floating-point operations per
+    node, in the same order, as u + dt Lap u (Euler) or
+    u + dt Lap(u + dt/2 Lap u) (RK2).  The calls read the operator's
+    coefficients as they are when run, so a moving run's one operator,
+    refreshed per metric, serves one _HeatStep for the whole run.  The halo
     holds u only within a call, so the operator serves other callers (the
     map's tension) between calls."""
 
-    def __init__(self, grid: Grid, mf: MetricFields, dt: float, method: str, c_stab: float):
-        _require_stable(grid, mf, dt, c_stab)
-        self.lap = geometry.Laplacian(grid, mf)
+    def __init__(self, lap: geometry.Laplacian, dt: float, method: str):
         _check_method(method)
-        self.dt = dt
+        self.lap, self.dt = lap, dt
         u, dlap = self.lap.halo.inner, self.lap.out
         self._calls = list(self.lap.calls)
         if method == "rk2":
-            mid = Halo(grid.shape)
+            mid = Halo(lap.shape)
             self._calls += [(np.multiply, (dlap, np.array(0.5 * dt), dlap)),
                             (np.add, (u, dlap, mid.inner)), *self.lap.bind(mid, dlap)]
         self._calls.append((np.multiply, (dlap, np.array(dt), dlap)))
@@ -391,7 +542,8 @@ def step_heat(
     positivity asserted at every substep through a running minimum and the
     stride replayed one substep at a time if it fails.
     """
-    return _HeatStep(grid, snap.metric, dt, method, c_stab).advance(snap.u, 1, snap.t)
+    _require_stable(grid, snap.metric, dt, c_stab)
+    return _HeatStep(geometry.Laplacian(grid, snap.metric), dt, method).advance(snap.u, 1, snap.t)
 
 
 def _constants(t: float, curvature: tuple) -> dict:
@@ -414,7 +566,8 @@ def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
     from below.  `run` reduces the same fields as it steps, with each
     metric's Ricci tensor computed once.
     """
-    return _constants(snap.t, curvature_fields(grid, snap, geometry.ricci(grid, snap.metric)))
+    return _constants(snap.t, curvature_fields(snap.metric, geometry.ricci(grid, snap.metric),
+                                               geometry._grad_phi_outer(grid, snap.phi)))
 
 
 def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
@@ -451,36 +604,40 @@ def run(
     """Integrate from the initial snapshot to time T, recording every
     ``substride`` substeps.
 
-    The loop state is (u, g, phi, metric).  What depends on the metric is
-    built once per metric array, when a substep first needs it: the
-    stability check and one `geometry.Laplacian` (`_HeatStep`), which serves
-    the heat step and the map's tension.  So a static run checks stability
-    and builds the Laplacian's faces once, and calls no flow step at all; a
-    moving run does both once per substep (the RK2 midpoint metric builds
-    its own Laplacian too), and keeps neither on a stored snapshot.  Heat
-    steps go through `_HeatStep.advance`: a static run, whose operator never
-    changes, advances u a whole stored stride per call, and a moving run
-    one substep per call.
+    A static run checks stability and builds one `geometry.Laplacian` once,
+    calls no flow step, and advances u a whole stored stride per call
+    (`_HeatStep.advance`).  A moving run allocates one `_Workspace` when it
+    starts, holding the metric and map and every buffer and bound call list
+    of a substep; the workspace is dropped when the run returns, and stored
+    snapshots share none of its arrays.  Each substep checks stability,
+    refreshes the workspace Laplacian's coefficients in place for the
+    current metric (the heat step and the map's tension share it; an RK2
+    midpoint metric is refreshed too), steps u one substep, then steps the
+    metric and map in the workspace.  The floating-point operations per
+    node and their order are those of the flow's formulas evaluated as
+    array expressions, so every stored field is bit for bit theirs.
 
-    Each substep validates the new metric once (twice with RK2, whose
-    midpoint metric is validated too), so an N-substep run calls
-    check_metric N + 1 times with Euler and 2N + 1 times with RK2; the
-    static variant shares the initial metric throughout and calls it once.
-    Per substep, u is checked for positivity once and a map the flow moved
-    for finiteness once; the initial snapshot was checked when it was
-    constructed.  Within a static stride the positivity checks go through
-    an element-wise running minimum tested at the stride's end, and a
-    stride that fails it is replayed from its stored snapshot one checked
-    substep at a time, so a halt names the substep, time and message of
-    stepping one substep at a time.  A `Snapshot` is assembled, unchecked,
-    only at each stored stride.
+    The initial snapshot was checked when it was constructed.  Each
+    substep validates the new metric once in the workspace (twice with
+    RK2, whose midpoint metric is validated too), so an N-substep run
+    validates N metrics with Euler and 2N with RK2; the static variant
+    shares the initial metric throughout.  Per substep, u is checked for
+    positivity once and a map the flow moved for finiteness once.  Within
+    a static stride the positivity checks go through an element-wise
+    running minimum tested at the stride's end, and a stride that fails it
+    is replayed from its stored snapshot one checked substep at a time, so
+    a halt names the substep, time and message of stepping one substep at
+    a time.  A `Snapshot` is assembled, unchecked, only at each stored
+    stride, from new arrays, with the metric fields the workspace
+    validated.
 
-    The Ricci tensor of each stored snapshot's metric is computed once, for
-    its constants, and reused by the next substep's flow, so an Euler run
-    evaluates it N + 1 times, an RK2 run 2N + 1 times and a static run
-    once.  The constants' `curvature_fields` are computed once per metric
-    and map (once per static run), and their map term scaled by each
-    stored snapshot's time.
+    The Ricci tensor and dphi (x) dphi of each metric are computed once:
+    at a stored snapshot for its constants, and reused by the next
+    substep's flow, so an Euler run evaluates Ricci N + 1 times, an RK2
+    run 2N + 1 times and a static run once.  The constants'
+    `derived.curvature_fields` are computed once per stored metric and
+    map (once per static run), and their map term scaled by each stored
+    snapshot's time.
 
     On blow-up the partial trajectory is returned with ``halt_reason`` set
     and the failure time appended; callers decide whether that is an error.
@@ -492,14 +649,18 @@ def run(
     if span < 0:
         raise ValueError("T must be >= the initial snapshot time")
     n_snaps = snapshot_count(span, dt_sub, substride)
-    static = variant.kind == "static"
-    steps = substride if static else 1  # per heat step: a frozen operator steps a stride
     if n_snaps:
         _check_map(variant, initial.phi)
-    t, g, phi, u, metric = initial.t, initial.g, initial.phi, initial.u, initial.metric
-    ric = geometry.ricci(grid, metric)  # of metric, or None
-    curvature = curvature_fields(grid, initial, ric)  # of metric and phi, or None
-    heat = None  # of metric, built on first use
+    t, u, metric = initial.t, initial.u, initial.metric
+    if variant.kind == "static":
+        ws = None
+        curvature = curvature_fields(metric, geometry.ricci(grid, metric),
+                                     geometry._grad_phi_outer(grid, initial.phi))
+    else:
+        ws = _Workspace(grid, variant, schedule, method, dt_sub, initial)
+        metric = ws.metric
+        curvature = ws.curvature_fields()
+    heat = None  # built on first use
     snaps = [initial]
     constants = [_constants(t, curvature)]
     alphas = [float(schedule(t))]
@@ -509,25 +670,30 @@ def run(
         # an overflow halts the run naming the node; numpy's warning would repeat it
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(n_snaps):
-                for _ in range(substride // steps):
+                if ws is None:  # a frozen operator steps a whole stride per call
                     if heat is None:
-                        heat = _HeatStep(grid, metric, dt_sub, method, c_stab)
-                    u_new = heat.advance(u, steps, initial.t, step_index)
-                    if not static:
-                        # the flow reads g and phi only: it steps the pre-heat state
-                        g, phi, metric = _flow_update(grid, variant, schedule, method, t,
-                                                      dt_sub, g, phi, metric, ric, heat.lap)
-                        ric = curvature = heat = None
-                    u = u_new
-                    step_index += steps
-                    # exact time bookkeeping: t derived from the step counter
+                        _require_stable(grid, metric, dt_sub, c_stab)
+                        heat = _HeatStep(geometry.Laplacian(grid, metric), dt_sub, method)
+                    u = heat.advance(u, substride, initial.t, step_index)
+                    step_index += substride
                     t = initial.t + step_index * dt_sub
-                snap = Snapshot._unchecked(t, g, phi, u, metric)
+                    snap = Snapshot._unchecked(t, initial.g, initial.phi, u, metric)
+                else:
+                    for _ in range(substride):
+                        _require_stable(grid, metric, dt_sub, c_stab)
+                        lap = ws.laplacian()
+                        if heat is None:
+                            heat = _HeatStep(lap, dt_sub, method)
+                        u_new = heat.advance(u, 1, initial.t, step_index)
+                        # the flow reads g and phi only: it steps the pre-heat state
+                        ws.step(t)
+                        u = u_new
+                        step_index += 1
+                        # exact time bookkeeping: t derived from the step counter
+                        t = initial.t + step_index * dt_sub
+                    snap = ws.snapshot(t, u)
+                    curvature = ws.curvature_fields()
                 snaps.append(snap)
-                if ric is None:
-                    ric = geometry.ricci(grid, metric)
-                if curvature is None:
-                    curvature = curvature_fields(grid, snap, ric)
                 constants.append(_constants(t, curvature))
                 alphas.append(float(schedule(t)))
     except (BlowUpError, StabilityError) as exc:

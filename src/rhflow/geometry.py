@@ -22,18 +22,34 @@ Validate once: MetricFields
 holds what every operator needs: the components g_ij, the closed-form
 inverse g^{ij} and sqrt(det g) per node, and the smallest eigenvalue over
 the nodes (which the stability bound reads).  The Laplacian's
-coefficients are kept on a ``Laplacian``, built once per metric by the
-stepping loop of a run (all the heat steps of a static run share one) and,
-for the checks, by ``traj.derived.laplacian``.  Every operator taking a metric accepts either a MetricFields or a raw array; a raw array
-is wrapped (and so validated) once on entry.  Code that applies several
-operators to one metric, like a flow substep, builds one MetricFields and
-passes it to all of them.  The wrapped array must not be modified
-afterwards.
+coefficients are kept on a ``Laplacian``, built once per run (a moving
+run refreshes its coefficients in place for each new metric) and, for the
+checks, by ``traj.derived.laplacian``.  Every operator taking a metric
+accepts either a MetricFields or a raw array; a raw array is wrapped (and
+so validated) once on entry.  Code that applies several operators to one
+metric builds one MetricFields and passes it to all of them.  The wrapped
+array must not be modified afterwards.
 
 Tensors are computed component by component with explicit arithmetic over
 the d <= 2 index range (nested lists of node fields, with [i][j] and [j][i]
 one shared array for symmetric tensors) and stacked into ``(..., d, d)``
 arrays only at the public boundary.
+
+Bound kernels
+-------------
+The Christoffel symbols and the Ricci tensor (`Curvature`), d phi and
+dphi (x) dphi (`MapGradient`), the Laplacian, the metric's inverse and
+smallest eigenvalue, and the eigenvalues of a tensor against the metric
+are each one fixed list of in-place ufunc calls, bound once to buffers
+(a ``(function, arguments)`` pair per call, the output last) and run any
+number of times.  A moving run (`flow.run`) binds them once, into one
+workspace, and runs them for every new metric; the public operators bind
+them once per call.  Each list does the floating-point operations per
+node, in their order, of the formulas above, left-to-right sums included,
+so every result is bit for bit that of evaluating them with allocating
+array expressions.  Their fields are contiguous: a first difference along
+an axis is one subtraction over the flattened arrays, then the two layers
+that wrap around the torus.
 """
 
 from __future__ import annotations
@@ -48,6 +64,16 @@ from .grid import Grid, Halo, shift
 # Relative threshold for the positive-definiteness check: smallest eigenvalue
 # must exceed PD_RTOL * trace(g) at every node.
 PD_RTOL = 1e-12
+
+# scalars as 0-d arrays multiply and divide as the floats do, with less
+# overhead per call
+_HALF, _ONE, _TWO, _MINUS_TWO = (np.array(v) for v in (0.5, 1.0, 2.0, -2.0))
+
+
+def _run(calls) -> None:
+    """Run a list of (function, arguments) calls in order."""
+    for f, args in calls:
+        f(*args)
 
 
 class MetricDegenerateError(ValueError):
@@ -81,8 +107,18 @@ def min_metric_eigenvalue(g: np.ndarray) -> np.ndarray:
     """
     if _metric_dim(g) == 1:
         return g[..., 0, 0]
-    a, b, c = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-    return 0.5 * (a + c) - np.hypot(0.5 * (a - c), b)
+    lam, tr, tmp = (np.empty(g.shape[:-2]) for _ in range(3))
+    _run(_min_eigenvalue_calls(_components(g), lam, tr, tmp))
+    return lam
+
+
+def _min_eigenvalue_calls(comp: list, lam, tr, tmp) -> list:
+    """The calls that write `min_metric_eigenvalue` of the 2-D metric with
+    components ``comp`` into ``lam`` and its trace into ``tr``."""
+    a, b, c = comp[0][0], comp[0][1], comp[1][1]
+    return [(np.add, (a, c, tr)), (np.multiply, (tr, _HALF, lam)),
+            (np.subtract, (a, c, tmp)), (np.multiply, (tmp, _HALF, tmp)),
+            (np.hypot, (tmp, b, tmp)), (np.subtract, (lam, tmp, lam))]
 
 
 def check_metric(g: np.ndarray) -> np.ndarray:
@@ -111,6 +147,29 @@ def check_metric(g: np.ndarray) -> np.ndarray:
     return lam
 
 
+def _components(g: np.ndarray) -> list:
+    """The node fields g_ij of a metric array, as views."""
+    d = g.shape[-1]
+    return [[g[..., i, j] for j in range(d)] for i in range(d)]
+
+
+def _inverse_calls(comp: list, inv: list, sqrt_det: np.ndarray, det=None, tmp=None) -> list:
+    """The calls that write g^{ij} into ``inv`` (a nested list, [0][1] and
+    [1][0] one array) and sqrt(det g) into ``sqrt_det`` from what the
+    components ``comp`` hold when they run; a 2-D metric also needs the
+    node fields ``det`` and ``tmp``."""
+    c = comp
+    if len(c) == 1:
+        return [(np.divide, (_ONE, c[0][0], inv[0][0])), (np.sqrt, (c[0][0], sqrt_det))]
+    return [
+        (np.multiply, (c[0][0], c[1][1], det)), (np.multiply, (c[0][1], c[0][1], tmp)),
+        (np.subtract, (det, tmp, det)),
+        (np.negative, (c[0][1], tmp)), (np.divide, (tmp, det, inv[0][1])),
+        (np.divide, (c[1][1], det, inv[0][0])), (np.divide, (c[0][0], det, inv[1][1])),
+        (np.sqrt, (det, sqrt_det)),
+    ]
+
+
 class MetricFields:
     """One metric array, validated once, with its pointwise derived fields.
 
@@ -124,32 +183,29 @@ class MetricFields:
     def __init__(self, g: np.ndarray):
         self.min_eigenvalue = float(np.min(check_metric(g)))
         self.g = g
-        d = self.dim = g.shape[-1]
-        self.comp = [[g[..., i, j] for j in range(d)] for i in range(d)]
-        c = self.comp
-        det = c[0][0] if d == 1 else c[0][0] * c[1][1] - c[0][1] * c[0][1]
-        if d == 1:
-            self.inv = [[1.0 / det]]
-        else:
-            off = -c[0][1] / det
-            self.inv = [[c[1][1] / det, off], [off, c[0][0] / det]]
-        self.sqrt_det = np.sqrt(det)
+        self.dim = g.shape[-1]
+        self.comp = _components(g)
+        shape = g.shape[:-2]
+        self.inv = _sym(self.dim, lambda i, j: np.empty(shape))
+        self.sqrt_det = np.empty(shape)
+        scratch = (np.empty(shape), np.empty(shape)) if self.dim == 2 else ()
+        _run(_inverse_calls(self.comp, self.inv, self.sqrt_det, *scratch))
+
+    @classmethod
+    def _assembled(cls, g, comp: list, inv: list, sqrt_det: np.ndarray,
+                   min_eigenvalue: float) -> "MetricFields":
+        """The fields of a metric validated elsewhere, from the same
+        formulas; runs no check.  ``g`` is None for a metric held only as
+        components (a moving run's workspace)."""
+        mf = object.__new__(cls)
+        mf.__dict__.update(min_eigenvalue=min_eigenvalue, g=g, dim=len(comp), comp=comp,
+                           inv=inv, sqrt_det=sqrt_det)
+        return mf
+
 
 def metric_fields(g) -> MetricFields:
     """``g`` itself if it is a MetricFields, else a new one built from the array."""
     return g if isinstance(g, MetricFields) else MetricFields(g)
-
-
-def laplacian_faces(g) -> list:
-    """Laplacian face coefficients, one node field per axis i: the mean
-    1/2 (a_k + a_{k+1}) of a = sqrt(det g) g^{ii} over the face between
-    nodes k and k+1, stored at node k."""
-    mf = metric_fields(g)
-    out = []
-    for i in range(mf.dim):
-        a = mf.sqrt_det * mf.inv[i][i]
-        out.append(0.5 * (a + shift(a, -1, i)))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -185,39 +241,184 @@ def _stack2(t) -> np.ndarray:
     return np.stack([np.stack(row, axis=-1) for row in t], axis=-2)
 
 
+# ---------------------------------------------------------------------------
+# bound kernels: fixed lists of in-place calls
+
+class _Calls(list):
+    """A list of calls, each a (function, arguments) pair whose ufunc
+    writes into its last argument, built once and run any number of times
+    (`_run`); calling it appends one and returns that argument."""
+
+    def __init__(self, grid: Grid):
+        super().__init__()
+        self.grid = grid
+
+    def __call__(self, f, *args):
+        self.append((f, args))
+        return args[-1]
+
+    def ghosts(self, halo: Halo, axes) -> None:
+        """Copy the ghost layers of ``halo`` along ``axes`` from their images."""
+        for a in axes:
+            self.extend((ghost.__setitem__, (..., image))
+                        for ghost, image in halo.ghosts[2 * a:2 * a + 2])
+
+    def d1(self, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+        """`Grid.d1` along ``axis`` of the C-contiguous field ``a`` (node
+        axes first, then any trailing ones) into the C-contiguous ``out``:
+        a[k + 1] - a[k - 1] as one subtraction over the flattened arrays,
+        then the two layers whose neighbours lie across the periodic seam
+        (also where the flat subtraction paired nodes of different rows),
+        then the division by 2 h."""
+        if not (a.flags.c_contiguous and out.flags.c_contiguous):
+            raise ValueError("d1 calls need C-contiguous fields")
+        n, s = a.shape[axis], a.strides[axis] // a.itemsize
+        flat, flat_out = a.reshape(-1), out.reshape(-1)
+
+        def layer(k):
+            return (slice(None),) * axis + (slice(k, k + 1),)
+
+        self(np.subtract, flat[2 * s:], flat[:-2 * s], flat_out[s:-s])
+        self(np.subtract, a[layer(1)], a[layer(n - 1)], out[layer(0)])
+        self(np.subtract, a[layer(0)], a[layer(n - 2)], out[layer(n - 1)])
+        return self(np.divide, out, np.array(2.0 * self.grid.h[axis]), out)
+
+    def dot(self, xs, ys, out, tmp) -> np.ndarray:
+        """`_dot` into ``out``: the products added left to right."""
+        self(np.multiply, xs[0], ys[0], out)
+        for x, y in zip(xs[1:], ys[1:]):
+            self(np.add, out, self(np.multiply, x, y, tmp), out)
+        return out
+
+
+class Curvature:
+    """The Christoffel symbols and the Ricci tensor of one metric, each a
+    fixed list of in-place ufunc calls bound once to its buffers.
+
+    ``comp`` and ``inv`` hold the components g_ij and g^{ij} as
+    C-contiguous node fields (nested lists, [i][j] and [j][i] one array).
+    The calls read whatever these hold when they run, so the owner of a
+    metric that changes in place runs them again for each new metric.
+    `christoffel` returns G[k][i][j] and `ricci` R[i][j] (symmetric pairs
+    one array), buffers that the next run overwrites.  Each component is
+    formed by the index loops and left-to-right sums of the module
+    docstring's formulas:
+
+        G_lij  = 1/2 ((d_i g_jl + d_j g_il) - d_l g_ij)
+        G^k_ij = sum_l g^{kl} G_lij
+        R_ij   = ((sum_k d_k G^k_ij - t2) + sum_l tr_l G^l_ij)
+                 - sum_{k,l} G^k_il G^l_kj,   tr_j = sum_k G^k_kj,
+
+    with t2 = d_i tr_j, symmetrized as 1/2 (d_i tr_j + d_j tr_i) off the
+    diagonal, the one term that is not symmetric in (i, j) on the grid; in
+    1-D tr_0 is G^0_00 itself.  A 2-D metric takes 146 calls into 20 node
+    fields of its own, the Christoffel symbols the first 60; the Ricci calls
+    are bound on first use.
+    """
+
+    def __init__(self, grid: Grid, comp: list, inv: list):
+        d, shape, p = grid.dim, grid.shape, _Calls(grid)
+        axes = range(d)
+        pairs = [(i, j) for i in axes for j in range(i, d)]
+
+        def new():
+            return np.empty(shape)
+
+        s0, s1, s2 = new(), new(), new()
+        dg = [_sym(d, lambda b, c, a=a: p.d1(comp[b][c], a, new())) for a in axes]
+        gam = [_sym(d, lambda i, j: new()) for _ in axes]
+        first = [s0, s1][:d]
+        for i, j in pairs:
+            for l in axes:
+                p(np.add, dg[i][j][l], dg[j][i][l], first[l])
+                p(np.subtract, first[l], dg[l][i][j], first[l])
+                p(np.multiply, first[l], _HALF, first[l])
+            for k in axes:
+                p.dot(inv[k], first, gam[k][i][j], s2)
+        self.gam, self.ric = gam, _sym(d, lambda i, j: new())
+        self._christoffel = list(p)
+        self._calls, self._ricci, self._scratch = p, None, (s0, s1)
+
+    def _bind_ricci(self) -> list:
+        """The Ricci calls after the Christoffel ones, bound on first use
+        (a one-shot Christoffel field needs none of them)."""
+        p, gam, (s0, s1) = self._calls, self.gam, self._scratch
+        d = p.grid.dim
+        axes = range(d)
+        pairs = [(i, j) for i in axes for j in range(i, d)]
+        tr = [gam[0][0][0]] if d == 1 else [
+            p(np.add, gam[0][0][j], gam[1][1][j], np.empty(p.grid.shape)) for j in axes]
+        for i, j in pairs:
+            r = self.ric[i][j]
+            p.d1(gam[0][i][j], 0, r)
+            for k in axes[1:]:
+                p(np.add, r, p.d1(gam[k][i][j], k, s0), r)
+            t2 = p.d1(tr[j], i, s0)
+            if i != j:
+                p(np.add, t2, p.d1(tr[i], j, s1), t2)
+                p(np.multiply, t2, _HALF, t2)
+            p(np.subtract, r, t2, r)
+            p(np.add, r, p.dot(tr, [gam[l][i][j] for l in axes], s0, s1), r)
+            t4 = p.dot([gam[k][i][l] for k in axes for l in axes],
+                       [gam[l][k][j] for k in axes for l in axes], s0, s1)
+            p(np.subtract, r, t4, r)
+        return list(p)
+
+    def christoffel(self) -> list:
+        _run(self._christoffel)
+        return self.gam
+
+    def ricci(self) -> list:
+        if self._ricci is None:
+            self._ricci = self._bind_ricci()
+        _run(self._ricci)
+        return self.ric
+
+
+def _curvature(grid: Grid, mf: MetricFields) -> Curvature:
+    """A one-shot `Curvature` of ``mf``, reading contiguous copies of its
+    components."""
+    comp = _sym(mf.dim, lambda i, j: np.ascontiguousarray(mf.comp[i][j]))
+    inv = _sym(mf.dim, lambda i, j: np.ascontiguousarray(mf.inv[i][j]))
+    return Curvature(grid, comp, inv)
+
+
 def _christoffel(grid: Grid, mf: MetricFields) -> list:
     """G[k][i][j] as node fields; G[k][i][j] and G[k][j][i] are one array."""
-    d = mf.dim
-    dg = [grid.d1(mf.g, ax) for ax in range(d)]  # dg[a][..., b, c] = d_a g_bc
-    # first kind: G_lij = 1/2 (d_i g_jl + d_j g_il - d_l g_ij)
-    first = [
-        _sym(d, lambda i, j, l=l: 0.5 * (dg[i][..., j, l] + dg[j][..., i, l] - dg[l][..., i, j]))
-        for l in range(d)
-    ]
-    return [
-        _sym(d, lambda i, j, k=k: _dot(mf.inv[k], [first[l][i][j] for l in range(d)]))
-        for k in range(d)
-    ]
+    return _curvature(grid, mf).christoffel()
 
 
 def _ricci(grid: Grid, mf: MetricFields) -> list:
     """Symmetric Ricci components R[i][j]."""
-    d = mf.dim
-    gam = _christoffel(grid, mf)
-    tr = [_sum(gam[k][k][j] for k in range(d)) for j in range(d)]
-    dtr = [[grid.d1(tr[j], i) for j in range(d)] for i in range(d)]  # dtr[i][j] = d_i G^k_kj
+    return _curvature(grid, mf).ricci()
 
-    def comp(i, j):
-        t1 = _sum(grid.d1(gam[k][i][j], k) for k in range(d))
-        # the raw contraction is symmetrized: only d_i G^k_kj is not
-        # symmetric in (i, j) on the grid
-        t2 = dtr[i][j] if i == j else 0.5 * (dtr[i][j] + dtr[j][i])
-        t3 = _dot(tr, [gam[l][i][j] for l in range(d)])
-        t4 = _dot([gam[k][i][l] for k in range(d) for l in range(d)],
-                  [gam[l][k][j] for k in range(d) for l in range(d)])
-        return t1 - t2 + t3 - t4
 
-    return _sym(d, comp)
+class MapGradient:
+    """d phi and dphi (x) dphi of a map, as one fixed list of in-place calls.
+
+    ``phi`` is a C-contiguous array ``grid.shape + (components,)``;
+    ``dphi[i][..., m]`` is d_i phi^m and ``outer[i][j]`` (symmetric pairs
+    one array) is sum_m d_i phi^m d_j phi^m, summed over the components as
+    ``np.sum`` sums the last axis (it is ``np.add.reduce``).  Calling it
+    runs the calls on what ``phi`` holds and returns ``outer``.
+    """
+
+    def __init__(self, grid: Grid, phi: np.ndarray):
+        p = _Calls(grid)
+        self.dphi = [p.d1(phi, a, np.empty(phi.shape)) for a in range(grid.dim)]
+        prod = np.empty(phi.shape)
+        self.outer = _sym(grid.dim, lambda i, j: p(
+            np.add.reduce, p(np.multiply, self.dphi[i], self.dphi[j], prod), -1, None,
+            np.empty(grid.shape)))
+        self._calls = list(p)
+
+    def __call__(self) -> list:
+        _run(self._calls)
+        return self.outer
+
+
+def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:
+    return MapGradient(grid, np.ascontiguousarray(phi))()
 
 
 def _partials(grid: Grid, s: np.ndarray) -> list:
@@ -228,39 +429,45 @@ class Laplacian:
     """The Laplace-Beltrami operator of one metric, built once and applied
     to any number of scalar fields (see `laplace_beltrami` for the scheme).
 
-    It holds what every application reads: the metric's `laplacian_faces`,
-    sqrt(det g), in 2-D the mixed coefficient sqrt(det g) g^{01}, the grid
-    spacings, and scratch buffers.  Term (i, j) of the sum is
+    It holds what every application reads: the face coefficients, sqrt(det
+    g), in 2-D the mixed coefficient sqrt(det g) g^{01}, the grid spacings,
+    and scratch buffers.  Term (i, j) of the sum is
 
         (i, i)  (flux - shift(flux, 1, i)) / h_i^2,
                 flux = faces[i] * (shift(s, -1, i) - s),
+                faces[i] = 1/2 (a + shift(a, -1, i)), a = sqrt(det g) g^{ii},
                 face k sitting between nodes k and k+1
         (i, j)  d1(sqrt(det g) g^{ij} d1(s, j), i) for j != i
 
     the terms are added in row-major order, and the sum is divided by
-    sqrt(det g).  Loading a field and applying the operator are split: the
-    field sits in the interior of a `grid.Halo`, and `bind` lists the ufunc
-    calls that refresh the halo's ghost layers and then form each term into
-    the buffers: the term's inner field (flux, or the mixed coefficient
-    times d1(s, j)) is formed one node beyond the grid along i, from the
-    halo and a coefficient padded the same way, so no shifted copy is made.
-    The operator holds one such list, ``calls``, from its own ``halo`` into
-    its own ``out``, built once.  Calling the operator loads s into
-    ``halo``, runs ``calls`` and copies ``out`` out.  A caller may instead
-    keep a field in the halo and step it there, running ``calls`` and its
-    own calls after them each time: `flow.run` steps u a whole stored stride
-    so on a static run, asserting its positivity at every substep through a
-    running minimum and replaying a stride that fails.  The floating-point
-    operations per node and their order are those of the formulas above, so
-    the result is bit for bit theirs.  The calls share the buffers, so one
-    operator serves one caller at a time: a run holds one per metric array,
-    the checks one per metric class (``traj.derived.laplacian``), and the
-    public operators one per call.
+    sqrt(det g).  The coefficients are formed by a fixed list of in-place
+    calls from the metric's sqrt(det g) and g^{ij} arrays, run on
+    construction and again by `refresh`: an owner that changes those arrays
+    in place (a moving run's workspace) refreshes one operator per new
+    metric instead of building one.  Each coefficient is formed one node
+    beyond the grid along i, where its term reads it, through a `grid.Halo`.
+
+    Loading a field and applying the operator are split: the field sits in
+    the interior of a `grid.Halo`, and `bind` lists the ufunc calls that
+    refresh the halo's ghost layers and then form each term into the
+    buffers: the term's inner field (flux, or the mixed coefficient times
+    d1(s, j)) is formed one node beyond the grid along i, from the halo and
+    a padded coefficient, so no shifted copy is made.  The operator holds
+    one such list, ``calls``, from its own ``halo`` into its own ``out``,
+    built once.  Calling the operator loads s into ``halo``, runs ``calls``
+    and copies ``out`` out.  A caller may instead keep a field in the halo
+    and step it there, running ``calls`` and its own calls after them each
+    time: `flow.run` steps u a whole stored stride so on a static run,
+    asserting its positivity at every substep through a running minimum and
+    replaying a stride that fails.  The floating-point operations per node
+    and their order are those of the formulas above, so the result is bit
+    for bit theirs.  The calls share the buffers, so one operator serves one
+    caller at a time: a run holds one, the checks one per metric class
+    (``traj.derived.laplacian``), and the public operators one per call.
     """
 
     def __init__(self, grid: Grid, g):
-        mf = metric_fields(g)
-        faces = laplacian_faces(mf)
+        mf = self.metric = metric_fields(g)
         self.sqrt_det = mf.sqrt_det
         self.shape = grid.shape
         self._term = np.empty(grid.shape)
@@ -269,20 +476,28 @@ class Laplacian:
         def along(axis, sl, base=core):
             return base[:axis] + (sl,) + base[axis + 1:]
 
-        mixed = self.sqrt_det * mf.inv[0][1] if grid.dim == 2 else None
+        p, a = _Calls(grid), Halo(grid.shape)
+        if grid.dim == 2:  # the mixed coefficient at nodes -1 .. n along each axis
+            mixed = Halo(grid.shape)
+            p(np.multiply, self.sqrt_det, mf.inv[0][1], mixed.inner)
+            p.ghosts(mixed, range(2))
         self._terms = []
         for i, n in enumerate(grid.shape):
             for j, h in enumerate(grid.h):
                 if i == j:  # fluxes through faces -1 .. n - 1, face -1 being n - 1
                     reach, scale, denom = 1, None, h * h
                     hi, lo = along(i, slice(1, None)), along(i, slice(None, -1))
-                    coef = faces[i]
+                    coef = np.empty(along(i, n + 1, grid.shape))
+                    p(np.multiply, self.sqrt_det, mf.inv[i][i], a.inner)
+                    p.ghosts(a, [i])
+                    p(np.add, a.buf[along(i, slice(None, -1))], a.buf[along(i, slice(1, None))],
+                      coef)
+                    p(np.multiply, coef, _HALF, coef)
                 else:  # d1(s, j) at nodes -1 .. n along i
                     reach, scale, denom = 2, np.array(2.0 * h), 2.0 * grid.h[i]
                     rows = along(i, slice(None))
                     hi, lo = along(j, slice(2, None), rows), along(j, slice(None, -2), rows)
-                    coef = mixed
-                coef = np.take(coef, np.arange(-1, n + reach - 1), axis=i, mode="wrap")
+                    coef = mixed.buf[rows]
                 inner = np.empty(coef.shape)
                 # scale and denom as 0-d arrays divide as the floats do, with
                 # less overhead per call
@@ -290,8 +505,15 @@ class Laplacian:
                                     inner[along(i, slice(reach, None), whole)],
                                     inner[along(i, slice(None, -reach), whole)],
                                     np.array(denom)))
+        self._coefficients = list(p)
+        self.refresh()
         self.halo, self.out = Halo(grid.shape), np.empty(grid.shape)
         self.calls = self.bind(self.halo, self.out)
+
+    def refresh(self) -> None:
+        """Form the coefficients again from what the metric's sqrt(det g)
+        and g^{ij} arrays hold now."""
+        _run(self._coefficients)
 
     def bind(self, halo: Halo, out: np.ndarray) -> list:
         """The calls, each a (function, arguments) pair, that write Lap of
@@ -318,17 +540,11 @@ class Laplacian:
     def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Lap s, written into ``out`` (a new array if None); ``out`` may be s."""
         np.copyto(self.halo.inner, s)
-        for f, args in self.calls:
-            f(*args)
+        _run(self.calls)
         if out is None:
             return self.out.copy()
         np.copyto(out, self.out)
         return out
-
-
-def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:
-    dphi = _partials(grid, phi)  # dphi[i][..., m] = d_i phi^m
-    return _sym(grid.dim, lambda i, j: np.sum(dphi[i] * dphi[j], axis=-1))
 
 
 # ---------------------------------------------------------------------------
@@ -476,26 +692,49 @@ def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
     return np.stack(_rough_laplacian_covector(grid, mf, om, _christoffel(grid, mf)), axis=-1)
 
 
-def eig_general(A: np.ndarray, g) -> np.ndarray:
+def eig_general(A, g) -> np.ndarray:
     """Eigenvalues of a symmetric tensor A relative to the metric g, per node.
 
-    Solves A v = lam g v, sorted ascending with trailing shape (d,).  In 2-D
-    the pencil is reduced by the Cholesky congruence B = L^{-1} A L^{-T}
-    (g = L L^T) and B's eigenvalues are taken as mean -/+ hypot(half
-    difference, off-diagonal), which keeps full relative accuracy when A is
-    close to a multiple of g (where trace^2 - 4 det would cancel).
+    A is an array ``grid.shape + (d, d)`` or a nested list of its node
+    fields A[i][j].  Solves A v = lam g v, sorted ascending with trailing
+    shape (d,).  In 2-D the pencil is reduced by the Cholesky congruence
+    B = L^{-1} A L^{-T} (g = L L^T) and B's eigenvalues are taken as
+    mean -/+ hypot(half difference, off-diagonal), which keeps full
+    relative accuracy when A is close to a multiple of g (where
+    trace^2 - 4 det would cancel).
     """
     mf = metric_fields(g)
+    if isinstance(A, np.ndarray):
+        A = _components(A)
+    shape = mf.comp[0][0].shape
+    lo, hi = np.empty(shape), np.empty(shape)
+    _run(_eig_calls(mf, A, lo, hi, [np.empty(shape) for _ in range(5)]))
+    return lo[..., None] if mf.dim == 1 else np.stack([lo, hi], axis=-1)
+
+
+def _eig_calls(mf: MetricFields, A: list, lo: np.ndarray, hi: np.ndarray, scratch: list) -> list:
+    """The calls of `eig_general`, writing the smaller and the larger
+    eigenvalue of (A, g) into ``lo`` and ``hi`` (in 1-D only ``lo``), with
+    five scratch node fields, from what ``A`` and ``mf`` hold when run."""
     if mf.dim == 1:
-        return A[..., 0, 0:1] / mf.g[..., 0, 0:1]
+        return [(np.divide, (A[0][0], mf.comp[0][0], lo))]
     g00, g01 = mf.comp[0][0], mf.comp[0][1]
-    a00, a11 = A[..., 0, 0], A[..., 1, 1]
-    a01 = 0.5 * (A[..., 0, 1] + A[..., 1, 0])
+    c, b00, a01, ca00, b01 = scratch
     # L = [[l00, 0], [l10, l11]]: l00^2 = g00, l10 = c l00, l00 l11 = sqrt(det g)
-    c = g01 / g00
-    b00 = a00 / g00
-    b01 = (a01 - c * a00) / mf.sqrt_det
-    b11 = (a11 - c * (2.0 * a01 - c * a00)) * mf.inv[1][1]  # g00 / det g
-    mean = 0.5 * (b00 + b11)
-    rad = np.hypot(0.5 * (b00 - b11), b01)
-    return np.stack([mean - rad, mean + rad], axis=-1)
+    # c = g01 / g00, b00 = a00 / g00, a01 = 1/2 (A01 + A10),
+    # b01 = (a01 - c a00) / sqrt(det g),
+    # b11 = (a11 - c (2 a01 - c a00)) g00 / det g,
+    # eigenvalues mean -/+ hypot(1/2 (b00 - b11), b01), mean = 1/2 (b00 + b11)
+    b11 = ca00
+    return [
+        (np.divide, (g01, g00, c)), (np.divide, (A[0][0], g00, b00)),
+        (np.add, (A[0][1], A[1][0], a01)), (np.multiply, (a01, _HALF, a01)),
+        (np.multiply, (c, A[0][0], ca00)), (np.subtract, (a01, ca00, b01)),
+        (np.divide, (b01, mf.sqrt_det, b01)),
+        (np.multiply, (a01, _TWO, a01)), (np.subtract, (a01, ca00, a01)),
+        (np.multiply, (c, a01, a01)), (np.subtract, (A[1][1], a01, a01)),
+        (np.multiply, (a01, mf.inv[1][1], b11)),
+        (np.add, (b00, b11, lo)), (np.multiply, (lo, _HALF, lo)),
+        (np.subtract, (b00, b11, c)), (np.multiply, (c, _HALF, c)), (np.hypot, (c, b01, c)),
+        (np.add, (lo, c, hi)), (np.subtract, (lo, c, lo)),
+    ]

@@ -54,7 +54,8 @@ class Halo:
     plain slices of ``buf``: node k of the field sits at k + 1 along each
     axis (the view ``inner``), and ``buf[0]`` and ``buf[n + 1]`` along an
     axis hold its layers n - 1 and 0, corners included, once each ghost
-    layer in ``ghosts`` has been copied from its image, in order.
+    layer in ``ghosts`` has been copied from its image, in order.  The
+    ghost layers of axis a are ``ghosts[2 a]`` and ``ghosts[2 a + 1]``.
     """
 
     def __init__(self, shape: tuple[int, ...]):

@@ -118,10 +118,10 @@ def test_identities_and_evolution_build_one_laplacian_on_a_static_run(eigenmode_
     if reloaded:  # separate but equal arrays in every snapshot
         save_run(eigenmode_run, tmp_path / "run")
         traj = load_run(tmp_path / "run")
-    faces = count_calls(monkeypatch, geometry, "laplacian_faces")
+    faces = count_calls(monkeypatch, geometry.Laplacian, "refresh")
     est.check_identities(traj)
     est.check_evolution_inequality(traj, 1.5, 1.0 / 4.5, 1.0 / 4.5)
-    assert [args[0] for args in faces] == [traj.snapshots[0].metric]
+    assert [args[0].metric for args in faces] == [traj.snapshots[0].metric]
 
 
 @pytest.fixture(scope="module")
@@ -136,7 +136,7 @@ def test_checks_build_one_laplacian_per_metric_class_of_a_coupled_run(short_coup
     snaps = traj.snapshots
     S = len(snaps)
     assert S == 7 and traj.derived.metric_class == list(range(S))
-    faces = count_calls(monkeypatch, geometry, "laplacian_faces")
+    faces = count_calls(monkeypatch, geometry.Laplacian, "refresh")
     expected = []
     if check != "evolution":  # every snapshot, in time order
         est.check_identities(traj)
@@ -144,7 +144,7 @@ def test_checks_build_one_laplacian_per_metric_class_of_a_coupled_run(short_coup
     if check != "identities":  # the interior snapshots it reads, 2 .. S - 3
         est.check_evolution_inequality(traj, 1.5, 1.0 / 4.5, 1.0 / 4.5)
         expected += snaps[2:S - 2]
-    assert [args[0] for args in faces] == [s.metric for s in expected]
+    assert [args[0].metric for args in faces] == [s.metric for s in expected]
 
 
 def test_spellings_of_one_node_share_one_dijkstra_and_echo(eigenmode_run, monkeypatch):

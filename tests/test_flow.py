@@ -320,23 +320,27 @@ def test_map_blowup_halts_gracefully():
 
 
 # ---------------------------------------------------------------------------
-# validate once per metric
+# validate once per metric: the initial snapshot's as an array
+# (`geometry.check_metric`), each stepped one in the run's workspace
+# (`flow._Workspace.validate`)
 
 
 def test_coupled_run_validates_each_new_metric_once(monkeypatch):
     sc, n_substeps = short_coupled_scenario()
-    calls = count_calls(monkeypatch, geometry, "check_metric")
+    checks = count_calls(monkeypatch, geometry, "check_metric")
+    validations = count_calls(monkeypatch, flow._Workspace, "validate")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 3
-    assert len(calls) <= n_substeps + 1
+    assert len(checks) == 1 and len(checks) + len(validations) <= n_substeps + 1
 
 
 def test_coupled_rk2_run_validates_midpoint_and_end_metrics(monkeypatch):
     sc, n_substeps = short_coupled_scenario("rk2")
-    calls = count_calls(monkeypatch, geometry, "check_metric")
+    checks = count_calls(monkeypatch, geometry, "check_metric")
+    validations = count_calls(monkeypatch, flow._Workspace, "validate")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 3
-    assert len(calls) == 2 * n_substeps + 1
+    assert len(checks) + len(validations) == 2 * n_substeps + 1 and len(checks) == 1
 
 
 def test_run_halts_on_degenerate_rk2_midpoint():
@@ -358,6 +362,32 @@ def test_run_halts_on_degenerate_rk2_midpoint():
     assert len(traj.snapshots) == 1
 
 
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+def test_degenerate_metric_halts_as_the_reference_loop_does(method):
+    # a sheared conformal metric and a dt (let through by an enlarged
+    # c_stab) that takes it past degeneracy a few stored strides in: the
+    # run halts at the reference's substep, with its message and its
+    # partial trajectory
+    grid = Grid(2, (16, 16), (1.0, 1.0))
+    x, y = grid.coords()
+    f = 0.3 * np.cos(2.0 * np.pi * x) * np.cos(2.0 * np.pi * y)
+    g = np.exp(2.0 * f)[..., None, None] * np.eye(2)
+    g[..., 0, 1] = g[..., 1, 0] = 0.2 * np.sin(2.0 * np.pi * x) * np.exp(f)
+    snap = Snapshot(0.0, g, 0.1 * np.sin(2.0 * np.pi * y)[..., None], np.ones(grid.shape))
+    dt = 0.05 / float(geometry.eig_general(geometry.ricci(grid, g), g).max())
+    args = (grid, FlowVariant("rh_alpha"), AlphaSchedule(0.5), snap, 40 * dt, dt, 2)
+    c_stab = 2.0 * dt / stability_limit(grid, g, 1.0)
+    traj = run(*args, method=method, c_stab=c_stab)
+    ref = heat_oracle.moving_run(*args, method=method, c_stab=c_stab)
+    assert "metric degenerate after step" in traj.halt_reason
+    assert traj.halt_reason == ref.halt_reason and len(traj.snapshots) > 2
+    assert [s.t for s in traj.snapshots] == [s.t for s in ref.snapshots]
+    for a, b in zip(traj.snapshots, ref.snapshots, strict=True):
+        for name in ("u", "g", "phi"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert traj.constants == ref.constants and traj.alphas == ref.alphas
+
+
 def test_static_run_validates_its_metric_once(monkeypatch):
     sc = load_scenario("static_eigenmode")
     calls = count_calls(monkeypatch, geometry, "check_metric")
@@ -368,23 +398,25 @@ def test_static_run_validates_its_metric_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# work done once per run: face coefficients, snapshot checks, Ricci
+# work done once per run: face coefficients, snapshot checks, Ricci; a
+# Laplacian forms its coefficients on construction and on each refresh,
+# both through `geometry.Laplacian.refresh`
 
 
 @pytest.mark.parametrize("method", ["euler", "rk2"])
 def test_static_run_builds_face_coefficients_once(monkeypatch, method):
-    builds = count_calls(monkeypatch, geometry, "laplacian_faces")
+    builds = count_calls(monkeypatch, geometry.Laplacian, "refresh")
     traj = run_scenario(load_scenario(tiny_static_cfg()), method=method)
     assert traj.completed and len(traj.snapshots) == 5
-    assert [args[0] for args in builds] == [traj.snapshots[0].metric]
+    assert [args[0].metric for args in builds] == [traj.snapshots[0].metric]
 
 
 @pytest.mark.parametrize("method", ["euler", "rk2"])
 def test_coupled_run_builds_face_coefficients_once_per_flow_stage(monkeypatch, method):
     # the loop's faces serve the heat step and the tension of one metric;
-    # an RK2 step also builds the midpoint metric's
+    # an RK2 step also forms the midpoint metric's
     sc, n_substeps = short_coupled_scenario(method)
-    builds = count_calls(monkeypatch, geometry, "laplacian_faces")
+    builds = count_calls(monkeypatch, geometry.Laplacian, "refresh")
     traj = run_scenario(sc)
     assert traj.completed
     assert len(builds) == (1 if method == "euler" else 2) * n_substeps
@@ -412,12 +444,21 @@ def test_snapshot_constructor_checks_only_the_initial_snapshot(monkeypatch, scen
         Snapshot(last.t, last.g, last.phi, -last.u, last.metric)
 
 
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_snapshot_refuses_a_u_not_finite_and_positive(bad):
+    grid = Grid(2, (8, 8), (1.0, 1.0))
+    u = np.ones(grid.shape)
+    u[3, 4] = bad
+    with pytest.raises(BlowUpError, match="positive"):
+        Snapshot(0.0, flat_metric(grid), np.zeros(grid.shape + (1,)), u)
+
+
 @pytest.mark.parametrize("method, per_substep", [("euler", 1), ("rk2", 2)])
 def test_run_evaluates_ricci_once_per_flow_stage_plus_one(monkeypatch, method, per_substep):
     # each stored snapshot's Ricci tensor serves its constants and the next
     # substep's flow; only the final snapshot's is not reused
     sc, n_substeps = short_coupled_scenario(method)
-    calls = count_calls(monkeypatch, geometry, "ricci")
+    calls = count_calls(monkeypatch, geometry.Curvature, "ricci")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 3
     assert len(calls) == per_substep * n_substeps + 1
@@ -460,7 +501,7 @@ def test_run_assembles_each_stored_snapshot_once(monkeypatch, scenario):
 @pytest.mark.parametrize("method", ["euler", "rk2"])
 def test_static_run_checks_stability_once_and_takes_no_flow_step(monkeypatch, method):
     stable = count_calls(monkeypatch, flow, "_require_stable")
-    flows = count_calls(monkeypatch, flow, "_flow_update")
+    flows = count_calls(monkeypatch, flow._Workspace, "__init__")
     traj = run_scenario(load_scenario(tiny_static_cfg()), method=method)
     assert traj.completed and len(traj.snapshots) == 5
     assert len(stable) == 1 and not flows
@@ -509,9 +550,15 @@ def test_run_refused_for_stability_halts_before_its_first_substep(method):
 # positivity at every substep of a stride stepped in one call
 
 
-def static_run_and_reference(grid, g, u, dt, T, stride, method, c_stab=flow.C_STAB_DEFAULT):
-    """A static run and `heat_oracle.static_run`, its per-substep reference."""
-    snap = Snapshot(0.0, g, np.zeros(grid.shape + (1,)), u)
+def static_run_and_reference(grid, g, u, dt, T, stride, method, c_stab=flow.C_STAB_DEFAULT,
+                             checked=True):
+    """A static run and `heat_oracle.static_run`, its per-substep reference;
+    with ``checked`` False the initial snapshot is assembled unchecked."""
+    phi = np.zeros(grid.shape + (1,))
+    if checked:
+        snap = Snapshot(0.0, g, phi, u)
+    else:
+        snap = Snapshot._unchecked(0.0, g, phi, u, geometry.MetricFields(g))
     traj = run(grid, FlowVariant("static"), AlphaSchedule(0.0), snap, T, dt, stride,
                method=method, c_stab=c_stab)
     return traj, heat_oracle.static_run(grid, snap, T, dt, stride, method, c_stab)
@@ -520,7 +567,7 @@ def static_run_and_reference(grid, g, u, dt, T, stride, method, c_stab=flow.C_ST
 def unchecked_minima(grid, g, u, dt, method, n):
     """min u after each of n reference heat steps, positivity not asserted."""
     mf = geometry.MetricFields(g)
-    faces = geometry.laplacian_faces(mf)
+    faces = heat_oracle.laplacian_faces(mf)
 
     def lap(s):
         return heat_oracle._laplace(grid, mf, s, faces)
@@ -581,14 +628,17 @@ def test_nan_inside_a_stride_halts_at_its_substep(method):
     # an infinite node is positive; its own Laplacian is inf - inf, so the
     # first substep leaves NaN there beside infinite neighbours, and no
     # node below zero: only NaN's propagation through the running minimum
-    # halts the run
+    # halts the run.  The Snapshot constructor refuses such a u, so it is
+    # assembled unchecked here
     grid = Grid(1, (32,), (1.0,))
     u = np.ones(32)
     u[5] = np.inf
     dt = 0.1 * grid.h[0] ** 2
+    with pytest.raises(BlowUpError, match="finite and positive"):
+        Snapshot(0.0, flat_metric(grid), np.zeros(grid.shape + (1,)), u)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         traj, (times, _, constants, halt) = static_run_and_reference(
-            grid, flat_metric(grid), u, dt, 20 * dt, 5, method)
+            grid, flat_metric(grid), u, dt, 20 * dt, 5, method, checked=False)
     assert traj.halt_reason == halt == f"heat solution lost positivity (halted at t={dt:g})"
     assert list(traj.times) == times == [0.0] and traj.constants == constants

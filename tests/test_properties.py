@@ -8,7 +8,11 @@ weighted inner product, to roundoff.  The in-place `geometry.Laplacian`,
 and the heat step built on it and the operator a trajectory's derived layer
 hands the checks, match the allocating reference in `heat_oracle` bit for
 bit, and a static run, which steps a stored stride per call, matches the
-reference's one substep at a time.
+reference's one substep at a time.  The bound curvature and map-gradient
+kernels match the earlier allocating `_christoffel`, `_ricci` and
+`_grad_phi_outer`, and a moving run, stepped in its workspace, matches the
+earlier run loop (`heat_oracle.moving_run`) byte for byte, on metrics
+with off-diagonal terms of order 0.1-0.5 and maps of 1-3 components.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
@@ -17,12 +21,14 @@ so the suite stays fast and reproducible.
 import copy
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import heat_oracle
 from rhflow import geometry
-from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_heat
+from rhflow.flow import (AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_flow,
+                         step_heat)
 from rhflow.grid import Grid
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
@@ -171,3 +177,98 @@ def test_layer_laplacian_matches_the_reference_bitwise(eigenmode_run, coupled_ru
             s = rng.standard_normal(traj.grid.shape)
             assert np.array_equal(traj.derived.laplacian(i)(s), heat_oracle.laplace_beltrami(
                 traj.grid, traj.snapshots[i].metric, s))
+
+
+def same_bytes(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(
+        b).tobytes()
+
+
+def sheared_metric(grid, rng, shear):
+    """A random SPD metric whose off-diagonal term is of order ``shear``."""
+    g = random_metric(grid, rng)
+    if grid.dim == 2:
+        g[..., 0, 0] += shear
+        g[..., 1, 1] += shear
+        g[..., 0, 1] = g[..., 1, 0] = shear * (0.5 + 0.5 * rng.random(grid.shape))
+    return g
+
+
+@PROPERTY
+@given(grid=grids(), seed=st.integers(0, 2**32 - 1), n_maps=st.integers(1, 3),
+       shear=st.floats(0.1, 0.5))
+def test_curvature_kernels_match_the_reference_bitwise(grid, seed, n_maps, shear):
+    rng = np.random.default_rng(seed)
+    g = sheared_metric(grid, rng, shear)
+    mf = heat_oracle.MetricFields(g)
+    gam = heat_oracle._christoffel(grid, mf)
+    assert same_bytes(geometry.christoffel(grid, g),
+                      np.stack([heat_oracle._stack2(gk) for gk in gam], axis=-3))
+    ric = geometry.ricci(grid, g)
+    assert same_bytes(ric, heat_oracle.ricci(grid, g))
+    if grid.dim == 1:  # its terms cancel pairwise: exactly zero for any metric
+        assert np.all(ric == 0.0)
+    phi = rng.standard_normal(grid.shape + (n_maps,))
+    outer = geometry.grad_phi_outer(grid, phi)
+    assert same_bytes(outer, heat_oracle.grad_phi_outer(grid, phi))
+    assert same_bytes(geometry.eig_general(outer, g), heat_oracle.eig_general(outer, g))
+    fields = geometry.MetricFields(g)
+    assert fields.min_eigenvalue == mf.min_eigenvalue
+    assert same_bytes(fields.sqrt_det, mf.sqrt_det)
+    assert all(same_bytes(a, b) for ra, rb in zip(fields.inv, mf.inv) for a, b in zip(ra, rb))
+
+
+@st.composite
+def moving_runs(draw, kind):
+    """(grid, variant, schedule, initial snapshot, T, dt, stride) of a 2-D
+    moving run of variant ``kind``."""
+    grid = Grid(2, tuple(draw(st.integers(8, 12)) for _ in range(2)), (1.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rh_alpha":
+        variant = FlowVariant("rh_alpha")
+        schedule = AlphaSchedule(1.0, 0.5, "linear_decay", 3.0)
+        n_maps = draw(st.sampled_from([3, 1, 2]))
+    else:
+        variant = FlowVariant("warped_product", m=draw(st.sampled_from([2, 1])),
+                              mu=draw(st.sampled_from([-1.0, 0.5, 0.0])))
+        schedule, n_maps = AlphaSchedule(0.0), 1
+    g = sheared_metric(grid, rng, draw(st.floats(0.1, 0.5)))
+    phi = 0.3 * rng.standard_normal(grid.shape + (n_maps,))
+    snap = Snapshot(0.01, g, phi, 1.0 + rng.random(grid.shape))
+    dt = 0.5 * stability_limit(grid, snap.metric)
+    # a few stored strides: derandomized examples draw the first entries first
+    stride = draw(st.sampled_from([3, 1, 2]))
+    T = snap.t + stride * draw(st.sampled_from([3, 2])) * dt
+    return grid, variant, schedule, snap, T, dt, stride
+
+
+def assert_same_run(traj, ref):
+    assert traj.halt_reason == ref.halt_reason
+    assert len(traj.snapshots) == len(ref.snapshots)
+    for a, b in zip(traj.snapshots, ref.snapshots):
+        assert a.t == b.t
+        assert same_bytes(a.u, b.u) and same_bytes(a.g, b.g) and same_bytes(a.phi, b.phi)
+        # the metric fields a run assembles are those of validating the array
+        fresh = geometry.MetricFields(a.g)
+        assert a.metric.min_eigenvalue == fresh.min_eigenvalue
+        assert same_bytes(a.metric.sqrt_det, fresh.sqrt_det)
+        assert all(same_bytes(x, y) for rx, ry in zip(a.metric.inv, fresh.inv)
+                   for x, y in zip(rx, ry))
+    assert traj.constants == ref.constants and traj.alphas == ref.alphas
+
+
+@pytest.mark.parametrize("method", ["euler", "rk2"])
+@pytest.mark.parametrize("kind", ["rh_alpha", "warped_product"])
+@settings(PROPERTY, max_examples=3)
+@given(data=st.data())
+def test_moving_run_matches_the_reference_loop_bytewise(kind, method, data):
+    grid, variant, schedule, snap, T, dt, stride = data.draw(moving_runs(kind))
+    traj = run(grid, variant, schedule, snap, T, dt, stride, method=method)
+    ref = heat_oracle.moving_run(grid, variant, schedule, snap, T, dt, stride, method=method)
+    assert_same_run(traj, ref)
+    # step_flow is run's substep, u carried along
+    stepped = step_flow(grid, snap, dt, variant, schedule, method)
+    g, phi, metric = heat_oracle._flow_update(grid, variant, schedule, method, snap.t, dt,
+                                              snap.g, snap.phi, snap.metric, None, None)
+    assert same_bytes(stepped.g, g) and same_bytes(stepped.phi, phi)
+    assert stepped.u is snap.u and stepped.metric.min_eigenvalue == metric.min_eigenvalue

@@ -942,6 +942,20 @@ def test_cli_check_stored_non_positive_u_exits_2(tmp_path, capsys):
     assert "snap_00003.json" in error and "snapshot 3" in error
 
 
+def test_stored_infinite_u_is_refused_naming_its_file(tmp_path, capsys):
+    out = _saved_tiny_run(tmp_path)
+
+    def blow_up(u):
+        u[2, 5] = np.inf
+        return u
+
+    _rewrite_npy(out, "u.npy", blow_up)
+    with pytest.raises(ValueError, match="u.npy: snapshot 2: .*finite and positive"):
+        load_run(out)
+    error = _check_exit_2(tmp_path, capsys, out)
+    assert "u.npy" in error and "snapshot 2" in error and "positive" in error
+
+
 def test_cli_check_stored_degenerate_metric_exits_2(tmp_path, capsys):
     out = _saved_tiny_run(tmp_path)
 
