@@ -24,7 +24,8 @@ once in all, in memory or reloaded, and a coupled run once per snapshot:
                   snapshot i, the quantity every estimate bounds (not kept)
     distance(x0)  geodesic distance from node x0 (`Grid.node`, so every
                   spelling of one node shares it) per snapshot, shape (S,) +
-                  grid shape, with one Dijkstra per distinct metric array
+                  grid shape, with one `distance.geodesic_distance` per
+                  distinct metric array
 
 `curvature_fields` is the one eigenvalue pass behind every hypothesis
 constant.  The run reduces the same fields to ``traj.constants`` as it

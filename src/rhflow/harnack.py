@@ -19,10 +19,12 @@ of a call's programs in lockstep over the floor snapshots (the snapshot
 index never decreases across layers), so the edge costs are built once per
 call and distinct metric array (``traj.derived.metric_class``: once in all
 on a static run), then divided by each program's layer length, and only
-one metric's costs are alive at a time.  Costs live in a flat,
-periodically padded layout (`_Layout`), so each move of a layer is one
-contiguous slice at a fixed offset: one add and one minimum per move, and
-one refresh of the padding per layer.  Every program keeps the arithmetic
+one metric's costs are alive at a time.  Costs live in the flat,
+periodically padded layout of `distance._Layout`, so each move of a layer
+is one contiguous slice at a fixed offset: one add and one minimum per
+move, and one refresh of the padding per layer.  They are built by
+`distance._edge_costs`, the edge kernel whose square roots are the
+distance edge weights.  Every program keeps the arithmetic
 of the one-pair, per-layer solver: each edge cost is the same average of g,
 the same products summed in the same order as that solver's einsum, and
 the same division; moves only read it at another offset where that solver
@@ -40,13 +42,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
+from .distance import _edge_costs, _Layout
 from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants, tol_num
 from .flow import Trajectory
-from .geometry import _sum
 from .grid import check_int_range
 from .scenarios import json_list, number
 
@@ -136,88 +137,6 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
     return K
 
 
-class _Layout:
-    """Node fields padded by r_max cells of periodic copies on every axis and
-    stored flat, so that for any move off of at most r_max cells per axis,
-    entry y - off at every node y is one contiguous slice.
-
-    ``work`` runs in the flat order from the first node to the last.  It
-    also covers the padding cells between rows (each layer writes junk
-    there, which `refresh` overwrites), and its slice shifted by any move
-    stays inside the padded array, so no guard cells are needed.  On a 1-D
-    grid ``work`` is exactly the nodes."""
-
-    def __init__(self, shape: tuple, r_max: int):
-        r = self.r_max = r_max
-        self.padded = tuple(n + 2 * r for n in shape)
-        self.strides = [math.prod(self.padded[ax + 1:]) for ax in range(len(shape))]
-        self.nodes = tuple(slice(r, r + n) for n in shape)
-        lo = r * sum(self.strides)
-        self.work = slice(lo, lo + sum((n - 1) * s for n, s in zip(shape, self.strides)) + 1)
-        # axis by axis, each over the full extent of the other axes, so the
-        # corner cells are copied from padding the earlier axes filled
-        self.copies = []
-        for ax, n in enumerate(shape):
-            lead = (slice(None),) * ax
-            self.copies.append((lead + (slice(0, r),), lead + (slice(n, n + r),)))
-            self.copies.append((lead + (slice(n + r, n + 2 * r),), lead + (slice(r, 2 * r),)))
-
-    def source(self, off) -> slice:
-        """The slice of a flat field holding entry y - off for each y of `work`."""
-        o = sum(a * s for a, s in zip(off, self.strides))
-        return slice(self.work.start - o, self.work.stop - o)
-
-    def refresh(self, flat: np.ndarray) -> None:
-        """Fill the padding of a flat field with periodic copies of its nodes."""
-        a = flat.reshape(self.padded)
-        for dst, src in self.copies:
-            a[dst] = a[src]
-
-    def pad(self, field: np.ndarray) -> np.ndarray:
-        """A node field as a new flat array of the layout."""
-        flat = np.empty(math.prod(self.padded))
-        flat.reshape(self.padded)[self.nodes] = field
-        self.refresh(flat)
-        return flat
-
-    def unpad(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.padded)[self.nodes].copy()
-
-
-def _edge_costs(grid, g, layout) -> list:
-    """(off, edge) for one of every pair of opposite nonzero moves off, -off
-    of at most r_max cells per axis, edge a flat field of the `_Layout`:
-    edge[x] times the layer length is the energy of the move x -> x + off,
-    costed with the endpoint-averaged metric g, and the energy of its
-    reverse x + off -> x.
-
-    A move and its reverse cross the same edge, so one average of g and one
-    quadratic form serve both.  The form is the sum over (i, j), i outer,
-    of (gbar_ij delta_i) delta_j added left to right, which is how numpy's
-    einsum contracts "...ij,i,j->..." (the reversed delta flips the sign of
-    both factors of each product, which leaves every rounded product
-    unchanged)."""
-    d = grid.dim
-    padded = {(i, j): layout.pad(g[..., i, j]) for i in range(d) for j in range(i, d)}
-    work = layout.work
-    r = layout.r_max
-    out = []
-    for off in product(range(-r, r + 1), repeat=d):
-        back = tuple(-o for o in off)
-        if off <= back:
-            continue
-        delta = [h * o for h, o in zip(grid.h, off)]
-        ahead = layout.source(back)  # entry x + off
-        gbar = {ij: 0.5 * (gij[work] + gij[ahead]) for ij, gij in padded.items()}
-        form = _sum((gbar[min(i, j), max(i, j)] * delta[i]) * delta[j]
-                    for i in range(d) for j in range(d))
-        edge = np.empty(math.prod(layout.padded))
-        edge[work] = form
-        layout.refresh(edge)
-        out.append((off, edge))
-    return out
-
-
 def _move_costs(edges, ds: float, layout) -> list:
     """(view, cost) for every nonzero move off: cost[y] is the energy of the
     move y - off -> y over one layer of length ds, for each y of the
@@ -268,7 +187,7 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
     for idx in sorted(layers):
         if classes[idx] != built:
             edges = moves = None  # free the previous metric's costs first
-            edges = _edge_costs(grid, traj.snapshots[idx].g, layout)
+            edges = _edge_costs(grid, traj.snapshots[idx].metric.comp, layout)
             built, step = classes[idx], None
         for p in sorted(layers[idx], key=steps.__getitem__):
             if steps[p] != step:

@@ -58,7 +58,7 @@ def test_every_check_shares_one_layer(coupled_run, monkeypatch):
     # one edge build per floor snapshot of the Harnack call, in time order;
     # the auto pairs run from the first positive time to the last snapshot
     i1 = next(i for i, t in enumerate(traj.times) if t > 0)
-    assert [id(args[1]) for args in edges] == [id(s.g) for s in snaps[i1:S - 1]]
+    assert [id(args[1]) for args in edges] == [id(s.metric.comp) for s in snaps[i1:S - 1]]
     # a second round of checks computes nothing new but Harnack's edges
     del ricci[:], eig[:], dijkstra[:], edges[:]
     run_every_check(traj, x0, 2.0)

@@ -3,22 +3,16 @@
 In 1d the 2-neighbor graph is exact for any metric. In 2d the 8-neighbor
 stencil overestimates Euclidean length by at most 1/cos(pi/8), with equality
 only for directions falling between stencil rays; axis and diagonal
-directions are exact.
+directions are exact.  Every field equals scipy's Dijkstra on the same
+graph (`distance_oracle`) bit for bit.
 """
 
 import numpy as np
 import pytest
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import dijkstra
 
+from distance_oracle import dijkstra_distance
 from rhflow import geometry
-from rhflow.distance import (
-    METRICATION_8,
-    _edge_graph,
-    _stencil_offsets,
-    flat_torus_distance,
-    geodesic_distance,
-)
+from rhflow.distance import METRICATION_8, flat_torus_distance, geodesic_distance
 from rhflow.grid import Grid
 from rhflow.scenarios import bundled_names, load_scenario, run_scenario
 
@@ -132,73 +126,55 @@ def test_source_index_wraps():
     assert np.array_equal(d0, d16)
 
 
-def coo_edge_graph(grid, g):
-    """The stencil graph assembled edge list first, as a COO matrix converted
-    to CSR: the reference for the direct CSR assembly."""
-    n = grid.n_nodes
-    idx = np.arange(n).reshape(grid.shape)
-    axes = tuple(range(grid.dim))
-    rows, cols, weights = [], [], []
-    for off in _stencil_offsets(grid.dim):
-        back = [-o for o in off]
-        gbar = 0.5 * (g + np.roll(g, shift=back, axis=axes))
-        delta = np.array([o * h for o, h in zip(off, grid.h)])
-        rows.append(idx.ravel())
-        cols.append(np.roll(idx, shift=back, axis=axes).ravel())
-        weights.append(np.sqrt(np.einsum("i,...ij,j->...", delta, gbar, delta)).ravel())
-    return coo_matrix((np.concatenate(weights), (np.concatenate(rows), np.concatenate(cols))),
-                      shape=(n, n)).tocsr()
-
-
-@pytest.mark.parametrize("shape", [(8,), (37,), (8, 8), (9, 13), (16, 10)])
-def test_csr_graph_equals_the_coo_assembly_bit_for_bit(shape):
-    rng = np.random.default_rng(len(shape) * 100 + shape[-1])
-    grid = Grid(len(shape), shape, tuple(1.0 + 0.5 * i for i in range(len(shape))))
-    d = grid.dim
-    a = 0.3 * rng.standard_normal(shape + (d, d))
-    g = np.eye(d) + a @ np.swapaxes(a, -1, -2)
-    got, want = _edge_graph(grid, g), coo_edge_graph(grid, g)
-    for name in ("indptr", "indices", "data"):
-        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-    for source in (0, grid.n_nodes // 2):
-        np.testing.assert_array_equal(dijkstra(got, directed=False, indices=source),
-                                      dijkstra(want, directed=False, indices=source))
-
-
-def undirected_distance(grid, g, x0):
-    """The distance field searched as an undirected graph: the reference for
-    the directed search of `geodesic_distance`."""
-    source = int(np.ravel_multi_index(grid.node(x0), grid.shape))
-    return dijkstra(_edge_graph(grid, g), directed=False, indices=source).reshape(grid.shape)
-
-
 def spd_metric(rng, shape):
     d = len(shape)
     a = 0.3 * rng.standard_normal(shape + (d, d))
     return np.eye(d) + a @ np.swapaxes(a, -1, -2)
 
 
+def smooth_metric(grid, rng):
+    """A smooth SPD metric; in 2-D its g01 varies between about -0.3 and 0.3."""
+    phase = rng.uniform(0.0, 2.0 * np.pi, size=(grid.dim, 2))
+    a = sum(0.3 * np.sin(2.0 * np.pi * (k + 1) * x / length + phase[ax, k])
+            for ax, (x, length) in enumerate(zip(grid.coords(), grid.lengths))
+            for k in range(2))
+    g = np.zeros(grid.shape + (grid.dim, grid.dim))
+    g[..., 0, 0] = np.exp(a)
+    if grid.dim == 2:
+        g[..., 1, 1] = np.exp(-0.5 * a) + 0.2
+        g[..., 0, 1] = g[..., 1, 0] = 0.3 * np.cos(a)
+    return g
+
+
+def sheared_metric(grid, shear):
+    """The constant metric with unit diagonal and off-diagonal ``shear``."""
+    g = np.eye(grid.dim) + shear * (1.0 - np.eye(grid.dim))
+    return np.broadcast_to(g, grid.shape + g.shape).copy()
+
+
 @pytest.mark.parametrize("name", bundled_names())
-def test_directed_search_equals_undirected_on_bundled_metrics(name):
-    # the stencil weights are exactly symmetric, so the reverse edges the
-    # undirected search adds change nothing, to the bit
+def test_distance_equals_dijkstra_on_bundled_metrics(name):
     sc = load_scenario(name)
     traj = run_scenario(sc) if sc.variant.kind != "static" else None
     metrics = [sc.initial_snapshot().g] + ([traj.snapshots[-1].g] if traj else [])
     for g in metrics:
-        for x0 in [(0,) * sc.grid.dim, tuple(n // 3 for n in sc.grid.shape)]:
+        for x0 in [(0,) * sc.grid.dim, tuple(n // 3 for n in sc.grid.shape),
+                   tuple(n - 1 for n in sc.grid.shape)]:
             assert np.array_equal(geodesic_distance(sc.grid, g, x0),
-                                  undirected_distance(sc.grid, g, x0))
+                                  dijkstra_distance(sc.grid, g, x0))
 
 
-@pytest.mark.parametrize("shape", [(8,), (61,), (8, 8), (9, 13), (24, 17)])
-def test_directed_search_equals_undirected_on_random_metrics(shape):
+@pytest.mark.parametrize("shape", [(8,), (61,), (128,), (8, 8), (9, 13), (24, 17), (17, 24),
+                                   (64, 64), (128, 128)])
+def test_distance_equals_dijkstra_on_random_metrics(shape):
     rng = np.random.default_rng(7 + shape[-1])
     grid = Grid(len(shape), shape, tuple(1.0 + 0.5 * i for i in range(len(shape))))
-    for _ in range(3):
-        g = spd_metric(rng, shape)
-        x0 = tuple(int(rng.integers(n)) for n in shape)
-        assert np.array_equal(geodesic_distance(grid, g, x0), undirected_distance(grid, g, x0))
+    metrics = [spd_metric(rng, shape), smooth_metric(grid, rng), sheared_metric(grid, 0.4)]
+    if grid.dim == 2:
+        metrics.append(sheared_metric(grid, -0.7))
+    for g in metrics:
+        for x0 in [tuple(int(rng.integers(n)) for n in shape), (0,) * grid.dim]:
+            assert np.array_equal(geodesic_distance(grid, g, x0), dijkstra_distance(grid, g, x0))
 
 
 def test_validated_metric_is_not_checked_again(monkeypatch):

@@ -13,6 +13,8 @@ kernels match the earlier allocating `_christoffel`, `_ricci` and
 `_grad_phi_outer`, and a moving run, stepped in its workspace, matches the
 earlier run loop (`heat_oracle.moving_run`) byte for byte, on metrics
 with off-diagonal terms of order 0.1-0.5 and maps of 1-3 components.
+A distance field satisfies the shortest-path (Bellman) equations of its
+stencil graph bit for bit, and scaling the metric by 4 doubles it exactly.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
@@ -25,8 +27,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import distance_oracle
 import heat_oracle
 from rhflow import geometry
+from rhflow.distance import geodesic_distance
 from rhflow.flow import (AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_flow,
                          step_heat)
 from rhflow.grid import Grid
@@ -272,3 +276,37 @@ def test_moving_run_matches_the_reference_loop_bytewise(kind, method, data):
                                               snap.g, snap.phi, snap.metric, None, None)
     assert same_bytes(stepped.g, g) and same_bytes(stepped.phi, phi)
     assert stepped.u is snap.u and stepped.metric.min_eigenvalue == metric.min_eigenvalue
+
+
+@st.composite
+def distance_problems(draw):
+    """A grid, a random metric with off-diagonal terms of order 0-0.5 in
+    2-D, and a source node."""
+    grid = draw(grids())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = sheared_metric(grid, rng, draw(st.floats(0.0, 0.5)))
+    x0 = tuple(draw(st.integers(0, n - 1)) for n in grid.shape)
+    return grid, g, x0
+
+
+@settings(PROPERTY, max_examples=15)
+@given(problem=distance_problems())
+def test_distance_satisfies_the_bellman_equations_bitwise(problem):
+    # d(y) <= fl(d(z) + w(z, y)) on every stencil edge z -> y, and every
+    # node but the source attains it on some in-edge
+    grid, g, x0 = problem
+    d = geodesic_distance(grid, g, x0)
+    attained = np.zeros(grid.shape, dtype=bool)
+    for off, w in distance_oracle.stencil_weights(grid, g):
+        reached = roll(d + w, off)  # fl(d(z) + w(z, z + off)) at y = z + off
+        assert np.all(d <= reached)
+        attained |= d == reached
+    assert not attained[x0] and np.count_nonzero(~attained) == 1
+
+
+@settings(PROPERTY, max_examples=15)
+@given(problem=distance_problems())
+def test_distance_scales_exactly_with_the_metric(problem):
+    # 4g doubles every edge weight exactly, and so every rounded path sum
+    grid, g, x0 = problem
+    assert same_bytes(geodesic_distance(grid, 4.0 * g, x0), 2.0 * geodesic_distance(grid, g, x0))

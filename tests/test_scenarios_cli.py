@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tiny_configs import tiny_cfg_with, tiny_static_cfg
+from tiny_configs import short_coupled_scenario, tiny_cfg_with, tiny_static_cfg
 from rhflow import cli, persistence
 from rhflow.cli import main
 from rhflow.flow import Snapshot
@@ -833,7 +833,7 @@ def test_check_options_are_the_table_flags():
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # scipy's import is most of a flag refusal's time; only a distance needs it
+    # scipy's import is most of a flag refusal's time, and nothing needs it
     code = ("import sys, rhflow.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     env = dict(os.environ)
@@ -843,6 +843,29 @@ def test_importing_the_cli_leaves_scipy_unloaded():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_distance_checks_leave_scipy_unloaded(tmp_path):
+    # the local check's geodesic balls and Harnack's path energies on a
+    # saved 2-D run are computed without scipy
+    run_dir = tmp_path / "run"
+    save_run(run_scenario(short_coupled_scenario(strides=4)[0]), run_dir)
+    checks = [["local", "--rho", "1"], ["harnack", "--mode", "complete"]]
+    code = ("import sys\n"
+            "from rhflow.cli import main\n"
+            f"for which in {checks!r}:\n"
+            f"    assert main(['check', {str(run_dir)!r}, '--which', *which,\n"
+            f"                 '--out', {str(tmp_path / 'out')!r}]) in (0, 1)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *reports, modules = proc.stdout.splitlines()
+    assert [json.loads(r)["theorem"] for r in reports] == ["local", "harnack"]
+    assert modules == "[]"
 
 
 def test_cli_explicit_numbers_are_used_as_given(tmp_path, capsys):
