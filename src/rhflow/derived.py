@@ -47,8 +47,9 @@ as the trajectory, is never saved and takes no part in equality; a copy of
 the trajectory starts with an empty one.  Once every check has run it holds
 at most 8 node fields per stored snapshot in 2-D (Ricci 3, curvature 3,
 |grad f|^2 and f_t one each; f_t at interior snapshots only) plus one per
-distance centre, and one Laplacian (about 12 node fields in 2-D); in 1-D,
-at most 6 plus one per centre, and a Laplacian of about 6.  The snapshots
+distance centre, and one Laplacian (about 13 node fields in 2-D, most of
+them flat and periodically padded); in 1-D, at most 6 plus one per centre,
+and a Laplacian of about 7.  The snapshots
 must not be modified once it holds any of them.  The run itself keeps
 nothing either: the workspace a moving run steps in (about 60 node fields
 in 2-D) is freed when `flow.run` returns, and the one-shot kernels of the

@@ -27,12 +27,13 @@ methods below therefore return Dijkstra's bits:
        elementwise minimum of two running sums (`np.cumsum`) of the edge
        weights, one each way around the ring from the source;
   2-D  Jacobi min-plus relaxation on the flat, periodically padded
-       `_Layout` that the Harnack dynamic program uses, each of the 8 moves
-       one add and one minimum over a contiguous slice, swept until a sweep
-       changes nothing.  Sweep k can reach only nodes within k rows of the
-       source, so the rows are rolled to put the source in the middle row
-       and sweep k works on the flat band of rows within k of it; the test
-       for a fixed point runs only once the band covers every row.
+       `grid.Layout` that the Harnack dynamic program and the Laplacian
+       use, each of the 8 moves one add and one minimum over a contiguous
+       slice, swept until a sweep changes nothing.  Sweep k can reach only
+       nodes within k rows of the source, so the rows are rolled to put the
+       source in the middle row and sweep k works on the flat band of rows
+       within k of it; the test for a fixed point runs only once the band
+       covers every row.
 
 Sweeps cost O(N^(3/2)) on an N-node square grid, against Dijkstra's
 O(N log N).  Against scipy's Dijkstra on a 2-core machine (numpy 2.4.6,
@@ -45,73 +46,20 @@ which the Harnack path energies read too.
 
 from __future__ import annotations
 
-import math
 from itertools import product
 
 import numpy as np
 
 from .geometry import _sum, _sym, metric_fields
-from .grid import Grid
+from .grid import Grid, Layout
 
 # Worst-case overestimation factor of the 8-neighbor stencil on flat space.
 METRICATION_8 = 1.0 / np.cos(np.pi / 8.0)
 
 
-class _Layout:
-    """Node fields padded by r_max cells of periodic copies on every axis and
-    stored flat, so that for any move off of at most r_max cells per axis,
-    entry y - off at every node y is one contiguous slice.
-
-    ``work`` runs in the flat order from the first node to the last.  It
-    also covers the padding cells between rows (each sweep writes junk
-    there, which `refresh` overwrites), and its slice shifted by any move
-    stays inside the padded array, so no guard cells are needed.  On a 1-D
-    grid ``work`` is exactly the nodes."""
-
-    def __init__(self, shape: tuple, r_max: int):
-        r = self.r_max = r_max
-        self.padded = tuple(n + 2 * r for n in shape)
-        self.strides = [math.prod(self.padded[ax + 1:]) for ax in range(len(shape))]
-        self.nodes = tuple(slice(r, r + n) for n in shape)
-        lo = r * sum(self.strides)
-        self.work = slice(lo, lo + sum((n - 1) * s for n, s in zip(shape, self.strides)) + 1)
-        # axis by axis, each over the full extent of the other axes, so the
-        # corner cells are copied from padding the earlier axes filled
-        self.copies = []
-        for ax, n in enumerate(shape):
-            lead = (slice(None),) * ax
-            self.copies.append((lead + (slice(0, r),), lead + (slice(n, n + r),)))
-            self.copies.append((lead + (slice(n + r, n + 2 * r),), lead + (slice(r, 2 * r),)))
-
-    def offset(self, off) -> int:
-        """How far entry y + off lies after entry y in a flat field."""
-        return sum(a * s for a, s in zip(off, self.strides))
-
-    def source(self, off) -> slice:
-        """The slice of a flat field holding entry y - off for each y of `work`."""
-        o = self.offset(off)
-        return slice(self.work.start - o, self.work.stop - o)
-
-    def refresh(self, flat: np.ndarray) -> None:
-        """Fill the padding of a flat field with periodic copies of its nodes."""
-        a = flat.reshape(self.padded)
-        for dst, src in self.copies:
-            a[dst] = a[src]
-
-    def pad(self, field: np.ndarray) -> np.ndarray:
-        """A node field as a new flat array of the layout."""
-        flat = np.empty(math.prod(self.padded))
-        flat.reshape(self.padded)[self.nodes] = field
-        self.refresh(flat)
-        return flat
-
-    def unpad(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self.padded)[self.nodes].copy()
-
-
 def _edge_costs(grid, comp, layout) -> list:
     """(off, edge) for one of every pair of opposite nonzero moves off, -off
-    of at most r_max cells per axis, edge a flat field of the `_Layout`:
+    of at most r_max cells per axis, edge a flat field of the `grid.Layout`:
     edge[x] is the quadratic form delta^T gbar delta of the move x -> x + off
     and of its reverse x + off -> x, gbar the endpoint average of the metric
     whose component node fields are ``comp`` (`MetricFields.comp`).  A
@@ -138,7 +86,7 @@ def _edge_costs(grid, comp, layout) -> list:
         gbar = {ij: 0.5 * (gij[work] + gij[ahead]) for ij, gij in padded.items()}
         form = _sum((gbar[min(i, j), max(i, j)] * delta[i]) * delta[j]
                     for i in range(d) for j in range(d))
-        edge = np.empty(math.prod(layout.padded))
+        edge = np.empty(layout.size)
         edge[work] = form
         layout.refresh(edge)
         out.append((off, edge))
@@ -170,7 +118,7 @@ def _banded_relaxation(layout, edges, col: int) -> np.ndarray:
         moves += [(-o, weight, -o), (o, weight, 0)]
     rows, cols = (n - 2 * layout.r_max for n in layout.padded)
     row, stride, first = rows // 2, layout.strides[0], layout.work.start
-    dist = np.full(math.prod(layout.padded), np.inf)
+    dist = np.full(layout.size, np.inf)
     dist[first + layout.offset((row, col))] = 0.0
     spare = dist.copy()
     cand = np.empty(layout.work.stop - first)
@@ -203,7 +151,7 @@ def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
     """
     comp = metric_fields(g).comp
     x0 = grid.node(x0)
-    layout = _Layout(grid.shape, 1)
+    layout = Layout(grid.shape, 1)
     if grid.dim == 1:
         [(_, edge)] = _edge_costs(grid, comp, layout)
         return _ring_distance(np.sqrt(edge[layout.work]), x0[0])
@@ -212,7 +160,7 @@ def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
     roll = grid.shape[0] // 2 - x0[0]
     comp = _sym(grid.dim, lambda i, j: np.roll(comp[i][j], roll, axis=0))
     flat = _banded_relaxation(layout, _edge_costs(grid, comp, layout), x0[1])
-    return np.roll(flat.reshape(layout.padded)[layout.nodes], -roll, axis=0)
+    return np.roll(layout.view(flat), -roll, axis=0)
 
 
 def flat_torus_distance(grid: Grid, x0, x1) -> float:

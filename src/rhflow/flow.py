@@ -32,7 +32,7 @@ import numpy as np
 from . import geometry
 from .derived import TrajectoryFields, curvature_fields
 from .geometry import MetricDegenerateError, MetricFields, metric_fields
-from .grid import Grid, Halo
+from .grid import Grid
 
 C_STAB_DEFAULT = 0.2
 
@@ -247,8 +247,8 @@ class _Workspace:
     once: a `geometry.Curvature` (Ricci), a `geometry.MapGradient`
     (dphi (x) dphi), a `geometry.Laplacian` whose coefficients are
     refreshed in place for each new metric (the heat step and the map's
-    tension, each component loaded into its halo), and the flow's own call
-    lists:
+    tension, each component loaded into the nodes of its flat field ``s``
+    and copied out of ``out``), and the flow's own call lists:
 
         rhs      dg = -2 Ric + (2 coupling) dphi (x) dphi,
                  dphi/dt = tension [- mu exp(-2 phi)]
@@ -301,9 +301,10 @@ class _Workspace:
             rhs += [(np.multiply, (self.curvature.ric[i][j], geometry._MINUS_TWO, dg_ij)),
                     (np.multiply, (self.gradient.outer[i][j], self._coupling, tmp)),
                     (np.add, (dg_ij, tmp, dg_ij))]
+        lap_s, lap_out = (self.lap.layout.view(f) for f in (self.lap.s, self.lap.out))
         for m in range(snap.phi.shape[-1]):
-            rhs += [(np.copyto, (self.lap.halo.inner, self.phi[..., m])),
-                    *self.lap.bind(self.lap.halo, tension[..., m])]
+            rhs += [(np.copyto, (lap_s, self.phi[..., m])), *self.lap.calls,
+                    (np.copyto, (tension[..., m], lap_out))]
         if variant.kind == "warped_product":
             decay = np.empty(snap.phi.shape)
             rhs += [(np.multiply, (self.phi, geometry._MINUS_TWO, decay)),
@@ -465,28 +466,29 @@ def step_flow(
 class _HeatStep:
     """The explicit heat step of one metric's `geometry.Laplacian`
     (``lap``), whose calls it binds once.  `advance` keeps u in the
-    interior of the operator's halo and steps it there: each substep is one
-    fixed list of ufunc calls into scratch buffers, built here, then an add
-    in place, and makes no new array: refresh the ghost layers, form the
-    fluxes and their differences, divide by h^2 and then by sqrt(det g),
-    multiply by dt, add.  These are the same floating-point operations per
-    node, in the same order, as u + dt Lap u (Euler) or
-    u + dt Lap(u + dt/2 Lap u) (RK2).  The calls read the operator's
-    coefficients as they are when run, so a moving run's one operator,
-    refreshed per metric, serves one _HeatStep for the whole run.  The halo
-    holds u only within a call, so the operator serves other callers (the
-    map's tension) between calls."""
+    operator's flat, periodically padded field ``lap.s`` and steps it there:
+    each substep is one fixed list of ufunc calls on contiguous slices into
+    scratch buffers, built here, then an add in place, and makes no new
+    array: refresh the periodic copies, form the fluxes and their
+    differences, divide by h^2 and then by sqrt(det g), multiply by dt,
+    add.  These are the same floating-point operations per node, in the
+    same order, as u + dt Lap u (Euler) or u + dt Lap(u + dt/2 Lap u)
+    (RK2).  The calls read the operator's coefficients as they are when
+    run, so a moving run's one operator, refreshed per metric, serves one
+    _HeatStep for the whole run.  ``lap.s`` holds u only within a call, so
+    the operator serves other callers (the map's tension) between calls."""
 
     def __init__(self, lap: geometry.Laplacian, dt: float, method: str):
         _check_method(method)
         self.lap, self.dt = lap, dt
-        u, dlap = self.lap.halo.inner, self.lap.out
-        self._calls = list(self.lap.calls)
+        work = lap.layout.work
+        self._u, self._dlap = lap.s[work], lap.out[work]
+        self._calls = list(lap.calls)
         if method == "rk2":
-            mid = Halo(lap.shape)
-            self._calls += [(np.multiply, (dlap, np.array(0.5 * dt), dlap)),
-                            (np.add, (u, dlap, mid.inner)), *self.lap.bind(mid, dlap)]
-        self._calls.append((np.multiply, (dlap, np.array(dt), dlap)))
+            mid = np.empty(lap.layout.size)
+            self._calls += [(np.multiply, (self._dlap, np.array(0.5 * dt), self._dlap)),
+                            (np.add, (self._u, self._dlap, mid[work])), *lap.bind(mid, lap.out)]
+        self._calls.append((np.multiply, (self._dlap, np.array(dt), self._dlap)))
 
     def advance(self, u: np.ndarray, steps: int, t0: float, n: int = 0) -> np.ndarray:
         """u ``steps`` substeps later, as a new array; u itself is not
@@ -496,31 +498,32 @@ class _HeatStep:
         Positivity is asserted at every substep (NaN fails too), never
         clamped: a BlowUpError at the end of the first substep that loses
         it.  One substep is tested directly.  Over more, an element-wise
-        running minimum of u is kept and tested once at the end; if that
-        fails, or anything raises on the way, the substeps are replayed
-        from u one at a time, each tested, so that the same substep fails
-        with the same error as when stepping one at a time."""
-        inner, dlap, calls = self.lap.halo.inner, self.lap.out, self._calls
-        np.copyto(inner, u)
+        running minimum of u is kept and its nodes tested once at the end;
+        if that fails, or anything raises on the way, the substeps are
+        replayed from u one at a time, each tested, so that the same
+        substep fails with the same error as when stepping one at a time."""
+        lay, u_work, dlap, calls = self.lap.layout, self._u, self._dlap, self._calls
+        np.copyto(lay.view(self.lap.s), u)
         if steps == 1:
             for f, args in calls:
                 f(*args)
-            u_new = np.add(u, dlap)
+            u_new = np.add(u, lay.view(self.lap.out))
             if not u_new.min() > 0:
                 raise BlowUpError("heat solution lost positivity", t0 + n * self.dt + self.dt)
             return u_new
-        low = np.full(inner.shape, np.inf)
+        low = np.full(lay.size, np.inf)
+        low_work = low[lay.work]
         try:
             for _ in range(steps):
                 for f, args in calls:
                     f(*args)
-                np.add(inner, dlap, out=inner)
-                np.minimum(low, inner, out=low)  # a NaN stays
-            held = low.min() > 0
+                np.add(u_work, dlap, out=u_work)
+                np.minimum(low_work, u_work, out=low_work)  # a NaN stays
+            held = lay.view(low).min() > 0
         except Exception:  # the replay raises it again at its substep, after any halt before it
             held = False
         if held:
-            return inner.copy()
+            return lay.unpad(self.lap.s)
         for k in range(steps):
             u = self.advance(u, 1, t0, n + k)
         return u

@@ -49,7 +49,9 @@ node, in their order, of the formulas above, left-to-right sums included,
 so every result is bit for bit that of evaluating them with allocating
 array expressions.  Their fields are contiguous: a first difference along
 an axis is one subtraction over the flattened arrays, then the two layers
-that wrap around the torus.
+that wrap around the torus, and the Laplacian's fields are flat and
+periodically padded (`grid.Layout`), so each of its differences is one
+subtraction of two slices.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ import operator
 
 import numpy as np
 
-from .grid import Grid, Halo, shift
+from .grid import Grid, Layout, shift
 
 # Relative threshold for the positive-definiteness check: smallest eigenvalue
 # must exceed PD_RTOL * trace(g) at every node.
@@ -257,12 +259,6 @@ class _Calls(list):
         self.append((f, args))
         return args[-1]
 
-    def ghosts(self, halo: Halo, axes) -> None:
-        """Copy the ghost layers of ``halo`` along ``axes`` from their images."""
-        for a in axes:
-            self.extend((ghost.__setitem__, (..., image))
-                        for ghost, image in halo.ghosts[2 * a:2 * a + 2])
-
     def d1(self, a: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
         """`Grid.d1` along ``axis`` of the C-contiguous field ``a`` (node
         axes first, then any trailing ones) into the C-contiguous ``out``:
@@ -444,107 +440,116 @@ class Laplacian:
     calls from the metric's sqrt(det g) and g^{ij} arrays, run on
     construction and again by `refresh`: an owner that changes those arrays
     in place (a moving run's workspace) refreshes one operator per new
-    metric instead of building one.  Each coefficient is formed one node
-    beyond the grid along i, where its term reads it, through a `grid.Halo`.
+    metric instead of building one.
 
-    Loading a field and applying the operator are split: the field sits in
-    the interior of a `grid.Halo`, and `bind` lists the ufunc calls that
-    refresh the halo's ghost layers and then form each term into the
-    buffers: the term's inner field (flux, or the mixed coefficient times
-    d1(s, j)) is formed one node beyond the grid along i, from the halo and
-    a padded coefficient, so no shifted copy is made.  The operator holds
-    one such list, ``calls``, from its own ``halo`` into its own ``out``,
-    built once.  Calling the operator loads s into ``halo``, runs ``calls``
-    and copies ``out`` out.  A caller may instead keep a field in the halo
-    and step it there, running ``calls`` and its own calls after them each
-    time: `flow.run` steps u a whole stored stride so on a static run,
-    asserting its positivity at every substep through a running minimum and
-    replaying a stride that fails.  The floating-point operations per node
-    and their order are those of the formulas above, so the result is bit
-    for bit theirs.  The calls share the buffers, so one operator serves one
-    caller at a time: a run holds one, the checks one per metric class
-    (``traj.derived.laplacian``), and the public operators one per call.
+    Fields live flat in a `grid.Layout` with one periodic copy per side
+    (``layout``), so every ufunc acts on contiguous slices: each term's
+    inner field (flux, or the mixed coefficient times d1(s, j)) is formed
+    over the nodes' span ``work`` extended by one stride along i, backwards
+    (two for a mixed term, one each way), and each difference is two slices
+    at fixed offsets.  In 2-D the padding cells inside ``work`` get junk,
+    formed from periodic copies only, that no node value reads.  `bind`
+    lists the calls that refresh a flat field's periodic copies and form
+    Lap of it; ``calls`` is that list from the operator's own flat field
+    ``s`` into its own ``out``.  Calling the operator loads a node field
+    into ``s``, runs ``calls`` and copies the nodes of ``out`` out; a caller
+    may instead keep a field in ``s`` and step it there (`flow.run` steps u
+    a whole stored stride so on a static run).  The floating-point
+    operations per node and their order are those of the formulas above,
+    so the result is bit for bit theirs.  The calls share the buffers, so
+    one operator serves one caller at a time: a run holds one, the checks
+    one per metric class (``traj.derived.laplacian``), and the public
+    operators one per call.  A field or metric whose node shape is not the
+    grid's is refused.
     """
 
     def __init__(self, grid: Grid, g):
         mf = self.metric = metric_fields(g)
-        self.sqrt_det = mf.sqrt_det
         self.shape = grid.shape
-        self._term = np.empty(grid.shape)
-        core, whole = (slice(1, -1),) * grid.dim, (slice(None),) * grid.dim
+        _check_shape("metric", mf.sqrt_det.shape, grid.shape)
+        lay = self.layout = Layout(grid.shape, 1)
+        work = lay.work
+        p = _Calls(grid)
 
-        def along(axis, sl, base=core):
-            return base[:axis] + (sl,) + base[axis + 1:]
+        def fill(flat, f, *args):  # f(*args) into the nodes of flat, then its padding
+            p(f, *args, lay.view(flat))
+            p.extend(lay.copies(flat))
+            return flat
 
-        p, a = _Calls(grid), Halo(grid.shape)
-        if grid.dim == 2:  # the mixed coefficient at nodes -1 .. n along each axis
-            mixed = Halo(grid.shape)
-            p(np.multiply, self.sqrt_det, mf.inv[0][1], mixed.inner)
-            p.ghosts(mixed, range(2))
+        self._sqrt_det = fill(np.empty(lay.size), np.positive, mf.sqrt_det)  # a copy
+        if grid.dim == 2:
+            mixed = fill(np.empty(lay.size), np.multiply, mf.sqrt_det, mf.inv[0][1])
+        a = np.empty(lay.size)
+        self._term = np.empty(work.stop - work.start)
         self._terms = []
-        for i, n in enumerate(grid.shape):
-            for j, h in enumerate(grid.h):
-                if i == j:  # fluxes through faces -1 .. n - 1, face -1 being n - 1
-                    reach, scale, denom = 1, None, h * h
-                    hi, lo = along(i, slice(1, None)), along(i, slice(None, -1))
-                    coef = np.empty(along(i, n + 1, grid.shape))
-                    p(np.multiply, self.sqrt_det, mf.inv[i][i], a.inner)
-                    p.ghosts(a, [i])
-                    p(np.add, a.buf[along(i, slice(None, -1))], a.buf[along(i, slice(1, None))],
-                      coef)
+        for i, si in enumerate(lay.strides):
+            for j, (sj, h) in enumerate(zip(lay.strides, grid.h)):
+                # the term's inner field spans work and one stride before it
+                # along i, and for a mixed term one stride after it too
+                lo, hi = work.start - si, work.stop + (si if i != j else 0)
+                if i == j:  # fluxes through the faces from y to y + s_i
+                    fill(a, np.multiply, mf.sqrt_det, mf.inv[i][i])
+                    coef = p(np.add, a[lo:hi], a[lo + si:hi + si], np.empty(hi - lo))
                     p(np.multiply, coef, _HALF, coef)
-                else:  # d1(s, j) at nodes -1 .. n along i
-                    reach, scale, denom = 2, np.array(2.0 * h), 2.0 * grid.h[i]
-                    rows = along(i, slice(None))
-                    hi, lo = along(j, slice(2, None), rows), along(j, slice(None, -2), rows)
-                    coef = mixed.buf[rows]
-                inner = np.empty(coef.shape)
+                    ahead, behind, scale, denom = si, 0, None, h * h
+                else:  # d1(s, j)
+                    coef = mixed[lo:hi]
+                    ahead, behind, scale, denom = sj, -sj, np.array(2.0 * h), 2.0 * grid.h[i]
                 # scale and denom as 0-d arrays divide as the floats do, with
                 # less overhead per call
-                self._terms.append((hi, lo, scale, coef, inner,
-                                    inner[along(i, slice(reach, None), whole)],
-                                    inner[along(i, slice(None, -reach), whole)],
-                                    np.array(denom)))
+                self._terms.append((slice(lo + ahead, hi + ahead), slice(lo + behind, hi + behind),
+                                    scale, coef, np.empty(hi - lo), np.array(denom)))
         self._coefficients = list(p)
         self.refresh()
-        self.halo, self.out = Halo(grid.shape), np.empty(grid.shape)
-        self.calls = self.bind(self.halo, self.out)
+        self.s, self.out = np.empty(lay.size), np.empty(lay.size)
+        self.calls = self.bind(self.s, self.out)
 
     def refresh(self) -> None:
         """Form the coefficients again from what the metric's sqrt(det g)
         and g^{ij} arrays hold now."""
         _run(self._coefficients)
 
-    def bind(self, halo: Halo, out: np.ndarray) -> list:
+    def bind(self, s: np.ndarray, out: np.ndarray) -> list:
         """The calls, each a (function, arguments) pair, that write Lap of
-        the field in ``halo.inner`` into ``out``, which must not overlap the
-        halo: the ghost-layer copies (``ghost[...] = image``), then a few
-        ufuncs per term, each with its output buffer as last argument, then
-        the division by sqrt(det g).
+        the node values of ``s``, a flat field of ``layout``, into the
+        ``work`` span of ``out``, another one: the copies of the periodic
+        padding of ``s`` (`grid.Layout.copies`), then a few ufuncs per
+        term, each with its output buffer as last argument, then the
+        division by sqrt(det g).
         """
-        calls = [(ghost.__setitem__, (..., image)) for ghost, image in halo.ghosts]
-        acc = out
-        for hi, lo, scale, coef, inner, inner_hi, inner_lo, denom in self._terms:
-            calls.append((np.subtract, (halo.buf[hi], halo.buf[lo], inner)))
+        calls = self.layout.copies(s)
+        work = self.layout.work
+        acc = total = out[work]
+        n = acc.size
+        for ahead, behind, scale, coef, inner, denom in self._terms:
+            calls.append((np.subtract, (s[ahead], s[behind], inner)))
             if scale is not None:
                 calls.append((np.divide, (inner, scale, inner)))
+            # for each y of work, inner[-n:] holds the inner field at y (a
+            # flux) or y + s_i (a mixed term), and inner[:n] at y - s_i
             calls += [(np.multiply, (coef, inner, inner)),
-                      (np.subtract, (inner_hi, inner_lo, acc)),
+                      (np.subtract, (inner[-n:], inner[:n], acc)),
                       (np.divide, (acc, denom, acc))]
-            if acc is not out:
-                calls.append((np.add, (out, acc, out)))
+            if acc is not total:
+                calls.append((np.add, (total, acc, total)))
             acc = self._term
-        calls.append((np.divide, (out, self.sqrt_det, out)))
+        calls.append((np.divide, (total, self._sqrt_det[work], total)))
         return calls
 
     def __call__(self, s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Lap s, written into ``out`` (a new array if None); ``out`` may be s."""
-        np.copyto(self.halo.inner, s)
+        _check_shape("field", np.shape(s), self.shape)
+        np.copyto(self.layout.view(self.s), s)
         _run(self.calls)
         if out is None:
-            return self.out.copy()
-        np.copyto(out, self.out)
+            return self.layout.unpad(self.out)
+        np.copyto(out, self.layout.view(self.out))
         return out
+
+
+def _check_shape(what: str, shape: tuple, grid_shape: tuple) -> None:
+    if shape != grid_shape:
+        raise ValueError(f"{what} has node shape {shape}, not the grid shape {grid_shape}")
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Every field in this package is a plain ndarray whose leading axes run over
 grid nodes (shape ``grid.shape``) and whose trailing axes, if any, carry
 tensor indices.  The grid is a flat chart on a torus: index arithmetic wraps,
 so every stencil is built from ``shift``, a one-node periodic shift made of
-two slice copies, and all operators are exactly translation equivariant.
+two slice copies, or reads a field padded with periodic copies (`Layout`),
+and all operators are exactly translation equivariant.
 """
 
 from __future__ import annotations
@@ -48,28 +49,66 @@ def shift(a: np.ndarray, k: int, axis: int) -> np.ndarray:
     return out
 
 
-class Halo:
-    """A reusable buffer holding a node field with one periodic ghost layer
-    on each side of every axis, so that shifted copies of the field are
-    plain slices of ``buf``: node k of the field sits at k + 1 along each
-    axis (the view ``inner``), and ``buf[0]`` and ``buf[n + 1]`` along an
-    axis hold its layers n - 1 and 0, corners included, once each ghost
-    layer in ``ghosts`` has been copied from its image, in order.  The
-    ghost layers of axis a are ``ghosts[2 a]`` and ``ghosts[2 a + 1]``.
-    """
+class Layout:
+    """Node fields padded by r_max cells of periodic copies on every axis and
+    stored flat, so that for any move off of at most r_max cells per axis,
+    entry y - off at every node y is one contiguous slice.
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.buf = np.empty(tuple(n + 2 for n in shape))
-        self.inner = self.buf[(slice(1, -1),) * len(shape)]
-        # (ghost, image) views, axis by axis, each ghost layer spanning the
-        # earlier axes' ghosts too
-        self.ghosts = []
-        for axis, n in enumerate(shape):
-            lead = (slice(None),) * axis
-            rest = (slice(1, -1),) * (len(shape) - axis - 1)
-            for ghost, image in ((0, n), (n + 1, 1)):
-                self.ghosts.append((self.buf[lead + (slice(ghost, ghost + 1),) + rest],
-                                    self.buf[lead + (slice(image, image + 1),) + rest]))
+    ``work`` runs in the flat order from the first node to the last.  It
+    also covers the padding cells between rows, where a kernel stepping
+    over ``work`` may write junk (`copies` overwrites it), and its slice
+    shifted by any move stays inside the padded array, so no guard cells
+    are needed.  On a 1-D grid ``work`` is exactly the nodes."""
+
+    def __init__(self, shape: tuple, r_max: int):
+        r = self.r_max = r_max
+        self.padded = tuple(n + 2 * r for n in shape)
+        self.size = math.prod(self.padded)
+        self.strides = [math.prod(self.padded[ax + 1:]) for ax in range(len(shape))]
+        self.nodes = tuple(slice(r, r + n) for n in shape)
+        lo = r * sum(self.strides)
+        self.work = slice(lo, lo + sum((n - 1) * s for n, s in zip(shape, self.strides)) + 1)
+        # axis by axis, each over the full extent of the other axes, so the
+        # corner cells are copied from padding the earlier axes filled
+        self._copies = []
+        for ax, n in enumerate(shape):
+            lead = (slice(None),) * ax
+            self._copies.append((lead + (slice(0, r),), lead + (slice(n, n + r),)))
+            self._copies.append((lead + (slice(n + r, n + 2 * r),), lead + (slice(r, 2 * r),)))
+
+    def offset(self, off) -> int:
+        """How far entry y + off lies after entry y in a flat field."""
+        return sum(a * s for a, s in zip(off, self.strides))
+
+    def source(self, off) -> slice:
+        """The slice of a flat field holding entry y - off for each y of `work`."""
+        o = self.offset(off)
+        return slice(self.work.start - o, self.work.stop - o)
+
+    def view(self, flat: np.ndarray) -> np.ndarray:
+        """The nodes of a flat field, as a view of grid shape."""
+        return flat.reshape(self.padded)[self.nodes]
+
+    def copies(self, flat: np.ndarray) -> list:
+        """The calls, (``padding.__setitem__``, (..., image)) pairs of views
+        in order, that fill the padding of ``flat`` with copies of its nodes."""
+        a = flat.reshape(self.padded)
+        return [(a[dst].__setitem__, (..., a[src])) for dst, src in self._copies]
+
+    def refresh(self, flat: np.ndarray) -> None:
+        """Fill the padding of a flat field with periodic copies of its nodes."""
+        for f, args in self.copies(flat):
+            f(*args)
+
+    def pad(self, field: np.ndarray) -> np.ndarray:
+        """A node field as a new flat array of the layout."""
+        flat = np.empty(self.size)
+        self.view(flat)[...] = field
+        self.refresh(flat)
+        return flat
+
+    def unpad(self, flat: np.ndarray) -> np.ndarray:
+        return self.view(flat).copy()
 
 
 @dataclass(frozen=True)

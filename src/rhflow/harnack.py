@@ -19,12 +19,12 @@ of a call's programs in lockstep over the floor snapshots (the snapshot
 index never decreases across layers), so the edge costs are built once per
 call and distinct metric array (``traj.derived.metric_class``: once in all
 on a static run), then divided by each program's layer length, and only
-one metric's costs are alive at a time.  Costs live in the flat,
-periodically padded layout of `distance._Layout`, so each move of a layer
-is one contiguous slice at a fixed offset: one add and one minimum per
-move, and one refresh of the padding per layer.  They are built by
-`distance._edge_costs`, the edge kernel whose square roots are the
-distance edge weights.  Every program keeps the arithmetic
+one metric's costs are alive at a time.  Costs live in a `grid.Layout`,
+the flat, periodically padded layout of the distance and the Laplacian
+too, so each move of a layer is one contiguous slice at a fixed offset:
+one add and one minimum per move, and one refresh of the padding per
+layer.  They are built by `distance._edge_costs`, the edge kernel whose
+square roots are the distance edge weights.  Every program keeps the arithmetic
 of the one-pair, per-layer solver: each edge cost is the same average of g,
 the same products summed in the same order as that solver's einsum, and
 the same division; moves only read it at another offset where that solver
@@ -40,15 +40,14 @@ Two floor recipes are wired in:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .distance import _edge_costs, _Layout
+from .distance import _edge_costs
 from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants, tol_num
 from .flow import Trajectory
-from .grid import check_int_range
+from .grid import Layout, check_int_range
 from .scenarios import json_list, number
 
 R_MAX_DEFAULT = 2
@@ -168,7 +167,7 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
     check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     grid = traj.grid
     times = traj.times
-    layout = _Layout(grid.shape, r_max)
+    layout = Layout(grid.shape, r_max)
     work = layout.work
     costs, steps, layers = [], [], {}  # layers[snapshot][program] = count
     for p, (x1, t1, t2, K) in enumerate(programs):
@@ -180,7 +179,7 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
         for k in range(K):
             at = layers.setdefault(_floor_snapshot_index(times, t1 + k * ds), {})
             at[p] = at.get(p, 0) + 1
-    spare = np.empty(math.prod(layout.padded))
+    spare = np.empty(layout.size)
     cand = np.empty(work.stop - work.start)
     classes = traj.derived.metric_class
     built = None  # metric class of the snapshot whose costs are alive

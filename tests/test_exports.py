@@ -2,12 +2,14 @@
 removed from the API stay removed."""
 
 import rhflow
-from rhflow import cutoff, distance, estimates, harnack
+from rhflow import cutoff, distance, estimates, geometry, grid, harnack
 
 REMOVED = {
     rhflow: ("liyau_quantity", "cprime_fallback"),
     estimates: ("liyau_quantity", "cprime_fallback"),
-    distance: ("node_index",),
+    distance: ("node_index", "_Layout"),
+    grid: ("Halo",),
+    geometry._Calls: ("ghosts",),
     harnack: ("_node_tuple", "check_r_max", "check_substeps"),
     cutoff: ("check_lattice",),
 }

@@ -600,15 +600,23 @@ def test_transient_dip_inside_a_stride_halts_at_its_substep(method, shear, floor
     assert traj.constants == constants and len(traj.alphas) == 1
 
 
-@pytest.mark.parametrize("method", ["euler", "rk2"])
-def test_overflow_inside_a_stride_halts_as_the_per_substep_loop_does(method):
+# each method on one 1-D and one 2-D grid: in 2-D the heat step also writes
+# junk into the padding cells between rows, and the halt must still be the
+# reference's
+HALT_GRIDS = (("", Grid(1, (32,), (1.0,))), ("-2d", Grid(2, (16, 12), (1.0, 0.6))))
+HALT_CASES = [pytest.param(method, grid, id=method + tag)
+              for tag, grid in HALT_GRIDS for method in ("euler", "rk2")]
+
+
+@pytest.mark.parametrize("method, grid", HALT_CASES)
+def test_overflow_inside_a_stride_halts_as_the_per_substep_loop_does(method, grid):
     # the unstable mode of `unstable_mode_run` on an offset near the double
     # range: the Laplacian overflows, and u goes infinite, partway through
-    # a stride, with u positive until then
-    grid = Grid(1, (32,), (1.0,))
+    # a stride, with u positive until then (dt set so that the mode grows
+    # by the same factor 1.4 per substep in 1-D and 2-D)
     g = flat_metric(grid)
-    u = 1e306 * (1.0 + 1e-3 * (-1.0) ** np.arange(32))
-    dt = 0.6 * grid.h[0] ** 2
+    u = 1e306 * (1.0 + 1e-3 * (-1.0) ** sum(np.indices(grid.shape)))
+    dt = 0.6 / sum(h ** -2 for h in grid.h)
     with np.errstate(over="ignore", invalid="ignore"):
         minima = unchecked_minima(grid, g, u, dt, method, 40)
     lost = next(k for k, m in enumerate(minima, 1) if not m > 0)
@@ -623,17 +631,16 @@ def test_overflow_inside_a_stride_halts_as_the_per_substep_loop_does(method):
     assert traj.constants == constants
 
 
-@pytest.mark.parametrize("method", ["euler", "rk2"])
-def test_nan_inside_a_stride_halts_at_its_substep(method):
+@pytest.mark.parametrize("method, grid", HALT_CASES)
+def test_nan_inside_a_stride_halts_at_its_substep(method, grid):
     # an infinite node is positive; its own Laplacian is inf - inf, so the
     # first substep leaves NaN there beside infinite neighbours, and no
     # node below zero: only NaN's propagation through the running minimum
     # halts the run.  The Snapshot constructor refuses such a u, so it is
     # assembled unchecked here
-    grid = Grid(1, (32,), (1.0,))
-    u = np.ones(32)
-    u[5] = np.inf
-    dt = 0.1 * grid.h[0] ** 2
+    u = np.ones(grid.shape)
+    u[(5,) * grid.dim] = np.inf
+    dt = 0.1 * grid.h_min ** 2 / grid.dim
     with pytest.raises(BlowUpError, match="finite and positive"):
         Snapshot(0.0, flat_metric(grid), np.zeros(grid.shape + (1,)), u)
     with warnings.catch_warnings():

@@ -8,6 +8,8 @@ and every operator commutes bitwise with grid translations.
 """
 
 import ast
+import re
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +17,7 @@ import pytest
 
 from rhflow import geometry
 from rhflow.geometry import MetricDegenerateError
-from rhflow.grid import MAX_NODES, Grid, shift
+from rhflow.grid import MAX_NODES, Grid, Layout, shift
 
 
 def flat_metric(grid):
@@ -89,6 +91,23 @@ def test_shift_is_np_roll_bit_for_bit(dim, shape, k):
         assert np.array_equal(got, np.roll(a, k, axis=axis))
     with pytest.raises(ValueError, match="one node"):
         shift(a, 2, 0)
+
+
+@pytest.mark.parametrize("shape", [(8,), (13,), (8, 11), (12, 9)])
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_layout_pads_periodically_and_reads_each_move_as_one_slice(shape, r):
+    layout = Layout(shape, r)
+    field = np.random.default_rng(r).standard_normal(shape)
+    flat = layout.pad(field)
+    assert flat.shape == (layout.size,)
+    assert np.array_equal(flat.reshape(layout.padded), np.pad(field, r, mode="wrap"))
+    back = layout.unpad(flat)
+    assert np.array_equal(back, field) and not np.shares_memory(back, flat)
+    # node y sits at work.start + offset(y), and source(off) holds y - off there
+    at = [layout.offset(y) for y in np.ndindex(shape)]
+    for off in product(range(-r, r + 1), repeat=len(shape)):
+        moved = flat[layout.source(off)][at].reshape(shape)
+        assert np.array_equal(moved, np.roll(field, off, axis=tuple(range(len(shape)))))
 
 
 def test_first_and_second_differences_exact_on_modes():
@@ -346,6 +365,38 @@ def test_operators_commute_with_translations_bitwise():
         geometry.laplace_beltrami(grid, np.roll(g, shift, axis=axes), np.roll(s, shift, axis=axes)),
         np.roll(geometry.laplace_beltrami(grid, g, s), shift, axis=axes),
     )
+
+
+def test_laplacian_refuses_a_field_or_metric_off_the_grid_shape():
+    grid = Grid(2, (8, 8), (1.0, 1.0))
+    g = flat_metric(grid)
+
+    def refused(what, shape):
+        return pytest.raises(ValueError, match=re.escape(
+            f"{what} has node shape {shape}, not the grid shape (8, 8)"))
+
+    for s in (np.arange(8.0), np.array([3.0]), np.ones((8, 9)), np.ones((8, 8, 1))):
+        with refused("field", s.shape):
+            geometry.laplace_beltrami(grid, g, s)
+    with refused("metric", (8, 9)):
+        geometry.Laplacian(grid, flat_metric(Grid(2, (8, 9), (1.0, 1.0))))
+    with refused("metric", (16,)):
+        geometry.tension_field(grid, flat_metric(Grid(1, (16,), (1.0,))), np.ones((8, 8, 1)))
+
+
+def test_the_2d_laplacian_steps_on_contiguous_operands():
+    # every ufunc of an application reads and writes contiguous flat slices;
+    # only the periodic copies of the field's padding are strided
+    grid = Grid(2, (12, 10), (1.0, 2.0))
+    lap = geometry.Laplacian(grid, generic_metric_2d(grid))
+    mid = np.empty(lap.layout.size)
+    for calls, field in ((lap.calls, lap.s), (lap.bind(mid, lap.out), mid)):
+        copies = [f for f, _ in calls if not isinstance(f, np.ufunc)]
+        assert [f.__name__ for f in copies] == ["__setitem__"] * 4
+        assert all(np.shares_memory(f.__self__, field) for f in copies)
+        operands = [a for f, args in calls if isinstance(f, np.ufunc) for a in args]
+        assert len(operands) > 50
+        assert all(a.flags.c_contiguous for a in operands if isinstance(a, np.ndarray))
 
 
 # ---------------------------------------------------------------------------

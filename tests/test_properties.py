@@ -15,6 +15,8 @@ earlier run loop (`heat_oracle.moving_run`) byte for byte, on metrics
 with off-diagonal terms of order 0.1-0.5 and maps of 1-3 components.
 A distance field satisfies the shortest-path (Bellman) equations of its
 stencil graph bit for bit, and scaling the metric by 4 doubles it exactly.
+On square grids the Laplacian and the distance commute with a swap of the
+axes to a few ulps: only the order of a few sums changes.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
@@ -33,7 +35,7 @@ from rhflow import geometry
 from rhflow.distance import geodesic_distance
 from rhflow.flow import (AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_flow,
                          step_heat)
-from rhflow.grid import Grid
+from rhflow.grid import Grid, shift
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -310,3 +312,68 @@ def test_distance_scales_exactly_with_the_metric(problem):
     # 4g doubles every edge weight exactly, and so every rounded path sum
     grid, g, x0 = problem
     assert same_bytes(geodesic_distance(grid, 4.0 * g, x0), 2.0 * geodesic_distance(grid, g, x0))
+
+
+@st.composite
+def axis_swaps(draw):
+    """A square 2-D grid and, drawn with it, a random metric with
+    off-diagonal terms of order 0-0.4 of either sign, a scalar field and a
+    node."""
+    n = draw(st.integers(8, 20))
+    lengths = tuple(draw(st.sampled_from([1.0, 2.0, 2.0 * np.pi])) for _ in range(2))
+    grid = Grid(2, (n, n), lengths)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = sheared_metric(grid, rng, draw(st.floats(-0.4, 0.4)))
+    x0 = (draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+    return grid, g, rng.standard_normal(grid.shape), x0
+
+
+def swap_axes(grid, g):
+    """The grid with its lengths swapped, and g on it: g_00 and g_11
+    exchanged and the node axes transposed."""
+    return Grid(2, grid.shape, grid.lengths[::-1]), np.ascontiguousarray(
+        g.transpose(1, 0, 2, 3)[..., ::-1, ::-1])
+
+
+def laplacian_term_sizes(grid, g, s):
+    """sum over (i, j) of |term (i, j)| / sqrt(det g), the terms of
+    `heat_oracle._laplace` one by one."""
+    mf = geometry.MetricFields(g)
+    faces = heat_oracle.laplacian_faces(mf)
+    total = 0.0
+    for i in range(2):
+        for j in range(2):
+            if i == j:
+                flux = faces[i] * (shift(s, -1, i) - s)
+                term = (flux - shift(flux, 1, i)) / (grid.h[i] * grid.h[i])
+            else:
+                term = grid.d1(mf.sqrt_det * mf.inv[i][j] * grid.d1(s, j), i)
+            total = total + np.abs(term)
+    return total / mf.sqrt_det
+
+
+@settings(PROPERTY, max_examples=10)
+@given(problem=axis_swaps())
+def test_laplacian_commutes_with_an_axis_swap(problem):
+    # each term maps to its swapped partner bit for bit; only the order in
+    # which the four are added changes, so the sums agree to a few ulps of
+    # the terms' sizes.  A stride or spacing taken along the wrong axis
+    # breaks it, which a translation cannot show
+    grid, g, s, _ = problem
+    swapped, g_swapped = swap_axes(grid, g)
+    got = geometry.laplace_beltrami(swapped, g_swapped, s.T).T
+    bound = 4 * np.finfo(float).eps * laplacian_term_sizes(grid, g, s)
+    assert np.all(np.abs(got - geometry.laplace_beltrami(grid, g, s)) <= bound)
+
+
+@settings(PROPERTY, max_examples=10)
+@given(problem=axis_swaps())
+def test_distance_commutes_with_an_axis_swap(problem):
+    # an edge weight sums its quadratic form's terms in another order once
+    # the axes are swapped, so each differs by a few ulps, and so do the
+    # path lengths summed from them
+    grid, g, _, x0 = problem
+    swapped, g_swapped = swap_axes(grid, g)
+    d = geodesic_distance(grid, g, x0)
+    got = geodesic_distance(swapped, g_swapped, x0[::-1]).T
+    assert np.all(np.abs(got - d) <= 4 * np.finfo(float).eps * d)
