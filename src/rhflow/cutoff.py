@@ -19,7 +19,8 @@ All derivatives are exact formulas, not differences; `cutoff_verify`
 confirms the bounds on a dense lattice and fits the constants.  Since the
 profile is a product, the lattice values are outer products of the factors
 evaluated once per r and once per t, over distinct rows x columns only
-(the plateau, the outside and the times past the ramp repeat).
+(the plateau, the outside and the times past the ramp repeat, each in one
+run).
 """
 
 from __future__ import annotations
@@ -137,10 +138,20 @@ class CutoffFunction:
 
 
 def _distinct(*fields) -> np.ndarray:
-    """Ascending indices of the first position of each distinct tuple of
-    bit patterns the 1-D ``fields`` (floats or bools, one length) take."""
+    """Ascending indices of the first position of each run of equal
+    consecutive tuples of bit patterns the 1-D ``fields`` (floats or bools,
+    one length) take: every tuple they take is at one of them."""
     bits = np.stack([np.asarray(f, dtype=np.float64).view(np.int64) for f in fields], axis=1)
-    return np.sort(np.unique(bits, axis=0, return_index=True)[1])
+    return np.flatnonzero(np.concatenate(([True], np.any(bits[1:] != bits[:-1], axis=1))))
+
+
+def _product_range(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The smallest and the largest fl(x_i y_j) over all i, j, from the
+    extremes of x and y: the exact product is extreme at a corner of the
+    box they span and rounding is monotone, so no lattice is formed.  A NaN
+    in x or y makes both NaN, as it would make the lattice's extremes."""
+    corners = np.multiply.outer([np.min(x), np.max(x)], [np.min(y), np.max(y)])
+    return np.min(corners), np.max(corners)
 
 
 def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dict:
@@ -156,7 +167,8 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     on the n_t times.  A lattice row depends only on (eta, eta_r, eta_rr,
     r <= rho/2, r >= rho) and a column only on (zeta, zeta_t, t >= tau), so
     the lattice fields are outer products over the distinct rows x distinct
-    columns (bit patterns, not values, decide what is distinct).  Each entry
+    columns, a row or column standing for the run of equal ones that it
+    starts (bit patterns, not values, decide what is equal).  Each entry
     equals bit for bit the product evaluated at its (r, t), and every value
     the report holds is an `all` or a `max` over the lattice, so it is the
     full lattice's; ``n_r`` and ``n_t`` echo the requested sides.
@@ -172,42 +184,54 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     eta, eta_dr, eta_drr, inner, outside = (a[rows] for a in radial)
     zeta, zeta_dt, late = (a[cols] for a in temporal)
     psi = np.multiply.outer(eta, zeta)
-    dpsi_dt = np.multiply.outer(eta, zeta_dt)
-    dpsi_dr = np.multiply.outer(eta_dr, zeta)
-    dpsi_drr = np.multiply.outer(eta_drr, zeta)
-
-    shape = psi.shape
-    inner = np.broadcast_to(inner[:, None], shape)
-    late = np.broadcast_to(late[None, :], shape)
-    outside = np.broadcast_to(outside[:, None], shape)
-    pos = psi > 0.0
+    # r and t ascend, so the inner and outside rows are a prefix and a
+    # suffix of the distinct ones, and the late columns a suffix
+    n_inner, n_outside = int(np.count_nonzero(inner)), int(np.count_nonzero(outside))
+    n_early = int(np.count_nonzero(~late))
+    psi_lo, psi_hi = _product_range(eta, zeta)
+    dr_hi = _product_range(eta_dr, zeta)[1]
 
     report = {
         "rho": rho,
         "tau": tau,
         "n_r": n_r,
         "n_t": n_t,
-        "range_ok": bool(np.all((psi >= 0.0) & (psi <= 1.0))),
-        "plateau_ok": bool(np.all(psi[inner & late] == 1.0)),
-        "support_ok": bool(np.all(psi[outside] == 0.0))
-        and bool(np.all(cf.value(r, 0.0) == 0.0)),
-        "dr_zero_inner_ok": bool(np.all(dpsi_dr[inner] == 0.0)),
-        "monotone_r_ok": bool(np.all(dpsi_dr <= 0.0)),
+        "range_ok": bool(psi_lo >= 0.0) and bool(psi_hi <= 1.0),
+        "plateau_ok": bool(np.all(psi[:n_inner, n_early:] == 1.0)),
+        "support_ok": bool(np.all(psi[len(psi) - n_outside:] == 0.0))
+        and bool(np.all(radial[0] * cf.zeta(0.0) == 0.0)),
+        "dr_zero_inner_ok": bool(np.all(np.multiply.outer(eta_dr[:n_inner], zeta) == 0.0)),
+        "monotone_r_ok": bool(dr_hi <= 0.0),
     }
 
-    # the fits read Psi > 0 only: gathered once, as is |dPsi/dr| * rho
-    psi_pos, slope = psi[pos], np.abs(dpsi_dr[pos]) * rho
+    # the fits read Psi > 0 only: gathered once, as are |dPsi/dr| * rho and
+    # sqrt(Psi) (Psi ** 0.5 is the same square root); each quotient is
+    # formed in place in one buffer
+    pos = psi > 0.0
+    psi_pos = psi[pos]
+    root = np.sqrt(psi_pos)
+    slope = np.multiply.outer(eta_dr, zeta)[pos]
+    slope *= rho
+    np.abs(slope, out=slope)
     # time bound: |dPsi/dt| * tau <= 2 sqrt(Psi), sharp on the inner ramp
-    cbar = np.max(np.abs(dpsi_dt[pos]) * tau / np.sqrt(psi_pos))
+    ratio = np.multiply.outer(eta, zeta_dt)[pos]
+    np.abs(ratio, out=ratio)
+    ratio *= tau
+    ratio /= root
+    cbar = np.max(ratio)
     report["cbar_time"] = float(cbar)
     report["cbar_time_ok"] = bool(cbar <= 2.0 + 1e-9)
 
-    report["c_r1"] = float(np.max(np.abs(dpsi_dr)) * rho)
-    report["c_r2"] = float(np.max(np.abs(dpsi_drr)) * rho**2)
+    # |fl(x y)| = fl(|x| |y|) and rounding is monotone, so the largest
+    # |dPsi/dr| and |d2Psi/dr2| are the products of their factors' largest
+    top = np.max(np.abs(zeta))
+    report["c_r1"] = float(np.max(np.abs(eta_dr)) * top * rho)
+    report["c_r2"] = float(np.max(np.abs(eta_drr)) * top * rho**2)
 
     c_a = {}
     for a in EXPONENTS:
-        c_a[float(a)] = float(np.max(slope / psi_pos ** a))
+        power = root if a == 0.5 else np.power(psi_pos, a, out=ratio)
+        c_a[float(a)] = float(np.max(np.divide(slope, power, out=ratio)))
     report["c_a"] = c_a
     report["c_a_finite_ok"] = bool(all(np.isfinite(v) for v in c_a.values()))
 

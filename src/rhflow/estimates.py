@@ -29,7 +29,11 @@ Every field a check reads (Ricci curvature and its eigenvalue bounds,
 f = log u, f_t, |grad f|^2, the Li-Yau left side |grad f|^2 - beta f_t,
 distance fields) comes from the trajectory's shared layer ``traj.derived``
 (see the derived module), so running several checks on one trajectory
-computes each field once.
+computes each field once.  f, f_t and |grad f|^2 are snapshot stacks there,
+so the Li-Yau checks evaluate their formulas over all reported snapshots
+at once (in parts of `derived.BATCH_NODES` nodes), with the per-node
+arithmetic of one snapshot at a time; only each metric's Laplacian is
+applied snapshot by snapshot.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
+from .derived import stack_rows
 from .flow import Trajectory
 
 TOL_EIG_FACTOR = 1e-8
@@ -334,7 +339,7 @@ def check_global(
     constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
     times = traj.times
     keep = _report_indices(times)
-    lhs = np.stack([traj.derived.liyau(i, beta) for i in keep])
+    lhs = traj.derived.liyau(keep, beta)
     alpha0 = traj.schedule.alpha0
     n = grid.dim
     rhs_t = global_bound(constants.k2, n, constants.c_phi, alpha0, times[keep])
@@ -385,7 +390,7 @@ def check_local(
     constants = extract_constants(traj, region=(x0, rho))
     times = traj.times
     keep = _report_indices(times)
-    lhs = np.stack([traj.derived.liyau(i, beta) for i in keep])
+    lhs = traj.derived.liyau(keep, beta)
     gate = traj.derived.distance(x0)[keep] < 0.5 * rho
     if not np.any(gate):
         raise GateEmptyError("local-estimate gate (half ball) is empty on this run")
@@ -459,24 +464,25 @@ def fit_cprime(
     k1, k2 = constants.k1, constants.k2
     kbar = max(k1, k2)
     n = grid.dim
+    gate = gate_all[keep]
+    t = times[keep]
+    nodes = tuple(range(1, gate.ndim))
+    live = np.any(gate, axis=nodes)  # snapshots with a gated node
     best = CPRIME_FLOOR
     for beta in np.atleast_1d(betas):
         beta = float(beta)
         check_beta(beta, strict=True)
         b2 = beta * beta
-        for i in keep:
-            gate = gate_all[i]
-            if not np.any(gate):
-                continue
-            lhs = d.liyau(i, beta)
-            t = times[i]
-            if shape == "local":
-                numer = lhs - n * beta * k1 / (4.0 * (beta - 1.0))
-                denom = b2 * (b2 / (rho**rho_power * (beta - 1.0)) + 1.0 / t + kbar)
-            else:
-                numer = lhs - n * b2 * k1 / (4.0 * (beta - 1.0))
-                denom = b2 * (1.0 / t + kbar)
-            best = max(best, float(np.max(numer[gate])) / denom)
+        lhs = d.liyau(keep, beta)
+        if shape == "local":
+            numer = lhs - n * beta * k1 / (4.0 * (beta - 1.0))
+            denom = b2 * (b2 / (rho**rho_power * (beta - 1.0)) + 1.0 / t + kbar)
+        else:
+            numer = lhs - n * b2 * k1 / (4.0 * (beta - 1.0))
+            denom = b2 * (1.0 / t + kbar)
+        top = np.max(np.where(gate, numer, -np.inf), axis=nodes)
+        for m, den in zip(top[live], denom[live]):
+            best = max(best, float(m) / den)
     return best
 
 
@@ -561,6 +567,9 @@ def identity_residuals(
     if any(i < 1 or i > S - 2 for i in indices):
         raise ValueError("indices must be interior snapshots (centered stencil)")
     d = traj.derived
+    # fill what the loop reads of the layer's stacks, one batched pass each
+    d.grad_sq(sorted({j for i in indices for j in (i - 1, i, i + 1)}))
+    d.f_t(indices)
     times = traj.times
     grad_sq = d.grad_sq
     laps = {}
@@ -745,32 +754,39 @@ def check_evolution_inequality(
     keep = [i for i in range(2, S - 2) if times[i] > 0]
     if not keep:
         raise ValueError("no interior snapshots with t > 0")
-    F = {j: times[j] * d.liyau(j, beta)
-         for j in {j for i in keep for j in (i - 1, i, i + 1)}}
-    lhs_list, rhs_list = [], []
-    for i in keep:
-        snap = traj.snapshots[i]
-        mf, f, t = snap.metric, d.log_u(i), times[i]
-        dt_c = times[i + 1] - times[i - 1]
-        df = geometry._partials(grid, f)
-        df_up = [geometry._dot(row, df) for row in mf.inv]
-        F_t = (F[i + 1] - F[i - 1]) / dt_c
-        lhs = d.laplacian(i)(F[i]) - F_t
-        grad_f_grad_F = geometry._dot(df_up, geometry._partials(grid, F[i]))
-        gs, ft = d.grad_sq(i), d.f_t(i)
-        rhs = (
+    keep = np.array(keep)
+    lead = (-1,) + (1,) * n
+    lhs = np.empty((len(keep),) + grid.shape)
+    rhs = np.empty_like(lhs)
+    for k in range(0, len(keep), d.batch):
+        at = slice(k, k + d.batch)
+        part = keep[at]
+        # F at the part's snapshots and their neighbours, the snapshots J;
+        # here, prev and after select the rows of J at, before and after
+        # each snapshot of the part
+        J = np.array(sorted({j for i in part for j in (i - 1, i, i + 1)}))
+        here, prev, after = (stack_rows(np.searchsorted(J, part + k)) for k in (0, -1, 1))
+        liyau = d.liyau(J, beta)
+        F = times[J].reshape(lead) * liyau
+        F_here = F[here]
+        F_t = (F[after] - F[prev]) / (times[part + 1] - times[part - 1]).reshape(lead)
+        lap_F = lhs[at]  # the left side, once F_t is subtracted
+        for row, field, i in zip(lap_F, F_here, part):  # one Laplacian per metric
+            d.laplacian(i)(field, out=row)
+        lap_F -= F_t
+        df = geometry._partials(grid, d.log_u(part))
+        df_up = [geometry._dot(row, df) for row in d.inverse(part)]
+        grad_f_grad_F = geometry._dot(df_up, geometry._partials(grid, F_here))
+        gs, ft, t = d.grad_sq(part), d.f_t(part), times[part].reshape(lead)
+        rhs[at] = (
             -2.0 * grad_f_grad_F
             + (2.0 * a * beta * t / n) * (gs - ft) ** 2
-            - d.liyau(i, beta)
+            - liyau[here]
             - 2.0 * k1 * beta * t * gs
             - (beta * t * n / (2.0 * b)) * max(k1 * k1, k2 * k2)
             - (beta * alpha0 * alpha0 * n / (2.0 * b)) * (c_phi * c_phi / t)
             - 2.0 * (beta - 1.0) * alpha0 * c_phi * gs
         )
-        lhs_list.append(lhs)
-        rhs_list.append(rhs)
-    lhs = np.stack(lhs_list)
-    rhs = np.stack(rhs_list)
     tol, scale = tol_num(traj, c_tol, lhs)
     return EstimateReport(
         theorem="evolution",

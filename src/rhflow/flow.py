@@ -196,12 +196,17 @@ class Trajectory:
 
     def snapshot_at(self, t: float, rtol: float = 1e-9) -> int:
         """Index of the snapshot at time t (must match one)."""
-        times = self.times
-        i = int(np.argmin(np.abs(times - t)))
-        scale = max(abs(t), self.dt, 1e-300)
-        if abs(times[i] - t) > rtol * scale:
-            raise ValueError(f"no snapshot at t={t!r}; nearest is t={times[i]!r}")
-        return i
+        return snapshot_index(self.times, t, self.dt, rtol)
+
+
+def snapshot_index(times: np.ndarray, t: float, dt: float, rtol: float = 1e-9) -> int:
+    """`Trajectory.snapshot_at` on a trajectory's snapshot times and
+    spacing, for a caller that looks up many times in one array."""
+    i = int(np.argmin(np.abs(times - t)))
+    scale = max(abs(t), dt, 1e-300)
+    if abs(times[i] - t) > rtol * scale:
+        raise ValueError(f"no snapshot at t={t!r}; nearest is t={times[i]!r}")
+    return i
 
 
 def stability_limit(grid: Grid, g, c_stab: float = C_STAB_DEFAULT) -> float:

@@ -418,7 +418,10 @@ def _grad_phi_outer(grid: Grid, phi: np.ndarray) -> list:
 
 
 def _partials(grid: Grid, s: np.ndarray) -> list:
-    return [grid.d1(s, ax) for ax in range(grid.dim)]
+    """First partials of a scalar node field, or of each field of a stack
+    whose leading axes come before the node axes."""
+    lead = s.ndim - grid.dim
+    return [grid.d1(s, ax, lead) for ax in range(grid.dim)]
 
 
 class Laplacian:
@@ -602,8 +605,14 @@ def laplace_beltrami(grid: Grid, g, s: np.ndarray) -> np.ndarray:
 
 def gradient_norm_sq(grid: Grid, g, s: np.ndarray) -> np.ndarray:
     """|grad s|^2 = g^{ij} d_i s d_j s with centered first differences."""
+    return _gradient_norm_sq(grid, metric_fields(g).inv, s)
+
+
+def _gradient_norm_sq(grid: Grid, inv: list, s: np.ndarray) -> np.ndarray:
+    """`gradient_norm_sq` from the components g^{ij}; ``s`` may be a stack
+    of fields, and ``inv`` node fields or stacks that broadcast against it."""
     ds = _partials(grid, s)
-    return _trace_with(metric_fields(g).inv, _sym(grid.dim, lambda i, j: ds[i] * ds[j]))
+    return _trace_with(inv, _sym(grid.dim, lambda i, j: ds[i] * ds[j]))
 
 
 def _hessian(grid: Grid, s: np.ndarray, ds: list, gam: list) -> list:

@@ -201,10 +201,11 @@ class Grid:
     # Fields may carry trailing tensor axes; spatial axes are always the
     # leading ones, so shifting along axis < dim acts on nodes only.
 
-    def d1(self, a: np.ndarray, axis: int) -> np.ndarray:
-        """Centered first difference along a spatial axis, O(h^2)."""
+    def d1(self, a: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        """Centered first difference along a spatial axis, O(h^2).  ``a`` may
+        carry ``lead`` axes before its node axes (a stack of fields)."""
         h = self.h[axis]
-        return (shift(a, -1, axis) - shift(a, 1, axis)) / (2.0 * h)
+        return (shift(a, -1, lead + axis) - shift(a, 1, lead + axis)) / (2.0 * h)
 
     def d2(self, a: np.ndarray, axis: int) -> np.ndarray:
         """Centered second difference along a spatial axis, O(h^2)."""

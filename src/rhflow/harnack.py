@@ -46,7 +46,7 @@ import numpy as np
 
 from .distance import _edge_costs
 from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants, tol_num
-from .flow import Trajectory
+from .flow import Trajectory, snapshot_index
 from .grid import Layout, check_int_range
 from .scenarios import json_list, number
 
@@ -70,9 +70,11 @@ def _parse_pair(grid, pair) -> tuple:
     return grid.node(x1), number(t1, "t1"), grid.node(x2), number(t2, "t2")
 
 
-def _floor_snapshot_index(times: np.ndarray, s: float) -> int:
-    idx = int(np.searchsorted(times, s + 1e-12 * (1.0 + abs(s)), side="right")) - 1
-    return max(idx, 0)
+def _floor_snapshot_index(times: np.ndarray, s):
+    """Index of the last snapshot at or before each time of ``s`` (a float
+    or an array), to within 1e-12 relative, and 0 before the first."""
+    idx = np.searchsorted(times, s + 1e-12 * (1.0 + np.abs(s)), side="right") - 1
+    return np.maximum(idx, 0)
 
 
 def _cell_distance(grid, x1, x2) -> int:
@@ -107,20 +109,20 @@ def path_energy(traj: Trajectory, nodes, t1: float, t2: float) -> float:
         raise ValueError("need t1 < t2")
     K = len(nodes) - 1
     ds = (t2 - t1) / K
-    times = traj.times
+    floors = _floor_snapshot_index(traj.times, t1 + np.arange(K) * ds)
     total = 0.0
-    for j in range(K):
-        g = traj.snapshots[_floor_snapshot_index(times, t1 + j * ds)].g
+    for j, idx in enumerate(floors):
+        g = traj.snapshots[idx].g
         total += _segment_energy(grid, g, nodes[j], nodes[j + 1], ds)
     return total
 
 
-def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
-    """Validate one path-energy request between node tuples and return the
-    number of layers K its dynamic program runs."""
+def _layer_count(grid, times, x1, x2, t1, t2, substeps, r_max: int) -> int:
+    """Validate one path-energy request between node tuples, on a grid and
+    a trajectory's snapshot times, and return the number of layers K its
+    dynamic program runs."""
     if not t1 < t2:
         raise ValueError("need t1 < t2")
-    times = traj.times
     if t1 < times[0] - 1e-12 or t2 > times[-1] + 1e-12:
         raise ValueError(
             f"path times [{t1:g}, {t2:g}] outside stored range "
@@ -128,10 +130,10 @@ def _layer_count(traj: Trajectory, x1, x2, t1, t2, substeps, r_max: int) -> int:
         )
     check_int_range("r_max", r_max, 1, R_MAX_LIMIT)
     if substeps is None:
-        substeps = default_substeps(traj.grid, x1, x2, r_max)
+        substeps = default_substeps(grid, x1, x2, r_max)
     check_int_range("substeps", substeps, 1, SUBSTEPS_LIMIT)
     K = int(substeps)
-    if _cell_distance(traj.grid, x1, x2) > K * r_max:
+    if _cell_distance(grid, x1, x2) > K * r_max:
         raise ValueError("target unreachable: cell distance exceeds K * r_max")
     return K
 
@@ -176,9 +178,9 @@ def gamma_fields(traj: Trajectory, programs, r_max: int = R_MAX_DEFAULT) -> list
         costs.append(layout.pad(cost))
         ds = (t2 - t1) / K
         steps.append(ds)
-        for k in range(K):
-            at = layers.setdefault(_floor_snapshot_index(times, t1 + k * ds), {})
-            at[p] = at.get(p, 0) + 1
+        count = np.bincount(_floor_snapshot_index(times, t1 + np.arange(K) * ds))
+        for idx in np.flatnonzero(count).tolist():
+            layers.setdefault(idx, {})[p] = int(count[idx])
     spare = np.empty(layout.size)
     cand = np.empty(work.stop - work.start)
     classes = traj.derived.metric_class
@@ -252,7 +254,7 @@ def gamma_inf(
     grid = traj.grid
     x1 = grid.node(x1)
     x2 = grid.node(x2)
-    K = _layer_count(traj, x1, x2, t1, t2, substeps, r_max)
+    K = _layer_count(grid, traj.times, x1, x2, t1, t2, substeps, r_max)
     return float(gamma_field(traj, x1, t1, t2, K, r_max)[x2])
 
 
@@ -378,12 +380,13 @@ def check_harnack(
         a3 = cprime * b2
 
     requests = []
+    times = traj.times
     for i, pair in enumerate(json_list(pairs, "pairs")):
         try:
             x1, t1, x2, t2 = _parse_pair(grid, pair)
-            i1, i2 = traj.snapshot_at(t1), traj.snapshot_at(t2)
+            i1, i2 = snapshot_index(times, t1, traj.dt), snapshot_index(times, t2, traj.dt)
             t1, t2 = traj.snapshots[i1].t, traj.snapshots[i2].t
-            K = _layer_count(traj, x1, x2, t1, t2, substeps, r_max)
+            K = _layer_count(grid, times, x1, x2, t1, t2, substeps, r_max)
             if not t1 > 0:
                 raise ValueError("need 0 < t1 < t2")
         except ValueError as exc:

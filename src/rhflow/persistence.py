@@ -7,8 +7,8 @@ A run directory (format version 2) holds
     u.npy            the heat field of every snapshot, shape (S, *grid.shape)
     g.npy            the metric, shape (S, *grid.shape, d, d)
     phi.npy          the map, shape (S, *grid.shape, m)
-    manifest.json    sha256 of every other file plus wall time; written
-                     last, so its presence marks a complete directory
+    manifest.json    sha256 of every other file; written last, so its
+                     presence marks a complete directory
 
 The arrays are C-order float64 written by ``np.save`` without pickling, so
 they round-trip every double exactly.  A directory whose meta.json lists
@@ -37,7 +37,6 @@ import hashlib
 import io
 import json
 import math
-import time
 from functools import partial
 from pathlib import Path
 
@@ -110,7 +109,6 @@ def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
     touched.  On overwrite the old manifest goes first, so a save that is
     cut short leaves a directory that reads as incomplete.
     """
-    t0 = time.perf_counter()
     out = Path(out_dir)
     if (out / "manifest.json").exists() and not overwrite:
         raise FileExistsError(f"{out} already holds a run (pass overwrite=True)")
@@ -158,11 +156,7 @@ def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
     for name, data in blobs.items():
         (out / name).write_bytes(data)
         files[name] = hashlib.sha256(data).hexdigest()
-    manifest = {
-        "format_version": FORMAT_VERSION,
-        "files": files,
-        "wall_time_s": time.perf_counter() - t0,
-    }
+    manifest = {"format_version": FORMAT_VERSION, "files": files}
     (out / "manifest.json").write_text(dumps(manifest))
     return out
 

@@ -14,12 +14,14 @@ reloaded.
 
 import ast
 import copy
+import gc
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import check_oracle
 from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
 from rhflow import distance, geometry, harnack
 from rhflow import estimates as est
@@ -196,6 +198,37 @@ def test_layer_is_not_part_of_equality_and_copies_start_empty(coupled_run):
     twin = copy.copy(traj)
     assert twin == traj
     assert twin.derived is not layer and twin.derived.owner() is twin
+
+
+@pytest.mark.parametrize("run", ["coupled_run", "eigenmode_run"])
+def test_stack_rows_equal_the_per_snapshot_fields(run, request):
+    # any order, repeats and negative indices; rows built in several passes
+    traj = copy.copy(request.getfixturevalue(run))
+    d, old = traj.derived, check_oracle.Fields(traj)
+    S = len(traj.snapshots)
+    idx = [3, 1, S - 2, 1, -2]
+    for name in ("log_u", "f_t", "grad_sq"):
+        got = getattr(d, name)(idx)
+        assert got.shape == (len(idx),) + traj.grid.shape
+        for row, i in zip(got, idx):
+            want = getattr(old, name)(i % S)
+            assert row.tobytes() == want.tobytes() == getattr(d, name)(i).tobytes()
+    # consecutive indices give views of the stack
+    assert np.shares_memory(d.f_t(list(range(1, S - 1))), d.f_t(2))
+
+
+def test_a_checked_trajectory_is_freed_without_the_cycle_collector(eigenmode_run):
+    # the layer and its stacks form no reference cycle, so their fields go
+    # with the trajectory and not at the next collection
+    gc.disable()
+    try:
+        traj = copy.copy(eigenmode_run)
+        run_every_check(traj, (40,), 0.3)
+        layer = weakref.ref(traj.derived)
+        del traj
+        assert layer() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("i", [0, -1])

@@ -7,15 +7,22 @@ against silent drift, while the closed-form and band assertions guard
 against being wrong in the first place.
 """
 
+import copy
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import check_oracle
 from rhflow import estimates as est
 from rhflow import geometry
 from rhflow.estimates import GateEmptyError
 from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory, run
 from rhflow.grid import Grid
 from rhflow.harnack import check_harnack
+from rhflow.persistence import dumps, load_run, save_run
 from rhflow.scenarios import load_scenario, run_scenario
 
 
@@ -509,3 +516,85 @@ def test_local_check_refuses_a_node_of_the_wrong_shape(eigenmode_run, x0):
     # (1, 2) on the 128-node circle used to check the ball around node 1
     with pytest.raises(ValueError, match="needs 1 integer coordinate"):
         est.check_local(eigenmode_run, 2.0, 0.3, x0, 1.0)
+
+
+# ---------------------------------------------------------------------------
+# bitwise references: the checks read the layer's snapshot stacks, and every
+# report equals that of the per-snapshot code they replaced (check_oracle)
+
+
+def same_bits(got, want) -> bool:
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(want).tobytes())
+
+
+def assert_same_report(got, want):
+    for name in ("times", "lhs", "rhs", "margin", "gate"):
+        assert same_bits(getattr(got, name), getattr(want, name)), name
+    assert same_bits(got.tol_num, want.tol_num) and same_bits(got.scale, want.scale)
+    assert (got.alt is None) == (want.alt is None)
+    if got.alt is not None:
+        for name in ("rhs", "margin"):
+            assert same_bits(got.alt[name], want.alt[name]), name
+    assert dumps(got.summary()) == dumps(want.summary())
+
+
+def local_args(traj):
+    """A ball centre and radius whose half ball holds a few nodes."""
+    grid = traj.grid
+    return tuple(n // 3 for n in grid.n_points), 0.3 * min(grid.lengths)
+
+
+def assert_checks_match_the_oracle(traj, beta):
+    """Global, local, C' fits and evolution on a fresh layer of traj, each
+    against the per-snapshot reference; beta > 1."""
+    traj = copy.copy(traj)  # a copy starts with an empty layer
+    old = check_oracle.reference(traj)
+    x0, rho = local_args(traj)
+    for b in (1.0, beta):
+        assert_same_report(est.check_global(traj, b), check_oracle.check_global(old, b))
+    assert_same_report(est.check_local(traj, beta, rho, x0, 0.5, 0.7),
+                       check_oracle.check_local(old, beta, rho, x0, 0.5, 0.7))
+    betas = [beta, 1.5 * beta]
+    for rho_power in (1, 2):
+        got = est.fit_cprime(traj, betas, rho=rho, x0=x0, rho_power=rho_power)
+        assert same_bits(got, check_oracle.fit_cprime(old, betas, rho=rho, x0=x0,
+                                                      rho_power=rho_power))
+    got = est.fit_cprime(traj, betas, shape="harnack")
+    assert same_bits(got, check_oracle.fit_cprime(old, betas, shape="harnack"))
+    a = b = 1.0 / (3.0 * beta)
+    assert_same_report(est.check_evolution_inequality(traj, beta, a, b),
+                       check_oracle.check_evolution_inequality(old, beta, a, b))
+
+
+@pytest.mark.parametrize("run", ["eigenmode_run", "heat_kernel_run", "coupled_run",
+                                 "warped_run"])
+def test_checks_equal_the_per_snapshot_reference(run, request):
+    # static 1-D from t = 0 and from t > 0, moving 2-D from t > 0 and t = 0
+    traj = request.getfixturevalue(run)
+    assert_checks_match_the_oracle(traj, 2.0)
+
+
+def test_checks_equal_the_reference_on_a_static_2d_run():
+    # one metric class over 7 snapshots of 64x64, filled two at a time
+    cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
+    cfg["variant"] = {"kind": "static"}
+    t = cfg["time"]
+    t["t_end"] = t["t_start"] + 6 * t["snapshot_stride"] * t["dt_sub"]
+    traj = run_scenario(load_scenario(cfg))
+    assert traj.derived.metric_class == [0] * 7
+    assert_checks_match_the_oracle(traj, 2.0)
+
+
+def test_checks_equal_the_reference_on_a_reloaded_static_run(eigenmode_run, tmp_path):
+    # separate metric arrays of equal content: one metric class all the same
+    traj = load_run(save_run(eigenmode_run, tmp_path / "run"))
+    assert traj.snapshots[0].g is not traj.snapshots[1].g
+    assert_checks_match_the_oracle(traj, 2.0)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(beta=st.floats(1.0, 8.0, exclude_min=True))
+def test_checks_equal_the_reference_for_any_beta(eigenmode_run, beta):
+    assert_checks_match_the_oracle(eigenmode_run, beta)

@@ -549,14 +549,16 @@ def test_underflowing_floor_names_its_pair(coupled_run, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["error"].startswith("pair 0: Harnack floor")
 
 
-def test_harnack_demo_runs():
+@pytest.mark.parametrize("demo", sorted(p.name for p in (REPO / "demos").glob("*.py")))
+def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(REPO / "demos" / "04_harnack_paths.py")],
+    proc = subprocess.run([sys.executable, str(REPO / "demos" / demo)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert "complete-manifold floors" in proc.stdout
+    if demo == "04_harnack_paths.py":
+        assert "complete-manifold floors" in proc.stdout
 
 
 def conformal_run():

@@ -284,8 +284,18 @@ def test_save_load_round_trip(tmp_path):
     assert back.dt == traj.dt and back.dt_sub == traj.dt_sub
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["format_version"] == persistence.FORMAT_VERSION
-    assert "wall_time_s" in manifest
+    assert "wall_time_s" not in manifest  # nothing that differs between saves
     assert set(manifest["files"]) == {"meta.json", "u.npy", "g.npy", "phi.npy"}
+
+
+def test_two_saves_of_one_trajectory_are_byte_identical(tmp_path):
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    a, b = save_run(traj, tmp_path / "a"), save_run(traj, tmp_path / "b")
+    names = sorted(p.name for p in a.iterdir())
+    assert names == sorted(p.name for p in b.iterdir())
+    assert "manifest.json" in names
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 def test_save_run_overwrite_guard(tmp_path):
@@ -371,6 +381,8 @@ def test_saves_of_one_trajectory_have_identical_digests(tmp_path):
 def test_v1_run_directory_still_loads(tmp_path):
     v1 = load_run(V1_RUN)
     assert json.loads((V1_RUN / "meta.json").read_text())["format_version"] == 1
+    # older manifests carry the save's wall time, which loading ignores
+    assert "wall_time_s" in json.loads((V1_RUN / "manifest.json").read_text())
     save_run(v1, tmp_path / "v2")
     v2 = load_run(tmp_path / "v2")
     assert_same_snapshots(v1, v2)
