@@ -7,7 +7,7 @@ hypothesis gates, empirical constants, and honest numeric tolerances.
 """
 
 from .cutoff import CutoffFunction, cutoff_verify
-from .distance import flat_torus_distance, geodesic_distance
+from .distance import geodesic_distance
 from .estimates import (
     EstimateReport,
     GateEmptyError,
@@ -39,14 +39,12 @@ from .geometry import (
     MetricDegenerateError,
     christoffel,
     eig_general,
-    energy_density,
     grad_phi_outer,
     gradient_norm_sq,
     hessian,
     laplace_beltrami,
     metric_inverse,
     ricci,
-    s_tensor,
     scalar_curvature,
     tension_field,
 )
@@ -57,7 +55,6 @@ from .harnack import (
     gamma_field,
     gamma_inf,
     harnack_floor,
-    path_energy,
 )
 from .persistence import HashMismatchError, load_run, save_report, save_run
 from .scenarios import (
@@ -96,10 +93,8 @@ __all__ = [
     "christoffel",
     "cutoff_verify",
     "eig_general",
-    "energy_density",
     "extract_constants",
     "fit_cprime",
-    "flat_torus_distance",
     "gamma_field",
     "gamma_inf",
     "geodesic_distance",
@@ -115,12 +110,10 @@ __all__ = [
     "local_bound",
     "metric_inverse",
     "parse_scenario",
-    "path_energy",
     "refine_scenario",
     "ricci",
     "run",
     "run_scenario",
-    "s_tensor",
     "save_report",
     "save_run",
     "scalar_curvature",

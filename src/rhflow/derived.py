@@ -9,8 +9,9 @@ metric array: consecutive snapshots whose metric arrays are one object or
 equal in content (``metric_class``) share it, so a static run computes it
 once in all, in memory or reloaded, and a coupled run once per snapshot:
 
-    ricci(i)      Ricci tensor of stored snapshot i, kept as its d(d+1)/2
-                  distinct components once per distinct metric array
+    ricci(i)      Ricci tensor of stored snapshot i as the symmetric
+                  component list R[i][j] of `geometry._ricci` ([0][1] and
+                  [1][0] one array), kept once per distinct metric array
     laplacian(i)  `geometry.Laplacian` of snapshot i's metric class; only the
                   last one built is kept (a walk in order builds one per class)
     curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
@@ -134,19 +135,11 @@ class TrajectoryFields:
             out.append(out[-1] if same else i)
         return out
 
-    def ricci(self, i: int) -> np.ndarray:
+    def ricci(self, i: int) -> list:
         key = self.metric_class[i]
-        kept = self._ricci.get(key)
-        if kept is None:
-            ric = geometry.ricci(self.grid, self.snapshots[key].metric)
-            # exactly symmetric, so its upper triangle holds all of it
-            d = ric.shape[-1]
-            self._ricci[key] = tuple(ric[..., a, b].copy() for a in range(d) for b in range(a, d))
-            return ric
-        if len(kept) == 1:
-            return kept[0][..., None, None]
-        r00, r01, r11 = kept
-        return np.stack([np.stack([r00, r01], axis=-1), np.stack([r01, r11], axis=-1)], axis=-2)
+        if key not in self._ricci:
+            self._ricci[key] = geometry._ricci(self.grid, self.snapshots[key].metric)
+        return self._ricci[key]
 
     @functools.cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

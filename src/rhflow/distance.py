@@ -161,13 +161,3 @@ def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
     comp = _sym(grid.dim, lambda i, j: np.roll(comp[i][j], roll, axis=0))
     flat = _banded_relaxation(layout, _edge_costs(grid, comp, layout), x0[1])
     return np.roll(layout.view(flat), -roll, axis=0)
-
-
-def flat_torus_distance(grid: Grid, x0, x1) -> float:
-    """Closed-form Euclidean distance between nodes on the flat torus."""
-    x0, x1 = grid.node(x0), grid.node(x1)
-    d2 = 0.0
-    for ax in range(grid.dim):
-        cells = grid.wrap_delta(x0[ax], x1[ax], ax)
-        d2 += float(cells * grid.h[ax]) ** 2
-    return float(np.sqrt(d2))

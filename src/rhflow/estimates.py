@@ -601,8 +601,7 @@ def identity_residuals(
         df = geometry._partials(grid, f)
         df_up = [geometry._dot(row, df) for row in inv]
         coup = traj.variant.coupling(traj.schedule, snap.t)
-        ric_arr = d.ricci(i)
-        ric = [[ric_arr[..., a, b] for b in range(n)] for a in range(n)]
+        ric = d.ricci(i)
         if traj.variant.kind == "static":
             s_tensor = [[0.0] * n for _ in range(n)]
         else:

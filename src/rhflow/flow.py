@@ -574,7 +574,7 @@ def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
     from below.  `run` reduces the same fields as it steps, with each
     metric's Ricci tensor computed once.
     """
-    return _constants(snap.t, curvature_fields(snap.metric, geometry.ricci(grid, snap.metric),
+    return _constants(snap.t, curvature_fields(snap.metric, geometry._ricci(grid, snap.metric),
                                                geometry._grad_phi_outer(grid, snap.phi)))
 
 
@@ -662,7 +662,7 @@ def run(
     t, u, metric = initial.t, initial.u, initial.metric
     if variant.kind == "static":
         ws = None
-        curvature = curvature_fields(metric, geometry.ricci(grid, metric),
+        curvature = curvature_fields(metric, geometry._ricci(grid, metric),
                                      geometry._grad_phi_outer(grid, initial.phi))
     else:
         ws = _Workspace(grid, variant, schedule, method, dt_sub, initial)

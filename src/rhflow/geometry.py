@@ -645,22 +645,6 @@ def grad_phi_outer(grid: Grid, phi: np.ndarray) -> np.ndarray:
     return _stack2(_grad_phi_outer(grid, phi))
 
 
-def energy_density(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
-    """|grad phi|^2 = g^{ij} (dphi (x) dphi)_ij."""
-    return _trace_with(metric_fields(g).inv, _grad_phi_outer(grid, phi))
-
-
-def s_tensor(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
-    """Coupled curvature tensor Ric - alpha * (dphi (x) dphi)."""
-    return ricci(grid, g) - alpha * grad_phi_outer(grid, phi)
-
-
-def s_scalar(grid: Grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
-    """Trace of the coupled curvature tensor: R - alpha |grad phi|^2."""
-    mf = metric_fields(g)
-    return scalar_curvature(grid, mf) - alpha * energy_density(grid, mf, phi)
-
-
 def tension_field(grid: Grid, g, phi: np.ndarray) -> np.ndarray:
     """Tension field of a map into flat R^m: componentwise Laplace-Beltrami,
     with one `Laplacian` for all components."""
@@ -693,17 +677,6 @@ def _rough_laplacian_covector(grid: Grid, mf: MetricFields, om: list, gam: list)
 
         out.append(_sum(mf.inv[a][b] * nabla_t(a, b) for a in range(d) for b in range(d)))
     return out
-
-
-def rough_laplacian_covector(grid: Grid, g, omega: np.ndarray) -> np.ndarray:
-    """Connection Laplacian g^{ab} (nabla^2 omega)_{ab i} of a covector field.
-
-    omega has shape ``grid.shape + (d,)``.  Needed for the commutation
-    identity between the Laplacian and the gradient.
-    """
-    mf = metric_fields(g)
-    om = [omega[..., i] for i in range(grid.dim)]
-    return np.stack(_rough_laplacian_covector(grid, mf, om, _christoffel(grid, mf)), axis=-1)
 
 
 def eig_general(A, g) -> np.ndarray:

@@ -45,7 +45,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import _edge_costs
-from .estimates import TOL_EIG_FACTOR, GateEmptyError, check_beta, extract_constants, tol_num
+from .estimates import (C_TOL_DEFAULT, TOL_EIG_FACTOR, GateEmptyError, check_beta,
+                        extract_constants, tol_num)
 from .flow import Trajectory, snapshot_index
 from .grid import Layout, check_int_range
 from .scenarios import json_list, number
@@ -87,34 +88,6 @@ def default_substeps(grid, x1, x2, r_max: int = R_MAX_DEFAULT) -> int:
     """Layer count that keeps per-layer moves within r_max cells with slack."""
     d = _cell_distance(grid, x1, x2)
     return max(SUBSTEPS_FLOOR, int(np.ceil(4.0 * d / r_max)))
-
-
-def _segment_energy(grid, g, x_from, x_to, ds: float) -> float:
-    delta = np.array(
-        [grid.wrap_delta(a, b, ax) * grid.h[ax]
-         for ax, (a, b) in enumerate(zip(x_from, x_to))]
-    )
-    gbar = 0.5 * (g[x_from] + g[x_to])
-    return float(delta @ gbar @ delta) / ds
-
-
-def path_energy(traj: Trajectory, nodes, t1: float, t2: float) -> float:
-    """Energy of an explicit space-time polyline visiting `nodes` at uniform
-    times from t1 to t2, metric frozen per segment at the floor snapshot."""
-    grid = traj.grid
-    nodes = [grid.node(x) for x in nodes]
-    if len(nodes) < 2:
-        raise ValueError("a path needs at least two nodes")
-    if not t1 < t2:
-        raise ValueError("need t1 < t2")
-    K = len(nodes) - 1
-    ds = (t2 - t1) / K
-    floors = _floor_snapshot_index(traj.times, t1 + np.arange(K) * ds)
-    total = 0.0
-    for j, idx in enumerate(floors):
-        g = traj.snapshots[idx].g
-        total += _segment_energy(grid, g, nodes[j], nodes[j + 1], ds)
-    return total
 
 
 def _layer_count(grid, times, x1, x2, t1, t2, substeps, r_max: int) -> int:
@@ -328,7 +301,7 @@ def check_harnack(
     mode: str = "compact",
     beta: float = 2.0,
     cprime: float | None = None,
-    c_tol: float = 10.0,
+    c_tol: float = C_TOL_DEFAULT,
     tol_eig_factor: float = TOL_EIG_FACTOR,
     substeps: int | None = None,
     r_max: int = R_MAX_DEFAULT,

@@ -14,19 +14,19 @@ The arrays are C-order float64 written by ``np.save`` without pickling, so
 they round-trip every double exactly.  A directory whose meta.json lists
 only u in ``fields_saved`` (a u-only save) is refused on reload.  An
 ``.npy`` header holds only the dtype, the order and the shape, so the
-same trajectory always produces byte-identical files.  Version 1
-directories, one ``snap_NNNNN.json`` per snapshot, are still read,
-strictly: exactly the keys index, t, u, g and phi, the index and time of
-its place in meta.json, each field a list of numbers of its shape's size.
+same trajectory always produces byte-identical files.  A format-1
+directory (one ``snap_NNNNN.json`` per snapshot) is refused too; its
+meta.json echoes the scenario, which can be run again.
 
 JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
 with 17 significant digits ("%.17g"), which round-trips IEEE doubles
 exactly, and dict keys emitted sorted.  ``load_run`` checks every file it
-parses against the manifest digest, and the structure of the manifest and
-of meta.json (`META`: every key, each value's type by the readers of
-`scenarios`, the snapshot times, one alpha and constants object per
-snapshot, ``completed`` exactly when ``halt_reason`` is null); an error
-names the file and the key.
+parses against the manifest digest, and the structure of the manifest
+(its ``files`` table, a format version equal to meta.json's, and the
+``wall_time_s`` that older manifests carry) and of meta.json (`META`:
+every key, each value's type by the readers of `scenarios`, the snapshot
+times, one alpha and constants object per snapshot, ``completed`` exactly
+when ``halt_reason`` is null); an error names the file and the key.
 Reports (margin checks, Harnack pair tables) are saved as a JSON summary
 plus a CSV of per-snapshot or per-pair rows with the same float format.
 """
@@ -36,7 +36,6 @@ from __future__ import annotations
 import hashlib
 import io
 import json
-import math
 from functools import partial
 from pathlib import Path
 
@@ -150,8 +149,6 @@ def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    for stale in out.glob("snap_*.json"):
-        stale.unlink()
     files = {}
     for name, data in blobs.items():
         (out / name).write_bytes(data)
@@ -187,11 +184,7 @@ def _load_npy(out: Path, name: str, digests: dict, shape: tuple) -> np.ndarray:
     return arr
 
 
-# the file that holds field f of snapshot i, by format version
-_FIELD_FILES = {1: "snap_{i:05d}.json", 2: "{f}.npy"}
-
-
-def _snapshot(t, g, phi, u, version: int, i: int) -> Snapshot:
+def _snapshot(t, g, phi, u, i: int) -> Snapshot:
     """A stored snapshot; a field it rejects is a ValueError naming the
     file that holds it and the index."""
     try:
@@ -202,26 +195,7 @@ def _snapshot(t, g, phi, u, version: int, i: int) -> Snapshot:
             field = "g"
         else:
             field = "phi" if not np.isfinite(phi).all() else "u"
-        raise ValueError(f"{_FIELD_FILES[version].format(f=field, i=i)}: snapshot {i}: "
-                         f"{exc}") from exc
-
-
-def _snap_fields(payload: dict, i: int, t: float, shapes: dict) -> list:
-    """The u, g and phi of format-1 snapshot file i: its keys are checked,
-    its index and time must be i and meta.json's, and each field must be a
-    list of numbers with one entry per value of its shape."""
-    check_keys(payload, dict.fromkeys(("index", "t") + FIELDS, True), "")
-    if integer(payload["index"], "index") != i:
-        raise ValueError(f"index={payload['index']!r}, but the file is snapshot {i}")
-    if number(payload["t"], "t") != t:
-        raise ValueError(f"t={payload['t']!r}, but meta.json has times[{i}]={t!r}")
-    fields = []
-    for f in FIELDS:
-        values = json_list(payload[f], f, number)
-        if len(values) != math.prod(shapes[f]):
-            raise ValueError(f"{f} holds {len(values)} numbers, meta.json implies {shapes[f]}")
-        fields.append(np.array(values).reshape(shapes[f]))
-    return fields
+        raise ValueError(f"{field}.npy: snapshot {i}: {exc}") from exc
 
 
 # every key of meta.json, and the reader (value, key) -> value that checks it;
@@ -264,12 +238,17 @@ def _in_file(name: str, parse, *args):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def _digests(manifest: dict) -> dict:
-    """The manifest's file -> sha256 table."""
-    digests = json_object(manifest.get("files"), "files")
+def _digests(manifest: dict) -> tuple[dict, int]:
+    """The manifest's file -> sha256 table and its format version.  Its
+    only other key is the save's wall time, ``wall_time_s``, which
+    manifests written before two saves were byte-identical carry."""
+    check_keys(manifest, {"files": True, "format_version": True, "wall_time_s": False}, "")
+    digests = json_object(manifest["files"], "files")
     for name, digest in digests.items():
         choice(digest, f"files.{name}")
-    return digests
+    if "wall_time_s" in manifest:
+        number(manifest["wall_time_s"], "wall_time_s")
+    return digests, integer(manifest["format_version"], "format_version")
 
 
 def _header(meta: dict) -> dict:
@@ -306,38 +285,34 @@ def load_run(run_dir) -> Trajectory:
     """Rebuild a trajectory from a run directory.
 
     Every file read must be listed in the manifest and match its digest.
-    Only the file names of the directory's format are read.  A manifest or
-    meta.json of the wrong structure, and snapshot times that do not step by
-    dt_snapshot, are a ValueError naming the file and the key.
+    Only the file names of the format are read.  A manifest or meta.json of
+    the wrong structure, a format version other than `FORMAT_VERSION`, and
+    snapshot times that do not step by dt_snapshot, are a ValueError naming
+    the file and the key.
     """
     out = Path(run_dir)
     manifest_path = out / "manifest.json"
     if not manifest_path.exists():
         raise FileNotFoundError(f"{out} has no manifest.json (incomplete run?)")
     manifest = _file_object(manifest_path.read_bytes(), "manifest.json")
-    digests = _in_file("manifest.json", _digests, manifest)
+    digests, version = _in_file("manifest.json", _digests, manifest)
     meta = _file_object(_read(out, "meta.json", digests), "meta.json")
     head = _in_file("meta.json", _header, meta)
+    if head["format_version"] != FORMAT_VERSION:
+        raise ValueError(f"meta.json: format_version {head['format_version']} is not read "
+                         f"(only {FORMAT_VERSION}); run the scenario it echoes again")
+    if version != head["format_version"]:
+        raise ValueError(f"manifest.json: format_version {version}, but meta.json has "
+                         f"{head['format_version']}")
     if "g" not in head["fields_saved"]:
         raise ValueError(
             f"{out} was saved u-only and holds no metric; run its scenario again"
         )
-    grid, times = head["grid"], head["times"]
-    n, version = head["n_snapshots"], head["format_version"]
+    grid, times, n = head["grid"], head["times"], head["n_snapshots"]
     shapes = {"u": grid.shape, "g": grid.shape + (grid.dim, grid.dim),
               "phi": grid.shape + (head["phi_components"],)}
-    if version == 2:
-        u, g, phi = (_load_npy(out, f"{f}.npy", digests, (n,) + shapes[f]) for f in FIELDS)
-    elif version == 1:
-        files = []
-        for i, t in enumerate(times):
-            name = _FIELD_FILES[1].format(i=i)
-            payload = _file_object(_read(out, name, digests), name)
-            files.append(_in_file(name, _snap_fields, payload, i, t, shapes))
-        u, g, phi = (np.stack(field) for field in zip(*files))
-    else:
-        raise ValueError(f"meta.json: unsupported format_version {version!r}")
-    snaps = [_snapshot(times[i], g[i], phi[i], u[i], version, i) for i in range(n)]
+    u, g, phi = (_load_npy(out, f"{f}.npy", digests, (n,) + shapes[f]) for f in FIELDS)
+    snaps = [_snapshot(times[i], g[i], phi[i], u[i], i) for i in range(n)]
     return Trajectory(
         grid=grid,
         variant=head["variant"],

@@ -14,8 +14,8 @@ at most ``grid.MAX_NODES`` nodes, ``images`` at most `IMAGES_LIMIT` and
 checked against the explicit stability bound of the initial metric at
 load time, not step time.  Each of these errors names the field's dotted
 path.  The readers here (`number`, `integer`, `json_object`, `json_list`,
-`check_keys`, `per_axis`, `choice`) also read run metadata, format-1
-snapshot files and Harnack pairs.
+`check_keys`, `per_axis`, `choice`) also read run metadata, manifests
+and Harnack pairs.
 
 Initial data comes from a small typed catalog.  Scalar fields (u, map
 components, conformal exponents) are built from:

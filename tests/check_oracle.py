@@ -10,6 +10,13 @@ Pass them a trajectory wrapped by `reference`: its ``derived`` is a
 `Fields`, which hands everything else (curvature, distance fields, the
 Laplacian) to the trajectory's own layer, so these checks share no
 f, f_t or |grad f|^2 code with the ones they check.
+
+The rest are helpers that no check calls, kept with their tests: the
+coupled curvature tensor Ric - alpha dphi (x) dphi (`s_tensor`), its trace
+(`s_scalar`) and the map's energy density (`energy_density`); the connection
+Laplacian of a covector (`rough_laplacian_covector`), whose private kernel
+the commutation identity reads; and the energy of an explicit space-time
+path (`path_energy`), which the Harnack dynamic program must not exceed.
 """
 
 import numpy as np
@@ -19,6 +26,7 @@ from rhflow.estimates import (C_TOL_DEFAULT, CPRIME_FLOOR, TOL_EIG_FACTOR, Estim
                               GateEmptyError, _report_indices, check_beta, check_positive,
                               extract_constants, global_bound, local_bound, tol_num)
 from rhflow.flow import Trajectory
+from rhflow.harnack import _floor_snapshot_index
 
 
 def gradient_norm_sq(grid, g, s: np.ndarray) -> np.ndarray:
@@ -325,3 +333,60 @@ def check_evolution_inequality(
         constants=constants.as_dict(),
         notes={"a": a, "b": b, "alpha0": alpha0},
     )
+
+
+def energy_density(grid, g, phi: np.ndarray) -> np.ndarray:
+    """|grad phi|^2 = g^{ij} (dphi (x) dphi)_ij."""
+    return geometry._trace_with(geometry.metric_fields(g).inv,
+                                geometry._grad_phi_outer(grid, phi))
+
+
+def s_tensor(grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
+    """Coupled curvature tensor Ric - alpha * (dphi (x) dphi)."""
+    return geometry.ricci(grid, g) - alpha * geometry.grad_phi_outer(grid, phi)
+
+
+def s_scalar(grid, g, phi: np.ndarray, alpha: float) -> np.ndarray:
+    """Trace of the coupled curvature tensor: R - alpha |grad phi|^2."""
+    mf = geometry.metric_fields(g)
+    return geometry.scalar_curvature(grid, mf) - alpha * energy_density(grid, mf, phi)
+
+
+def rough_laplacian_covector(grid, g, omega: np.ndarray) -> np.ndarray:
+    """Connection Laplacian g^{ab} (nabla^2 omega)_{ab i} of a covector field.
+
+    omega has shape ``grid.shape + (d,)``.  Needed for the commutation
+    identity between the Laplacian and the gradient.
+    """
+    mf = geometry.metric_fields(g)
+    om = [omega[..., i] for i in range(grid.dim)]
+    gam = geometry._christoffel(grid, mf)
+    return np.stack(geometry._rough_laplacian_covector(grid, mf, om, gam), axis=-1)
+
+
+def _segment_energy(grid, g, x_from, x_to, ds: float) -> float:
+    delta = np.array(
+        [grid.wrap_delta(a, b, ax) * grid.h[ax]
+         for ax, (a, b) in enumerate(zip(x_from, x_to))]
+    )
+    gbar = 0.5 * (g[x_from] + g[x_to])
+    return float(delta @ gbar @ delta) / ds
+
+
+def path_energy(traj: Trajectory, nodes, t1: float, t2: float) -> float:
+    """Energy of an explicit space-time polyline visiting `nodes` at uniform
+    times from t1 to t2, metric frozen per segment at the floor snapshot."""
+    grid = traj.grid
+    nodes = [grid.node(x) for x in nodes]
+    if len(nodes) < 2:
+        raise ValueError("a path needs at least two nodes")
+    if not t1 < t2:
+        raise ValueError("need t1 < t2")
+    K = len(nodes) - 1
+    ds = (t2 - t1) / K
+    floors = _floor_snapshot_index(traj.times, t1 + np.arange(K) * ds)
+    total = 0.0
+    for j, idx in enumerate(floors):
+        g = traj.snapshots[idx].g
+        total += _segment_energy(grid, g, nodes[j], nodes[j + 1], ds)
+    return total

@@ -3,7 +3,8 @@
 The graph is assembled here, edge list first, from its own offset list and
 `np.roll`, with each weight an einsum of the endpoint-averaged metric, so
 the reference shares no code with `rhflow.distance` but the metric it is
-given.  scipy is a test dependency only.
+given.  scipy is a test dependency only.  `flat_torus_distance` is the
+closed-form distance on a flat torus.
 """
 
 import numpy as np
@@ -48,3 +49,13 @@ def dijkstra_distance(grid, g, x0) -> np.ndarray:
     """The distance field from node x0 by scipy's Dijkstra."""
     source = int(np.ravel_multi_index(grid.node(x0), grid.shape))
     return dijkstra(coo_edge_graph(grid, g), directed=True, indices=source).reshape(grid.shape)
+
+
+def flat_torus_distance(grid, x0, x1) -> float:
+    """Closed-form Euclidean distance between nodes on the flat torus."""
+    x0, x1 = grid.node(x0), grid.node(x1)
+    d2 = 0.0
+    for ax in range(grid.dim):
+        cells = grid.wrap_delta(x0[ax], x1[ax], ax)
+        d2 += float(cells * grid.h[ax]) ** 2
+    return float(np.sqrt(d2))

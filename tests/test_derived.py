@@ -42,7 +42,7 @@ def run_every_check(traj, x0, rho):
 
 def test_every_check_shares_one_layer(coupled_run, monkeypatch):
     traj = copy.copy(coupled_run)  # a copy starts with an empty layer
-    ricci = count_calls(monkeypatch, geometry, "ricci")
+    ricci = count_calls(monkeypatch, geometry, "_ricci")
     eig = count_calls(monkeypatch, geometry, "eig_general")
     dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
     edges = count_calls(monkeypatch, harnack, "_edge_costs")
@@ -95,7 +95,7 @@ def test_a_static_run_builds_its_metric_fields_once(eigenmode_run, tmp_path, mon
         traj = load_run(tmp_path / "run")
         a, b = traj.snapshots[0], traj.snapshots[1]
         assert a.g is not b.g and a.phi is not b.phi and a.metric is not b.metric
-    ricci = count_calls(monkeypatch, geometry, "ricci")
+    ricci = count_calls(monkeypatch, geometry, "_ricci")
     eig = count_calls(monkeypatch, geometry, "eig_general")
     dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
     edges = count_calls(monkeypatch, harnack, "_edge_costs")

@@ -10,9 +10,9 @@ graph (`distance_oracle`) bit for bit.
 import numpy as np
 import pytest
 
-from distance_oracle import dijkstra_distance
+from distance_oracle import dijkstra_distance, flat_torus_distance
 from rhflow import geometry
-from rhflow.distance import METRICATION_8, flat_torus_distance, geodesic_distance
+from rhflow.distance import METRICATION_8, geodesic_distance
 from rhflow.grid import Grid
 from rhflow.scenarios import bundled_names, load_scenario, run_scenario
 

@@ -357,7 +357,7 @@ def einsum_identity_residuals(traj, include_flow_correction=True):
         df = grid.partial(f)
         df_up = np.einsum("...ij,...j->...i", ginv, df)
         coup = traj.variant.coupling(traj.schedule, snap.t)
-        ric = d.ricci(i)
+        ric = geometry._stack2(d.ricci(i))
         if traj.variant.kind == "static":
             s_tensor = np.zeros_like(snap.g)
         else:
@@ -378,7 +378,7 @@ def einsum_identity_residuals(traj, include_flow_correction=True):
             dphi = np.stack([grid.d1(phi, ax) for ax in range(grid.dim)], axis=-2)
             rhs2 = rhs2 - 2.0 * coup * np.einsum("...im,...m,...i->...", dphi, tension, df_up)
         out["laplacian_time"].append(lhs2 - rhs2)
-        lap_df = geometry.rough_laplacian_covector(grid, g, df)
+        lap_df = check_oracle.rough_laplacian_covector(grid, g, df)
         res3 = lap_df - grid.partial(lap) - np.einsum("...ij,...j->...i", ric, df_up)
         out["commute_grad"].append(np.sqrt(np.einsum("...ij,...i,...j->...", ginv, res3, res3)))
         lhs4 = geometry.laplace_beltrami(grid, g, d.grad_sq(i))

@@ -5,12 +5,14 @@ import rhflow
 from rhflow import cutoff, distance, estimates, geometry, grid, harnack
 
 REMOVED = {
-    rhflow: ("liyau_quantity", "cprime_fallback"),
+    rhflow: ("liyau_quantity", "cprime_fallback", "flat_torus_distance", "path_energy",
+             "energy_density", "s_tensor"),
     estimates: ("liyau_quantity", "cprime_fallback"),
-    distance: ("node_index", "_Layout"),
+    distance: ("node_index", "_Layout", "flat_torus_distance"),
     grid: ("Halo",),
+    geometry: ("energy_density", "s_tensor", "s_scalar", "rough_laplacian_covector"),
     geometry._Calls: ("ghosts",),
-    harnack: ("_node_tuple", "check_r_max", "check_substeps"),
+    harnack: ("_node_tuple", "check_r_max", "check_substeps", "path_energy", "_segment_energy"),
     cutoff: ("check_lattice",),
 }
 

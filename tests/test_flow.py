@@ -468,7 +468,7 @@ def test_run_evaluates_ricci_once_per_flow_stage_plus_one(monkeypatch, method, p
 
 
 def test_static_run_evaluates_ricci_once(monkeypatch):
-    calls = count_calls(monkeypatch, geometry, "ricci")
+    calls = count_calls(monkeypatch, geometry, "_ricci")
     traj = run_scenario(load_scenario(tiny_static_cfg()))
     assert traj.completed and len(traj.snapshots) == 5
     assert len(calls) == 1

