@@ -1174,8 +1174,20 @@ def _shorten(key):
     return edit
 
 
+def _npy_edit(edit, **save):
+    """A rewrite of a stored .npy file as edit(its array)."""
+    def rewrite(path):
+        np.save(path, edit(np.load(path)), **save)
+    return rewrite
+
+
+def _cut_short(path):
+    """A save cut off before the last stored double."""
+    path.write_bytes(path.read_bytes()[:-8])
+
+
 # (file of the saved tiny run; edit of its JSON in place or returning a
-# replacement; what the error names)
+# replacement, or for a .npy file a rewrite of the file; what the error names)
 MALFORMED_RUN_FILES = {
     "manifest-a-list": ("manifest.json", lambda m: [m], ["manifest.json", "list"]),
     "manifest-files-5": ("manifest.json", _edit("files", 5), ["manifest.json", "files"]),
@@ -1200,6 +1212,17 @@ MALFORMED_RUN_FILES = {
     "meta-completed-false": ("meta.json", _edit("completed", False), ["meta.json", "completed"]),
     "meta-fields_saved-unknown": ("meta.json", _edit("fields_saved", ["u", "g", "phi", "psi"]),
                                   ["meta.json", "fields_saved[3]"]),
+    "meta-unknown-key": ("meta.json", _edit("colour", 1.0), ["meta.json", "colour"]),
+    "meta-times-short": ("meta.json", _shorten("times"), ["meta.json", "4 times for 5"]),
+    "meta-n_snapshots-6": ("meta.json", _edit("n_snapshots", 6),
+                           ["meta.json", "5 times for 6 snapshots"]),
+    "u-npy-strings": ("u.npy", _npy_edit(lambda u: u.astype(str)),
+                      ["u.npy", "<U", "float64 (5, 32)"]),
+    "u-npy-short-grid": ("u.npy", _npy_edit(lambda u: u[:, :-1]),
+                         ["u.npy", "(5, 31)", "(5, 32)"]),
+    "u-npy-pickled": ("u.npy", _npy_edit(lambda u: u.astype(object), allow_pickle=True),
+                      ["u.npy", "not a readable .npy file"]),
+    "g-npy-cut-short": ("g.npy", _cut_short, ["g.npy", "not a readable .npy file"]),
 }
 
 
@@ -1208,8 +1231,11 @@ def _malformed_run(name):
         file, edit, names = MALFORMED_RUN_FILES[name]
         run_dir = _saved_tiny_run(tmp_path)
         path = run_dir / file
-        obj = json.loads(path.read_text())
-        path.write_text(dumps(edit(obj) or obj))
+        if file.endswith(".npy"):
+            edit(path)
+        else:
+            obj = json.loads(path.read_text())
+            path.write_text(dumps(edit(obj) or obj))
         if file != "manifest.json":
             rehash(run_dir)
         return ["check", str(run_dir), "--which", "global", "--out", str(tmp_path / "chk")], names
