@@ -19,11 +19,11 @@ print(f"overall ok: {cert['ok']}")
 print(f"range/plateau/support/monotone flags: "
       f"{cert['range_ok']}/{cert['plateau_ok']}/{cert['support_ok']}/"
       f"{cert['monotone_r_ok']}")
-print(f"time constant  sup t |zeta_t| / zeta        = {cert['cbar_time']:.6f}"
+print(f"time constant     max tau |Psi_t| / sqrt(Psi)  = {cert['cbar_time']:.6f}"
       f"  (must be <= 2)")
-print(f"radial constants  rho |eta_r|               = {cert['c_r1']:.6f}")
-print(f"                  rho^2 (|eta_rr| + eta_r^2/eta) = {cert['c_r2']:.6f}")
-print("fractional controls  |eta_r| / eta^a * rho:")
+print(f"radial constants  max rho |Psi_r|              = {cert['c_r1']:.6f}")
+print(f"                  max rho^2 |Psi_rr|           = {cert['c_r2']:.6f}")
+print("fractional controls  max rho |Psi_r| / Psi^a over Psi > 0:")
 for a, v in cert["c_a"].items():
     print(f"    a = {a:4.2f}: {v:.6f}")
 

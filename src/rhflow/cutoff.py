@@ -20,7 +20,9 @@ confirms the bounds on a dense lattice and fits the constants.  Since the
 profile is a product, the lattice values are outer products of the factors
 evaluated once per r and once per t, over distinct rows x columns only
 (the plateau, the outside and the times past the ramp repeat, each in one
-run).
+run).  No field of that whole lattice is formed: the flags read only the
+rows and columns they test, and the fits run over blocks of rows, so the
+memory a certificate takes is bounded by the block, not by the lattice.
 """
 
 from __future__ import annotations
@@ -30,10 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import check_int_range
+from .scenarios import number
 
-# Largest lattice side `cutoff_verify` accepts: a few (n_r, n_t) fields of
-# doubles are alive at once, 32 MB each at this size.
+# Largest lattice side `cutoff_verify` accepts.  Its memory does not grow
+# with the lattice past the 1-D factors: the fits hold a few temporaries of
+# one block of rows, about _BLOCK_ENTRIES doubles (64 KB) each, a size the
+# heap keeps between calls rather than returning it to the system.
 LATTICE_LIMIT = 2048
+_BLOCK_ENTRIES = 8192
 # The lattice spans r in [0, 1.25 rho] and t in [0, 2 tau], and C_a is fitted
 # for these exponents a.
 R_MAX_FACTOR = 1.25
@@ -45,12 +51,14 @@ EXPONENTS = (0.25, 0.5, 0.75)
 SCALE_NUMERATORS = {"rho": 128.0, "tau": 2.0}
 
 
-def check_scale(name: str, value) -> None:
-    """Refuse a cutoff radius ("rho") or ramp time ("tau") unless it is
-    finite and positive and both its square and the numerator over its square
-    are finite and nonzero, so the derivatives neither overflow nor lose
-    their scale."""
-    if not 0 < value < np.inf:
+def check_scale(name: str, value) -> float:
+    """A cutoff radius ("rho") or ramp time ("tau") as a float, else a
+    ValueError naming it.  It is read by `scenarios.number`, so a bool or a
+    string is refused, and it must be positive, with its square and the
+    numerator over its square finite and nonzero, so the derivatives neither
+    overflow nor lose their scale."""
+    value = number(value, name)
+    if not value > 0:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
     with np.errstate(all="ignore"):
         square = np.float64(value) ** 2
@@ -59,18 +67,20 @@ def check_scale(name: str, value) -> None:
         raise ValueError(
             f"{name} = {value!r} is out of range: {name}^2 and "
             f"{SCALE_NUMERATORS[name]:g}/{name}^2 must be finite and nonzero")
+    return value
 
 
 @dataclass(frozen=True)
 class CutoffFunction:
-    """Radial space-time cutoff, radius rho, temporal ramp length tau."""
+    """Radial space-time cutoff, radius rho, temporal ramp length tau, both
+    held as the floats `check_scale` reads."""
 
     rho: float
     tau: float
 
     def __post_init__(self):
-        check_scale("rho", self.rho)
-        check_scale("tau", self.tau)
+        for name in ("rho", "tau"):
+            object.__setattr__(self, name, check_scale(name, getattr(self, name)))
 
     # -- temporal factor -------------------------------------------------
 
@@ -154,6 +164,39 @@ def _product_range(x: np.ndarray, y: np.ndarray) -> tuple:
     return np.min(corners), np.max(corners)
 
 
+def _fit_maxima(eta, eta_dr, zeta, zeta_dt, rho, tau) -> list:
+    """Per block of about _BLOCK_ENTRIES lattice entries, whole rows of the
+    distinct lattice, the maxima over its Psi > 0 entries of
+    tau |dPsi/dt| / sqrt(Psi) and of rho |dPsi/dr| / Psi^a for each a in
+    EXPONENTS; a block with no Psi > 0 entry gives none.  Psi > 0 is
+    gathered once per block, as are rho |dPsi/dr| and sqrt(Psi) (Psi ** 0.5
+    is the same square root), and each quotient is formed in place in one
+    buffer."""
+    step = max(1, _BLOCK_ENTRIES // len(zeta))
+    maxima = []
+    for lo in range(0, len(eta), step):
+        rows = slice(lo, lo + step)
+        psi = np.multiply.outer(eta[rows], zeta)
+        pos = psi > 0.0
+        if not pos.any():
+            continue
+        psi_pos = psi[pos]
+        root = np.sqrt(psi_pos)
+        slope = np.multiply.outer(eta_dr[rows], zeta)[pos]
+        slope *= rho
+        np.abs(slope, out=slope)
+        ratio = np.multiply.outer(eta[rows], zeta_dt)[pos]
+        np.abs(ratio, out=ratio)
+        ratio *= tau
+        ratio /= root
+        block = [np.max(ratio)]
+        for a in EXPONENTS:
+            power = root if a == 0.5 else np.power(psi_pos, a, out=ratio)
+            block.append(np.max(np.divide(slope, power, out=ratio)))
+        maxima.append(block)
+    return maxima
+
+
 def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dict:
     """Verify the cutoff's structural properties on a dense (r, t) lattice.
 
@@ -171,11 +214,20 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     starts (bit patterns, not values, decide what is equal).  Each entry
     equals bit for bit the product evaluated at its (r, t), and every value
     the report holds is an `all` or a `max` over the lattice, so it is the
-    full lattice's; ``n_r`` and ``n_t`` echo the requested sides.
+    full lattice's; ``n_r`` and ``n_t`` echo the requested sides, and
+    ``rho`` and ``tau`` the floats `check_scale` reads.
+
+    Not even the distinct lattice is formed whole.  The flags are outer
+    products of the rows and columns they read only (the inner-row prefix
+    with the late columns, the outside-row suffix), and the fits run over
+    blocks of rows (`_fit_maxima`), each entry with the same operations in
+    the same order; the report takes the max of the blocks' maxima.  So the
+    memory is bounded by the block, not by the lattice.
     """
     check_int_range("lattice", n_r, 2, LATTICE_LIMIT)
     check_int_range("lattice", n_t, 2, LATTICE_LIMIT)
     cf = CutoffFunction(rho=rho, tau=tau)
+    rho, tau = cf.rho, cf.tau
     r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
     t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)
     radial = cf.eta(r), cf.eta_dr(r), cf.eta_drr(r), r <= 0.5 * rho, r >= rho
@@ -183,7 +235,6 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     rows, cols = _distinct(*radial), _distinct(*temporal)
     eta, eta_dr, eta_drr, inner, outside = (a[rows] for a in radial)
     zeta, zeta_dt, late = (a[cols] for a in temporal)
-    psi = np.multiply.outer(eta, zeta)
     # r and t ascend, so the inner and outside rows are a prefix and a
     # suffix of the distinct ones, and the late columns a suffix
     n_inner, n_outside = int(np.count_nonzero(inner)), int(np.count_nonzero(outside))
@@ -197,28 +248,17 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
         "n_r": n_r,
         "n_t": n_t,
         "range_ok": bool(psi_lo >= 0.0) and bool(psi_hi <= 1.0),
-        "plateau_ok": bool(np.all(psi[:n_inner, n_early:] == 1.0)),
-        "support_ok": bool(np.all(psi[len(psi) - n_outside:] == 0.0))
+        "plateau_ok": bool(np.all(np.multiply.outer(eta[:n_inner], zeta[n_early:]) == 1.0)),
+        "support_ok": bool(np.all(np.multiply.outer(eta[len(eta) - n_outside:], zeta) == 0.0))
         and bool(np.all(radial[0] * cf.zeta(0.0) == 0.0)),
         "dr_zero_inner_ok": bool(np.all(np.multiply.outer(eta_dr[:n_inner], zeta) == 0.0)),
         "monotone_r_ok": bool(dr_hi <= 0.0),
     }
 
-    # the fits read Psi > 0 only: gathered once, as are |dPsi/dr| * rho and
-    # sqrt(Psi) (Psi ** 0.5 is the same square root); each quotient is
-    # formed in place in one buffer
-    pos = psi > 0.0
-    psi_pos = psi[pos]
-    root = np.sqrt(psi_pos)
-    slope = np.multiply.outer(eta_dr, zeta)[pos]
-    slope *= rho
-    np.abs(slope, out=slope)
-    # time bound: |dPsi/dt| * tau <= 2 sqrt(Psi), sharp on the inner ramp
-    ratio = np.multiply.outer(eta, zeta_dt)[pos]
-    np.abs(ratio, out=ratio)
-    ratio *= tau
-    ratio /= root
-    cbar = np.max(ratio)
+    # time bound: |dPsi/dt| * tau <= 2 sqrt(Psi), sharp on the inner ramp;
+    # the max of the row blocks' maxima is the lattice's, NaN included, and
+    # some block has Psi > 0, since Psi(0, 2 tau) = 1
+    cbar, *fits = np.max(_fit_maxima(eta, eta_dr, zeta, zeta_dt, rho, tau), axis=0)
     report["cbar_time"] = float(cbar)
     report["cbar_time_ok"] = bool(cbar <= 2.0 + 1e-9)
 
@@ -228,10 +268,7 @@ def cutoff_verify(rho: float, tau: float, n_r: int = 512, n_t: int = 512) -> dic
     report["c_r1"] = float(np.max(np.abs(eta_dr)) * top * rho)
     report["c_r2"] = float(np.max(np.abs(eta_drr)) * top * rho**2)
 
-    c_a = {}
-    for a in EXPONENTS:
-        power = root if a == 0.5 else np.power(psi_pos, a, out=ratio)
-        c_a[float(a)] = float(np.max(np.divide(slope, power, out=ratio)))
+    c_a = {float(a): float(fit) for a, fit in zip(EXPONENTS, fits)}
     report["c_a"] = c_a
     report["c_a_finite_ok"] = bool(all(np.isfinite(v) for v in c_a.values()))
 

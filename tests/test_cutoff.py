@@ -9,11 +9,14 @@ Every test here runs with RuntimeWarning as an error, so an overflow or an
 invalid value inside the certificate fails instead of printing a warning.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rhflow import cutoff
 from rhflow.cutoff import (EXPONENTS, LATTICE_LIMIT, R_MAX_FACTOR, SCALE_NUMERATORS,
                            T_MAX_FACTOR, CutoffFunction, cutoff_verify)
 from rhflow.persistence import dumps
@@ -28,6 +31,22 @@ def test_validation():
         CutoffFunction(0.0, 0.1)
     with pytest.raises(ValueError):
         CutoffFunction(1.0, -0.1)
+
+
+@pytest.mark.parametrize("rho, tau, name", [(True, 0.1, "rho"), ("1.0", 0.1, "rho"),
+                                            (1.0, False, "tau"), (1.0, "0.1", "tau")])
+def test_bool_or_string_scales_are_refused_naming_the_field(rho, tau, name):
+    # True used to certify and echo "rho": true; "1.0" raised a TypeError
+    with pytest.raises(ValueError, match=f"^{name} is not a finite real number"):
+        cutoff_verify(rho, tau, n_r=8, n_t=8)
+    with pytest.raises(ValueError, match=f"^{name} is not a finite real number"):
+        CutoffFunction(rho, tau)
+
+
+def test_the_report_echoes_the_scales_as_floats():
+    rep = cutoff_verify(1, np.float64(0.1), n_r=8, n_t=8)
+    assert type(rep["rho"]) is float and type(rep["tau"]) is float
+    assert dumps(rep) == dumps(cutoff_verify(1.0, 0.1, n_r=8, n_t=8))
 
 
 # the CLI refuses them too, naming the flag (BAD_NUMBERS in test_scenarios_cli)
@@ -252,6 +271,52 @@ def test_distinct_rows_and_columns_on_the_lattices_in_use(rho, tau, n_r, n_t):
     got = cutoff_verify(rho, tau, n_r=n_r, n_t=n_t)
     assert dumps(got) == dumps(verify_on_full_lattice(rho, tau, n_r, n_t))
     assert (got["n_r"], got["n_t"]) == (n_r, n_t)
+
+
+def row_blocks(rho, tau, n_r, n_t):
+    """(distinct rows, rows per block, Psi > 0 entries of the last block) of
+    the fits in cutoff_verify."""
+    cf = CutoffFunction(rho, tau)
+    r = np.linspace(0.0, R_MAX_FACTOR * rho, n_r)
+    t = np.linspace(0.0, T_MAX_FACTOR * tau, n_t)
+    radial = cf.eta(r), cf.eta_dr(r), cf.eta_drr(r), r <= 0.5 * rho, r >= rho
+    temporal = cf.zeta(t), cf.zeta_dt(t), t >= tau
+    eta = radial[0][cutoff._distinct(*radial)]
+    zeta = temporal[0][cutoff._distinct(*temporal)]
+    step = max(1, cutoff._BLOCK_ENTRIES // len(zeta))
+    last = np.multiply.outer(eta[(len(eta) - 1) // step * step:], zeta)
+    return len(eta), step, int(np.count_nonzero(last > 0.0))
+
+
+@pytest.mark.parametrize("rho, tau, n_r, n_t, edge", [
+    (1.0, 0.1, 300, 200, "ragged"),   # 122 distinct rows in blocks of 81
+    (1.0, 0.1, 150, 512, "whole"),    # 62 distinct rows in blocks of 31
+    (1.0, 0.1, 75, 512, "no_psi"),    # the last block is the outside row alone
+    (0.3, 0.05, 5, LATTICE_LIMIT, "ragged"),
+    (2.5, 0.7, 2, 300, "one_block"),
+    (1.0, 0.1, 2, LATTICE_LIMIT, "one_block"),
+])
+def test_row_blocks_give_the_full_lattice_report(rho, tau, n_r, n_t, edge):
+    n_rows, step, last_positive = row_blocks(rho, tau, n_r, n_t)
+    assert {"ragged": n_rows % step != 0 and last_positive > 0,
+            "whole": n_rows % step == 0 and n_rows > step,
+            "no_psi": n_rows > step and last_positive == 0,
+            "one_block": n_rows <= step}[edge]
+    got = cutoff_verify(rho, tau, n_r=n_r, n_t=n_t)
+    assert dumps(got) == dumps(verify_on_full_lattice(rho, tau, n_r, n_t))
+
+
+def test_the_certificate_memory_is_bounded_by_the_block_not_the_lattice():
+    # numpy reports its buffers to tracemalloc; a (distinct rows x columns)
+    # field at this side is 6.7 MB, and the certificate used to peak near 40 MB
+    cutoff_verify(1.0, 0.1, LATTICE_LIMIT, LATTICE_LIMIT)
+    tracemalloc.start()
+    try:
+        cutoff_verify(1.0, 0.1, LATTICE_LIMIT, LATTICE_LIMIT)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("n", [0, 1, LATTICE_LIMIT + 1, 10**9, 2.0, True])

@@ -16,7 +16,9 @@ with off-diagonal terms of order 0.1-0.5 and maps of 1-3 components.
 A distance field satisfies the shortest-path (Bellman) equations of its
 stencil graph bit for bit, and scaling the metric by 4 doubles it exactly.
 On square grids the Laplacian and the distance commute with a swap of the
-axes to a few ulps: only the order of a few sums changes.
+axes to a few ulps: only the order of a few sums changes.  On flat 1-D
+runs, from smooth or rough positive data, every compact-mode Harnack
+floor lies below the solution it bounds: u(x2, t2) >= floor.
 Hypothesis draws the grid, the shift and a seed; numpy draws
 the fields from the seed.  Example counts are kept small (and derandomized)
 so the suite stays fast and reproducible.
@@ -36,6 +38,7 @@ from rhflow.distance import geodesic_distance
 from rhflow.flow import (AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_flow,
                          step_heat)
 from rhflow.grid import Grid, shift
+from rhflow.harnack import check_harnack
 
 PROPERTY = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 
@@ -377,3 +380,46 @@ def test_distance_commutes_with_an_axis_swap(problem):
     d = geodesic_distance(grid, g, x0)
     got = geodesic_distance(swapped, g_swapped, x0[::-1]).T
     assert np.all(np.abs(got - d) <= 4 * np.finfo(float).eps * d)
+
+
+@st.composite
+def flat_heat_runs(draw):
+    """A static run on a flat 1-D torus from smooth (three low modes) or
+    rough (one uniform draw per node) positive data, and its numpy generator
+    for the pairs.  A one-node spike is left out: its discrete peak decays
+    faster than the continuum bound allows until t is many h^2 (the floor
+    from the spike exceeds u by 8% at t1 = 0.4 h^2 and by 0.5% at 4 h^2)."""
+    n = draw(st.integers(12, 40))
+    length = draw(st.sampled_from([1.0, 2.0, 2.0 * np.pi]))
+    smooth = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = Grid(1, (n,), (length,))
+    x = np.arange(n) * length / n
+    if smooth:
+        u = 1.0 + sum(rng.uniform(-0.3, 0.3) * np.cos(2 * np.pi * k * x / length + rng.uniform(0, 7))
+                      for k in rng.integers(1, 4, size=3))
+    else:
+        u = 1e-3 + rng.random(n)
+    g = np.ones((n, 1, 1))
+    snap = Snapshot(0.0, g, np.zeros((n, 1)), u)
+    dt = 0.5 * stability_limit(grid, snap.metric)
+    return run(grid, FlowVariant("static"), AlphaSchedule(0.0), snap, 32 * dt, dt, 4), rng
+
+
+@settings(PROPERTY, max_examples=15)
+@given(problem=flat_heat_runs())
+def test_harnack_floors_lie_below_the_solution_on_flat_runs(problem):
+    # a flat torus has Ric = 0, so the compact gate admits every run; the
+    # discrete path energy bounds the continuum infimum from above, so the
+    # floors are conservative, and each holds here with no tolerance.  Half
+    # the sources sit at the maximum of u(t1), where the bound is tightest
+    traj, rng = problem
+    n, times = traj.grid.n_points[0], traj.times
+    pairs = []
+    for _ in range(6):
+        i1, i2 = sorted(rng.choice(np.arange(1, len(times)), 2, replace=False))
+        x1 = np.argmax(traj.snapshots[i1].u) if rng.random() < 0.5 else rng.integers(n)
+        pairs.append([[int(x1)], float(times[i1]), [int(rng.integers(n))], float(times[i2])])
+    rep = check_harnack(traj, pairs, mode="compact")
+    assert rep.ok
+    assert all(p["u2"] >= p["floor"] for p in rep.pairs)
