@@ -34,7 +34,7 @@ import numpy as np
 
 from . import estimates, harnack, persistence
 from .cutoff import LATTICE_LIMIT, check_scale, cutoff_verify
-from .estimates import EstimateReport, GateEmptyError, check_beta, check_positive
+from .estimates import EstimateReport, GateEmptyError, check_beta, check_positive, check_rho
 from .flow import Trajectory
 from .grid import check_int_range
 from .scenarios import load_scenario, run_scenario
@@ -160,7 +160,7 @@ CHECKS = {
         lambda grid, trajectory, beta, c_tol, tol_eig: estimates.check_global(
             trajectory(), beta=beta, c_tol=c_tol, tol_eig_factor=tol_eig)),
     "local": Check(
-        {"--beta": (2.0, _BETA_ABOVE_1), "--rho": (None, partial(check_positive, "rho")),
+        {"--beta": (2.0, _BETA_ABOVE_1), "--rho": (None, check_rho),
          "--x0": (None, _parse_node), "--cprime": (None, partial(check_positive, "cprime")),
          "--cprime-sq": (None, partial(check_positive, "cprime_sq")), **_C_TOL},
         _local),

@@ -9,15 +9,17 @@ metric array: consecutive snapshots whose metric arrays are one object or
 equal in content (``metric_class``) share it, so a static run computes it
 once in all, in memory or reloaded, and a coupled run once per snapshot:
 
-    ricci(i)      Ricci tensor of stored snapshot i as the symmetric
-                  component list R[i][j] of `geometry._ricci` ([0][1] and
-                  [1][0] one array), kept once per distinct metric array
+    ricci(idx)    Ricci tensor of stored snapshot idx as the symmetric
+                  component list R[i][j] ([0][1] and [1][0] one array), or a
+                  list of them for a sequence of indices, kept once per
+                  distinct metric array; the missing ones are formed in one
+                  pass
     laplacian(i)  `geometry.Laplacian` of snapshot i's metric class; only the
                   last one built is kept (a walk in order builds one per class)
     curvature     (lam_min, lam_max, t_lam_outer), each of shape (S,) + grid
-                  shape: `curvature_fields` once per distinct metric array
-                  whose phi is equal too, its map term then scaled by each
-                  snapshot's t
+                  shape: the eigenvalues of `curvature_fields` once per
+                  distinct metric array whose phi is equal too, its map term
+                  then scaled by each snapshot's t
     log_u(idx)    f = log u at snapshots idx
     f_t(idx)      centered difference of f at interior snapshots idx
     grad_sq(idx)  |grad f|^2 at snapshots idx
@@ -25,18 +27,25 @@ once in all, in memory or reloaded, and a coupled run once per snapshot:
                   the Li-Yau left side |grad f|^2 - beta f_t at interior
                   snapshots idx, the quantity every estimate bounds (not
                   kept)
-    distance(x0)  geodesic distance from node x0 (`Grid.node`, so every
+    distance(x0, rho)
+                  geodesic distance from node x0 (`Grid.node`, so every
                   spelling of one node shares it) per snapshot, shape (S,) +
-                  grid shape, with one `distance.geodesic_distance` per
-                  distinct metric array
+                  grid shape, exact below rho and at least rho elsewhere
+                  (without rho, exact everywhere), with one
+                  `distance.ball_distance` per distinct metric array; kept
+                  per node with the largest radius built
 
-`curvature_fields` is the one eigenvalue pass behind every hypothesis
-constant.  The run reduces the same fields to ``traj.constants`` as it
-steps (`flow.snapshot_constants`), where each snapshot's Ricci tensor is at
-hand (a moving run forms them with the same `geometry` eigenvalue calls,
-bound in its workspace); the layer computes them again rather than keep
-the run's fields, so an unchecked trajectory holds nothing but its
-snapshots.
+A pass over the metric classes binds one `CurvatureKernel` (a
+`geometry.Curvature`, a `geometry.MapGradient` and the eigenvalue calls of
+both) on contiguous buffers of its own, copies each class's metric and
+each distinct map into them and runs the bound calls again, so a pass
+binds its 146 Ricci calls once, not once per snapshot.  The same kernel
+is the one eigenvalue pass behind every hypothesis constant: a moving run
+binds one on its workspace (`flow._Workspace`) and reduces its fields to
+``traj.constants`` as it steps, and `curvature_fields` binds one for a
+single snapshot (a static run's, `flow.snapshot_constants`).  The layer
+computes them again rather than keep the run's fields, so an unchecked
+trajectory holds nothing but its snapshots.
 
 f, f_t and |grad f|^2 are kept as snapshot stacks of shape (S,) + grid
 shape, whose rows are built when a check first asks for them and only for
@@ -52,11 +61,15 @@ is bit for bit that snapshot's field.  So a check evaluates its formulas
 over all its snapshots at once (in parts of ``batch`` snapshots, at most
 `BATCH_NODES` nodes), not once per snapshot.
 
-What only one check reads is not kept: `estimates.identity_residuals`
-builds each snapshot's Christoffel field once per call and shares it
-among its own terms, and `harnack.gamma_fields` builds
-the edge costs once per distinct floor metric array per call (it reads
-``metric_class`` too).
+What only one check reads is built only where it is read, and not kept.
+`estimates.identity_residuals` binds one `CurvatureKernel` per call and
+forms in it the Christoffel field of each metric class it reads, shared
+among its own terms.  `harnack.gamma_fields` builds the edge costs once
+per distinct floor metric array per call (it reads ``metric_class``
+too).  The local checks read distance only on the ball B(x0, rho) and
+its half (constants on the ball, margins on the half ball, as in Li and
+Yau's cutoff argument), so they ask for ``distance(x0, rho)``, whose 2-D
+relaxation stops once every value below rho is final.
 
 A trajectory reaches its layer as ``traj.derived``.  The layer lives as long
 as the trajectory, is never saved and takes no part in equality; a copy of
@@ -69,9 +82,8 @@ and periodically padded); in 1-D, at most 7 plus one per centre, and a
 Laplacian of about 7.  The snapshots must not be modified once it holds
 any of them, nor the fields it hands out.  The run itself keeps
 nothing either: the workspace a moving run steps in (about 60 node fields
-in 2-D) is freed when `flow.run` returns, and the one-shot kernels of the
-Ricci tensor, Christoffel symbols and dphi (x) dphi that the layer and the
-checks call free theirs with their results.
+in 2-D) is freed when `flow.run` returns, and the kernel of a pass (about
+40 node fields in 2-D) is freed when the pass returns.
 """
 
 from __future__ import annotations
@@ -89,16 +101,78 @@ from . import distance, geometry
 BATCH_NODES = 8192
 
 
-def curvature_fields(metric, ric, outer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class CurvatureKernel:
+    """Ric and dphi (x) dphi of a metric and a map held in buffers, and
+    their eigenvalues relative to the metric (`curvature_fields`): a
+    `geometry.Curvature`, a `geometry.MapGradient` and the
+    `geometry._eig_calls` of both, each a fixed list of in-place calls
+    bound once and run for every metric and map the buffers hold.
+
+    ``metric`` is a MetricFields whose comp, inv and sqrt_det are
+    C-contiguous node fields and ``phi`` a C-contiguous map array; the calls
+    read what these hold when they run.  A moving run binds one on its
+    workspace's state, with five of its node fields as the eigenvalue
+    calls' ``scratch``; `bound` makes one on buffers of its own, which
+    `load_metric` and a copy into ``phi`` fill with a stored snapshot's
+    fields.  Ric is `curvature.ric` and dphi (x) dphi `gradient.outer`; the
+    eigenvalue calls read what these hold when `eigenvalues` runs them.
+    """
+
+    def __init__(self, grid, metric: geometry.MetricFields, phi: np.ndarray, scratch=None):
+        self.grid, self.metric, self.phi = grid, metric, phi
+        self.curvature = geometry.Curvature(grid, metric.comp, metric.inv)
+        self.gradient = geometry.MapGradient(grid, phi)
+        self._scratch, self._eig, self._fields = scratch, None, None
+
+    @classmethod
+    def bound(cls, grid, phi_shape: tuple) -> "CurvatureKernel":
+        """A kernel on buffers of its own, for a map of shape ``phi_shape``."""
+        def new(*_):
+            return np.empty(grid.shape)
+
+        metric = geometry.MetricFields._assembled(
+            None, geometry._sym(grid.dim, new), geometry._sym(grid.dim, new), new(), np.nan)
+        return cls(grid, metric, np.empty(phi_shape))
+
+    def load_metric(self, metric: geometry.MetricFields) -> None:
+        """Copy g_ij, g^{ij} and sqrt(det g) of ``metric`` into the buffers."""
+        d = metric.dim
+        for i in range(d):
+            for j in range(i, d):
+                np.copyto(self.metric.comp[i][j], metric.comp[i][j])
+                np.copyto(self.metric.inv[i][j], metric.inv[i][j])
+        np.copyto(self.metric.sqrt_det, metric.sqrt_det)
+
+    def eigenvalues(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """lam_min(Ric), lam_max(Ric) and lam_max(dphi (x) dphi) relative to
+        the metric, of what the buffers hold, in buffers that the next call
+        overwrites."""
+        if self._eig is None:  # bound on first use: a Christoffel field needs none
+            new = functools.partial(np.empty, self.grid.shape)
+            scratch = self._scratch or [new() for _ in range(5)]
+            lam = [new() for _ in range(4)]
+            self._eig = (
+                geometry._eig_calls(self.metric, self.curvature.ric, *lam[:2], scratch)
+                + geometry._eig_calls(self.metric, self.gradient.outer, *lam[2:], scratch))
+            two = self.grid.dim == 2
+            self._fields = (lam[0], lam[1 if two else 0], lam[3 if two else 2])
+        geometry._run(self._eig)
+        return self._fields
+
+
+def curvature_fields(grid, metric: geometry.MetricFields,
+                     phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lam_min(Ric), lam_max(Ric) and lam_max(dphi (x) dphi) at every node
-    of one snapshot, eigenvalues relative to its metric (a MetricFields);
-    ``ric`` and ``outer`` are the Ricci tensor of that metric and the map's
-    dphi (x) dphi, as arrays or component lists (`geometry.eig_general`).
-    The map term is not yet scaled by the snapshot's time: the hypothesis
-    constant c_phi bounds t times it."""
-    lam_ric = geometry.eig_general(ric, metric)
-    lam_outer = geometry.eig_general(outer, metric)
-    return lam_ric[..., 0], lam_ric[..., -1], lam_outer[..., -1]
+    of one snapshot, eigenvalues relative to its metric (a MetricFields),
+    as new arrays, from a `CurvatureKernel` bound for this call.  The map
+    term is not yet scaled by the snapshot's time: the hypothesis constant
+    c_phi bounds t times it."""
+    kernel = CurvatureKernel.bound(grid, phi.shape)
+    kernel.load_metric(metric)
+    np.copyto(kernel.phi, phi)
+    kernel.curvature.ricci()
+    kernel.gradient()
+    return kernel.eigenvalues()
 
 
 class TrajectoryFields:
@@ -135,24 +209,54 @@ class TrajectoryFields:
             out.append(out[-1] if same else i)
         return out
 
-    def ricci(self, i: int) -> list:
-        key = self.metric_class[i]
-        if key not in self._ricci:
-            self._ricci[key] = geometry._ricci(self.grid, self.snapshots[key].metric)
-        return self._ricci[key]
+    def ricci(self, idx):
+        """The Ricci components R[i][j] of snapshot idx ([0][1] and [1][0]
+        one array), or for a sequence of indices a list of them; the
+        metric classes not yet kept are formed in one pass, in one
+        `CurvatureKernel`."""
+        if isinstance(idx, (int, np.integer)):
+            return self.ricci([idx])[0]
+        keys = [self.metric_class[i] for i in idx]
+        missing = sorted(set(keys) - self._ricci.keys())
+        if missing:
+            kernel = CurvatureKernel.bound(self.grid, self.snapshots[0].phi.shape)
+            for key in missing:
+                self._form_ricci(kernel, key)
+        return [self._ricci[key] for key in keys]
+
+    def _form_ricci(self, kernel: CurvatureKernel, key: int) -> None:
+        """Load metric class ``key`` into the kernel and leave its Ricci
+        tensor in ``kernel.curvature.ric``: formed there, and a copy kept,
+        or copied in if already kept."""
+        kernel.load_metric(self.snapshots[key].metric)
+        ric, d = kernel.curvature.ric, self.grid.dim
+        if key in self._ricci:
+            for i in range(d):
+                for j in range(i, d):
+                    np.copyto(ric[i][j], self._ricci[key][i][j])
+        else:
+            kernel.curvature.ricci()
+            self._ricci[key] = geometry._sym(d, lambda i, j: ric[i][j].copy())
 
     @functools.cached_property
     def curvature(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         shape = (len(self.snapshots),) + self.grid.shape
         lam_min, lam_max, t_lam_outer = np.empty(shape), np.empty(shape), np.empty(shape)
-        fields = key = phi = None  # of the last snapshot whose fields were computed
+        kernel = CurvatureKernel.bound(self.grid, self.snapshots[0].phi.shape)
+        key = phi = None  # the metric class and the map the kernel holds
         for i, s in enumerate(self.snapshots):
             c = self.metric_class[i]
-            if c != key or not (s.phi is phi or np.array_equal(s.phi, phi)):
-                outer = geometry._grad_phi_outer(self.grid, s.phi)
-                fields, key, phi = curvature_fields(s.metric, self.ricci(i), outer), c, s.phi
+            new_map = phi is None or not (s.phi is phi or np.array_equal(s.phi, phi))
+            if c != key:
+                self._form_ricci(kernel, c)
+            if new_map:
+                np.copyto(kernel.phi, s.phi)
+                kernel.gradient()
+                phi = s.phi
+            if c != key or new_map:
+                fields, key = kernel.eigenvalues(), c
             lam_min[i], lam_max[i] = fields[0], fields[1]
-            t_lam_outer[i] = s.t * fields[2]
+            np.multiply(s.t, fields[2], out=t_lam_outer[i])
         return lam_min, lam_max, t_lam_outer
 
     def laplacian(self, i: int) -> geometry.Laplacian:
@@ -218,16 +322,22 @@ class TrajectoryFields:
                     self.grid, inv, f[start - lo:i - lo])
                 start = i
 
-    def distance(self, x0) -> np.ndarray:
+    def distance(self, x0, rho: float = np.inf) -> np.ndarray:
+        """Geodesic distance from node x0 per snapshot, shape (S,) + grid
+        shape, exact where it is below ``rho`` and at least ``rho``
+        elsewhere (`distance.ball_distance`; without ``rho``, exact
+        everywhere).  One field per distinct metric array; kept per node
+        with the largest radius built, which serves every smaller one."""
         key = self.grid.node(x0)
-        if key not in self._distance:
+        if key not in self._distance or self._distance[key][0] < rho:
             out = []
             for i, s in enumerate(self.snapshots):
                 if self.metric_class[i] == i:
-                    last = distance.geodesic_distance(self.grid, s.metric, key)
+                    last = distance.ball_distance(self.grid, s.metric, key, rho)
                 out.append(last)
-            self._distance[key] = np.stack(out)
-        return self._distance[key]
+            # the 1-D ring is exact everywhere
+            self._distance[key] = (rho if self.grid.dim == 2 else np.inf, np.stack(out))
+        return self._distance[key][1]
 
 
 def stack_rows(rows):

@@ -35,6 +35,21 @@ methods below therefore return Dijkstra's bits:
        within k of it; the test for a fixed point runs only once the band
        covers every row.
 
+A check that reads only the ball of radius rho around the source (the
+local Li-Yau estimate takes its constants on B(x0, rho) and asserts it on
+B(x0, rho/2)) asks `ball_distance` for it, whose 2-D relaxation stops
+after the first sweep in which no node whose new value is below rho
+decreased.  That is exact below rho.  No value is ever below the fixed
+point d, and along a shortest path (each node's d the rounded sum of its
+predecessor's d and the edge) d never decreases.  Suppose a node v with
+d(v) < rho holds a value above d(v) before a sweep, and take the first
+node w on a shortest path to v that does.  Its predecessor holds its
+final, finite value, so w lies in the sweep's band, and the sweep lowers
+w to d(w) <= d(v) < rho: a decrease below rho.  So after a sweep with
+none, every node with d < rho holds Dijkstra's bits, and every other node
+a value of at least its d >= rho.  On 64x64 runs with rho from 1.2 to
+2.0 (the recheck benchmark's balls) the sweeps fell from 33 to 15-21.
+
 Sweeps cost O(N^(3/2)) on an N-node square grid, against Dijkstra's
 O(N log N).  Against scipy's Dijkstra on a 2-core machine (numpy 2.4.6,
 scipy 1.17.1), a 64x64 field took 0.7 of its time and a 128x128 field 0.6,
@@ -104,13 +119,18 @@ def _ring_distance(weight: np.ndarray, s: int) -> np.ndarray:
     return np.roll(dist, s)
 
 
-def _banded_relaxation(layout, edges, col: int) -> np.ndarray:
+def _banded_relaxation(layout, edges, col: int, rho: float = np.inf) -> np.ndarray:
     """The least fixed point of d(y) = min(d(y), d(x) + sqrt(edge)) over the
     8 moves x -> y of a 2-D layout with r_max = 1, as a flat field of the
     layout, from the source in column ``col`` of the middle row (rows // 2).
     Jacobi sweeps alternate between two flat buffers; sweep k rewrites only
     the rows within k of the source row, which is where every finite value
-    then lies, and which the middle row keeps clear of the wrap."""
+    then lies, and which the middle row keeps clear of the wrap.
+
+    With a finite ``rho`` the sweeps stop after the first one in which no
+    node whose new value is below rho decreased: every value below rho is
+    then the fixed point's, and every other value is at least rho (see
+    `ball_distance`)."""
     moves = []  # (offset of d(x), weight field, offset of the weight), each from y
     for off, edge in edges:
         weight = np.sqrt(edge)
@@ -120,8 +140,11 @@ def _banded_relaxation(layout, edges, col: int) -> np.ndarray:
     row, stride, first = rows // 2, layout.strides[0], layout.work.start
     dist = np.full(layout.size, np.inf)
     dist[first + layout.offset((row, col))] = 0.0
+    layout.refresh(dist)  # a source on the seam is seen across it from sweep 1
     spare = dist.copy()
     cand = np.empty(layout.work.stop - first)
+    if rho < np.inf:
+        cap, fell = np.empty(cand.size), np.empty(cand.size, dtype=bool)
     # a shortest path has fewer than rows * cols edges, so the last sweep
     # this allows is at the fixed point even if no sweep has confirmed it
     for k in range(1, rows * cols):
@@ -136,7 +159,12 @@ def _banded_relaxation(layout, edges, col: int) -> np.ndarray:
             np.minimum(best, part, out=best)
         layout.refresh(spare)
         dist, spare = spare, dist
-        if hi - lo == rows - 1 and np.array_equal(dist, spare):
+        if rho < np.inf:
+            # a decrease to below rho is a new value below min(old, rho)
+            limit = np.minimum(spare[band], rho, out=cap[:best.size])
+            if not np.less(best, limit, out=fell[:best.size]).any():
+                break
+        elif hi - lo == rows - 1 and np.array_equal(dist, spare):
             break
     return dist
 
@@ -149,6 +177,16 @@ def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
     Dijkstra's method gives on the same edge weights (see the module
     docstring).
     """
+    return ball_distance(grid, g, x0, np.inf)
+
+
+def ball_distance(grid: Grid, g, x0, rho: float) -> np.ndarray:
+    """`geodesic_distance` exact only on the ball of radius ``rho``: bit
+    for bit Dijkstra's value at every node whose distance is below rho,
+    and a value of at least rho (inf where no sweep reached) at every
+    other node, so that ``< r`` masks for any r <= rho are Dijkstra's.
+    A 2-D relaxation stops once the ball is final (see the module
+    docstring); the 1-D ring and rho = inf give the whole field."""
     comp = metric_fields(g).comp
     x0 = grid.node(x0)
     layout = Layout(grid.shape, 1)
@@ -159,5 +197,5 @@ def geodesic_distance(grid: Grid, g, x0) -> np.ndarray:
     # around it then stays one contiguous slice until it covers the grid
     roll = grid.shape[0] // 2 - x0[0]
     comp = _sym(grid.dim, lambda i, j: np.roll(comp[i][j], roll, axis=0))
-    flat = _banded_relaxation(layout, _edge_costs(grid, comp, layout), x0[1])
+    flat = _banded_relaxation(layout, _edge_costs(grid, comp, layout), x0[1], rho)
     return np.roll(layout.view(flat), -roll, axis=0)

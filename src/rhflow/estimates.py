@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .derived import stack_rows
+from .derived import CurvatureKernel, stack_rows
 from .flow import Trajectory
 
 TOL_EIG_FACTOR = 1e-8
@@ -70,6 +70,14 @@ def check_positive(name: str, value) -> None:
     """Refuse a value that is not a positive finite number."""
     if not 0 < value < np.inf:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
+
+
+def check_rho(rho) -> None:
+    """Refuse a ball radius that is not a positive finite number, or whose
+    square is 0 or infinite: the local bound's rho^2 variant divides by it."""
+    check_positive("rho", rho)
+    if not 0 < rho * rho < np.inf:
+        raise ValueError(f"rho must have a positive finite square, got {rho!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +157,7 @@ def extract_constants(
         region_desc = "all"
     else:
         x0, rho = region
-        mask = traj.derived.distance(x0) < rho
+        mask = traj.derived.distance(x0, rho) < rho
         region_desc = f"ball(x0={traj.grid.node(x0)}, rho={rho:g})"
         if not np.any(mask):
             raise GateEmptyError(f"region mask is empty: {region_desc}")
@@ -211,7 +219,7 @@ def local_bound(
     reported side by side downstream.
     """
     check_beta(beta, strict=True)
-    check_positive("rho", rho)
+    check_rho(rho)
     if rho_power not in (1, 2):
         raise ValueError("rho_power must be 1 or 2")
     t = np.asarray(t, dtype=float)
@@ -385,13 +393,13 @@ def check_local(
     (`Grid.node`), echoed wrapped onto the torus.
     """
     check_beta(beta, strict=True)
-    check_positive("rho", rho)
+    check_rho(rho)
     grid = traj.grid
     constants = extract_constants(traj, region=(x0, rho))
     times = traj.times
     keep = _report_indices(times)
     lhs = traj.derived.liyau(keep, beta)
-    gate = traj.derived.distance(x0)[keep] < 0.5 * rho
+    gate = traj.derived.distance(x0, rho)[keep] < 0.5 * rho
     if not np.any(gate):
         raise GateEmptyError("local-estimate gate (half ball) is empty on this run")
     n = grid.dim
@@ -453,8 +461,8 @@ def fit_cprime(
     if shape == "local":
         if rho is None or x0 is None:
             raise ValueError("local fit needs rho and x0")
-        check_positive("rho", rho)
-        gate_all = traj.derived.distance(x0) < 0.5 * rho
+        check_rho(rho)
+        gate_all = traj.derived.distance(x0, rho) < 0.5 * rho
     else:
         gate_all = np.ones((len(traj.snapshots),) + grid.shape, dtype=bool)
     constants = extract_constants(traj, region=(x0, rho) if shape == "local" else None)
@@ -550,9 +558,11 @@ def identity_residuals(
     centered, so indices must be interior snapshots.
 
     Everything is computed over component lists of node fields, as in the
-    geometry module: g^{ij} comes from the snapshot's MetricFields, each
-    snapshot's Christoffel field is computed once and shared by Hess f and
-    the rough Laplacian of df, and every Laplacian is applied by the layer's
+    geometry module: g^{ij} comes from the snapshot's MetricFields, Ricci
+    from the layer (``traj.derived.ricci``, its missing metric classes
+    formed in one pass), the Christoffel field of each metric class from
+    one `derived.CurvatureKernel` bound per call, shared by Hess f and the
+    rough Laplacian of df, and every Laplacian is applied by the layer's
     operator (``traj.derived.laplacian``).  The contractions keep the summation
     order of the einsum forms they replaced (see `_form`), so every
     residual and scale is unchanged to the last bit.
@@ -567,9 +577,15 @@ def identity_residuals(
     if any(i < 1 or i > S - 2 for i in indices):
         raise ValueError("indices must be interior snapshots (centered stencil)")
     d = traj.derived
-    # fill what the loop reads of the layer's stacks, one batched pass each
+    # fill what the loop reads of the layer's stacks and Ricci, one batched
+    # pass each
     d.grad_sq(sorted({j for i in indices for j in (i - 1, i, i + 1)}))
     d.f_t(indices)
+    d.ricci(indices)
+    # one kernel for the call: the Christoffel field of each metric class
+    # (shared by Hess f and the rough Laplacian of df) and dphi (x) dphi
+    kernel = CurvatureKernel.bound(grid, traj.snapshots[0].phi.shape)
+    held = gam = None  # the metric class the kernel holds, and its Christoffel field
     times = traj.times
     grad_sq = d.grad_sq
     laps = {}
@@ -579,7 +595,8 @@ def identity_residuals(
             laps[i] = d.laplacian(i)(d.log_u(i))
         return laps[i]
 
-    out = {name: [] for name in IDENTITY_NAMES}
+    # each residual is written into its row of a stack, not stacked at the end
+    out = {name: np.empty((len(indices),) + grid.shape) for name in IDENTITY_NAMES}
     scales = {name: 0.0 for name in IDENTITY_NAMES}
 
     def note_scale(name, *sides):
@@ -590,7 +607,10 @@ def identity_residuals(
     ab = [(a, b) for a in range(n) for b in range(n)]
     # "...ab,...ab->..." pairs its products as (t00 + t10) + (t01 + t11)
     ba = [(a, b) for b in range(n) for a in range(n)]
-    for i in indices:
+
+    def residuals_at(at: int, i: int) -> None:
+        # writes row ``at`` of each residual; its temporaries are freed on return
+        nonlocal gam, held
         # Laplacians of snapshots before i - 1 are not read again
         for j in laps.keys() - {i - 1, i, i + 1}:
             del laps[j]
@@ -605,14 +625,14 @@ def identity_residuals(
         if traj.variant.kind == "static":
             s_tensor = [[0.0] * n for _ in range(n)]
         else:
-            outer = geometry._grad_phi_outer(grid, phi)
+            np.copyto(kernel.phi, phi)
+            outer = kernel.gradient()
             s_tensor = [[ric[a][b] - coup * outer[a][b] for b in range(n)] for a in range(n)]
-        # one Christoffel field for Hess f and the rough Laplacian of df,
-        # freed before the contractions below
-        gam = geometry._christoffel(grid, mf)
+        if d.metric_class[i] != held:
+            kernel.load_metric(mf)
+            gam, held = kernel.curvature.christoffel(), d.metric_class[i]
         hess = geometry._hessian(grid, f, df, gam)
         lap_df = geometry._rough_laplacian_covector(grid, mf, df, gam)
-        del gam
         ft = d.f_t(i)
         # the layer keeps its last operator only: snapshot i's uses come after
         # i - 1's and before i + 1's, so each metric's is built once
@@ -627,7 +647,7 @@ def identity_residuals(
         lhs1 = (grad_sq(i + 1) - grad_sq(i - 1)) / dt_c
         s_ff = _form(s_tensor, df_up, df_up)
         rhs1 = 2.0 * s_ff + 2.0 * geometry._dot(df_up, geometry._partials(grid, ft))
-        out["grad_sq_time"].append(lhs1 - rhs1)
+        np.subtract(lhs1, rhs1, out=out["grad_sq_time"][at])
         note_scale("grad_sq_time", lhs1, rhs1)
 
         # 2: time derivative of the Laplacian
@@ -642,14 +662,14 @@ def identity_residuals(
                 for a in range(n) for m in range(phi.shape[-1])
             )
             rhs2 = rhs2 - 2.0 * coup * transport
-        out["laplacian_time"].append(lhs2 - rhs2)
+        np.subtract(lhs2, rhs2, out=out["laplacian_time"][at])
         note_scale("laplacian_time", lhs2, rhs2)
 
         # 3: commutation of Laplacian and gradient (norm of the vector residual)
         d_lapf = geometry._partials(grid, lap)
         ric_df = [geometry._dot(row, df_up) for row in ric]
         res3 = [x - y - z for x, y, z in zip(lap_df, d_lapf, ric_df)]
-        out["commute_grad"].append(np.sqrt(_form(inv, res3, res3)))
+        np.sqrt(_form(inv, res3, res3), out=out["commute_grad"][at])
         side3 = [y + z for y, z in zip(d_lapf, ric_df)]
         note_scale(
             "commute_grad",
@@ -661,16 +681,19 @@ def identity_residuals(
         hess_sq = _pairwise([hess_up[a][b] * hess[a][b] for a, b in ba])
         ric_ff = _form(ric, df_up, df_up)
         rhs4 = 2.0 * hess_sq + 2.0 * ric_ff + 2.0 * geometry._dot(df_up, d_lapf)
-        out["grad_sq_laplacian"].append(lhs4 - rhs4)
+        np.subtract(lhs4, rhs4, out=out["grad_sq_laplacian"][at])
         note_scale("grad_sq_laplacian", lhs4, rhs4)
 
         # 5: the heat equation in log form
-        out["heat_log"].append(ft - lap - grad_sq(i))
+        np.subtract(ft - lap, grad_sq(i), out=out["heat_log"][at])
         note_scale("heat_log", ft, lap + grad_sq(i))
+
+    for at, i in enumerate(indices):
+        residuals_at(at, i)
 
     return {
         "times": times[np.asarray(indices, dtype=int)],
-        "residuals": {name: np.stack(out[name]) for name in IDENTITY_NAMES},
+        "residuals": out,
         "scales": scales,
     }
 

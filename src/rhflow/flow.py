@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .derived import TrajectoryFields, curvature_fields
+from .derived import CurvatureKernel, TrajectoryFields, curvature_fields
 from .geometry import MetricDegenerateError, MetricFields, metric_fields
 from .grid import Grid
 
@@ -249,8 +249,9 @@ class _Workspace:
     its inverse, sqrt(det g) and smallest eigenvalue, all as a
     `MetricFields` (``metric``, whose ``g`` is None) that these buffers
     back; the map phi is one contiguous array.  Around them are bound
-    once: a `geometry.Curvature` (Ricci), a `geometry.MapGradient`
-    (dphi (x) dphi), a `geometry.Laplacian` whose coefficients are
+    once: a `derived.CurvatureKernel` (Ricci, dphi (x) dphi and, at stored
+    snapshots, their eigenvalues against g, the fields behind
+    `derived.curvature_fields`), a `geometry.Laplacian` whose coefficients are
     refreshed in place for each new metric (the heat step and the map's
     tension, each component loaded into the nodes of its flat field ``s``
     and copied out of ``out``), and the flow's own call lists:
@@ -262,8 +263,6 @@ class _Workspace:
                  at the substep's start, h = dt/2, then dt)
         check    phi finite, then g: finite, min eigenvalue > 1e-12 trace
         inverse  g^{ij}, sqrt(det g)
-        eig      the eigenvalues of Ric and dphi (x) dphi against g
-                 (`derived.curvature_fields`, at stored snapshots)
 
     each a fixed list of in-place ufunc calls with the floating-point
     operations per node, and their order, of these formulas evaluated as
@@ -293,18 +292,21 @@ class _Workspace:
                                               src.min_eigenvalue)
         self._g = [g[i][j] for i, j in pairs]
         self.phi = snap.phi.copy()
-        self.curvature = geometry.Curvature(grid, g, inv)
-        self.gradient = geometry.MapGradient(grid, self.phi)
+        dg, tmp, det, tension = [new() for _ in pairs], new(), new(), np.empty(snap.phi.shape)
+        # Ric, dphi (x) dphi and their eigenvalues, with the update's and the
+        # inverse's buffers as the eigenvalue calls' scratch
+        self.kernel = CurvatureKernel(grid, self.metric, self.phi,
+                                      dg + [tmp, det] + [new() for _ in range(3 - len(dg))])
         self.lap = geometry.Laplacian(grid, self.metric)
         self._fresh, self._fresh_lap = False, True
 
         # rhs
         self._coupling = np.array(0.0)  # 2 alpha(t), set per stage
-        dg, tmp, tension = [new() for _ in pairs], new(), np.empty(snap.phi.shape)
+        ric, outer = self.kernel.curvature.ric, self.kernel.gradient.outer
         rhs = []
         for (i, j), dg_ij in zip(pairs, dg):
-            rhs += [(np.multiply, (self.curvature.ric[i][j], geometry._MINUS_TWO, dg_ij)),
-                    (np.multiply, (self.gradient.outer[i][j], self._coupling, tmp)),
+            rhs += [(np.multiply, (ric[i][j], geometry._MINUS_TWO, dg_ij)),
+                    (np.multiply, (outer[i][j], self._coupling, tmp)),
                     (np.add, (dg_ij, tmp, dg_ij))]
         lap_s, lap_out = (self.lap.layout.view(f) for f in (self.lap.s, self.lap.out))
         for m in range(snap.phi.shape[-1]):
@@ -347,32 +349,22 @@ class _Workspace:
             check = geometry._min_eigenvalue_calls(g, self._lam, self._tr, tmp)
         self._check = check + [(np.multiply, (self._tr, np.array(geometry.PD_RTOL), tmp)),
                                (np.less_equal, (self._lam, tmp, self._mask))]
-        det = new()
         self._inverse = geometry._inverse_calls(g, inv, self.metric.sqrt_det, det, tmp)
-
-        # curvature_fields: eigenvalues of Ric and dphi (x) dphi against g,
-        # with the update's and the inverse's buffers as scratch
-        scratch = dg + [tmp, det] + [new() for _ in range(3 - len(dg))]
-        eig = [new() for _ in range(4)]
-        self._eig = (geometry._eig_calls(self.metric, self.curvature.ric, *eig[:2], scratch)
-                     + geometry._eig_calls(self.metric, self.gradient.outer, *eig[2:], scratch))
-        self._lam_fields = (eig[0], eig[1 if d == 2 else 0], eig[3 if d == 2 else 2])
         self._phi_finite = np.empty(snap.phi.shape, dtype=bool)
 
     def _fields(self) -> None:
         """Form Ric and dphi (x) dphi of the current metric and map, once
         per metric."""
         if not self._fresh:
-            self.curvature.ricci()
-            self.gradient()
+            self.kernel.curvature.ricci()
+            self.kernel.gradient()
             self._fresh = True
 
     def curvature_fields(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`derived.curvature_fields` of the current metric and map, in
         buffers that the next call overwrites."""
         self._fields()
-        geometry._run(self._eig)
-        return self._lam_fields
+        return self.kernel.eigenvalues()
 
     def laplacian(self) -> geometry.Laplacian:
         """The Laplacian of the current metric."""
@@ -574,8 +566,7 @@ def snapshot_constants(grid: Grid, snap: Snapshot) -> dict:
     from below.  `run` reduces the same fields as it steps, with each
     metric's Ricci tensor computed once.
     """
-    return _constants(snap.t, curvature_fields(snap.metric, geometry._ricci(grid, snap.metric),
-                                               geometry._grad_phi_outer(grid, snap.phi)))
+    return _constants(snap.t, curvature_fields(grid, snap.metric, snap.phi))
 
 
 def snapshot_count(span: float, dt_sub: float, stride: int) -> int:
@@ -662,8 +653,7 @@ def run(
     t, u, metric = initial.t, initial.u, initial.metric
     if variant.kind == "static":
         ws = None
-        curvature = curvature_fields(metric, geometry._ricci(grid, metric),
-                                     geometry._grad_phi_outer(grid, initial.phi))
+        curvature = curvature_fields(grid, metric, initial.phi)
     else:
         ws = _Workspace(grid, variant, schedule, method, dt_sub, initial)
         metric = ws.metric

@@ -43,8 +43,9 @@ smallest eigenvalue, and the eigenvalues of a tensor against the metric
 are each one fixed list of in-place ufunc calls, bound once to buffers
 (a ``(function, arguments)`` pair per call, the output last) and run any
 number of times.  A moving run (`flow.run`) binds them once, into one
-workspace, and runs them for every new metric; the public operators bind
-them once per call.  Each list does the floating-point operations per
+workspace, and runs them for every new metric; the checks' layer binds
+them once per pass over a trajectory's metrics (`derived.CurvatureKernel`)
+and copies each metric in; the public operators bind them once per call.  Each list does the floating-point operations per
 node, in their order, of the formulas above, left-to-right sums included,
 so every result is bit for bit that of evaluating them with allocating
 array expressions.  Their fields are contiguous: a first difference along

@@ -23,11 +23,24 @@ import pytest
 
 import check_oracle
 from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
-from rhflow import distance, geometry, harnack
+from rhflow import derived, distance, geometry, harnack
 from rhflow import estimates as est
 from rhflow.cli import _auto_pairs
 from rhflow.persistence import dumps, load_run, save_run
 from rhflow.scenarios import load_scenario, run_scenario
+
+
+def same_bytes(a, b) -> bool:
+    return a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(
+        b).tobytes()
+
+
+def one_shot_curvature(grid, s):
+    """lam_min(Ric), lam_max(Ric) and lam_max(dphi (x) dphi) of one snapshot
+    from the public kernels, each bound for its one call."""
+    lam_ric = geometry.eig_general(geometry._ricci(grid, s.metric), s.metric)
+    lam_outer = geometry.eig_general(geometry._grad_phi_outer(grid, s.phi), s.metric)
+    return lam_ric[..., 0], lam_ric[..., -1], lam_outer[..., -1]
 
 
 def run_every_check(traj, x0, rho):
@@ -42,35 +55,47 @@ def run_every_check(traj, x0, rho):
 
 def test_every_check_shares_one_layer(coupled_run, monkeypatch):
     traj = copy.copy(coupled_run)  # a copy starts with an empty layer
-    ricci = count_calls(monkeypatch, geometry, "_ricci")
-    eig = count_calls(monkeypatch, geometry, "eig_general")
-    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    ricci = count_calls(monkeypatch, geometry.Curvature, "ricci")
+    bound = count_calls(monkeypatch, geometry, "Curvature")
+    eig = count_calls(monkeypatch, derived.CurvatureKernel, "eigenvalues")
+    dijkstra = count_calls(monkeypatch, distance, "ball_distance")
     edges = count_calls(monkeypatch, harnack, "_edge_costs")
     x0 = (32, 32)
     run_every_check(traj, x0, 2.0)
     snaps = traj.snapshots
     S = len(snaps)
-    # Ricci once per stored snapshot, its eigenvalues and the map's once each
-    assert sorted(id(args[1]) for args in ricci) == sorted(id(s.metric) for s in snaps)
-    assert len(eig) == 2 * S
-    assert sorted(id(args[1]) for args in eig) == sorted(2 * [id(s.metric) for s in snaps])
-    # every metric of a coupled run differs: one Dijkstra per snapshot
+    # Ricci once per stored snapshot, its eigenvalues and the map's once
+    # each, in one kernel per pass: the identities' Ricci pass and their own
+    # Christoffel kernel, then the curvature pass
+    assert len(ricci) == S and len(eig) == S and len(bound) == 3
+    lam_min, lam_max, t_lam_outer = traj.derived.curvature
+    for i, s in enumerate(snaps):
+        for kept, fresh in zip(sum(traj.derived.ricci(i), []),
+                               sum(geometry._ricci(traj.grid, s.metric), [])):
+            assert same_bytes(kept, fresh)
+        one = one_shot_curvature(traj.grid, s)
+        assert same_bytes(lam_min[i], one[0]) and same_bytes(lam_max[i], one[1])
+        assert same_bytes(t_lam_outer[i], s.t * one[2])
+    # every metric of a coupled run differs: one Dijkstra per snapshot, on
+    # the ball that the local checks read
     assert [id(args[1]) for args in dijkstra] == [id(s.metric) for s in snaps]
     assert {args[2] for args in dijkstra} == {x0}
+    assert {args[3] for args in dijkstra} == {2.0}
     # one edge build per floor snapshot of the Harnack call, in time order;
     # the auto pairs run from the first positive time to the last snapshot
     i1 = next(i for i, t in enumerate(traj.times) if t > 0)
     assert [id(args[1]) for args in edges] == [id(s.metric.comp) for s in snaps[i1:S - 1]]
     # a second round of checks computes nothing new but Harnack's edges
-    del ricci[:], eig[:], dijkstra[:], edges[:]
+    del ricci[:], bound[:], eig[:], dijkstra[:], edges[:]
     run_every_check(traj, x0, 2.0)
     assert not ricci and not eig and not dijkstra
+    assert len(bound) == 1  # the identities' Christoffel kernel
     assert len(edges) == S - 1 - i1
 
 
 def test_static_run_needs_one_dijkstra_per_centre(eigenmode_run, tmp_path, monkeypatch):
     traj = copy.copy(eigenmode_run)
-    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    dijkstra = count_calls(monkeypatch, distance, "ball_distance")
     rho = 0.3
     est.check_local(traj, 2.0, rho, (64,), 1.0, 1.0)
     est.fit_cprime(traj, [2.0], rho=rho, x0=(64,), shape="local")
@@ -95,16 +120,17 @@ def test_a_static_run_builds_its_metric_fields_once(eigenmode_run, tmp_path, mon
         traj = load_run(tmp_path / "run")
         a, b = traj.snapshots[0], traj.snapshots[1]
         assert a.g is not b.g and a.phi is not b.phi and a.metric is not b.metric
-    ricci = count_calls(monkeypatch, geometry, "_ricci")
-    eig = count_calls(monkeypatch, geometry, "eig_general")
-    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    ricci = count_calls(monkeypatch, geometry.Curvature, "ricci")
+    eig = count_calls(monkeypatch, derived.CurvatureKernel, "eigenvalues")
+    dijkstra = count_calls(monkeypatch, distance, "ball_distance")
     edges = count_calls(monkeypatch, harnack, "_edge_costs")
     run_every_check(traj, (64,), 0.3)
     assert len(edges) == 1
     harnack.check_harnack(traj, _auto_pairs(traj), mode="compact")
     assert len(edges) == 2
-    # Ricci once, its eigenvalues and the map's once each, for all snapshots
-    assert len(ricci) == 1 and len(eig) == 2 and len(dijkstra) == 1
+    # Ricci once, and one eigenvalue run of it and of the map's dphi (x) dphi,
+    # for all snapshots
+    assert len(ricci) == 1 and len(eig) == 1 and len(dijkstra) == 1
     assert traj.derived.metric_class == [0] * len(traj.snapshots)
     # the run's constants are still the reduction of the shared fields
     lam_min, lam_max, t_lam_outer = traj.derived.curvature
@@ -149,10 +175,99 @@ def test_checks_build_one_laplacian_per_metric_class_of_a_coupled_run(short_coup
     assert [args[0].metric for args in faces] == [s.metric for s in expected]
 
 
+@pytest.mark.parametrize("run", ["short_coupled_run", "eigenmode_run", "reloaded"])
+def test_a_curvature_pass_binds_one_kernel_and_runs_it_once_per_metric_class(
+        run, request, tmp_path, monkeypatch):
+    if run == "reloaded":  # separate but equal arrays in every snapshot
+        save_run(request.getfixturevalue("eigenmode_run"), tmp_path / "run")
+        traj = load_run(tmp_path / "run")
+    else:
+        traj = copy.copy(request.getfixturevalue(run))
+    snaps = traj.snapshots
+    classes = sorted(set(traj.derived.metric_class))
+    assert len(classes) == (len(snaps) if run == "short_coupled_run" else 1)
+    ricci = count_calls(monkeypatch, geometry.Curvature, "ricci")
+    bound = count_calls(monkeypatch, geometry, "Curvature")
+    eig = count_calls(monkeypatch, derived.CurvatureKernel, "eigenvalues")
+    lam_min, lam_max, t_lam_outer = traj.derived.curvature
+    assert len(bound) == 1
+    assert len(ricci) == len(eig) == len(classes)
+    assert len({id(args[0]) for args in ricci}) == 1
+    monkeypatch.undo()
+    for i, s in enumerate(snaps):  # bit for bit each snapshot's one-shot fields
+        one = one_shot_curvature(traj.grid, s)
+        assert same_bytes(lam_min[i], one[0]) and same_bytes(lam_max[i], one[1])
+        assert same_bytes(t_lam_outer[i], s.t * one[2])
+
+
+def test_a_ricci_pass_forms_what_the_curvature_pass_then_reuses(short_coupled_run,
+                                                                monkeypatch):
+    traj = copy.copy(short_coupled_run)
+    S = len(traj.snapshots)
+    ricci = count_calls(monkeypatch, geometry.Curvature, "ricci")
+    bound = count_calls(monkeypatch, geometry, "Curvature")
+    interior = traj.derived.ricci(range(1, S - 1))
+    assert len(ricci) == S - 2 and len(bound) == 1
+    assert traj.derived.ricci(3) is interior[2]
+    traj.derived.curvature  # forms the first and the last only
+    assert len(ricci) == S and len(bound) == 2
+    monkeypatch.undo()
+    for i, s in enumerate(traj.snapshots):
+        fresh = geometry._ricci(traj.grid, s.metric)
+        for a, b in ((0, 0), (0, 1), (1, 1)):
+            assert same_bytes(traj.derived.ricci(i)[a][b], fresh[a][b])
+
+
+@pytest.mark.parametrize("run", ["short_coupled_run", "eigenmode_run"])
+def test_identity_residuals_bind_one_kernel_for_their_christoffel_fields(run, request,
+                                                                        monkeypatch):
+    traj = copy.copy(request.getfixturevalue(run))
+    S = len(traj.snapshots)
+    traj.derived.ricci(range(S))  # the layer's own pass, not counted below
+    christoffel = count_calls(monkeypatch, geometry.Curvature, "christoffel")
+    bound = count_calls(monkeypatch, geometry, "Curvature")
+    seen, real = [], geometry._hessian
+
+    def hessian(grid, s, ds, gam):  # a copy of the field each snapshot reads
+        seen.append([c.copy() for gk in gam for row in gk for c in row])
+        return real(grid, s, ds, gam)
+
+    monkeypatch.setattr(geometry, "_hessian", hessian)
+    est.identity_residuals(traj)
+    assert len(bound) == 1
+    assert len(christoffel) == len({traj.derived.metric_class[i] for i in range(1, S - 1)})
+    monkeypatch.undo()
+    assert len(seen) == S - 2
+    for i, gam in zip(range(1, S - 1), seen):
+        fresh = geometry._christoffel(traj.grid, traj.snapshots[i].metric)
+        assert all(same_bytes(a, b) for a, b in zip(
+            gam, [c for gk in fresh for row in gk for c in row]))
+
+
+def test_a_distance_is_kept_at_the_largest_radius_built(short_coupled_run, monkeypatch):
+    traj = copy.copy(short_coupled_run)
+    snaps, d, x0 = traj.snapshots, traj.derived, (32, 32)
+    S = len(snaps)
+    built = count_calls(monkeypatch, distance, "ball_distance")
+    small = d.distance(x0, 0.5).copy()
+    assert d.distance((-32, 32), 0.25) is d.distance(x0, 0.5)  # one node, a smaller radius
+    assert len(built) == S
+    big = d.distance(x0, 1.0)
+    assert len(built) == 2 * S
+    assert np.array_equal(small < 0.5, big < 0.5)
+    assert same_bytes(small[small < 0.5], big[big < 0.5])
+    full = d.distance(x0)
+    assert len(built) == 3 * S and built[-1][3] == np.inf
+    assert d.distance(x0, 1e9) is full and len(built) == 3 * S
+    monkeypatch.undo()
+    for i, s in enumerate(snaps):
+        assert same_bytes(full[i], distance.geodesic_distance(traj.grid, s.metric, x0))
+
+
 def test_spellings_of_one_node_share_one_dijkstra_and_echo(eigenmode_run, monkeypatch):
     # 133 and -123 wrap to node 5 on the 128-node circle
     traj = copy.copy(eigenmode_run)
-    dijkstra = count_calls(monkeypatch, distance, "geodesic_distance")
+    dijkstra = count_calls(monkeypatch, distance, "ball_distance")
     reports = [est.check_local(traj, 2.0, 0.3, x0, 1.0)
                for x0 in ((5,), (133,), np.array([-123]), [np.int64(5)])]
     assert len(dijkstra) == 1 and dijkstra[0][2] == (5,)
@@ -279,8 +394,9 @@ def test_run_constants_are_the_reduction_of_the_layer(case):
                        "tc_phi": float(t_lam_outer[i].max())}
 
 
-def test_eig_general_has_one_caller():
-    # every hypothesis constant comes from derived.curvature_fields
+def test_eigenvalue_calls_are_bound_in_one_kernel():
+    # every hypothesis constant comes from the calls a derived.CurvatureKernel
+    # binds; the public eig_general binds its own
     package = Path(geometry.__file__).parent
     callers = []
     for path in sorted(package.glob("*.py")):
@@ -289,7 +405,7 @@ def test_eig_general_has_one_caller():
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             for node in ast.walk(fn):
-                if isinstance(node, ast.Call) and "eig_general" in (
+                if isinstance(node, ast.Call) and "_eig_calls" in (
                         getattr(node.func, "id", None), getattr(node.func, "attr", None)):
                     callers.append((path.name, fn.name))
-    assert callers == [("derived.py", "curvature_fields")] * 2
+    assert callers == [("derived.py", "eigenvalues")] * 2 + [("geometry.py", "eig_general")]

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from distance_oracle import dijkstra_distance, flat_torus_distance
-from rhflow import geometry
-from rhflow.distance import METRICATION_8, geodesic_distance
+from rhflow import distance, geometry
+from rhflow import grid as grid_module
+from rhflow.distance import METRICATION_8, ball_distance, geodesic_distance
 from rhflow.grid import Grid
 from rhflow.scenarios import bundled_names, load_scenario, run_scenario
 
@@ -193,3 +194,46 @@ def test_validated_metric_is_not_checked_again(monkeypatch):
     bad[2, 3] = -np.eye(2)
     with pytest.raises(geometry.MetricDegenerateError):
         geodesic_distance(grid, bad, (0, 0))
+
+
+def test_a_ball_stops_the_relaxation_once_it_is_final(monkeypatch):
+    # on a flat 32x32 torus every node is final after as many sweeps as its
+    # Chebyshev distance from the source, 16 at most, and one more sweep
+    # confirms the whole field; a ball of radius 5.5 h needs about 6
+    grid = Grid(2, (32, 32), (1.0, 1.0))
+    g = np.broadcast_to(np.eye(2), grid.shape + (2, 2)).copy()
+    h = grid.h[0]
+    layout = grid_module.Layout(grid.shape, 1)
+    edges = distance._edge_costs(grid, geometry.metric_fields(g).comp, layout)
+    real = grid_module.Layout.refresh
+
+    def sweeps(rho):  # the start is refreshed once, and each sweep's new field
+        refreshes = []
+        monkeypatch.setattr(grid_module.Layout, "refresh",
+                            lambda self, f: refreshes.append(1) or real(self, f))
+        got = layout.view(distance._banded_relaxation(layout, edges, 7, rho))
+        monkeypatch.undo()
+        return len(refreshes) - 1, got
+
+    full, whole = sweeps(np.inf)
+    assert full == 17
+    ball, got = sweeps(5.5 * h)
+    assert ball <= 7
+    inside = whole < 5.5 * h
+    np.testing.assert_array_equal(got < 5.5 * h, inside)
+    np.testing.assert_array_equal(got[inside], whole[inside])
+    assert sweeps(0.5 * h)[0] == 1  # below one edge: the source alone
+
+
+def test_a_ball_reaches_across_the_seam_from_a_source_on_it():
+    # the move into the last column costs 0.099, every other first move at
+    # least 0.125: a ball of radius 0.11 holds the source and its neighbour
+    # across the periodic seam only
+    grid = Grid(2, (8, 8), (1.0, 1.0))
+    g = np.zeros(grid.shape + (2, 2))
+    g[..., 0, 0] = g[..., 1, 1] = 1.0
+    g[:, -1, 1, 1] = 0.25
+    ref = dijkstra_distance(grid, g, (4, 0))
+    got = ball_distance(grid, g, (4, 0), 0.11)
+    np.testing.assert_array_equal(got < 0.11, ref < 0.11)
+    assert np.count_nonzero(ref < 0.11) == 2 and got[4, 7] == ref[4, 7]

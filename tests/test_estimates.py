@@ -142,8 +142,11 @@ def test_constants_ball_region(coupled_run):
     # the ball sees a smaller max eigenvalue than the whole torus
     assert np.isclose(c.k2, 0.0012006232, rtol=1e-6)
     assert c.k2 < est.extract_constants(coupled_run).k2
-    with pytest.raises(GateEmptyError, match="empty"):
-        est.extract_constants(coupled_run, region=((32, 32), 0.0))
+    # an empty ball, on the shared layer and on a fresh one
+    for rho in (0.0, -1.0, np.nan):
+        for traj in (coupled_run, copy.copy(coupled_run)):
+            with pytest.raises(GateEmptyError, match="empty"):
+                est.extract_constants(traj, region=((32, 32), rho))
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +260,21 @@ def test_fit_cprime_validation(coupled_run, monkeypatch):
     # the floor survives when nothing binds
     monkeypatch.setattr(est, "CPRIME_FLOOR", 1e9)
     assert est.fit_cprime(coupled_run, [2.0], shape="harnack") == 1e9
+
+
+@pytest.mark.parametrize("rho", [1e-300, 1e308])
+def test_a_rho_whose_square_is_zero_or_infinite_is_refused(coupled_run, rho):
+    # rho^2 underflows to 0 or overflows: the rho^2 bound and its fit divided
+    # by it (ZeroDivisionError) or raised OverflowError computing it
+    traj = copy.copy(coupled_run)
+    for call in (lambda: est.local_bound(2.0, rho, 0.5, 0.1, 0.3, 0.01, 2, rho_power=2),
+                 lambda: est.check_local(traj, 2.0, rho, (3, 4), 0.003, 0.004),
+                 lambda: est.fit_cprime(traj, [2.0], rho=rho, x0=(3, 4), rho_power=2)):
+        with pytest.raises(ValueError, match="rho must have a positive finite square"):
+            call()
+    # the ring of radii around them whose squares stay finite is still read
+    ok = 1e-150 if rho < 1 else 1e150
+    assert est.check_local(traj, 2.0, ok, (3, 4), 0.003, 0.004).alt["rho_power"] == 2
 
 
 def test_check_local_gate_and_alt(coupled_run):

@@ -15,7 +15,7 @@ import pytest
 
 import heat_oracle
 from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
-from rhflow import flow, geometry
+from rhflow import derived, flow, geometry
 from rhflow.estimates import check_identities
 from rhflow.flow import (
     AlphaSchedule,
@@ -468,7 +468,7 @@ def test_run_evaluates_ricci_once_per_flow_stage_plus_one(monkeypatch, method, p
 
 
 def test_static_run_evaluates_ricci_once(monkeypatch):
-    calls = count_calls(monkeypatch, geometry, "_ricci")
+    calls = count_calls(monkeypatch, geometry.Curvature, "ricci")
     traj = run_scenario(load_scenario(tiny_static_cfg()))
     assert traj.completed and len(traj.snapshots) == 5
     assert len(calls) == 1
@@ -480,11 +480,11 @@ def test_static_run_evaluates_ricci_once(monkeypatch):
 
 def test_static_run_computes_its_curvature_fields_once(monkeypatch):
     sc = load_scenario("static_eigenmode")
-    eig = count_calls(monkeypatch, geometry, "eig_general")
+    eig = count_calls(monkeypatch, derived.CurvatureKernel, "eigenvalues")
     traj = run_scenario(sc)
     assert traj.completed and len(traj.snapshots) == 81
-    # one eigenvalue pass for Ric and one for dphi (x) dphi, for all 81 snapshots
-    assert len(eig) == 2
+    # one eigenvalue run, of Ric and of dphi (x) dphi, for all 81 snapshots
+    assert len(eig) == 1
     monkeypatch.undo()
     assert traj.constants == [snapshot_constants(sc.grid, s) for s in traj.snapshots]
 

@@ -15,6 +15,8 @@ earlier run loop (`heat_oracle.moving_run`) byte for byte, on metrics
 with off-diagonal terms of order 0.1-0.5 and maps of 1-3 components.
 A distance field satisfies the shortest-path (Bellman) equations of its
 stencil graph bit for bit, and scaling the metric by 4 doubles it exactly.
+A distance asked for on a ball of radius rho is Dijkstra's bit for bit
+below rho and at least rho elsewhere, from sources on the wrap rows.
 On square grids the Laplacian and the distance commute with a swap of the
 axes to a few ulps: only the order of a few sums changes.  On flat 1-D
 runs, from smooth or rough positive data, every compact-mode Harnack
@@ -34,7 +36,7 @@ from hypothesis import strategies as st
 import distance_oracle
 import heat_oracle
 from rhflow import geometry
-from rhflow.distance import geodesic_distance
+from rhflow.distance import ball_distance, geodesic_distance
 from rhflow.flow import (AlphaSchedule, FlowVariant, Snapshot, run, stability_limit, step_flow,
                          step_heat)
 from rhflow.grid import Grid, shift
@@ -380,6 +382,46 @@ def test_distance_commutes_with_an_axis_swap(problem):
     d = geodesic_distance(grid, g, x0)
     got = geodesic_distance(swapped, g_swapped, x0[::-1]).T
     assert np.all(np.abs(got - d) <= 4 * np.finfo(float).eps * d)
+
+
+@st.composite
+def ball_problems(draw):
+    """A 2-D grid, a random SPD metric, diagonal or with off-diagonal terms
+    of order 0.1-0.5, a source on a wrap row (the first or the last), often
+    on a wrap column too, and a radius below one edge, beyond the largest distance, or a fraction of
+    the largest distance."""
+    grid = Grid(2, tuple(draw(st.integers(8, 20)) for _ in range(2)),
+                tuple(draw(st.sampled_from([1.0, 2.0, 2.0 * np.pi])) for _ in range(2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = sheared_metric(grid, rng, draw(st.floats(0.1, 0.5)))
+    if draw(st.booleans()):
+        g[..., 0, 1] = g[..., 1, 0] = 0.0
+    n0, n1 = grid.shape
+    x0 = (draw(st.sampled_from([0, n0 - 1])),
+          draw(st.one_of(st.sampled_from([0, n1 - 1]), st.integers(0, n1 - 1))))
+    return grid, g, x0, draw(st.sampled_from(["below an edge", "beyond", "inside"])), draw(
+        st.floats(0.05, 0.95))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(problem=ball_problems())
+def test_ball_distance_is_dijkstras_on_the_ball(problem):
+    # exact below the radius, and at least the radius elsewhere, so the
+    # masks of the ball and of the half ball are Dijkstra's
+    grid, g, x0, kind, fraction = problem
+    ref = distance_oracle.dijkstra_distance(grid, g, x0)
+    if kind == "below an edge":
+        rho = 0.5 * min(float(w.min()) for _, w in distance_oracle.stencil_weights(grid, g))
+    else:
+        rho = 2.0 * float(ref.max()) if kind == "beyond" else fraction * float(ref.max())
+    got = ball_distance(grid, g, x0, rho)
+    assert np.array_equal(got < rho, ref < rho)
+    assert np.array_equal(got < 0.5 * rho, ref < 0.5 * rho)
+    assert same_bytes(got[ref < rho], ref[ref < rho])
+    if kind == "below an edge":
+        assert np.count_nonzero(got < rho) == 1 and got[x0] == 0.0
+    if kind == "beyond":
+        assert same_bytes(got, ref)
 
 
 @st.composite

@@ -707,6 +707,8 @@ BAD_NUMBERS = [
     ("--b", ["evolution", "--b", "0"]),
     ("--x0", ["local", "--rho", "0.5", "--x0", "1,x"]),
     ("--rho", ["cutoff", "--rho", "1e200"]),  # rho^2 overflows
+    ("--rho", ["local", "--rho", "1e-300"]),  # rho^2 underflows to 0
+    ("--rho", ["local", "--rho", "1e308"]),  # rho^2 overflows
     ("--tau", ["cutoff", "--tau", "1e-200"]),  # tau^2 underflows
 ]
 
@@ -726,6 +728,20 @@ def test_cli_numbers_outside_their_range_exit_2_before_loading(monkeypatch, tmp_
     assert json.loads(out)["error"].startswith(f"{flag}: ")
     assert err == ""  # no traceback and no RuntimeWarning
     assert not (tmp_path / "reports").exists()
+
+
+@pytest.mark.parametrize("rho", ["1e-300", "1e308"])
+def test_cli_local_on_a_run_refuses_a_rho_whose_square_is_not_finite(tmp_path, capsys, rho):
+    # the C' fit of the rho^2 bound raised ZeroDivisionError or OverflowError
+    # here, with a traceback
+    save_run(run_scenario(short_coupled_scenario()[0]), tmp_path / "run")
+    code = main(["check", str(tmp_path / "run"), "--which", "local", "--x0", "3,4",
+                 "--rho", rho, "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 2 and err == ""
+    assert json.loads(out) == {
+        "ok": False, "error": f"--rho: rho must have a positive finite square, got {float(rho)!r}"}
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_x0_with_the_wrong_coordinate_count_exits_2(tmp_path, capsys):
