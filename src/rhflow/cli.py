@@ -109,6 +109,7 @@ def _with_pairs(traj: Trajectory, pairs_file) -> tuple:
 def _local(grid, trajectory, beta, rho, x0, cprime, cprime_sq, c_tol):
     if rho is None:
         raise ValueError("--which local needs --rho")
+    _check_flag("--rho", check_rho, rho, beta)  # the local bound divides by rho^2 (beta - 1)
     # the centre node by default; a given --x0 is checked against the grid before the run
     x0 = (tuple(n // 2 for n in grid.n_points) if x0 is None
           else _check_flag("--x0", grid.node, _parse_node(x0)))

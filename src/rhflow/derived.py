@@ -329,6 +329,8 @@ class TrajectoryFields:
         everywhere).  One field per distinct metric array; kept per node
         with the largest radius built, which serves every smaller one."""
         key = self.grid.node(x0)
+        if not rho >= 0:
+            rho = 0.0  # a NaN or negative radius holds no node, as does 0
         if key not in self._distance or self._distance[key][0] < rho:
             out = []
             for i, s in enumerate(self.snapshots):

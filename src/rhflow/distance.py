@@ -32,22 +32,24 @@ methods below therefore return Dijkstra's bits:
        slice, swept until a sweep changes nothing.  Sweep k can reach only
        nodes within k rows of the source, so the rows are rolled to put the
        source in the middle row and sweep k works on the flat band of rows
-       within k of it; the test for a fixed point runs only once the band
-       covers every row.
+       within k of it.  Until the band covers every row, each sweep gives
+       the rows it adds their first finite values, so a whole field's
+       sweeps never stop before the band covers the grid.
 
 A check that reads only the ball of radius rho around the source (the
 local Li-Yau estimate takes its constants on B(x0, rho) and asserts it on
 B(x0, rho/2)) asks `ball_distance` for it, whose 2-D relaxation stops
 after the first sweep in which no node whose new value is below rho
-decreased.  That is exact below rho.  No value is ever below the fixed
-point d, and along a shortest path (each node's d the rounded sum of its
-predecessor's d and the edge) d never decreases.  Suppose a node v with
-d(v) < rho holds a value above d(v) before a sweep, and take the first
-node w on a shortest path to v that does.  Its predecessor holds its
-final, finite value, so w lies in the sweep's band, and the sweep lowers
-w to d(w) <= d(v) < rho: a decrease below rho.  So after a sweep with
-none, every node with d < rho holds Dijkstra's bits, and every other node
-a value of at least its d >= rho.  On 64x64 runs with rho from 1.2 to
+decreased; with rho = inf that is the first sweep that changes nothing.
+That is exact below rho.  No value is ever below the fixed point d, and
+along a shortest path (each node's d the rounded sum of its predecessor's
+d and the edge) d never decreases.  Suppose a node v with d(v) < rho
+holds a value above d(v) before a sweep, and take the first node w on a
+shortest path to v that does.  Its predecessor holds its final, finite
+value, so w lies in the sweep's band, and the sweep lowers w to
+d(w) <= d(v) < rho: a decrease below rho.  So after a sweep with none,
+every node with d < rho holds Dijkstra's bits, and every other node a
+value of at least its d >= rho.  On 64x64 runs with rho from 1.2 to
 2.0 (the recheck benchmark's balls) the sweeps fell from 33 to 15-21.
 
 Sweeps cost O(N^(3/2)) on an N-node square grid, against Dijkstra's
@@ -127,10 +129,10 @@ def _banded_relaxation(layout, edges, col: int, rho: float = np.inf) -> np.ndarr
     the rows within k of the source row, which is where every finite value
     then lies, and which the middle row keeps clear of the wrap.
 
-    With a finite ``rho`` the sweeps stop after the first one in which no
-    node whose new value is below rho decreased: every value below rho is
-    then the fixed point's, and every other value is at least rho (see
-    `ball_distance`)."""
+    The sweeps stop after the first one in which no node whose new value
+    is below ``rho`` decreased: every value below rho is then the fixed
+    point's, and every other value is at least rho (see `ball_distance`);
+    with rho = inf, no node changed."""
     moves = []  # (offset of d(x), weight field, offset of the weight), each from y
     for off, edge in edges:
         weight = np.sqrt(edge)
@@ -142,9 +144,8 @@ def _banded_relaxation(layout, edges, col: int, rho: float = np.inf) -> np.ndarr
     dist[first + layout.offset((row, col))] = 0.0
     layout.refresh(dist)  # a source on the seam is seen across it from sweep 1
     spare = dist.copy()
-    cand = np.empty(layout.work.stop - first)
-    if rho < np.inf:
-        cap, fell = np.empty(cand.size), np.empty(cand.size, dtype=bool)
+    cand, cap = np.empty((2, layout.work.stop - first))
+    fell = np.empty(cand.size, dtype=bool)
     # a shortest path has fewer than rows * cols edges, so the last sweep
     # this allows is at the fixed point even if no sweep has confirmed it
     for k in range(1, rows * cols):
@@ -159,12 +160,11 @@ def _banded_relaxation(layout, edges, col: int, rho: float = np.inf) -> np.ndarr
             np.minimum(best, part, out=best)
         layout.refresh(spare)
         dist, spare = spare, dist
-        if rho < np.inf:
-            # a decrease to below rho is a new value below min(old, rho)
-            limit = np.minimum(spare[band], rho, out=cap[:best.size])
-            if not np.less(best, limit, out=fell[:best.size]).any():
-                break
-        elif hi - lo == rows - 1 and np.array_equal(dist, spare):
+        # a decrease to below rho is a new value below min(old, rho)
+        limit = spare[band]
+        if rho < np.inf:  # min(old, inf) is old
+            limit = np.minimum(limit, rho, out=cap[:best.size])
+        if not np.less(best, limit, out=fell[:best.size]).any():
             break
     return dist
 
@@ -186,7 +186,10 @@ def ball_distance(grid: Grid, g, x0, rho: float) -> np.ndarray:
     and a value of at least rho (inf where no sweep reached) at every
     other node, so that ``< r`` masks for any r <= rho are Dijkstra's.
     A 2-D relaxation stops once the ball is final (see the module
-    docstring); the 1-D ring and rho = inf give the whole field."""
+    docstring); the 1-D ring and rho = inf give the whole field.  A NaN
+    rho is refused."""
+    if np.isnan(rho):
+        raise ValueError("rho must be a number, got nan")
     comp = metric_fields(g).comp
     x0 = grid.node(x0)
     layout = Layout(grid.shape, 1)

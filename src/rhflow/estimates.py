@@ -72,12 +72,19 @@ def check_positive(name: str, value) -> None:
         raise ValueError(f"{name} must be a positive finite number, got {value!r}")
 
 
-def check_rho(rho) -> None:
+def check_rho(rho, beta: float | None = None) -> None:
     """Refuse a ball radius that is not a positive finite number, or whose
-    square is 0 or infinite: the local bound's rho^2 variant divides by it."""
+    square, times beta - 1 when a (checked) beta is given, is 0 or
+    infinite: the local bound's rho^2 variant and its C' fit divide by
+    rho^2 (beta - 1), and rho (beta - 1) lies between that and beta - 1."""
     check_positive("rho", rho)
-    if not 0 < rho * rho < np.inf:
-        raise ValueError(f"rho must have a positive finite square, got {rho!r}")
+    try:
+        divisor = float(rho) ** 2 * (1.0 if beta is None else beta - 1.0)
+    except OverflowError:  # a float power overflows by raising
+        divisor = np.inf
+    if not 0 < divisor < np.inf:
+        times = "" if beta is None else f" times beta - 1 = {beta - 1.0!r}"
+        raise ValueError(f"rho must have a positive finite square{times}, got {rho!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +226,7 @@ def local_bound(
     reported side by side downstream.
     """
     check_beta(beta, strict=True)
-    check_rho(rho)
+    check_rho(rho, beta)
     if rho_power not in (1, 2):
         raise ValueError("rho_power must be 1 or 2")
     t = np.asarray(t, dtype=float)
@@ -393,7 +400,7 @@ def check_local(
     (`Grid.node`), echoed wrapped onto the torus.
     """
     check_beta(beta, strict=True)
-    check_rho(rho)
+    check_rho(rho, beta)
     grid = traj.grid
     constants = extract_constants(traj, region=(x0, rho))
     times = traj.times
@@ -483,6 +490,7 @@ def fit_cprime(
         b2 = beta * beta
         lhs = d.liyau(keep, beta)
         if shape == "local":
+            check_rho(rho, beta)
             numer = lhs - n * beta * k1 / (4.0 * (beta - 1.0))
             denom = b2 * (b2 / (rho**rho_power * (beta - 1.0)) + 1.0 / t + kbar)
         else:

@@ -259,6 +259,9 @@ def test_a_distance_is_kept_at_the_largest_radius_built(short_coupled_run, monke
     full = d.distance(x0)
     assert len(built) == 3 * S and built[-1][3] == np.inf
     assert d.distance(x0, 1e9) is full and len(built) == 3 * S
+    # a NaN or negative radius holds no node, and is served the field kept
+    assert d.distance(x0, np.nan) is full and d.distance(x0, -1.0) is full
+    assert len(built) == 3 * S
     monkeypatch.undo()
     for i, s in enumerate(snaps):
         assert same_bytes(full[i], distance.geodesic_distance(traj.grid, s.metric, x0))

@@ -223,6 +223,9 @@ def test_a_ball_stops_the_relaxation_once_it_is_final(monkeypatch):
     np.testing.assert_array_equal(got < 5.5 * h, inside)
     np.testing.assert_array_equal(got[inside], whole[inside])
     assert sweeps(0.5 * h)[0] == 1  # below one edge: the source alone
+    assert sweeps(-h)[0] == 1  # a negative radius: no node
+    with pytest.raises(ValueError, match="rho must be a number, got nan"):
+        ball_distance(grid, g, (7, 7), np.nan)
 
 
 def test_a_ball_reaches_across_the_seam_from_a_source_on_it():

@@ -262,19 +262,20 @@ def test_fit_cprime_validation(coupled_run, monkeypatch):
     assert est.fit_cprime(coupled_run, [2.0], shape="harnack") == 1e9
 
 
-@pytest.mark.parametrize("rho", [1e-300, 1e308])
-def test_a_rho_whose_square_is_zero_or_infinite_is_refused(coupled_run, rho):
-    # rho^2 underflows to 0 or overflows: the rho^2 bound and its fit divided
-    # by it (ZeroDivisionError) or raised OverflowError computing it
+@pytest.mark.parametrize("rho, beta", [(1e-300, 2.0), (1e308, 2.0), (1e-160, 1.00001)])
+def test_a_rho_whose_square_is_zero_or_infinite_is_refused(coupled_run, rho, beta):
+    # rho^2 (beta - 1) underflows to 0 (rho^2 = 1e-320 is subnormal, the
+    # product 1e-325 is not) or rho^2 overflows: the rho^2 bound and its fit
+    # divided by it (ZeroDivisionError) or raised OverflowError computing it
     traj = copy.copy(coupled_run)
-    for call in (lambda: est.local_bound(2.0, rho, 0.5, 0.1, 0.3, 0.01, 2, rho_power=2),
-                 lambda: est.check_local(traj, 2.0, rho, (3, 4), 0.003, 0.004),
-                 lambda: est.fit_cprime(traj, [2.0], rho=rho, x0=(3, 4), rho_power=2)):
+    for call in (lambda: est.local_bound(beta, rho, 0.5, 0.1, 0.3, 0.01, 2, rho_power=2),
+                 lambda: est.check_local(traj, beta, rho, (3, 4), 0.003, 0.004),
+                 lambda: est.fit_cprime(traj, [beta], rho=rho, x0=(3, 4), rho_power=2)):
         with pytest.raises(ValueError, match="rho must have a positive finite square"):
             call()
     # the ring of radii around them whose squares stay finite is still read
     ok = 1e-150 if rho < 1 else 1e150
-    assert est.check_local(traj, 2.0, ok, (3, 4), 0.003, 0.004).alt["rho_power"] == 2
+    assert est.check_local(traj, beta, ok, (3, 4), 0.003, 0.004).alt["rho_power"] == 2
 
 
 def test_check_local_gate_and_alt(coupled_run):

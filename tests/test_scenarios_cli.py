@@ -730,17 +730,23 @@ def test_cli_numbers_outside_their_range_exit_2_before_loading(monkeypatch, tmp_
     assert not (tmp_path / "reports").exists()
 
 
-@pytest.mark.parametrize("rho", ["1e-300", "1e308"])
-def test_cli_local_on_a_run_refuses_a_rho_whose_square_is_not_finite(tmp_path, capsys, rho):
+@pytest.mark.parametrize("rho, beta, error", [
+    ("1e-300", [], "rho must have a positive finite square, got 1e-300"),
+    ("1e308", [], "rho must have a positive finite square, got 1e+308"),
+    # rho^2 = 1e-320 is subnormal, and rho^2 (beta - 1) = 1e-325 rounds to 0
+    ("1e-160", ["--beta", "1.00001"], "rho must have a positive finite square times "
+     f"beta - 1 = {1.00001 - 1.0!r}, got 1e-160"),
+])
+def test_cli_local_on_a_run_refuses_a_rho_whose_square_is_not_finite(tmp_path, capsys, rho,
+                                                                      beta, error):
     # the C' fit of the rho^2 bound raised ZeroDivisionError or OverflowError
     # here, with a traceback
     save_run(run_scenario(short_coupled_scenario()[0]), tmp_path / "run")
     code = main(["check", str(tmp_path / "run"), "--which", "local", "--x0", "3,4",
-                 "--rho", rho, "--out", str(tmp_path / "out")])
+                 "--rho", rho, *beta, "--out", str(tmp_path / "out")])
     out, err = capsys.readouterr()
     assert code == 2 and err == ""
-    assert json.loads(out) == {
-        "ok": False, "error": f"--rho: rho must have a positive finite square, got {float(rho)!r}"}
+    assert json.loads(out) == {"ok": False, "error": f"--rho: {error}"}
     assert not (tmp_path / "out").exists()
 
 
