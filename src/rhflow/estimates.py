@@ -154,10 +154,13 @@ def extract_constants(
     """Extract hypothesis constants over the whole trajectory or a ball.
 
     region, if given, is (x0, rho): constants are taken over the points with
-    geodesic distance to x0 below rho at each snapshot.  Raises if the
-    region mask is empty.  The curvature fields come from ``traj.derived``;
-    a call masks them and takes the extremes.
+    geodesic distance to x0 below rho at each snapshot.  A rho that
+    `check_rho` refuses is a ValueError; an empty region mask is a
+    `GateEmptyError`.  The curvature fields come from ``traj.derived``; a
+    call masks them and takes the extremes.
     """
+    if region is not None:
+        check_rho(region[1])
     lam_min, lam_max, t_lam_outer = traj.derived.curvature
     if region is None:
         mask = np.ones(lam_min.shape, dtype=bool)

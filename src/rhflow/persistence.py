@@ -10,18 +10,25 @@ A run directory (format version 2) holds
     manifest.json    sha256 of every other file; written last, so its
                      presence marks a complete directory
 
-The arrays are C-order float64 written by ``np.save`` without pickling, so
-they round-trip every double exactly.  A directory whose meta.json lists
-only u in ``fields_saved`` (a u-only save) is refused on reload.  An
-``.npy`` header holds only the dtype, the order and the shape, so the
-same trajectory always produces byte-identical files.  A format-1
-directory (one ``snap_NNNNN.json`` per snapshot) is refused too; its
-meta.json echoes the scenario, which can be run again.
+Each array file is the version-1.0 ``.npy`` header that ``np.save`` writes
+for the stacked float64 field, then the field's C-order bytes, written
+from the array itself; its digest is taken over those same bytes.  So the
+files are the ones ``np.save`` writes, without pickling, and round-trip
+every double exactly.  A directory whose meta.json lists only u in
+``fields_saved`` (a u-only save) is refused on reload.  An ``.npy`` header
+holds only the dtype, the order and the shape, so the same trajectory
+always produces byte-identical files.  A format-1 directory (one
+``snap_NNNNN.json`` per snapshot) is refused too; its meta.json echoes the
+scenario, which can be run again.
 
-JSON text (meta.json, manifests, reports) is written by ``dumps``: floats
-with 17 significant digits ("%.17g"), which round-trips IEEE doubles
-exactly, and dict keys emitted sorted.  ``load_run`` checks every file it
-parses against the manifest digest, and the structure of the manifest
+JSON text (meta.json, manifests, reports, the CLI's output) is written by
+``dumps`` in one pass: floats with 17 significant digits ("%.17g"), which
+round-trips IEEE doubles exactly, and dict keys emitted sorted.
+``load_run`` reads each file once, checks it against the manifest digest
+before parsing it, and views a stored field in the bytes read.  It
+validates the metric stack once and forms g^{ij} and sqrt(det g) in one
+pass over it; each snapshot's `MetricFields` holds views of those stacks.
+It checks the structure of the manifest
 (its ``files`` table, a format version equal to meta.json's, and the
 ``wall_time_s`` that older manifests carry) and of meta.json (`META`:
 every key, each value's type by the readers of `scenarios`, the snapshot
@@ -36,11 +43,16 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import os
 from functools import partial
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 import numpy as np
+from numpy.lib import format as npy
 
+from . import geometry
 from .flow import BlowUpError, Snapshot, Trajectory, snapshot_count
 from .scenarios import (check_keys, choice, integer, json_list, json_object, number,
                         parse_grid, parse_schedule, parse_variant)
@@ -54,7 +66,7 @@ class HashMismatchError(ValueError):
 
 
 def _format_float(x: float) -> str:
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
     s = "%.17g" % x
     # keep the token a float on reload (json would parse "2" as an int)
@@ -63,31 +75,60 @@ def _format_float(x: float) -> str:
     return s
 
 
+# the JSON token of a value of exactly one of these types; other types,
+# subclasses of these among them, take the dispatch of `_emit`
+_TOKEN = {str: _encode_str, float: _format_float, int: int.__repr__,
+          bool: lambda b: "true" if b else "false", type(None): lambda _: "null"}
+
+
 def dumps(obj) -> str:
     """JSON text with %.17g floats and sorted keys; bitwise reproducible."""
-    if isinstance(obj, dict):
-        items = sorted(obj.items(), key=lambda kv: str(kv[0]))
-        body = ",".join(f"{json.dumps(str(k))}:{dumps(v)}" for k, v in items)
-        return "{" + body + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(dumps(v) for v in obj) + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if obj is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+    parts = []
+    _emit(obj, parts.append)
+    return "".join(parts)
 
 
-def _field_bytes(traj: Trajectory, name: str) -> bytes:
-    """One field stacked over the snapshots, as the bytes of a .npy file."""
+def _emit(obj, emit) -> None:
+    """Pass the JSON text of ``obj`` to ``emit`` in pieces, in order (`dumps`)."""
+    token = _TOKEN.get(type(obj))
+    if token is not None:
+        emit(token(obj))
+    elif isinstance(obj, dict):
+        emit("{")
+        sep = ""
+        for k, v in sorted(obj.items(), key=lambda kv: str(kv[0])):
+            emit(sep + _encode_str(str(k)) + ":")
+            _emit(v, emit)
+            sep = ","
+        emit("}")
+    elif isinstance(obj, (list, tuple)):
+        emit("[")
+        sep = ""
+        for v in obj:
+            emit(sep)
+            _emit(v, emit)
+            sep = ","
+        emit("]")
+    elif isinstance(obj, np.ndarray):
+        _emit(obj.tolist(), emit)
+    elif isinstance(obj, (bool, np.bool_)):
+        emit("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        emit(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        emit(_format_float(float(obj)))
+    elif isinstance(obj, str):
+        emit(_encode_str(obj))
+    elif obj is None:
+        emit("null")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _field_parts(traj: Trajectory, name: str) -> tuple[bytes, memoryview]:
+    """One field stacked over the snapshots, as the two parts of a .npy
+    file: the version-1.0 header `np.save` writes, and the array's C-order
+    bytes (a view, not a copy)."""
     stacked = np.stack([getattr(s, name) for s in traj.snapshots])
     stacked = stacked.astype(np.float64, copy=False)
     finite = np.isfinite(stacked).reshape(len(stacked), -1).all(axis=1)
@@ -96,9 +137,20 @@ def _field_bytes(traj: Trajectory, name: str) -> bytes:
         raise ValueError(
             f"cannot save non-finite {name} at snapshot {i} (t={traj.snapshots[i].t!r})"
         )
-    buf = io.BytesIO()
-    np.save(buf, stacked, allow_pickle=False)
-    return buf.getvalue()
+    header = io.BytesIO()
+    npy.write_array_header_1_0(header, npy.header_data_from_array_1_0(stacked))
+    return header.getvalue(), memoryview(stacked).cast("B")
+
+
+def _write(path: Path, parts) -> str:
+    """Write the byte strings ``parts`` one after another as the file
+    ``path``, and return the sha256 of what was written."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for part in parts:
+            f.write(part)
+            digest.update(part)
+    return digest.hexdigest()
 
 
 def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
@@ -143,26 +195,26 @@ def save_run(traj: Trajectory, out_dir, overwrite: bool = False) -> Path:
         "phi_components": int(traj.snapshots[0].phi.shape[-1]),
         "scenario": traj.scenario,
     }
-    blobs = {"meta.json": dumps(meta).encode()}
+    blobs = {"meta.json": (dumps(meta).encode(),)}
     for name in FIELDS:
-        blobs[f"{name}.npy"] = _field_bytes(traj, name)
+        blobs[f"{name}.npy"] = _field_parts(traj, name)
 
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
-    files = {}
-    for name, data in blobs.items():
-        (out / name).write_bytes(data)
-        files[name] = hashlib.sha256(data).hexdigest()
+    files = {name: _write(out / name, parts) for name, parts in blobs.items()}
     manifest = {"format_version": FORMAT_VERSION, "files": files}
-    (out / "manifest.json").write_text(dumps(manifest))
+    _write(out / "manifest.json", (dumps(manifest).encode(),))
     return out
 
 
-def _read(out: Path, name: str, digests: dict) -> bytes:
-    """The bytes of one file, checked against its manifest digest."""
+def _read(out: Path, name: str, digests: dict) -> bytearray:
+    """The bytes of one file, read once into a writable buffer and checked
+    against its manifest digest."""
     if name not in digests:
         raise HashMismatchError(f"{name}: not listed in the manifest")
-    data = (out / name).read_bytes()
+    with open(out / name, "rb") as f:
+        data = bytearray(os.fstat(f.fileno()).st_size)
+        del data[f.readinto(data):]
     actual = hashlib.sha256(data).hexdigest()
     if actual != digests[name]:
         raise HashMismatchError(
@@ -171,8 +223,36 @@ def _read(out: Path, name: str, digests: dict) -> bytes:
     return data
 
 
+# the first bytes of a version-1.0 .npy file
+_NPY_1_0 = npy.MAGIC_PREFIX + bytes((1, 0))
+
+
+def _npy_view(data: bytearray, shape: tuple) -> np.ndarray | None:
+    """The C-order float64 array of ``shape`` that the version-1.0 .npy
+    file ``data`` holds, as a view of ``data``; None for any other file."""
+    if data[:len(_NPY_1_0)] != _NPY_1_0:
+        return None
+    start = len(_NPY_1_0)
+    offset = start + 2 + int.from_bytes(data[start:start + 2], "little")
+    try:
+        stored, fortran, dtype = npy.read_array_header_1_0(io.BytesIO(data[start:offset]))
+    except ValueError:
+        return None
+    count = math.prod(shape)
+    if (stored != shape or fortran or dtype != np.float64
+            or len(data) < offset + 8 * count):
+        return None
+    return np.frombuffer(data, np.float64, count, offset).reshape(shape)
+
+
 def _load_npy(out: Path, name: str, digests: dict, shape: tuple) -> np.ndarray:
+    """A stored field: a view of the file's verified bytes, or for a file
+    that is not a version-1.0 float64 C-order array of ``shape``, what
+    `np.load` reads from them, refused unless it is such an array."""
     data = _read(out, name, digests)
+    arr = _npy_view(data, shape)
+    if arr is not None:
+        return arr
     try:
         arr = np.load(io.BytesIO(data), allow_pickle=False)
     except ValueError as exc:
@@ -196,6 +276,35 @@ def _snapshot(t, g, phi, u, i: int) -> Snapshot:
         else:
             field = "phi" if not np.isfinite(phi).all() else "u"
         raise ValueError(f"{field}.npy: snapshot {i}: {exc}") from exc
+
+
+def _snapshots(times, g, phi, u) -> list[Snapshot]:
+    """The stored snapshots.  The checks `Snapshot` makes run once over
+    each stack, and g^{ij} and sqrt(det g) are formed in one pass over the
+    metric stack, each snapshot's `MetricFields` holding views of them.  If
+    any field is refused, the snapshots are built one by one by `_snapshot`,
+    so that the error names the first refused field and its index."""
+    try:
+        lam = geometry.check_metric(g)
+    except ValueError:
+        lam = None
+    if lam is None or not (np.isfinite(phi).all() and u.min() > 0 and u.max() < np.inf):
+        return [_snapshot(times[i], g[i], phi[i], u[i], i) for i in range(len(times))]
+    d, shape = g.shape[-1], g.shape[:-2]
+    comp = geometry._components(g)
+    inv = geometry._sym(d, lambda i, j: np.empty(shape))
+    sqrt_det = np.empty(shape)
+    scratch = (np.empty(shape), np.empty(shape)) if d == 2 else ()
+    geometry._run(geometry._inverse_calls(comp, inv, sqrt_det, *scratch))
+    lam_min = lam.reshape(len(times), -1).min(axis=1)
+    snaps = []
+    for s, t in enumerate(times):
+        gs = g[s]
+        metric = geometry.MetricFields._assembled(
+            gs, geometry._components(gs), geometry._sym(d, lambda i, j: inv[i][j][s]),
+            sqrt_det[s], float(lam_min[s]))
+        snaps.append(Snapshot._unchecked(t, gs, phi[s], u[s], metric))
+    return snaps
 
 
 # every key of meta.json, and the reader (value, key) -> value that checks it;
@@ -312,12 +421,11 @@ def load_run(run_dir) -> Trajectory:
     shapes = {"u": grid.shape, "g": grid.shape + (grid.dim, grid.dim),
               "phi": grid.shape + (head["phi_components"],)}
     u, g, phi = (_load_npy(out, f"{f}.npy", digests, (n,) + shapes[f]) for f in FIELDS)
-    snaps = [_snapshot(times[i], g[i], phi[i], u[i], i) for i in range(n)]
     return Trajectory(
         grid=grid,
         variant=head["variant"],
         schedule=head["schedule"],
-        snapshots=snaps,
+        snapshots=_snapshots(times, g, phi, u),
         dt=head["dt_snapshot"],
         dt_sub=head["dt_sub"],
         halt_reason=head["halt_reason"],

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 import check_oracle
 from rhflow import estimates as est
 from rhflow import geometry
-from rhflow.estimates import GateEmptyError
 from rhflow.flow import AlphaSchedule, FlowVariant, Snapshot, Trajectory, run
 from rhflow.grid import Grid
 from rhflow.harnack import check_harnack
@@ -142,11 +141,14 @@ def test_constants_ball_region(coupled_run):
     # the ball sees a smaller max eigenvalue than the whole torus
     assert np.isclose(c.k2, 0.0012006232, rtol=1e-6)
     assert c.k2 < est.extract_constants(coupled_run).k2
-    # an empty ball, on the shared layer and on a fresh one
+    # a radius that is not a positive finite number is refused, on the
+    # shared layer and on a fresh one; the layer itself reads it as an
+    # empty ball
     for rho in (0.0, -1.0, np.nan):
         for traj in (coupled_run, copy.copy(coupled_run)):
-            with pytest.raises(GateEmptyError, match="empty"):
+            with pytest.raises(ValueError, match="rho must be a positive finite number"):
                 est.extract_constants(traj, region=((32, 32), rho))
+        assert not np.any(copy.copy(coupled_run).derived.distance((32, 32), rho) < rho)
 
 
 # ---------------------------------------------------------------------------

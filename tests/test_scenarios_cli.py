@@ -432,14 +432,14 @@ def test_interrupted_overwrite_reads_as_incomplete(tmp_path, monkeypatch):
     traj = run_scenario(load_scenario(tiny_static_cfg()))
     out = tmp_path / "run"
     save_run(traj, out)
-    write_bytes = Path.write_bytes
+    write = persistence._write
 
-    def disk_full_at_g(path, data):
+    def disk_full_at_g(path, parts):
         if path.name == "g.npy":
             raise OSError("no space left on device")
-        return write_bytes(path, data)
+        return write(path, parts)
 
-    monkeypatch.setattr(Path, "write_bytes", disk_full_at_g)
+    monkeypatch.setattr(persistence, "_write", disk_full_at_g)
     with pytest.raises(OSError, match="no space"):
         save_run(traj, out, overwrite=True)
     with pytest.raises(FileNotFoundError, match="incomplete"):
