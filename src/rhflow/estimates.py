@@ -23,7 +23,8 @@ Everything time-like uses centered differences over stored snapshots and
 is evaluated at interior snapshots only, so the numeric tolerance of a
 report is ``tol_num = c_tol * (h_max^2 + dt_snapshot) * scale`` with
 ``scale = max |LHS|`` over the report (`tol_num`; the Harnack report uses
-it too).
+it too).  One builder, `_report`, assembles the margin reports of the
+global, local and evolution checks from each check's own parts.
 
 Every field a check reads (Ricci curvature and its eigenvalue bounds,
 f = log u, f_t, |grad f|^2, the Li-Yau left side |grad f|^2 - beta f_t,
@@ -38,7 +39,7 @@ applied snapshot by snapshot.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -135,15 +136,8 @@ class HypothesisConstants:
     n_points_masked: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "k1": self.k1,
-            "k2": self.k2,
-            "c_phi": self.c_phi,
-            "ric_nonneg": self.ric_nonneg,
-            "tol_eig": self.tol_eig,
-            "region": self.region,
-            "n_points_masked": self.n_points_masked,
-        }
+        """Every field but the mask, as the reports echo them."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "valid_mask"}
 
 
 def extract_constants(
@@ -339,6 +333,24 @@ class EstimateReport:
         return out
 
 
+def _per_snapshot(bound, lhs: np.ndarray) -> np.ndarray:
+    """A bound with one value per snapshot, copied out to the shape of lhs."""
+    return np.broadcast_to(bound.reshape((-1,) + (1,) * (lhs.ndim - 1)), lhs.shape).copy()
+
+
+def _report(theorem: str, traj: Trajectory, beta: float, keep, lhs, rhs, margin, gate,
+            constants: HypothesisConstants, c_tol: float, notes: dict,
+            alt: dict | None = None) -> EstimateReport:
+    """The margin report of one check, at the snapshots ``keep``; its
+    tolerance and scale come from the left side (`tol_num`)."""
+    tol, scale = tol_num(traj, c_tol, lhs)
+    return EstimateReport(
+        theorem=theorem, beta=beta, times=traj.times[keep], lhs=lhs, rhs=rhs,
+        margin=margin, gate=gate, tol_num=tol, c_tol=c_tol, scale=scale,
+        constants=constants.as_dict(), notes=notes, alt=alt,
+    )
+
+
 def check_global(
     traj: Trajectory,
     beta: float = 1.0,
@@ -353,35 +365,17 @@ def check_global(
     carry first-order differencing error.
     """
     check_beta(beta)
-    grid = traj.grid
     constants = extract_constants(traj, tol_eig_factor=tol_eig_factor)
-    times = traj.times
-    keep = _report_indices(times)
+    keep = _report_indices(traj.times)
     lhs = traj.derived.liyau(keep, beta)
     alpha0 = traj.schedule.alpha0
-    n = grid.dim
-    rhs_t = global_bound(constants.k2, n, constants.c_phi, alpha0, times[keep])
-    rhs = np.broadcast_to(
-        rhs_t.reshape((-1,) + (1,) * grid.dim), lhs.shape
-    ).copy()
+    rhs = _per_snapshot(global_bound(constants.k2, traj.grid.dim, constants.c_phi, alpha0,
+                                     traj.times[keep]), lhs)
     gate = constants.valid_mask[keep]
     if not np.any(gate):
         raise GateEmptyError("global-estimate hypothesis gate is empty on this run")
-    tol, scale = tol_num(traj, c_tol, lhs)
-    return EstimateReport(
-        theorem="global",
-        beta=beta,
-        times=times[keep],
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        gate=gate,
-        tol_num=tol,
-        c_tol=c_tol,
-        scale=scale,
-        constants=constants.as_dict(),
-        notes={"k_used": constants.k2, "alpha0": alpha0},
-    )
+    return _report("global", traj, beta, keep, lhs, rhs, rhs - lhs, gate, constants, c_tol,
+                   {"k_used": constants.k2, "alpha0": alpha0})
 
 
 def check_local(
@@ -404,49 +398,24 @@ def check_local(
     """
     check_beta(beta, strict=True)
     check_rho(rho, beta)
-    grid = traj.grid
     constants = extract_constants(traj, region=(x0, rho))
-    times = traj.times
-    keep = _report_indices(times)
+    keep = _report_indices(traj.times)
     lhs = traj.derived.liyau(keep, beta)
     gate = traj.derived.distance(x0, rho)[keep] < 0.5 * rho
     if not np.any(gate):
         raise GateEmptyError("local-estimate gate (half ball) is empty on this run")
-    n = grid.dim
-    k1, k2 = constants.k1, constants.k2
-    shape = (-1,) + (1,) * grid.dim
-    rhs = np.broadcast_to(
-        local_bound(beta, rho, times[keep], k1, k2, cprime, n, 1).reshape(shape),
-        lhs.shape,
-    ).copy()
-    alt = None
+
+    t, k1, k2 = traj.times[keep], constants.k1, constants.k2
+
+    def rhs_of(c, rho_power):
+        return _per_snapshot(local_bound(beta, rho, t, k1, k2, c, traj.grid.dim, rho_power), lhs)
+
+    rhs, alt = rhs_of(cprime, 1), None
     if cprime_sq is not None:
-        rhs2 = np.broadcast_to(
-            local_bound(beta, rho, times[keep], k1, k2, cprime_sq, n, 2).reshape(shape),
-            lhs.shape,
-        ).copy()
-        alt = {
-            "rho_power": 2,
-            "cprime": cprime_sq,
-            "rhs": rhs2,
-            "margin": rhs2 - lhs,
-        }
-    tol, scale = tol_num(traj, c_tol, lhs)
-    return EstimateReport(
-        theorem="local",
-        beta=beta,
-        times=times[keep],
-        lhs=lhs,
-        rhs=rhs,
-        margin=rhs - lhs,
-        gate=gate,
-        tol_num=tol,
-        c_tol=c_tol,
-        scale=scale,
-        constants=constants.as_dict(),
-        notes={"rho": rho, "x0": grid.node(x0), "cprime": cprime},
-        alt=alt,
-    )
+        rhs2 = rhs_of(cprime_sq, 2)
+        alt = {"rho_power": 2, "cprime": cprime_sq, "rhs": rhs2, "margin": rhs2 - lhs}
+    return _report("local", traj, beta, keep, lhs, rhs, rhs - lhs, gate, constants, c_tol,
+                   {"rho": rho, "x0": traj.grid.node(x0), "cprime": cprime}, alt)
 
 
 def fit_cprime(
@@ -820,18 +789,6 @@ def check_evolution_inequality(
             - (beta * alpha0 * alpha0 * n / (2.0 * b)) * (c_phi * c_phi / t)
             - 2.0 * (beta - 1.0) * alpha0 * c_phi * gs
         )
-    tol, scale = tol_num(traj, c_tol, lhs)
-    return EstimateReport(
-        theorem="evolution",
-        beta=beta,
-        times=times[keep],
-        lhs=lhs,
-        rhs=rhs,
-        margin=lhs - rhs,
-        gate=np.ones(lhs.shape, dtype=bool),
-        tol_num=tol,
-        c_tol=c_tol,
-        scale=scale,
-        constants=constants.as_dict(),
-        notes={"a": a, "b": b, "alpha0": alpha0},
-    )
+    return _report("evolution", traj, beta, keep, lhs, rhs, lhs - rhs,
+                   np.ones(lhs.shape, dtype=bool), constants, c_tol,
+                   {"a": a, "b": b, "alpha0": alpha0})

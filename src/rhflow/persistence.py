@@ -25,7 +25,11 @@ JSON text (meta.json, manifests, reports, the CLI's output) is written by
 ``dumps`` in one pass: floats with 17 significant digits ("%.17g"), which
 round-trips IEEE doubles exactly, and dict keys emitted sorted.
 ``load_run`` reads each file once, checks it against the manifest digest
-before parsing it, and views a stored field in the bytes read.  It
+before parsing it, and views a stored field in the bytes read.  It reads
+only the layout saves write: any other ``.npy`` layout (another header
+version, Fortran order, pickled objects, another dtype or shape, a size
+other than the header implies) is refused naming the file, and the CLI
+exits 2.  It
 validates the metric stack once and forms g^{ij} and sqrt(det g) in one
 pass over it; each snapshot's `MetricFields` holds views of those stacks.
 It checks the structure of the manifest
@@ -119,8 +123,6 @@ def _emit(obj, emit) -> None:
         emit(_format_float(float(obj)))
     elif isinstance(obj, str):
         emit(_encode_str(obj))
-    elif obj is None:
-        emit("null")
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
@@ -223,45 +225,37 @@ def _read(out: Path, name: str, digests: dict) -> bytearray:
     return data
 
 
-# the first bytes of a version-1.0 .npy file
-_NPY_1_0 = npy.MAGIC_PREFIX + bytes((1, 0))
-
-
-def _npy_view(data: bytearray, shape: tuple) -> np.ndarray | None:
-    """The C-order float64 array of ``shape`` that the version-1.0 .npy
-    file ``data`` holds, as a view of ``data``; None for any other file."""
-    if data[:len(_NPY_1_0)] != _NPY_1_0:
-        return None
-    start = len(_NPY_1_0)
+def _npy_header(data: bytearray) -> tuple[tuple, np.dtype, int]:
+    """(shape, dtype, data offset) of the .npy file ``data``, if it has
+    the layout `save_run` writes: a version-1.0 header for a C-order array
+    of plain values, and every byte that header implies; else ValueError."""
+    start = len(npy.MAGIC_PREFIX) + 2
+    if data[:len(npy.MAGIC_PREFIX)] != npy.MAGIC_PREFIX or len(data) < start:
+        raise ValueError("no .npy magic")
+    if data[start - 2:start] != b"\x01\x00":
+        raise ValueError(f"version {data[start - 2]}.{data[start - 1]} header; only 1.0 is read")
     offset = start + 2 + int.from_bytes(data[start:start + 2], "little")
-    try:
-        stored, fortran, dtype = npy.read_array_header_1_0(io.BytesIO(data[start:offset]))
-    except ValueError:
-        return None
-    count = math.prod(shape)
-    if (stored != shape or fortran or dtype != np.float64
-            or len(data) < offset + 8 * count):
-        return None
-    return np.frombuffer(data, np.float64, count, offset).reshape(shape)
+    shape, fortran, dtype = npy.read_array_header_1_0(io.BytesIO(data[start:offset]))
+    if fortran or dtype.hasobject:
+        raise ValueError("Fortran-order array" if fortran else f"pickled {dtype} array")
+    size = offset + math.prod(shape) * dtype.itemsize
+    if len(data) != size:
+        raise ValueError(f"{len(data)} bytes, the header implies {size}")
+    return shape, dtype, offset
 
 
 def _load_npy(out: Path, name: str, digests: dict, shape: tuple) -> np.ndarray:
-    """A stored field: a view of the file's verified bytes, or for a file
-    that is not a version-1.0 float64 C-order array of ``shape``, what
-    `np.load` reads from them, refused unless it is such an array."""
+    """A stored field, as a view of the file's verified bytes.  Any file
+    but a float64 array of ``shape`` in the layout `_npy_header` reads is
+    refused, naming the file."""
     data = _read(out, name, digests)
-    arr = _npy_view(data, shape)
-    if arr is not None:
-        return arr
     try:
-        arr = np.load(io.BytesIO(data), allow_pickle=False)
+        stored, dtype, offset = _npy_header(data)
     except ValueError as exc:
-        raise ValueError(f"{name}: not a readable .npy file ({exc})") from exc
-    if arr.dtype != np.float64 or arr.shape != shape:
-        raise ValueError(
-            f"{name}: holds {arr.dtype} {arr.shape}, meta.json implies float64 {shape}"
-        )
-    return arr
+        raise ValueError(f"{name}: not a readable .npy file ({exc})") from None
+    if dtype != np.float64 or stored != shape:
+        raise ValueError(f"{name}: holds {dtype} {stored}, meta.json implies float64 {shape}")
+    return np.frombuffer(data, np.float64, math.prod(shape), offset).reshape(shape)
 
 
 def _snapshot(t, g, phi, u, i: int) -> Snapshot:

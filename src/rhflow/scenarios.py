@@ -13,9 +13,11 @@ at most ``grid.MAX_NODES`` nodes, ``images`` at most `IMAGES_LIMIT` and
 ``k`` at most half the node count of its axis, and the substep is
 checked against the explicit stability bound of the initial metric at
 load time, not step time.  Each of these errors names the field's dotted
-path.  The readers here (`number`, `integer`, `json_object`, `json_list`,
-`check_keys`, `per_axis`, `choice`) also read run metadata, manifests
-and Harnack pairs.
+path.  The initial state is evaluated and checked once, at load: the
+`Scenario` keeps that snapshot, and every run of it starts from it.  The
+readers here (`number`, `integer`, `json_object`, `json_list`,
+`check_keys`, `per_axis`, `choice`) also read run metadata, manifests and
+Harnack pairs.
 
 Initial data comes from a small typed catalog.  Scalar fields (u, map
 components, conformal exponents) are built from:
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
@@ -59,7 +61,7 @@ from .flow import (
     stability_limit,
 )
 from .geometry import MetricDegenerateError
-from .grid import Grid, check_int_range
+from .grid import MAX_NODES, Grid, check_int_range
 
 _FN = {"cos": np.cos, "sin": np.sin}
 
@@ -295,7 +297,8 @@ def parse_schedule(spec, path: str) -> AlphaSchedule:
 @dataclass
 class Scenario:
     """Parsed, validated scenario.  `raw` is the exact dict it came from and
-    is echoed into run metadata."""
+    is echoed into run metadata; `initial` is its initial snapshot, built
+    and checked once at load, and the first snapshot of every run of it."""
 
     raw: dict
     name: str
@@ -308,31 +311,36 @@ class Scenario:
     snapshot_stride: int
     method: str
     seed: int | None
+    initial: Snapshot = field(repr=False, compare=False)
 
     def initial_snapshot(self) -> Snapshot:
-        rng = np.random.default_rng(self.seed) if self.seed is not None else None
-        init = self.raw["initial"]
-        phi_spec = init.get("phi", {"components": [{"type": "constant", "value": 0.0}]})
-        # a value that overflows is refused below, by the field it lands in
-        with np.errstate(over="ignore", invalid="ignore"):
-            g = _eval_metric(self.grid, init["metric"], "initial.metric", rng)
-            phi = np.stack([_eval_scalar(self.grid, c, f"initial.phi.components[{i}]", rng)
-                            for i, c in enumerate(phi_spec["components"])], axis=-1)
-            u = _eval_scalar(self.grid, init["u"], "initial.u", rng)
-        for name, field in (("metric", g), ("phi", phi)):
-            if not np.all(np.isfinite(field)):
-                raise ValueError(f"initial.{name} has non-finite values")
-        ok = np.isfinite(u) & (u > 0)
-        if not np.all(ok):
-            node = np.unravel_index(int(np.argmin(ok)), ok.shape)
-            raise ValueError(
-                f"initial.u must be finite and positive at every node; "
-                f"got {u[node]!r} at node {tuple(int(i) for i in node)}"
-            )
-        try:
-            return Snapshot(self.t_start, g, phi, u)
-        except MetricDegenerateError as exc:
-            raise ValueError(f"initial.metric: {exc}") from exc
+        return self.initial
+
+
+def _initial_snapshot(grid: Grid, init: dict, t: float, seed: int | None) -> Snapshot:
+    """The checked snapshot of a scenario's ``initial`` spec at time t."""
+    rng = np.random.default_rng(seed) if seed is not None else None
+    phi_spec = init.get("phi", {"components": [{"type": "constant", "value": 0.0}]})
+    # a value that overflows is refused below, by the field it lands in
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _eval_metric(grid, init["metric"], "initial.metric", rng)
+        phi = np.stack([_eval_scalar(grid, c, f"initial.phi.components[{i}]", rng)
+                        for i, c in enumerate(phi_spec["components"])], axis=-1)
+        u = _eval_scalar(grid, init["u"], "initial.u", rng)
+    for name, values in (("metric", g), ("phi", phi)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"initial.{name} has non-finite values")
+    ok = np.isfinite(u) & (u > 0)
+    if not np.all(ok):
+        node = np.unravel_index(int(np.argmin(ok)), ok.shape)
+        raise ValueError(
+            f"initial.u must be finite and positive at every node; "
+            f"got {u[node]!r} at node {tuple(int(i) for i in node)}"
+        )
+    try:
+        return Snapshot(t, g, phi, u)
+    except MetricDegenerateError as exc:
+        raise ValueError(f"initial.metric: {exc}") from exc
 
 
 def parse_scenario(cfg: dict) -> Scenario:
@@ -371,25 +379,14 @@ def parse_scenario(cfg: dict) -> Scenario:
             raise ValueError("initial.phi.components must not be empty")
     if "description" in cfg:
         choice(cfg["description"], "description")
-
-    sc = Scenario(
-        raw=cfg,
-        name=choice(cfg["name"], "name"),
-        grid=grid,
-        variant=variant,
-        schedule=schedule,
-        t_start=t_start,
-        t_end=t_end,
-        dt_sub=dt_sub,
-        snapshot_stride=stride,
-        method=choice(cfg.get("method", "euler"), "method", ("euler", "rk2")),
-        seed=integer(cfg["seed"], "seed") if "seed" in cfg else None,
-    )
-    if sc.seed is not None and sc.seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {sc.seed}")
+    name = choice(cfg["name"], "name")
+    method = choice(cfg.get("method", "euler"), "method", ("euler", "rk2"))
+    seed = integer(cfg["seed"], "seed") if "seed" in cfg else None
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     # reject unstable configs at load time, citing the bound
-    snap0 = sc.initial_snapshot()
+    snap0 = _initial_snapshot(grid, init, t_start, seed)
     limit = stability_limit(grid, snap0.metric)
     if dt_sub > limit:
         raise ValueError(
@@ -398,7 +395,9 @@ def parse_scenario(cfg: dict) -> Scenario:
         )
     if variant.kind == "warped_product" and snap0.phi.shape[-1] != 1:
         raise ValueError("initial.phi.components: warped_product needs a single-component map")
-    return sc
+    return Scenario(raw=cfg, name=name, grid=grid, variant=variant, schedule=schedule,
+                    t_start=t_start, t_end=t_end, dt_sub=dt_sub, snapshot_stride=stride,
+                    method=method, seed=seed, initial=snap0)
 
 
 def bundled_names() -> list[str]:
@@ -428,7 +427,7 @@ def run_scenario(sc: Scenario, method: str | None = None) -> Trajectory:
         sc.grid,
         sc.variant,
         sc.schedule,
-        sc.initial_snapshot(),
+        sc.initial,
         T=sc.t_end,
         dt_sub=sc.dt_sub,
         substride=sc.snapshot_stride,
@@ -440,9 +439,10 @@ def run_scenario(sc: Scenario, method: str | None = None) -> Trajectory:
 def refine_scenario(cfg: dict, factor: int = 2) -> dict:
     """Refined twin of a scenario dict: n_points x factor, dt_sub / factor^2,
     stride x factor.  Snapshot times of the original all survive, so matched
-    comparisons and convergence-rate measurements line up exactly."""
-    if factor < 2:
-        raise ValueError("refinement factor must be >= 2")
+    comparisons and convergence-rate measurements line up exactly; that
+    needs an integer factor (bools refused) of at least 2."""
+    # no larger factor leaves a grid within the node cap
+    check_int_range("factor", factor, 2, MAX_NODES)
     out = json.loads(json.dumps(cfg))
     out["name"] = f"{cfg['name']}_refined{factor}"
     out["grid"]["n_points"] = [n * factor for n in cfg["grid"]["n_points"]]

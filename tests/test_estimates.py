@@ -7,8 +7,10 @@ against silent drift, while the closed-form and band assertions guard
 against being wrong in the first place.
 """
 
+import ast
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,6 +225,23 @@ def test_rows_and_summary_structure(eigenmode_run):
     assert s["min_margin"] == rep.min_margin
     assert s["gated_fraction"] == rep.gated_fraction
     assert {"beta", "tol_num", "c_tol", "scale", "constants", "worst"} <= set(s)
+
+
+def test_margin_reports_are_built_in_one_place():
+    # the global, local and evolution checks pass their parts to one builder
+    def builds(node):
+        return isinstance(node, ast.Call) and "EstimateReport" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    package = Path(est.__file__).parent
+    calls, callers = 0, []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        calls += sum(map(builds, ast.walk(tree)))
+        callers += [(path.name, fn.name) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and any(map(builds, ast.walk(fn)))]
+    assert calls == 1 and callers == [("estimates.py", "_report")]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 removed from the API stay removed."""
 
 import rhflow
-from rhflow import cutoff, distance, estimates, geometry, grid, harnack
+from rhflow import cutoff, distance, estimates, geometry, grid, harnack, persistence
 
 REMOVED = {
     rhflow: ("liyau_quantity", "cprime_fallback", "flat_torus_distance", "path_energy",
@@ -14,6 +14,7 @@ REMOVED = {
     geometry._Calls: ("ghosts",),
     harnack: ("_node_tuple", "check_r_max", "check_substeps", "path_energy", "_segment_energy"),
     cutoff: ("check_lattice",),
+    persistence: ("_npy_view", "_NPY_1_0"),
 }
 
 

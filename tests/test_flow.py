@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import heat_oracle
-from tiny_configs import count_calls, short_coupled_scenario, tiny_static_cfg
+from tiny_configs import count_calls, short_coupled_cfg, short_coupled_scenario, tiny_static_cfg
 from rhflow import derived, flow, geometry
 from rhflow.estimates import check_identities
 from rhflow.flow import (
@@ -326,19 +326,20 @@ def test_map_blowup_halts_gracefully():
 
 
 def test_coupled_run_validates_each_new_metric_once(monkeypatch):
-    sc, n_substeps = short_coupled_scenario()
+    # the count covers load and run: the run starts from the loaded snapshot
+    cfg, n_substeps = short_coupled_cfg()
     checks = count_calls(monkeypatch, geometry, "check_metric")
     validations = count_calls(monkeypatch, flow._Workspace, "validate")
-    traj = run_scenario(sc)
+    traj = run_scenario(load_scenario(cfg))
     assert traj.completed and len(traj.snapshots) == 3
     assert len(checks) == 1 and len(checks) + len(validations) <= n_substeps + 1
 
 
 def test_coupled_rk2_run_validates_midpoint_and_end_metrics(monkeypatch):
-    sc, n_substeps = short_coupled_scenario("rk2")
+    cfg, n_substeps = short_coupled_cfg("rk2")
     checks = count_calls(monkeypatch, geometry, "check_metric")
     validations = count_calls(monkeypatch, flow._Workspace, "validate")
-    traj = run_scenario(sc)
+    traj = run_scenario(load_scenario(cfg))
     assert traj.completed and len(traj.snapshots) == 3
     assert len(checks) + len(validations) == 2 * n_substeps + 1 and len(checks) == 1
 
@@ -389,9 +390,8 @@ def test_degenerate_metric_halts_as_the_reference_loop_does(method):
 
 
 def test_static_run_validates_its_metric_once(monkeypatch):
-    sc = load_scenario("static_eigenmode")
     calls = count_calls(monkeypatch, geometry, "check_metric")
-    traj = run_scenario(sc)
+    traj = run_scenario(load_scenario("static_eigenmode"))
     assert traj.completed and len(traj.snapshots) > 2
     assert len(calls) == 1
     assert all(s.metric is traj.snapshots[0].metric for s in traj.snapshots)
@@ -433,9 +433,9 @@ def test_stored_snapshots_keep_no_laplacian_faces(scenario):
 
 @pytest.mark.parametrize("scenario", ["static", "coupled"])
 def test_snapshot_constructor_checks_only_the_initial_snapshot(monkeypatch, scenario):
-    sc = load_scenario(tiny_static_cfg()) if scenario == "static" else short_coupled_scenario()[0]
+    cfg = tiny_static_cfg() if scenario == "static" else short_coupled_cfg()[0]
     checks = count_calls(monkeypatch, Snapshot, "__post_init__")
-    traj = run_scenario(sc)
+    traj = run_scenario(load_scenario(cfg))
     assert traj.completed and len(traj.snapshots) > 2
     assert len(checks) == 1 and checks[0][0] is traj.snapshots[0]
     # the public constructor still checks what it is given

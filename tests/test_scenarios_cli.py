@@ -238,8 +238,11 @@ def test_refine_scenario_arithmetic():
     ref = run_scenario(load_scenario(fine))
     assert len(ref.snapshots) == 2 * len(orig.snapshots) - 1
     np.testing.assert_allclose(orig.times, ref.times[::2], atol=1e-15)
-    with pytest.raises(ValueError, match="factor"):
-        refine_scenario(cfg, factor=1)
+    # a factor that is not an integer of at least 2 would not keep every
+    # snapshot time (2.5) or would write floats into integer fields (3.0)
+    for factor in (1, 2.5, 3.0, True):
+        with pytest.raises(ValueError, match="factor"):
+            refine_scenario(cfg, factor=factor)
 
 
 # ---------------------------------------------------------------------------
@@ -1208,6 +1211,13 @@ def _cut_short(path):
     path.write_bytes(path.read_bytes()[:-8])
 
 
+def _npy_version_2(path):
+    """The stored array rewritten with a version-2.0 header."""
+    arr = np.load(path)
+    with open(path, "wb") as f:
+        np.lib.format.write_array(f, arr, version=(2, 0))
+
+
 # (file of the saved tiny run; edit of its JSON in place or returning a
 # replacement, or for a .npy file a rewrite of the file; what the error names)
 MALFORMED_RUN_FILES = {
@@ -1245,6 +1255,10 @@ MALFORMED_RUN_FILES = {
     "u-npy-pickled": ("u.npy", _npy_edit(lambda u: u.astype(object), allow_pickle=True),
                       ["u.npy", "not a readable .npy file"]),
     "g-npy-cut-short": ("g.npy", _cut_short, ["g.npy", "not a readable .npy file"]),
+    "u-npy-fortran-order": ("u.npy", _npy_edit(np.asfortranarray),
+                            ["u.npy", "not a readable .npy file", "Fortran"]),
+    "phi-npy-version-2": ("phi.npy", _npy_version_2,
+                          ["phi.npy", "not a readable .npy file", "version 2.0"]),
 }
 
 

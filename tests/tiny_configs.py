@@ -41,13 +41,20 @@ def tiny_cfg_with(**edits):
     return cfg
 
 
-def short_coupled_scenario(method="euler", strides=2):
-    """rh_perturbed_2d cut to a few strides; returns it with its substep count."""
+def short_coupled_cfg(method="euler", strides=2):
+    """rh_perturbed_2d cut to a few strides, as a dict; returns it with its
+    substep count."""
     cfg = json.loads(json.dumps(load_scenario("rh_perturbed_2d").raw))
     cfg["method"] = method
     t = cfg["time"]
     n_substeps = strides * t.get("snapshot_stride", 1)
     t["t_end"] = t.get("t_start", 0.0) + n_substeps * t["dt_sub"]
+    return cfg, n_substeps
+
+
+def short_coupled_scenario(method="euler", strides=2):
+    """`short_coupled_cfg` loaded; returns it with its substep count."""
+    cfg, n_substeps = short_coupled_cfg(method, strides)
     return load_scenario(cfg), n_substeps
 
 
